@@ -1,6 +1,6 @@
 """E12 — solver ablations for the design choices called out in DESIGN.md.
 
-(a) branch & bound pruning and the one-step lookahead bound;
+(a) branch & bound pruning and the bucket-elimination message bound;
 (b) bucket-elimination variable orderings (given vs min-degree);
 (c) soft arc consistency as a preprocessing step.
 """
@@ -109,9 +109,9 @@ class TestBranchBoundAblation:
 
         rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
         report(
-            "E12a — one-step lookahead bound",
+            "E12a — bucket-elimination message bound",
             rows,
-            ["seed", "nodes (no lookahead)", "nodes (lookahead)"],
+            ["seed", "nodes (no messages)", "nodes (messages)"],
         )
         total_without = sum(row[1] for row in rows)
         total_with = sum(row[2] for row in rows)

@@ -46,6 +46,13 @@ class Semiring(ABC, Generic[A]):
     #: Human-readable name, e.g. ``"Weighted"``.
     name: str = "Semiring"
 
+    #: Whether ``×`` is monotone and distributes over ``+`` on the whole
+    #: carrier — the c-semiring laws that make a bucket-elimination
+    #: message an exact bound on every completion (branch & bound relies
+    #: on it).  A class-level law, not an option: composites whose
+    #: ``×`` can collapse ties override it.
+    times_monotone: bool = True
+
     # ------------------------------------------------------------------
     # Core algebra (abstract)
     # ------------------------------------------------------------------

@@ -157,6 +157,10 @@ class LexicographicSemiring(TotallyOrderedSemiring[ProductValue]):
 
     name = "Lex"
 
+    #: Tie-collapse breaks ``×``-monotonicity (see above), so branch &
+    #: bound prunes Lex problems on the accumulated value alone.
+    times_monotone = False
+
     def __init__(self, components: Sequence[Semiring]) -> None:
         if not components:
             raise SemiringError(

@@ -42,7 +42,6 @@ from .kernels import (
     DenseFactor,
     KernelError,
     Lowering,
-    best_over_variable,
     combine_factors,
     lower_semiring,
     lowering_fallback_stats,
@@ -145,7 +144,6 @@ __all__ = [
     "combine_factors",
     "stack_factors",
     "split_results",
-    "best_over_variable",
     "solve",
     "solve_exhaustive",
     "solve_branch_bound",

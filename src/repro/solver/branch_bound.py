@@ -5,21 +5,32 @@ combined value of a completion can never beat the combination of the
 constraints already fully instantiated, so that combination is a sound
 upper bound and subtrees strictly worse than the incumbent are pruned.
 
-Only valid when ``≤S`` is total (Boolean, Fuzzy, Probabilistic, Weighted);
-for partial orders (Set-based, products) use exhaustive search or bucket
-elimination.
+Bucket-elimination messages over the search order (Kask & Dechter, AIJ
+2001) tighten that bound to the *exact* best completion, and the root's
+bounds ``⊕`` to the blevel, which seeds the prune threshold.  This needs
+monotone, distributive ``×``
+(:attr:`~repro.semirings.base.Semiring.times_monotone`); Lexicographic
+problems, where tie-collapse breaks it, prune on the accumulated value.
+
+Only valid when ``≤S`` is total (Boolean, Fuzzy, Probabilistic, Weighted,
+Lexicographic); for partial orders (Set-based, products) use exhaustive
+search or bucket elimination.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..constraints.constraint import SoftConstraint
-from ..constraints.variables import Variable
+from ..constraints.operations import combine
+from ..constraints.store import _MATERIALIZE_LIMIT
+from ..constraints.table import TableConstraint, to_table
+from ..constraints.variables import Variable, assignment_space_size, merge_scopes
 from ..telemetry import get_tracer
 from .heuristics import OrderingFn, resolve_ordering
-from .kernels import KernelError, best_over_variable, resolve_lowering
+from .kernels import DenseFactor, KernelError, Lowering, combine_factors
+from .kernels import resolve_lowering
 from .problem import (
     SCSP,
     ProblemError,
@@ -37,14 +48,14 @@ def solve_branch_bound(
 ) -> SolverResult:
     """Find the blevel and all optimal ``con``-assignments by DFS + pruning.
 
-    ``lookahead`` additionally bounds constraints with exactly one
-    unassigned variable by their best value over that variable's domain,
-    tightening the bound at the cost of extra evaluations (ablated in the
-    E12 benchmark).  With the dense ``backend`` (the default whenever the
-    semiring lowers, see :mod:`repro.solver.kernels`) those best-over-
-    domain values are precomputed once per constraint by a plus-ufunc
-    reduction instead of being re-evaluated in the inner search loop; the
-    search itself, its statistics and its results are unchanged.
+    ``lookahead`` bounds each node by the bucket-elimination messages
+    that cover its depth (ablated in the E12 benchmark); off, a node is
+    bounded by its accumulated value alone.  The messages are built with
+    the dense kernels whenever the semiring lowers (``backend``, see
+    :mod:`repro.solver.kernels`) and with table ``combine``/``hide``
+    otherwise — bit-identical either way, so both backends search the
+    same tree.  The blevel and its witnesses always come from the
+    search's own left fold, in domain order.
     """
     semiring = problem.semiring
     if not semiring.is_total_order():
@@ -64,71 +75,57 @@ def solve_branch_bound(
     # the variable at that depth gets a value (and were not before).
     position = {var.name: depth for depth, var in enumerate(order)}
     activation: List[List[SoftConstraint]] = [[] for _ in order]
-    one_left: List[List[tuple[SoftConstraint, Variable]]] = [
-        [] for _ in order
-    ]
     for constraint in problem.constraints:
-        depths = [position[name] for name in constraint.support]
-        last = max(depths) if depths else -1
-        if last >= 0:
+        if constraint.scope:
+            last = max(position[name] for name in constraint.support)
             activation[last].append(constraint)
-            second_last = sorted(depths)[-2] if len(depths) > 1 else -1
-            # After depth ``second_last`` the constraint has exactly
-            # one unassigned variable: the one at depth ``last``.
-            if second_last < last:
-                pending_var = order[last]
-                if second_last >= 0:
-                    one_left[second_last].append(
-                        (constraint, pending_var)
-                    )
 
     empty_scope = [c for c in problem.constraints if not c.scope]
     base_value = semiring.prod(c.value({}) for c in empty_scope) if (
         empty_scope
     ) else semiring.one
 
+    covering: List[List[TableConstraint]] = [[] for _ in order]
+    exact = False
+    if lookahead and semiring.times_monotone and len(order) > 1:
+        covering, exact = _bucket_messages(
+            problem, order, activation, lowering
+        )
+
     incumbent: Any = semiring.zero
+    # The prune threshold: the better of the incumbent and the seed.
+    cutoff: Any = semiring.zero
     witnesses: List[Dict[str, Any]] = []
     assignment: Dict[str, Any] = {}
     con_set = set(problem.con)
 
-    # Dense fast path: the best value of a one-variable-left constraint
-    # over that variable's domain, for *every* context at once, is one
-    # plus-ufunc reduction of its dense factor — an O(1) table lookup in
-    # the search loop instead of a |domain|-wide re-evaluation.
-    best_tables: Optional[List[List[Any]]] = None
-    if lookahead and lowering is not None:
-        best_tables = [
-            [
-                best_over_variable(constraint, pending, lowering)
-                for constraint, pending in entries
-            ]
-            for entries in one_left
-        ]
+    def node_value(depth: int, accumulated: Any) -> Any:
+        for constraint in activation[depth]:
+            accumulated = semiring.times(
+                accumulated, constraint.value(assignment)
+            )
+        return accumulated
 
-    def lookahead_bound(depth: int) -> Any:
-        bound = semiring.one
-        if best_tables is not None:
-            for best_table in best_tables[depth]:
-                bound = semiring.times(
-                    bound, best_table.value(assignment)
-                )
-            return bound
-        for constraint, pending in one_left[depth]:
-            best = semiring.zero
-            for value in pending.domain:
-                assignment[pending.name] = value
-                best = semiring.plus(best, constraint.value(assignment))
-            del assignment[pending.name]
-            bound = semiring.times(bound, best)
-        return bound
+    def node_bound(depth: int, value: Any) -> Any:
+        for message in covering[depth]:
+            value = semiring.times(value, message.value(assignment))
+        return value
+
+    def cut(bound: Any) -> bool:
+        # Messages fold ``×`` in another order than the search folds a
+        # leaf: prune only when worse *and* not ``equiv``, so an ulp of
+        # difference never cuts an optimum.
+        return semiring.lt(bound, cutoff) and not semiring.equiv(
+            bound, cutoff
+        )
 
     def descend(depth: int, accumulated: Any) -> None:
-        nonlocal incumbent, witnesses
+        nonlocal incumbent, cutoff, witnesses
         if depth == len(order):
             stats.leaves_evaluated += 1
             if semiring.gt(accumulated, incumbent):
                 incumbent = accumulated
+                cutoff = semiring.plus(cutoff, incumbent)
                 stats.incumbent_improvements += 1
                 witnesses = [dict(assignment)]
             elif (
@@ -140,20 +137,33 @@ def solve_branch_bound(
                 witnesses.append(dict(assignment))
             return
         var = order[depth]
-        for value in var.domain:
+        for index, value in enumerate(var.domain):
             stats.nodes_expanded += 1
             assignment[var.name] = value
-            bound = accumulated
-            for constraint in activation[depth]:
-                bound = semiring.times(bound, constraint.value(assignment))
-            node_value = bound
-            if lookahead and semiring.geq(bound, incumbent):
-                bound = semiring.times(bound, lookahead_bound(depth))
-            if semiring.lt(bound, incumbent):
+            if depth:
+                node = node_value(depth, accumulated)
+            else:
+                node, bound = root[index]
+            # The accumulated value is compared raw, as ``×`` only ever
+            # lowers it (on floats too); the bound only when it is not.
+            if semiring.lt(node, incumbent) or cut(
+                node_bound(depth, node) if depth else bound
+            ):
                 stats.prunes += 1
             else:
-                descend(depth + 1, node_value)
+                descend(depth + 1, node)
             del assignment[var.name]
+
+    # The root's node values and bounds, computed once before descending;
+    # with every bucket eliminated the bounds ``⊕`` to the exact blevel.
+    root: List[Tuple[Any, Any]] = []
+    for value in order[0].domain if order else ():
+        assignment[order[0].name] = value
+        node = node_value(0, base_value)
+        root.append((node, node_bound(0, node)))
+    assignment.clear()
+    if exact:
+        cutoff = semiring.sum(bound for _, bound in root)
 
     with get_tracer().span(
         "solver.solve", method="branch-bound", problem=problem.name
@@ -184,3 +194,53 @@ def solve_branch_bound(
         method="branch-bound",
         stats=stats,
     )
+
+
+def _bucket_messages(
+    problem: SCSP,
+    order: Sequence[Variable],
+    activation: List[List[SoftConstraint]],
+    lowering: Optional[Lowering],
+) -> Tuple[List[List[TableConstraint]], bool]:
+    """One reverse bucket pass over the search order.
+
+    Bucket ``d`` holds the constraints activated at depth ``d`` plus the
+    messages sent to it; eliminating ``order[d]`` sends ``(⊗ bucket) ⇓``
+    to the bucket of the deepest variable left in scope (or to none,
+    for a constant).  A message from bucket ``j`` landing at depth ``t``
+    covers depths ``t … j−1``: there its scope is assigned and its
+    constraints are not.  Buckets of depth ≥ 1 are eliminated; a bucket
+    whose combined table would exceed the store's materialization limit
+    is skipped, its factors then add nothing to shallower bounds (which
+    stay admissible) and the pass is no longer exact.
+    """
+    semiring = problem.semiring
+    position = {var.name: depth for depth, var in enumerate(order)}
+    buckets: List[list] = [list(constraints) for constraints in activation]
+    covering: List[List[TableConstraint]] = [[] for _ in order]
+    exact = True
+    for depth in range(len(order) - 1, 0, -1):
+        bucket = buckets[depth]
+        if not bucket:
+            continue
+        scope = merge_scopes(*(factor.scope for factor in bucket))
+        if assignment_space_size(scope) > _MATERIALIZE_LIMIT:
+            exact = False
+            continue
+        name = order[depth].name
+        if lowering is not None:
+            message = combine_factors(
+                [DenseFactor.from_constraint(f, lowering) for f in bucket]
+            ).hide(name)
+            table = message.to_table()
+        else:
+            message = table = to_table(
+                combine([to_table(f) for f in bucket], semiring=semiring)
+                .hide(name)
+            )
+        target = max((position[n] for n in message.support), default=-1)
+        if target > 0:
+            buckets[target].append(message)
+        for covered in range(max(target, 0), depth):
+            covering[covered].append(table)
+    return covering, exact

@@ -831,19 +831,6 @@ def combine_factors(
     return DenseFactor(lowering, scope, out)
 
 
-def best_over_variable(
-    constraint: SoftConstraint, pending: Variable, lowering: Lowering
-) -> TableConstraint:
-    """``c ⇓ (scope ∖ {pending})`` as an O(1)-lookup table.
-
-    The branch & bound lookahead needs, per partially assigned
-    constraint, its best value over the single unassigned variable; one
-    plus-ufunc reduction precomputes that for every context at once.
-    """
-    factor = DenseFactor.from_constraint(constraint, lowering)
-    return factor.hide(pending.name).to_table()
-
-
 def _iter_keys(scope: Tuple[Variable, ...]):
     """Row-major tuples over the scope's domains (last variable fastest) —
     the same order ``iter_assignments`` walks and ndarrays flatten to."""

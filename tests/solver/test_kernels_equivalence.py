@@ -118,12 +118,18 @@ class TestDenseMatchesDict:
         dict_result = solve_branch_bound(problem, backend="dict")
         dense_result = solve_branch_bound(problem, backend="dense")
         assert_identical(dict_result, dense_result)
-        # Dense lookahead precomputes the same bounds the dict loop
-        # recomputes, so the search trees are node-for-node identical.
-        assert dict_result.stats.nodes_expanded == (
-            dense_result.stats.nodes_expanded
+        # Dense and table bucket messages are bit-identical, so the
+        # search trees are node-for-node identical.
+        assert dict_result.stats == dense_result.stats
+        unbounded_dict = solve_branch_bound(
+            problem, backend="dict", lookahead=False
         )
-        assert dict_result.stats.prunes == dense_result.stats.prunes
+        unbounded_dense = solve_branch_bound(
+            problem, backend="dense", lookahead=False
+        )
+        assert_identical(unbounded_dict, dense_result)
+        assert_identical(unbounded_dense, dense_result)
+        assert unbounded_dict.stats == unbounded_dense.stats
 
     def test_methods_agree(self, semiring, seed):
         problem = random_problem(semiring, seed)
