@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-report examples all clean
+.PHONY: install test bench bench-report bench-e2e bench-compare examples all clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -16,6 +16,21 @@ bench:
 # Prints the paper-vs-measured tables (the EXPERIMENTS.md source data).
 bench-report:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
+
+# The end-to-end negotiation benchmark (every workload, ~2.5 min); the
+# run lands in OUT.  Compare two such runs row by row with bench-compare.
+OUT ?= benchmarks/e2e/.out/run.json
+
+bench-e2e:
+	@mkdir -p $(dir $(OUT))
+	python3 benchmarks/e2e/run.py --seed 1 --out $(OUT)
+
+# make bench-compare A=base.json B=change.json — flags rows beyond the
+# BENCHMARK.json bounds and exits 1 when any row is worse.
+bench-compare:
+	@test -n "$(A)" -a -n "$(B)" || \
+		{ echo "usage: make bench-compare A=base.json B=change.json"; exit 2; }
+	python3 benchmarks/e2e/compare.py $(A) $(B)
 
 examples:
 	@for script in examples/*.py; do \

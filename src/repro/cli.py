@@ -33,16 +33,18 @@ Observability (any command): ``--telemetry`` collects metrics and spans
 for the run and embeds the snapshot under a ``"telemetry"`` key in the
 output; ``--trace-out PATH`` writes the span/event journal as JSON
 lines; ``--prometheus-out PATH`` writes the metrics in Prometheus text
-format.
+format.  Both paths are checked before the command runs: one that cannot
+be written exits 2 with nothing printed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, NoReturn, Optional
 
 from . import serialization
 from .coalitions import solve_engine, solve_exact, solve_local_search
@@ -67,11 +69,30 @@ from .telemetry import (
 _session: Optional[TelemetrySession] = None
 
 
+def _bad_input(message: str) -> NoReturn:
+    """Report bad input on stderr and exit with the documented status 2."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _read_json(path: str) -> Any:
     try:
         return json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"error: cannot read {path}: {exc}")
+        _bad_input(f"cannot read {path}: {exc}")
+
+
+def _unwritable(path: str) -> Optional[str]:
+    """Why ``path`` cannot be written, or ``None`` when it can."""
+    target = Path(path)
+    if target.is_dir():
+        return "is a directory"
+    parent = target.parent
+    if not parent.is_dir():
+        return f"directory {str(parent)!r} does not exist"
+    if not os.access(target if target.exists() else parent, os.W_OK):
+        return "permission denied"
+    return None
 
 
 def _emit(payload: Dict[str, Any]) -> None:
@@ -204,8 +225,8 @@ def _market_request(market: Dict[str, Any]) -> ClientRequest:
 
 def _load_market(path: str) -> Dict[str, Any]:
     market = _read_json(path)
-    if market.get("kind") != "market":
-        raise SystemExit("error: payload is not a market spec")
+    if not isinstance(market, dict) or market.get("kind") != "market":
+        _bad_input("payload is not a market spec")
     return market
 
 
@@ -310,17 +331,13 @@ def _build_injector(
         try:
             start, length = (int(p) for p in args.fault_outage.split(":"))
         except ValueError:
-            raise SystemExit(
-                "error: --fault-outage expects START:LENGTH (integers)"
-            )
+            _bad_input("--fault-outage expects START:LENGTH (integers)")
         models.append(BurstOutage(start, length))
     if args.fault_delay is not None:
         try:
             prob, extra_ms = (float(p) for p in args.fault_delay.split(":"))
         except ValueError:
-            raise SystemExit(
-                "error: --fault-delay expects PROB:MILLISECONDS"
-            )
+            _bad_input("--fault-delay expects PROB:MILLISECONDS")
         models.append(RandomDelay(prob, extra_ms))
     if not models:
         return None
@@ -641,8 +658,8 @@ def _slo_plan(args: argparse.Namespace, market: Dict[str, Any]):
         return make_pipeline(*args.pipeline.split(","))
     if "plan" in market:
         return serialization.plan_from_dict(market["plan"])
-    raise SystemExit(
-        "error: no plan to analyze — pass --plan PATH or "
+    _bad_input(
+        "no plan to analyze — pass --plan PATH or "
         "--pipeline IDS, or add a 'plan' entry to the market spec"
     )
 
@@ -701,7 +718,7 @@ def cmd_dlq(args: argparse.Namespace) -> int:
         )
         return 0
     if args.market is None:
-        raise SystemExit("error: replay requires --market")
+        _bad_input("replay requires --market")
     market = _load_market(args.market)
     registry = _market_registry(market)
     broker = _broker(args, registry)
@@ -1258,6 +1275,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     trace_out = getattr(args, "trace_out", None)
     prometheus_out = getattr(args, "prometheus_out", None)
+    for flag, path in (
+        ("--trace-out", trace_out),
+        ("--prometheus-out", prometheus_out),
+    ):
+        reason = path and _unwritable(path)
+        if reason:
+            parser.error(f"{flag} {path}: {reason}")
     wants_telemetry = bool(
         getattr(args, "telemetry", False) or trace_out or prometheus_out
     )

@@ -47,7 +47,8 @@ Threshold = Union[None, Any, SoftConstraint]
 
 
 class CheckError(Exception):
-    """Raised on intrinsically wrong intervals (lower better than upper)."""
+    """Raised on intrinsically wrong intervals (lower better than upper)
+    and on checks missing what they compare against."""
 
 
 class CheckSpec:
@@ -124,10 +125,38 @@ class CheckSpec:
     # The check function of Fig. 3
     # ------------------------------------------------------------------
 
-    def holds(self, store: ConstraintStore) -> bool:
-        """``check(σ)_⇒`` — whether ``store`` satisfies both thresholds."""
+    def holds(
+        self,
+        store: Optional[ConstraintStore],
+        consistency: Optional[Any] = None,
+    ) -> bool:
+        """``check(σ)_⇒`` — whether ``store`` satisfies both thresholds.
+
+        ``consistency`` is ``σ⇓∅`` when the caller already knows it, e.g.
+        the broker's candidate solve: ``blevel(P) = Sol(P)⇓∅`` for the
+        SCSP whose constraints form σ.  Level thresholds are then judged
+        against that value and never query the store, so a candidate is
+        accepted exactly when the level it is signed at meets the
+        interval — a second solve of the same store may fold the same
+        floats in another order and disagree in the last bit.  ``store``
+        may be ``None`` when no threshold is a constraint (case C1);
+        constraint thresholds (C2–C4) always need the store, for
+        ``refines``/``entails``.
+        """
+        if store is None:
+            if self.case != "C1":
+                raise CheckError(
+                    f"case {self.case} compares a constraint threshold "
+                    f"against the store; holds() needs the store"
+                )
+            if consistency is None and not (
+                self.lower is None and self.upper is None
+            ):
+                raise CheckError(
+                    "case C1: a level threshold needs the store or its "
+                    "consistency σ⇓∅"
+                )
         semiring = self.semiring
-        consistency: Optional[Any] = None
 
         if self.lower is not None:
             if isinstance(self.lower, SoftConstraint):
@@ -135,7 +164,8 @@ class CheckSpec:
                 if not store.refines(self.lower):
                     return False
             else:
-                consistency = store.consistency()
+                if consistency is None:
+                    consistency = store.consistency()
                 # ¬(σ⇓∅ <S a1) — not worse than the worst acceptable.
                 if semiring.lt(consistency, self.lower):
                     return False

@@ -160,8 +160,9 @@ class Broker:
     ``solver_backend`` selects the factor representation
     (``auto``/``dict``/``dense``, see :mod:`repro.solver.kernels`);
     ``store_backend`` selects the constraint-store representation for
-    acceptance checks and nmsccp confirmation runs
-    (``auto``/``monolith``/``factored``, see
+    acceptance intervals with a constraint threshold (cases C2–C4; level
+    thresholds read the candidate solve's blevel and build no store) and
+    for nmsccp confirmation runs (``auto``/``monolith``/``factored``, see
     :mod:`repro.constraints.store`); ``batching`` (a
     :class:`~repro.runtime.batching.BatchConfig` or a prebuilt
     :class:`~repro.runtime.batching.BatchScheduler`) coalesces
@@ -598,7 +599,17 @@ class Broker:
         request: ClientRequest,
         semiring: Semiring,
     ) -> CandidateEvaluation:
-        """Step 4: offered ⊗ required as one SCSP."""
+        """Step 4: offered ⊗ required as one SCSP, solved once.
+
+        The acceptance check reads this solve: ``blevel(P) = Sol(P)⇓∅``
+        is the consistency of the store ``requirements ⊗ offer``, so
+        level thresholds (case C1, and the level side of C2/C3) are
+        judged against ``result.blevel`` — the very level the SLA is
+        signed at — instead of solving the same store again.  Accepted
+        candidates therefore always sign an ``agreed_level`` inside the
+        client's interval.  A store is built only when a threshold is a
+        constraint, whose ``refines``/``entails`` need it.
+        """
         pool: Dict[str, Variable] = {
             var.name: var
             for constraint in request.requirements
@@ -623,16 +634,19 @@ class Broker:
             "Per-candidate SCSP solve wall time.",
         ).observe(time.perf_counter() - started)
 
-        if request.acceptance is not None:
-            # Told factor by factor: on the factored backend the store
-            # stays a factor set and the acceptance check routes through
-            # the solver instead of materializing the union scope.
-            store = empty_store(semiring, backend=self.store_backend)
-            for constraint in constraints:
-                store = store.tell(constraint)
-            accepted = request.acceptance.holds(store)
-        else:
+        acceptance = request.acceptance
+        if acceptance is None:
             accepted = result.is_consistent
+        else:
+            store = None
+            if acceptance.case != "C1":
+                # Told factor by factor: on the factored backend the
+                # store stays a factor set and refines/entails route
+                # through the solver instead of materializing the union.
+                store = empty_store(semiring, backend=self.store_backend)
+                for constraint in constraints:
+                    store = store.tell(constraint)
+            accepted = acceptance.holds(store, consistency=result.blevel)
         return CandidateEvaluation(
             description, result.blevel, accepted, result.best_assignment
         )

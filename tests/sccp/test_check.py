@@ -140,3 +140,62 @@ class TestPartialOrderChecks:
         lower = frozenset({"write"})  # incomparable with {read}
         spec = CheckSpec(setbased, lower=lower, upper=None)
         assert spec.holds(store)
+
+
+class TestKnownConsistency:
+    """``holds(store, consistency=σ⇓∅)`` judges level thresholds against
+    the given value and only touches the store for constraint ones."""
+
+    def test_level_thresholds_read_the_given_value(self, weighted):
+        spec = interval(weighted, lower=10.0, upper=2.0)
+        assert spec.holds(None, consistency=5.0)
+        assert not spec.holds(None, consistency=11.0)
+        assert not spec.holds(None, consistency=1.0)
+
+    def test_given_value_wins_over_the_store(self, weighted, weighted_store):
+        # The store's own σ⇓∅ is 5, inside [2, 10]; the caller's 11 is
+        # outside, and the caller's value decides.
+        spec = interval(weighted, lower=10.0, upper=2.0)
+        assert spec.holds(weighted_store)
+        assert not spec.holds(weighted_store, consistency=11.0)
+
+    def test_unchecked_needs_nothing(self, weighted):
+        assert unchecked(weighted).holds(None)
+
+    def test_incomparable_given_value_passes(self, setbased):
+        spec = CheckSpec(setbased, lower=frozenset({"write"}), upper=None)
+        assert spec.holds(None, consistency=frozenset({"read"}))
+
+    def test_constraint_threshold_uses_store_and_given_level(
+        self, weighted, weighted_store
+    ):
+        x = integer_variable("x", 10)
+        phi1 = FunctionConstraint(weighted, (x,), lambda v: 5.0 * v + 20)
+        spec = CheckSpec(weighted, lower=phi1, upper=2.0)
+        assert spec.holds(weighted_store, consistency=5.0)
+        # The level side reads the given value: 1 is better than upper 2.
+        assert not spec.holds(weighted_store, consistency=1.0)
+
+
+class TestMissingStore:
+    def test_level_threshold_without_store_or_value(self, weighted):
+        spec = interval(weighted, lower=10.0, upper=2.0)
+        with pytest.raises(CheckError, match="C1"):
+            spec.holds(None)
+
+    @pytest.mark.parametrize("case", ["C2", "C3", "C4"])
+    def test_constraint_threshold_without_store(self, weighted, case):
+        x = integer_variable("x", 10)
+        worse = FunctionConstraint(weighted, (x,), lambda v: 5.0 * v + 20)
+        better = FunctionConstraint(weighted, (x,), lambda v: 1.0 * v)
+        lower, upper = {
+            "C2": (20.0, better),
+            "C3": (worse, 0.0),
+            "C4": (worse, better),
+        }[case]
+        spec = CheckSpec(weighted, lower=lower, upper=upper)
+        assert spec.case == case
+        with pytest.raises(CheckError, match=case):
+            spec.holds(None, consistency=5.0)
+        with pytest.raises(CheckError, match=case):
+            spec.holds(None)

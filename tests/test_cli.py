@@ -632,3 +632,82 @@ class TestConsoleScript:
         assert completed.returncode == 0, completed.stderr
         payload = json.loads(completed.stdout)
         assert payload["blevel"] == 7.0
+
+
+class TestExitContract:
+    """Bad input exits 2 before any result is printed (module docstring)."""
+
+    @staticmethod
+    def run_cli(*argv):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        source = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [source, env.get("PYTHONPATH")])
+        )
+        return subprocess.run(
+            [sys.executable, "-m", "repro.cli", *map(str, argv)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+
+    def test_missing_input_exits_2(self, tmp_path):
+        completed = self.run_cli("solve", tmp_path / "missing.json")
+        assert completed.returncode == 2
+        assert "cannot read" in completed.stderr
+        assert completed.stdout == ""
+
+    def test_malformed_input_exits_2(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        completed = self.run_cli("negotiate", path)
+        assert completed.returncode == 2
+        assert "cannot read" in completed.stderr
+
+    def test_non_market_payload_exits_2(self, fig1_file):
+        completed = self.run_cli("negotiate", fig1_file)
+        assert completed.returncode == 2
+        assert "not a market spec" in completed.stderr
+
+    @pytest.mark.parametrize("flag", ["--trace-out", "--prometheus-out"])
+    def test_missing_output_directory_rejected_before_running(
+        self, market_file, tmp_path, flag
+    ):
+        target = tmp_path / "absent" / "out.txt"
+        completed = self.run_cli("negotiate", market_file, flag, target)
+        assert completed.returncode == 2
+        assert flag in completed.stderr
+        assert "does not exist" in completed.stderr
+        # Rejected before the command ran: no result was printed.
+        assert completed.stdout == ""
+        assert not target.parent.exists()
+
+    @pytest.mark.parametrize("flag", ["--trace-out", "--prometheus-out"])
+    def test_directory_as_output_rejected(self, market_file, tmp_path, flag):
+        completed = self.run_cli("negotiate", market_file, flag, tmp_path)
+        assert completed.returncode == 2
+        assert "is a directory" in completed.stderr
+        assert completed.stdout == ""
+
+    def test_writable_outputs_still_written(self, market_file, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        metrics = tmp_path / "metrics.prom"
+        completed = self.run_cli(
+            "negotiate",
+            market_file,
+            "--trace-out",
+            trace,
+            "--prometheus-out",
+            metrics,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert json.loads(completed.stdout)["success"] is True
+        assert trace.read_text() and metrics.read_text()
