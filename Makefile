@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-report bench-e2e bench-compare examples all clean
+.PHONY: install test bench bench-report bench-e2e bench-compare bench-solver examples all clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -31,6 +31,13 @@ bench-compare:
 	@test -n "$(A)" -a -n "$(B)" || \
 		{ echo "usage: make bench-compare A=base.json B=change.json"; exit 2; }
 	python3 benchmarks/e2e/compare.py $(A) $(B)
+
+# make bench-solver W=chain-market — per-solve branch & bound time on the
+# candidate SCSPs one workload's broker solves (minimum of 100 passes).
+W ?= unique-market
+
+bench-solver:
+	python3 benchmarks/solver_bench.py --workload $(W)
 
 examples:
 	@for script in examples/*.py; do \

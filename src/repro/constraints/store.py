@@ -74,16 +74,10 @@ _default_backend = "auto"
 _entailment_cache = LRUCache(DEFAULT_CACHE_SIZE, name="store-entails")
 
 #: Memo for factored-store ``consistency``/``project`` answers, keyed by
-#: the incremental store digest — the per-version fast path in front of
-#: the fingerprint-keyed :class:`~repro.solver.cache.SolveCache` below.
+#: the incremental store digest.  The digest is order-insensitive, so
+#: two stores that told the same factors in different orders share one
+#: entry.
 _query_cache = LRUCache(DEFAULT_CACHE_SIZE, name="store-query")
-
-#: Fingerprint-keyed solve cache shared by every factored store's
-#: ``consistency`` query (created lazily — the solver imports this
-#: package).  Two stores that told the same factors in different orders
-#: have different identities but one problem fingerprint, so they share
-#: a single solved entry here.
-_store_solve_cache: Any = None
 
 
 def set_default_store_backend(backend: str) -> None:
@@ -129,8 +123,8 @@ def store_query_cache_stats() -> dict:
 
 
 def clear_store_caches() -> None:
-    """Drop every store-level memo (entailment, query, solve results,
-    materialized eliminated buckets).
+    """Drop every store-level memo (entailment, query, materialized
+    eliminated buckets).
 
     Benchmarks call this between timed sections so warm-cache runs are a
     deliberate choice, not an accident of test ordering.
@@ -139,18 +133,7 @@ def clear_store_caches() -> None:
 
     _entailment_cache.clear()
     _query_cache.clear()
-    if _store_solve_cache is not None:
-        _store_solve_cache.clear()
     clear_bucket_cache()
-
-
-def _get_store_solve_cache():
-    global _store_solve_cache
-    if _store_solve_cache is None:
-        from ..solver.cache import DEFAULT_SOLVE_CACHE_SIZE, SolveCache
-
-        _store_solve_cache = SolveCache(DEFAULT_SOLVE_CACHE_SIZE)
-    return _store_solve_cache
 
 
 def _record_tell(backend: str) -> None:
@@ -275,19 +258,29 @@ def _factor_digest_int(constraint: SoftConstraint) -> Optional[int]:
 
 def _factor_exact(semiring: Semiring, constraint: SoftConstraint) -> bool:
     """Whether every value of ``constraint`` lies in the semiring's
-    exact-retract subset (see ``Semiring.supports_exact_retract``)."""
+    exact-retract subset (see ``Semiring.supports_exact_retract``).
+
+    The answer is memoized per semiring on the constraint's (immutable)
+    table, so re-telling a factor does not rescan its values.
+    """
     if not semiring.supports_exact_retract():
         return False
     if assignment_space_size(constraint.scope) > _MATERIALIZE_LIMIT:
         return False
     table = to_table(constraint)
-    if len(table.table) < assignment_space_size(table.scope):
-        if not semiring.exact_retract_value(table.default):
-            return False
-    return all(
-        semiring.exact_retract_value(value)
-        for value in table.table.values()
-    )
+    memo = getattr(table, "_exact_memo", None)
+    if memo is None:
+        memo = table._exact_memo = {}
+    answer = memo.get(semiring)
+    if answer is None:
+        answer = memo[semiring] = (
+            len(table.table) == assignment_space_size(table.scope)
+            or semiring.exact_retract_value(table.default)
+        ) and all(
+            semiring.exact_retract_value(value)
+            for value in table.table.values()
+        )
+    return answer
 
 
 class MonolithStore(ConstraintStore):
@@ -716,8 +709,7 @@ class FactoredStore(ConstraintStore):
 
     def consistency(self) -> Any:
         """``σ ⇓∅ = blevel(⟨factors, ∅⟩)`` — one solver call, answered
-        from the digest memo (or the fingerprint-keyed solve cache) when
-        this store version was asked before."""
+        from the digest memo when this store version was asked before."""
         if self._consistency is _UNSET:
             if self._chain is None:
                 self._consistency = self.semiring.one
@@ -735,7 +727,6 @@ class FactoredStore(ConstraintStore):
             problem,
             method="elimination",
             backend="auto",
-            cache=_get_store_solve_cache(),
             bucket_cache=shared_bucket_cache(),
         )
         return result.blevel

@@ -9,7 +9,7 @@ solver manipulates.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence, Tuple
+from typing import Any, Mapping, Optional, Sequence, Tuple
 
 from ..semirings.base import Semiring
 from .assignments import assignment_key
@@ -137,9 +137,7 @@ def to_table(constraint: SoftConstraint, name: str = "") -> TableConstraint:
     immutable functions, which is what makes the memo sound; the ``name``
     of a memoized table is the one given on first materialization.
     """
-    if isinstance(constraint, TableConstraint):
-        return constraint
-    cached = getattr(constraint, "_table_memo", None)
+    cached = memoized_table(constraint)
     if cached is not None:
         return cached
     table: dict[Tuple[Any, ...], Any] = {}
@@ -155,3 +153,11 @@ def to_table(constraint: SoftConstraint, name: str = "") -> TableConstraint:
     )
     constraint._table_memo = materialized
     return materialized
+
+
+def memoized_table(constraint: SoftConstraint) -> Optional[TableConstraint]:
+    """``constraint``'s table when it already has one — it is a table, or
+    :func:`to_table` has materialized it — else ``None``; never builds."""
+    if isinstance(constraint, TableConstraint):
+        return constraint
+    return getattr(constraint, "_table_memo", None)

@@ -12,6 +12,13 @@ monotone, distributive ``×``
 (:attr:`~repro.semirings.base.Semiring.times_monotone`); Lexicographic
 problems, where tie-collapse breaks it, prune on the accumulated value.
 
+The search addresses every factor by domain index: before descending,
+each message and each constraint that already has a table becomes a
+nested list whose axes follow the search order, so a node reads its
+children's values as one row instead of evaluating constraints on an
+assignment.  Any other constraint is evaluated one row per prefix the
+search reaches.
+
 Only valid when ``≤S`` is total (Boolean, Fuzzy, Probabilistic, Weighted,
 Lexicographic); for partial orders (Set-based, products) use exhaustive
 search or bucket elimination.
@@ -19,13 +26,14 @@ search or bucket elimination.
 
 from __future__ import annotations
 
+import itertools
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..constraints.constraint import SoftConstraint
 from ..constraints.operations import combine
 from ..constraints.store import _MATERIALIZE_LIMIT
-from ..constraints.table import TableConstraint, to_table
+from ..constraints.table import TableConstraint, memoized_table, to_table
 from ..constraints.variables import Variable, assignment_space_size, merge_scopes
 from ..telemetry import get_tracer
 from .heuristics import OrderingFn, resolve_ordering
@@ -38,6 +46,14 @@ from .problem import (
     SolverStats,
     record_solve_metrics,
 )
+
+#: A factor as the search reads it: ``(rows, path, whole)``.  ``rows`` is
+#: a nested list with one axis per scope variable in search order; the
+#: search indexes it with the domain indices chosen at the depths in
+#: ``path`` and gets the row over the current depth's domain (``whole``)
+#: or a scalar that holds for every child.  A constraint read through
+#: ``value()`` is ``(_ValueRows, None, True)``.
+Reader = Tuple[Any, Optional[Tuple[int, ...]], bool]
 
 
 def solve_branch_bound(
@@ -56,6 +72,15 @@ def solve_branch_bound(
     otherwise — bit-identical either way, so both backends search the
     same tree.  The blevel and its witnesses always come from the
     search's own left fold, in domain order.
+
+    A constraint that already has a table (a table, a memoized
+    ``to_table`` such as the broker's solve-cache fingerprint leaves, or
+    one the bucket pass built) is read through that table's rows.  The
+    search never tabulates a constraint itself: any other constraint,
+    and any beyond the store's materialization limit, is evaluated by
+    ``value()`` once per row the search reaches.  So an intensional
+    constraint that raises on some assignment raises when its table is
+    built, or when the search reaches that assignment.
     """
     semiring = problem.semiring
     if not semiring.is_total_order():
@@ -77,7 +102,7 @@ def solve_branch_bound(
     activation: List[List[SoftConstraint]] = [[] for _ in order]
     for constraint in problem.constraints:
         if constraint.scope:
-            last = max(position[name] for name in constraint.support)
+            last = max(position[var.name] for var in constraint.scope)
             activation[last].append(constraint)
 
     empty_scope = [c for c in problem.constraints if not c.scope]
@@ -85,31 +110,40 @@ def solve_branch_bound(
         empty_scope
     ) else semiring.one
 
-    covering: List[List[TableConstraint]] = [[] for _ in order]
+    covering: List[List[Reader]] = [[] for _ in order]
     exact = False
     if lookahead and semiring.times_monotone and len(order) > 1:
         covering, exact = _bucket_messages(
             problem, order, activation, lowering
         )
+    # ``values[d]`` reads ``activation[d]``, in the same order; built
+    # after the bucket pass, whose tables it then reads.
+    values: List[List[Reader]] = [
+        [_constraint_reader(c, order, position) for c in constraints]
+        for constraints in activation
+    ]
 
+    times, lt = semiring.times, semiring.lt
+    sizes = [var.size for var in order]
+    prefix = [0] * len(order)
     incumbent: Any = semiring.zero
     # The prune threshold: the better of the incumbent and the seed.
     cutoff: Any = semiring.zero
-    witnesses: List[Dict[str, Any]] = []
-    assignment: Dict[str, Any] = {}
-    con_set = set(problem.con)
+    witnesses: List[Tuple[int, ...]] = []
 
-    def node_value(depth: int, accumulated: Any) -> Any:
-        for constraint in activation[depth]:
-            accumulated = semiring.times(
-                accumulated, constraint.value(assignment)
-            )
-        return accumulated
+    def read(reader: Reader, depth: int) -> List[Any]:
+        rows, path, whole = reader
+        if path is None:
+            return rows.row(prefix)
+        for axis in path:
+            rows = rows[prefix[axis]]
+        return rows if whole else [rows] * sizes[depth]
 
-    def node_bound(depth: int, value: Any) -> Any:
-        for message in covering[depth]:
-            value = semiring.times(value, message.value(assignment))
-        return value
+    def node_values(depth: int, accumulated: Any) -> List[Any]:
+        nodes = [accumulated] * sizes[depth]
+        for reader in values[depth]:
+            nodes = list(map(times, nodes, read(reader, depth)))
+        return nodes
 
     def cut(bound: Any) -> bool:
         # Messages fold ``×`` in another order than the search folds a
@@ -127,43 +161,52 @@ def solve_branch_bound(
                 incumbent = accumulated
                 cutoff = semiring.plus(cutoff, incumbent)
                 stats.incumbent_improvements += 1
-                witnesses = [dict(assignment)]
+                witnesses = [tuple(prefix)]
             elif (
                 semiring.equiv(accumulated, incumbent)
                 and incumbent != semiring.zero
             ):
                 # `equiv` (not raw `==`) so float semirings recognize ties
                 # that differ by an ulp after long ⊗ chains.
-                witnesses.append(dict(assignment))
+                witnesses.append(tuple(prefix))
             return
-        var = order[depth]
-        for index, value in enumerate(var.domain):
+        if depth:
+            nodes = node_values(depth, accumulated)
+            messages = [read(reader, depth) for reader in covering[depth]]
+        else:
+            nodes = root_nodes
+        for index, node in enumerate(nodes):
             stats.nodes_expanded += 1
-            assignment[var.name] = value
-            if depth:
-                node = node_value(depth, accumulated)
-            else:
-                node, bound = root[index]
             # The accumulated value is compared raw, as ``×`` only ever
             # lowers it (on floats too); the bound only when it is not.
-            if semiring.lt(node, incumbent) or cut(
-                node_bound(depth, node) if depth else bound
-            ):
+            if lt(node, incumbent):
+                stats.prunes += 1
+                continue
+            if depth:
+                bound = node
+                for row in messages:
+                    bound = times(bound, row[index])
+            else:
+                bound = root_bounds[index]
+            if cut(bound):
                 stats.prunes += 1
             else:
+                prefix[depth] = index
                 descend(depth + 1, node)
-            del assignment[var.name]
 
     # The root's node values and bounds, computed once before descending;
     # with every bucket eliminated the bounds ``⊕`` to the exact blevel.
-    root: List[Tuple[Any, Any]] = []
-    for value in order[0].domain if order else ():
-        assignment[order[0].name] = value
-        node = node_value(0, base_value)
-        root.append((node, node_bound(0, node)))
-    assignment.clear()
+    root_nodes: List[Any] = []
+    root_bounds: List[Any] = []
+    if order:
+        root_nodes = node_values(0, base_value)
+        messages = [read(reader, 0) for reader in covering[0]]
+        for index, node in enumerate(root_nodes):
+            for row in messages:
+                node = times(node, row[index])
+            root_bounds.append(node)
     if exact:
-        cutoff = semiring.sum(bound for _, bound in root)
+        cutoff = semiring.sum(root_bounds)
 
     with get_tracer().span(
         "solver.solve", method="branch-bound", problem=problem.name
@@ -177,11 +220,17 @@ def solve_branch_bound(
     )
 
     blevel = incumbent
+    # Optima are keyed by sorted variable name, as assignment dicts.
+    con_depths = sorted(
+        (depth for depth, var in enumerate(order) if var.name in problem.con),
+        key=lambda depth: order[depth].name,
+    )
     seen: set = set()
     projected: List[Dict[str, Any]] = []
     for witness in witnesses:
         key = tuple(
-            sorted((k, v) for k, v in witness.items() if k in con_set)
+            (order[depth].name, order[depth].domain[witness[depth]])
+            for depth in con_depths
         )
         if key not in seen:
             seen.add(key)
@@ -196,12 +245,110 @@ def solve_branch_bound(
     )
 
 
+def _depth_axes(
+    scope: Sequence[Variable], position: Dict[str, int]
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The permutation putting ``scope``'s axes in search order, and the
+    search depth of each axis after it."""
+    perm = tuple(
+        sorted(range(len(scope)), key=lambda axis: position[scope[axis].name])
+    )
+    return perm, tuple(position[scope[axis].name] for axis in perm)
+
+
+def _reader(rows: Any, depths: Tuple[int, ...], depth: int) -> Reader:
+    """How the search at ``depth`` reads a factor over ``depths``."""
+    if depths and depths[-1] == depth:
+        return rows, depths[:-1], True
+    return rows, depths, False
+
+
+def _constraint_reader(
+    constraint: SoftConstraint,
+    order: Sequence[Variable],
+    position: Dict[str, int],
+) -> Reader:
+    """How the search reads an activated constraint.
+
+    A constraint with a table within the materialization limit is read
+    through that table's rows, memoized on the table per scope depths;
+    any other constraint through ``value()``.
+    """
+    table = memoized_table(constraint)
+    if table is None or (
+        assignment_space_size(constraint.scope) > _MATERIALIZE_LIMIT
+    ):
+        return _ValueRows(constraint, order, position), None, True
+    depths = tuple(position[var.name] for var in table.scope)
+    memo = getattr(table, "_rows_memo", None)
+    if memo is None:
+        memo = table._rows_memo = {}
+    reader = memo.get(depths)
+    if reader is None:
+        perm, ordered = _depth_axes(table.scope, position)
+        reader = memo[depths] = _reader(
+            _table_rows(table, perm), ordered, ordered[-1]
+        )
+    return reader
+
+
+def _table_rows(table: TableConstraint, perm: Tuple[int, ...]) -> Any:
+    """``table``'s values as nested lists, axis ``i`` enumerating
+    ``table.scope[perm[i]]``'s domain (a scalar for an empty scope)."""
+    domains = [table.scope[axis].domain for axis in perm]
+    keys: Any = itertools.product(*domains)
+    if perm != tuple(range(len(perm))):
+        inverse = [perm.index(axis) for axis in range(len(perm))]
+        keys = (tuple(combo[i] for i in inverse) for combo in keys)
+    get, default = table.table.get, table.default
+    rows: list = [get(key, default) for key in keys]
+    for domain in reversed(domains[1:]):
+        size = len(domain)
+        rows = [rows[i : i + size] for i in range(0, len(rows), size)]
+    return rows if domains else rows[0]
+
+
+class _ValueRows:
+    """A constraint read through ``value()``: one row over its deepest
+    variable's domain per assignment of the rest of its scope, computed
+    when the search first reaches it and kept for the solve."""
+
+    __slots__ = ("constraint", "axes", "last", "rows")
+
+    def __init__(
+        self,
+        constraint: SoftConstraint,
+        order: Sequence[Variable],
+        position: Dict[str, int],
+    ) -> None:
+        depths = sorted(position[var.name] for var in constraint.scope)
+        self.constraint = constraint
+        self.axes = [(depth, order[depth]) for depth in depths[:-1]]
+        self.last = order[depths[-1]]
+        self.rows: Dict[Tuple[int, ...], List[Any]] = {}
+
+    def row(self, prefix: List[int]) -> List[Any]:
+        key = tuple(prefix[depth] for depth, _ in self.axes)
+        row = self.rows.get(key)
+        if row is None:
+            assignment = {
+                var.name: var.domain[prefix[depth]] for depth, var in self.axes
+            }
+            name, value = self.last.name, self.constraint.value
+            row = []
+            for choice in self.last.domain:
+                assignment[name] = choice
+                row.append(value(assignment))
+            self.rows[key] = row
+        return row
+
+
 def _bucket_messages(
     problem: SCSP,
     order: Sequence[Variable],
     activation: List[List[SoftConstraint]],
     lowering: Optional[Lowering],
-) -> Tuple[List[List[TableConstraint]], bool]:
+) -> Tuple[List[List[Reader]], bool]:
     """One reverse bucket pass over the search order.
 
     Bucket ``d`` holds the constraints activated at depth ``d`` plus the
@@ -212,12 +359,13 @@ def _bucket_messages(
     constraints are not.  Buckets of depth ≥ 1 are eliminated; a bucket
     whose combined table would exceed the store's materialization limit
     is skipped, its factors then add nothing to shallower bounds (which
-    stay admissible) and the pass is no longer exact.
+    stay admissible) and the pass is no longer exact.  Each message is
+    returned as one reader per covered depth over the same rows.
     """
     semiring = problem.semiring
     position = {var.name: depth for depth, var in enumerate(order)}
     buckets: List[list] = [list(constraints) for constraints in activation]
-    covering: List[List[TableConstraint]] = [[] for _ in order]
+    covering: List[List[Reader]] = [[] for _ in order]
     exact = True
     for depth in range(len(order) - 1, 0, -1):
         bucket = buckets[depth]
@@ -232,15 +380,19 @@ def _bucket_messages(
             message = combine_factors(
                 [DenseFactor.from_constraint(f, lowering) for f in bucket]
             ).hide(name)
-            table = message.to_table()
+            perm, depths = _depth_axes(message.scope, position)
+            # ``tolist`` yields the very Python values ``to_table`` would.
+            rows = message.array.transpose(perm).tolist()
         else:
-            message = table = to_table(
+            message = to_table(
                 combine([to_table(f) for f in bucket], semiring=semiring)
                 .hide(name)
             )
-        target = max((position[n] for n in message.support), default=-1)
+            perm, depths = _depth_axes(message.scope, position)
+            rows = _table_rows(message, perm)
+        target = depths[-1] if depths else -1
         if target > 0:
             buckets[target].append(message)
         for covered in range(max(target, 0), depth):
-            covering[covered].append(table)
+            covering[covered].append(_reader(rows, depths, covered))
     return covering, exact

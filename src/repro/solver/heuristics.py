@@ -77,6 +77,8 @@ def max_degree_order(
     """Most-constrained variable first — a branching heuristic: assigning
     high-degree variables early makes more constraints fully instantiated
     sooner, tightening the branch & bound bound."""
+    if len(variables) < 2:
+        return list(variables)
     adjacency = _interaction_graph(variables, constraints)
     return sorted(
         variables,

@@ -151,3 +151,39 @@ class TestQueries:
     def test_repr_mentions_support(self, weighted, policies):
         store = empty_store(weighted).tell(policies["c1"])
         assert "x" in repr(store)
+
+
+class TestExactRetractMemo:
+    def test_retold_factor_is_not_rescanned(
+        self, weighted, policies, monkeypatch
+    ):
+        scanned = []
+        check = type(weighted).exact_retract_value
+
+        def counting(self, value):
+            scanned.append(value)
+            return check(self, value)
+
+        monkeypatch.setattr(type(weighted), "exact_retract_value", counting)
+        base = empty_store(weighted, backend="factored").tell(policies["c3"])
+        once = len(scanned)
+        assert once == policies["x"].size
+        store = base.tell(policies["c1"])
+        store = store.tell(policies["c1"]).tell(policies["c3"])
+        assert len(scanned) == 2 * once
+
+        # Retract results are those of the unmemoized check: removal of a
+        # told factor, bit-equal to the monolith's division.
+        relaxed = store.retract(policies["c1"])
+        assert len(scanned) == 2 * once
+        assert relaxed.factor_count == 3
+        monolith = (
+            empty_store(weighted, backend="monolith")
+            .tell(policies["c3"])
+            .tell(policies["c1"])
+            .tell(policies["c1"])
+            .tell(policies["c3"])
+            .retract(policies["c1"])
+        )
+        assert constraints_equal(relaxed.constraint, monolith.constraint)
+        assert relaxed.consistency() == monolith.consistency() == 3.0

@@ -1,5 +1,7 @@
 """Negotiation primitives: parties, fuzzy agreements, concessions."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.constraints import FunctionConstraint, integer_variable
@@ -119,3 +121,66 @@ class TestMergedPolicy:
     def test_empty_is_one(self, weighted):
         merged = merged_policy(weighted, [])
         assert merged({}) == weighted.one
+
+
+class TestTraceLevelsOnDemand:
+    def test_only_checked_and_final_stores_are_solved(
+        self, weighted, monkeypatch
+    ):
+        from repro.constraints import (
+            FactoredStore,
+            clear_store_caches,
+            empty_store,
+        )
+
+        clear_store_caches()
+        solved = []
+        solve = FactoredStore._solve_consistency
+
+        def counting(store):
+            solved.append(store.digest)
+            return solve(store)
+
+        monkeypatch.setattr(FactoredStore, "_solve_consistency", counting)
+        x = integer_variable("x", 6)
+        first = FunctionConstraint(weighted, (x,), lambda v: 2.0 * v + 1.0)
+        second = FunctionConstraint(weighted, (x,), lambda v: 9.0 - v)
+        demand = FunctionConstraint(weighted, (x,), lambda v: float(v % 3))
+        provider = Party("P", [first, second])
+        client = Party(
+            "C", [demand], interval(weighted, lower=20.0, upper=0.0)
+        )
+        outcome = negotiate(
+            [provider, client],
+            weighted,
+            verify_scheduler_independence=False,
+            store_backend="factored",
+        )
+        assert outcome.success and outcome.agreed_level == 10.0
+
+        # The stores after each step, oldest first.
+        stores, store = [], empty_store(weighted, backend="factored")
+        for constraint in (first, second, demand):
+            store = store.tell(constraint)
+            stores.append(store)
+        # The leftmost scheduler tells both offers unchecked, then the
+        # demand under its check; the check runs on every step's
+        # candidate ``σ ⊗ demand`` and the last one is the agreed store.
+        # The two unchecked intermediate stores are never solved.
+        assert stores[-1].digest in solved
+        assert not {stores[0].digest, stores[1].digest} & set(solved)
+        checked = len(solved)
+
+        assert outcome.trace.consistencies() == [1.0, 10.0, 10.0]
+        assert len(solved) == checked + 2
+        assert outcome.trace.consistencies() == [
+            s.consistency() for s in stores
+        ]
+        assert len(solved) == checked + 2
+        assert outcome.trace.events[-1].agent_after == "success"
+
+        # Events stay immutable: what a set or dict hashed cannot move.
+        event = outcome.trace.events[0]
+        with pytest.raises(FrozenInstanceError):
+            event.index = 7
+        assert event in set(outcome.trace.events)
