@@ -32,12 +32,16 @@ bench-compare:
 		{ echo "usage: make bench-compare A=base.json B=change.json"; exit 2; }
 	python3 benchmarks/e2e/compare.py $(A) $(B)
 
-# make bench-solver W=chain-market — per-solve branch & bound time on the
-# candidate SCSPs one workload's broker solves (minimum of 100 passes).
+# make bench-solver W=chain-market — per-solve time on the candidate
+# SCSPs one workload's broker solves (minimum of PASSES passes):
+# METHOD=branch-bound solves them as the broker does, METHOD=elimination
+# asks each one's store-consistency query (con=()).
 W ?= unique-market
+METHOD ?= branch-bound
+PASSES ?= 100
 
 bench-solver:
-	python3 benchmarks/solver_bench.py --workload $(W)
+	python3 benchmarks/solver_bench.py --workload $(W) --method $(METHOD) --passes $(PASSES)
 
 examples:
 	@for script in examples/*.py; do \

@@ -1,12 +1,20 @@
-"""Per-solve branch & bound time on one workload's candidate SCSPs.
+"""Per-solve solver time on one workload's candidate SCSPs.
 
 Serves a few sessions of an end-to-end workload (``benchmarks/e2e/
 workloads.py``, imported read-only) through a plain :class:`Broker`,
 captures every candidate SCSP the broker hands its solver, then times
-``solve_branch_bound`` over the captured problems.  The figure printed
-is the minimum, over ``PASSES`` passes, of the mean time per solve:
-end-to-end runs swing with host speed, and the minimum of many short
-passes is the solver layer's cost with that noise stripped.
+one solver over the captured problems:
+
+* ``--method branch-bound`` (the default): ``solve_branch_bound`` on
+  each problem, as the broker solves a candidate;
+* ``--method elimination``: ``solve_elimination`` on each problem's
+  constraints with ``con=()`` — the store-consistency query ``σ ⇓∅``
+  that ``verified-market``'s nmsccp confirmation asks.
+
+The figure printed is the minimum, over ``--passes`` passes (default
+100), of the mean time per solve: end-to-end runs swing with host speed,
+and the minimum of many short passes is the solver layer's cost with
+that noise stripped.
 
 Constraint memos (tables and their search rows) are warm across passes.
 In ``unique-market`` traffic each session's requirement is new, so its
@@ -14,7 +22,9 @@ rows are built once per session; the traced end-to-end row
 ``solver.solve_ms_per_session`` carries that cost, this figure does not.
 
     python3 benchmarks/solver_bench.py --workload unique-market
-    make bench-solver W=chain-market
+    python3 benchmarks/solver_bench.py --workload chain-market \
+        --method elimination --passes 20
+    make bench-solver W=chain-market METHOD=elimination PASSES=20
 
 The last stdout line is one JSON object.
 """
@@ -36,7 +46,11 @@ sys.path.insert(0, str(HERE.parent / "src"))
 from workloads import WORKLOADS, Inputs  # noqa: E402
 
 from repro.soa.broker import Broker  # noqa: E402
-from repro.solver import SCSP, solve_branch_bound  # noqa: E402
+from repro.solver import (  # noqa: E402
+    SCSP,
+    solve_branch_bound,
+    solve_elimination,
+)
 
 SEED = 1
 SESSIONS = 32
@@ -62,13 +76,20 @@ def capture(workload: str) -> List[SCSP]:
     return problems
 
 
-def pass_times(problems: List[SCSP]) -> List[float]:
+def pass_times(
+    problems: List[SCSP], method: str, passes: int
+) -> List[float]:
     """Mean seconds per solve, one entry per pass over ``problems``."""
+    if method == "elimination":
+        problems = [SCSP(p.constraints, con=()) for p in problems]
+        solver = solve_elimination
+    else:
+        solver = solve_branch_bound
     times = []
-    for _ in range(PASSES):
+    for _ in range(passes):
         started = time.perf_counter()
         for problem in problems:
-            solve_branch_bound(problem)
+            solver(problem)
         times.append((time.perf_counter() - started) / len(problems))
     return times
 
@@ -78,21 +99,30 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--workload", choices=sorted(WORKLOADS), default="unique-market"
     )
+    parser.add_argument(
+        "--method",
+        choices=("branch-bound", "elimination"),
+        default="branch-bound",
+    )
+    parser.add_argument("--passes", type=int, default=PASSES)
     args = parser.parse_args(argv)
+    if args.passes < 1:
+        parser.error("--passes must be at least 1")
 
     problems = capture(args.workload)
-    times = pass_times(problems)
+    times = pass_times(problems, args.method, args.passes)
     row = {
         "workload": args.workload,
+        "method": args.method,
         "problems": len(problems),
-        "passes": PASSES,
+        "passes": args.passes,
         "solve_us_min": round(min(times) * 1e6, 2),
         "solve_us_median": round(statistics.median(times) * 1e6, 2),
     }
     print(
-        f"{args.workload}: {len(problems)} candidate solves, "
+        f"{args.workload} {args.method}: {len(problems)} candidate solves, "
         f"min {row['solve_us_min']} µs / median "
-        f"{row['solve_us_median']} µs per solve over {PASSES} passes"
+        f"{row['solve_us_median']} µs per solve over {args.passes} passes"
     )
     print(json.dumps(row))
     return 0

@@ -42,6 +42,20 @@ DEFAULT_CACHE_SIZE = 4096
 _ALL_CACHES: "weakref.WeakSet[LRUCache]" = weakref.WeakSet()
 
 
+def _active_registry() -> Any:
+    """The active metrics registry.
+
+    :mod:`repro.telemetry` imports this module, so its runtime is
+    imported on the first lookup, which then rebinds this name to
+    ``get_registry`` itself: later lookups cost one call, not an import.
+    """
+    global _active_registry
+    from .telemetry.runtime import get_registry
+
+    _active_registry = get_registry
+    return get_registry()
+
+
 class _NullLock:
     """No-op lock for single-threaded caches (the common case)."""
 
@@ -108,10 +122,8 @@ class LRUCache:
     # -- telemetry ------------------------------------------------------
 
     def _counters(self) -> Tuple[Any, Any]:
-        from .telemetry.runtime import get_registry
-
         registry, hit, miss = self._bound
-        active = get_registry()
+        active = _active_registry()
         if registry is not active:
             hit = active.counter(
                 "cache_hits_total",

@@ -124,16 +124,17 @@ def store_query_cache_stats() -> dict:
 
 def clear_store_caches() -> None:
     """Drop every store-level memo (entailment, query, materialized
-    eliminated buckets).
+    eliminated buckets, compiled elimination plans).
 
     Benchmarks call this between timed sections so warm-cache runs are a
     deliberate choice, not an accident of test ordering.
     """
-    from ..solver.elimination import clear_bucket_cache
+    from ..solver.elimination import clear_bucket_cache, clear_plan_cache
 
     _entailment_cache.clear()
     _query_cache.clear()
     clear_bucket_cache()
+    clear_plan_cache()
 
 
 def _record_tell(backend: str) -> None:

@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..caching import LRUCache
 from ..constraints.constraint import FunctionConstraint, SoftConstraint
 from ..telemetry import get_events, get_registry, get_tracer
 from ..constraints.operations import combine
@@ -44,6 +45,9 @@ from .qos import compile_document, resolve_attribute
 from .registry import ServiceRegistry
 from .service import ServiceDescription
 from .sla import SLA, SLARepository
+
+#: Compiled offers kept warm per broker (document × attribute × pool).
+_OFFER_MEMO_SIZE = 1024
 
 
 class BrokerError(Exception):
@@ -264,9 +268,12 @@ class Broker:
         if slo_penalty is not None and not 0.0 < slo_penalty <= 1.0:
             raise BrokerError("slo_penalty must be in (0, 1] or None")
         self.slo_penalty = slo_penalty
-        #: (qos-doc id, attribute, semiring, pool identities) → compiled
-        #: offer constraints + the variables compiling added to the pool.
-        self._offer_memo: Dict[tuple, tuple] = {}
+        #: (qos-doc id, attribute, semiring, pool identities) → the keyed
+        #: document and pool variables, the compiled offer constraints and
+        #: the variables compiling added to the pool.
+        self._offer_memo = LRUCache(
+            _OFFER_MEMO_SIZE, name="offers", threadsafe=True
+        )
         self._clock = 0
         if bus is not None:
             bus.register(self.ENDPOINT)
@@ -305,31 +312,29 @@ class Broker:
         QoS documents and (via shared requirement objects) the same pool
         variables, so the compiled constraint *objects* are reused — and
         with them their materialized-table, dense-factor and fingerprint
-        memos: the warm path never re-materializes anything.  Keying on
-        object identities makes staleness impossible — republishing a
-        service or sending different requirement variables produces a
-        fresh key.  (A racing duplicate compile is benign: both threads
-        build equal constraints and one memo entry wins.)
+        memos: the warm path never re-materializes anything.  The key
+        holds object identities, and each entry holds the very objects
+        it was keyed on: an id is reused only once its object is
+        collected, which an entry that references it prevents, so a hit
+        always belongs to these objects.  (A racing duplicate compile is
+        benign: both threads build equal constraints and one memo entry
+        wins.)
         """
-        key = (
-            id(description.qos),
-            attribute,
-            semiring,
-            tuple(sorted((name, id(var)) for name, var in pool.items())),
-        )
+        qos = description.qos
+        names = tuple(sorted(pool))
+        variables = tuple([pool[name] for name in names])
+        key = (id(qos), attribute, semiring, names, tuple(map(id, variables)))
         hit = self._offer_memo.get(key)
         if hit is not None:
-            constraints, added = hit
+            _, _, constraints, added = hit
             pool.update(added)
             return list(constraints)
         before = set(pool)
-        constraints = compile_document(
-            description.qos, attribute, semiring, pool
-        )
+        constraints = compile_document(qos, attribute, semiring, pool)
         added = {
             name: var for name, var in pool.items() if name not in before
         }
-        self._offer_memo[key] = (tuple(constraints), added)
+        self._offer_memo.put(key, (qos, variables, tuple(constraints), added))
         return constraints
 
     # ------------------------------------------------------------------

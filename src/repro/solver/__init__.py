@@ -38,16 +38,12 @@ from .elimination import (
 )
 from .exhaustive import solve_exhaustive
 from .kernels import (
-    BatchDenseFactor,
     DenseFactor,
     KernelError,
     Lowering,
-    combine_factors,
     lower_semiring,
     lowering_fallback_stats,
     resolve_lowering,
-    split_results,
-    stack_factors,
 )
 from .minibucket import minibucket_bound, screening_test
 from .heuristics import (
@@ -135,15 +131,11 @@ __all__ = [
     "shared_bucket_cache",
     "clear_bucket_cache",
     "DenseFactor",
-    "BatchDenseFactor",
     "KernelError",
     "Lowering",
     "lower_semiring",
     "lowering_fallback_stats",
     "resolve_lowering",
-    "combine_factors",
-    "stack_factors",
-    "split_results",
     "solve",
     "solve_exhaustive",
     "solve_branch_bound",

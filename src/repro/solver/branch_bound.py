@@ -30,15 +30,17 @@ import itertools
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..constraints.constraint import SoftConstraint
 from ..constraints.operations import combine
 from ..constraints.store import _MATERIALIZE_LIMIT
 from ..constraints.table import TableConstraint, memoized_table, to_table
-from ..constraints.variables import Variable, assignment_space_size, merge_scopes
+from ..constraints.variables import Variable, assignment_space_size
 from ..telemetry import get_tracer
-from .heuristics import OrderingFn, resolve_ordering
-from .kernels import DenseFactor, KernelError, Lowering, combine_factors
-from .kernels import resolve_lowering
+from .elimination import SearchPlan, run_step, search_plan
+from .heuristics import OrderingFn
+from .kernels import DenseFactor, KernelError, Lowering, resolve_lowering
 from .problem import (
     SCSP,
     ProblemError,
@@ -93,17 +95,17 @@ def solve_branch_bound(
         raise ProblemError(str(exc)) from None
     started = time.perf_counter()
 
-    order = resolve_ordering(ordering)(problem.variables, problem.constraints)
+    plan = search_plan(problem, ordering, _MATERIALIZE_LIMIT)
+    order = [problem.variables[var] for var in plan.order]
     stats = SolverStats()
 
     # For each prefix depth, which constraints become fully assigned when
     # the variable at that depth gets a value (and were not before).
     position = {var.name: depth for depth, var in enumerate(order)}
-    activation: List[List[SoftConstraint]] = [[] for _ in order]
-    for constraint in problem.constraints:
-        if constraint.scope:
-            last = max(position[var.name] for var in constraint.scope)
-            activation[last].append(constraint)
+    activation: List[List[SoftConstraint]] = [
+        [problem.constraints[slot] for slot in slots]
+        for slots in plan.activation
+    ]
 
     empty_scope = [c for c in problem.constraints if not c.scope]
     base_value = semiring.prod(c.value({}) for c in empty_scope) if (
@@ -113,9 +115,8 @@ def solve_branch_bound(
     covering: List[List[Reader]] = [[] for _ in order]
     exact = False
     if lookahead and semiring.times_monotone and len(order) > 1:
-        covering, exact = _bucket_messages(
-            problem, order, activation, lowering
-        )
+        covering = _bucket_messages(problem, plan, position, lowering)
+        exact = plan.exact
     # ``values[d]`` reads ``activation[d]``, in the same order; built
     # after the bucket pass, whose tables it then reads.
     values: List[List[Reader]] = [
@@ -345,11 +346,11 @@ class _ValueRows:
 
 def _bucket_messages(
     problem: SCSP,
-    order: Sequence[Variable],
-    activation: List[List[SoftConstraint]],
+    plan: SearchPlan,
+    position: Dict[str, int],
     lowering: Optional[Lowering],
-) -> Tuple[List[List[Reader]], bool]:
-    """One reverse bucket pass over the search order.
+) -> List[List[Reader]]:
+    """Run the plan's reverse bucket pass over the search order.
 
     Bucket ``d`` holds the constraints activated at depth ``d`` plus the
     messages sent to it; eliminating ``order[d]`` sends ``(⊗ bucket) ⇓``
@@ -358,41 +359,38 @@ def _bucket_messages(
     covers depths ``t … j−1``: there its scope is assigned and its
     constraints are not.  Buckets of depth ≥ 1 are eliminated; a bucket
     whose combined table would exceed the store's materialization limit
-    is skipped, its factors then add nothing to shallower bounds (which
-    stay admissible) and the pass is no longer exact.  Each message is
-    returned as one reader per covered depth over the same rows.
+    is not in the plan, its factors then add nothing to shallower bounds
+    (which stay admissible) and the pass is no longer exact.  Each
+    message is returned as one reader per covered depth over the same
+    rows.
     """
-    semiring = problem.semiring
-    position = {var.name: depth for depth, var in enumerate(order)}
-    buckets: List[list] = [list(constraints) for constraints in activation]
-    covering: List[List[Reader]] = [[] for _ in order]
-    exact = True
-    for depth in range(len(order) - 1, 0, -1):
-        bucket = buckets[depth]
-        if not bucket:
-            continue
-        scope = merge_scopes(*(factor.scope for factor in bucket))
-        if assignment_space_size(scope) > _MATERIALIZE_LIMIT:
-            exact = False
-            continue
-        name = order[depth].name
+    covering: List[List[Reader]] = [[] for _ in plan.order]
+    factors: List[Any] = list(problem.constraints)
+    arrays: List[Any] = [None] * len(factors)
+    if lowering is not None:
+        for slot in plan.lowered:
+            arrays[slot] = DenseFactor.from_constraint(
+                factors[slot], lowering
+            ).array[np.newaxis]
+    for message in plan.messages:
+        step = message.step
         if lowering is not None:
-            message = combine_factors(
-                [DenseFactor.from_constraint(f, lowering) for f in bucket]
-            ).hide(name)
-            perm, depths = _depth_axes(message.scope, position)
+            out = run_step(step, arrays, lowering)
+            arrays.append(out)
+            array = out[0]
+            if message.transpose is not None:
+                array = array.transpose(message.transpose)
             # ``tolist`` yields the very Python values ``to_table`` would.
-            rows = message.array.transpose(perm).tolist()
+            rows = array.tolist()
         else:
-            message = to_table(
-                combine([to_table(f) for f in bucket], semiring=semiring)
-                .hide(name)
+            table = to_table(
+                combine(
+                    [to_table(factors[slot]) for slot in step.inputs],
+                    semiring=problem.semiring,
+                ).hide(problem.variables[step.var].name)
             )
-            perm, depths = _depth_axes(message.scope, position)
-            rows = _table_rows(message, perm)
-        target = depths[-1] if depths else -1
-        if target > 0:
-            buckets[target].append(message)
-        for covered in range(max(target, 0), depth):
-            covering[covered].append(_reader(rows, depths, covered))
-    return covering, exact
+            factors.append(table)
+            rows = _table_rows(table, _depth_axes(table.scope, position)[0])
+        for covered in message.covers:
+            covering[covered].append(_reader(rows, message.depths, covered))
+    return covering

@@ -14,14 +14,33 @@ and one axis-reduction ``⇓`` per bucket instead of a Python loop per
 assignment tuple.  The elimination ``ordering``, the statistics and the
 resulting table are identical on both backends (bit-identical for the
 four lowered semirings); partial orders transparently keep the dict path.
+
+The dense schedule depends only on a problem's topology, so it is
+compiled once per topology (:class:`EliminationPlan`, and
+:class:`SearchPlan` for branch & bound's message pass) and memoized by
+value; a solve then only runs the plan's steps.  Singleton and batched
+solves run the same plan, over arrays with a leading batch axis.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import time
-from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+import numpy as np
 
 from ..caching import LRUCache
 from ..constraints.digest import constraint_digest
@@ -31,13 +50,10 @@ from ..constraints.variables import Variable, assignment_space_size
 from ..telemetry import get_tracer
 from .heuristics import OrderingFn, resolve_ordering
 from .kernels import (
-    BatchDenseFactor,
     DenseFactor,
     KernelError,
     Lowering,
-    combine_factors,
     resolve_lowering,
-    stack_factors,
 )
 from .problem import (
     SCSP,
@@ -146,27 +162,36 @@ def eliminate(
     recomputed.  The cache never changes results — a key is a pure
     function of a bucket's inputs — only which buckets are recomputed.
     """
-    semiring = problem.semiring
     stats = SolverStats()
-    con_set = set(problem.con)
-
     try:
-        lowering = resolve_lowering(semiring, backend)
+        lowering = resolve_lowering(problem.semiring, backend)
     except KernelError as exc:
         raise ProblemError(str(exc)) from None
 
-    order_fn = resolve_ordering(ordering)
-    to_eliminate = [
-        var
-        for var in order_fn(problem.variables, problem.constraints)
-        if var.name not in con_set
-    ]
-    if lowering is not None:
-        table = _eliminate_dense(
-            problem, to_eliminate, lowering, stats, bucket_cache
-        )
-    else:
+    plan = elimination_plan(problem, ordering)
+    if lowering is None:
+        to_eliminate = [problem.variables[var] for var in plan.eliminate]
         table = _eliminate_dict(problem, to_eliminate, stats, bucket_cache)
+    else:
+        arrays = [
+            DenseFactor.from_constraint(c, lowering).array[np.newaxis]
+            for c in problem.constraints
+        ]
+        digests = None
+        if bucket_cache is not None:
+            digests = [constraint_digest(c) for c in problem.constraints]
+        array, scope = _sweep(
+            plan,
+            arrays,
+            lowering,
+            stats,
+            problem.variables,
+            bucket_cache,
+            digests,
+        )
+        table = DenseFactor(
+            lowering, [problem.variables[var] for var in scope], array[0]
+        ).to_table()
     stats.largest_intermediate = max(
         stats.largest_intermediate, assignment_space_size(table.scope)
     )
@@ -226,60 +251,424 @@ def _eliminate_dict(
     return to_table(solution)
 
 
-def _eliminate_dense(
-    problem: SCSP,
-    to_eliminate: List[Variable],
-    lowering: Lowering,
-    stats: SolverStats,
-    bucket_cache: Optional[BucketCache] = None,
-) -> TableConstraint:
-    """The same bucket schedule over broadcast ndarray factors."""
-    pool: List[DenseFactor] = [
-        DenseFactor.from_constraint(c, lowering)
-        for c in problem.constraints
-    ]
-    digests: Optional[Dict[int, str]] = None
-    if bucket_cache is not None:
-        digests = {
-            id(factor): constraint_digest(constraint)
-            for factor, constraint in zip(pool, problem.constraints)
-        }
-    for var in to_eliminate:
-        bucket = [f for f in pool if var.name in f.support]
-        rest = [f for f in pool if var.name not in f.support]
+# ---------------------------------------------------------------------------
+# Compiled elimination plans
+# ---------------------------------------------------------------------------
+
+#: Compiled plans kept warm — one per topology, ordering and ``con``
+#: (plus the continuations of permuted bucket-cache hits, see
+#: :func:`_sweep`).  Keys hold, by value, everything a plan is compiled
+#: from (scope names and sizes, the ordering name, and ``con`` or the
+#: materialization limit), never object ids, so a plan can never be
+#: served to a problem it was not compiled for; problems of one
+#: topology under different semirings share it.
+_PLAN_CACHE_SIZE = 1024
+_plan_cache = LRUCache(_PLAN_CACHE_SIZE, name="plans", threadsafe=True)
+
+
+def clear_plan_cache() -> None:
+    """Drop every compiled plan (tests and benchmarks)."""
+    _plan_cache.clear()
+
+
+class Step(NamedTuple):
+    """One compiled ``(⊗ inputs) ⇓ keep``: a bucket, or a plan's final
+    combine-and-project.
+
+    Slots number a plan's factors: the problem's constraints first, then
+    each step's output in step order.  Every array a step reads carries
+    a leading batch axis (length 1 for a singleton solve; B, or 1 for a
+    shared factor, in a batched sweep).  ``views`` hold, per input, the
+    axis transpose (``None`` when already in merged-scope order) and the
+    broadcast shape (``-1`` on the batch axis) aligning it to ``dims``,
+    the merged scope's sizes — empty for a single input, which is
+    reduced as it stands; ``axes`` are the reduced axes.
+    """
+
+    inputs: Tuple[int, ...]
+    views: Tuple[Tuple[Optional[Tuple[int, ...]], Tuple[int, ...]], ...]
+    dims: Tuple[int, ...]
+    axes: Tuple[int, ...]
+    #: The output scope, as indices into the problem's variables.
+    scope: Tuple[int, ...]
+    #: Assignment-space size of the combined (unreduced) array.
+    size: int
+    #: The eliminated variable; ``-1`` for a final step.
+    var: int = -1
+
+
+def run_step(
+    step: Step, arrays: Sequence[np.ndarray], lowering: Lowering
+) -> np.ndarray:
+    """Execute ``step`` over the slot-indexed ``arrays``.
+
+    A left ``times(…, out=)`` fold into one merged-scope array, then one
+    ``plus.reduce`` over the eliminated axes: the same ufunc calls on the
+    same values in the same order as combining the bucket factor by
+    factor, left to right (the association order of
+    :func:`repro.constraints.operations.combine`), so non-idempotent
+    ``×`` (Weighted's float add) rounds identically.  Only the scope
+    bookkeeping is precomputed.
+    """
+    if len(step.inputs) == 1:
+        combined = arrays[step.inputs[0]]
+    else:
+        views = []
+        for slot, (transpose, shape) in zip(step.inputs, step.views):
+            array = arrays[slot]
+            if transpose is not None:
+                array = array.transpose(transpose)
+            views.append(array.reshape(shape))
+        lead = max(view.shape[0] for view in views)
+        combined = np.empty((lead, *step.dims), dtype=lowering.dtype)
+        times = lowering.times
+        times(views[0], views[1], out=combined)
+        for view in views[2:]:
+            times(combined, view, out=combined)
+    if not step.axes:
+        return combined
+    return lowering.plus.reduce(combined, axis=step.axes)
+
+
+def _compile_step(
+    inputs: Sequence[int],
+    scopes: Sequence[Tuple[int, ...]],
+    sizes: Sequence[int],
+    keep: Callable[[int], bool],
+    var: int = -1,
+) -> Step:
+    """Geometry of combining ``inputs`` over their merged scope (first
+    occurrence order, like :func:`merge_scopes`) and reducing every
+    variable ``keep`` rejects."""
+    merged: List[int] = []
+    for slot in inputs:
+        for v in scopes[slot]:
+            if v not in merged:
+                merged.append(v)
+    views = []
+    if len(inputs) > 1:
+        where = {v: axis for axis, v in enumerate(merged)}
+        for slot in inputs:
+            scope = scopes[slot]
+            axes = [where[v] for v in scope]
+            transpose = None
+            if axes != sorted(axes):
+                order = sorted(range(len(axes)), key=axes.__getitem__)
+                transpose = (0, *[axis + 1 for axis in order])
+            shape = (-1, *[sizes[v] if v in scope else 1 for v in merged])
+            views.append((transpose, shape))
+    kept = [keep(v) for v in merged]
+    dims = tuple([sizes[v] for v in merged])
+    return Step(
+        tuple(inputs),
+        tuple(views),
+        dims,
+        tuple([axis + 1 for axis, k in enumerate(kept) if not k]),
+        tuple([v for v, k in zip(merged, kept) if k]),
+        math.prod(dims),
+        var,
+    )
+
+
+@dataclass(frozen=True)
+class EliminationPlan:
+    """The dense bucket schedule of one topology: ``(⊗C) ⇓ con``.
+
+    ``eliminate`` lists the variables outside ``con`` in elimination
+    order; ``buckets`` holds one step per non-empty bucket and
+    ``pools[i]`` the live slots after ``buckets[i]`` (the unreduced rest,
+    then its output); ``final`` combines the last pool and projects onto
+    ``keep``.  Variables are indices into ``variables`` (names, sizes).
+    """
+
+    variables: Tuple[Tuple[str, int], ...]
+    scopes: Tuple[Tuple[int, ...], ...]
+    eliminate: Tuple[int, ...]
+    buckets: Tuple[Step, ...]
+    pools: Tuple[Tuple[int, ...], ...]
+    final: Step
+    keep: FrozenSet[int]
+
+
+def _compile_elimination(
+    variables: Tuple[Tuple[str, int], ...],
+    scopes: Sequence[Tuple[int, ...]],
+    eliminate: Tuple[int, ...],
+    keep: FrozenSet[int],
+) -> EliminationPlan:
+    sizes = [size for _name, size in variables]
+    scopes = list(scopes)
+    pool = list(range(len(scopes)))
+    buckets: List[Step] = []
+    pools: List[Tuple[int, ...]] = []
+    for var in eliminate:
+        bucket = [slot for slot in pool if var in scopes[slot]]
         if not bucket:
             continue
+        step = _compile_step(bucket, scopes, sizes, lambda v: v != var, var)
+        pool = [slot for slot in pool if var not in scopes[slot]]
+        pool.append(len(scopes))
+        scopes.append(step.scope)
+        buckets.append(step)
+        pools.append(tuple(pool))
+    return EliminationPlan(
+        variables=variables,
+        scopes=tuple(scopes),
+        eliminate=eliminate,
+        buckets=tuple(buckets),
+        pools=tuple(pools),
+        final=_compile_step(pool, scopes, sizes, keep.__contains__),
+        keep=keep,
+    )
+
+
+def _topology(problem: SCSP) -> tuple:
+    """Every constraint's scope as ``(name, size)`` pairs, in order."""
+    return tuple(
+        [
+            tuple([(var.name, len(var.domain)) for var in constraint.scope])
+            for constraint in problem.constraints
+        ]
+    )
+
+
+def _memoized(key: Optional[tuple], compile: Callable):
+    """The plan under ``key``, compiled on a miss.  A callable ordering
+    is not a value, so its plans have no key (``None``) and are compiled
+    afresh on every call."""
+    if key is None:
+        return compile()
+    plan = _plan_cache.get(key)
+    if plan is None:
+        plan = compile()
+        _plan_cache.put(key, plan)
+    return plan
+
+
+def _indexed(problem: SCSP, ordering: str | OrderingFn):
+    """``problem``'s variables, name → index map, constraint scopes as
+    index tuples, and the ordering as indices."""
+    variables = problem.variables
+    index = {var.name: position for position, var in enumerate(variables)}
+    scopes = [
+        tuple(index[var.name] for var in constraint.scope)
+        for constraint in problem.constraints
+    ]
+    order = tuple(
+        index[var.name]
+        for var in resolve_ordering(ordering)(variables, problem.constraints)
+    )
+    return variables, index, scopes, order
+
+
+def elimination_plan(
+    problem: SCSP, ordering: str | OrderingFn = "min-degree"
+) -> EliminationPlan:
+    """The compiled bucket schedule of ``problem``'s topology."""
+
+    def compile() -> EliminationPlan:
+        variables, index, scopes, order = _indexed(problem, ordering)
+        keep = frozenset(index[name] for name in problem.con)
+        return _compile_elimination(
+            tuple((var.name, var.size) for var in variables),
+            scopes,
+            tuple(var for var in order if var not in keep),
+            keep,
+        )
+
+    key = None if callable(ordering) else (
+        "elimination",
+        _topology(problem),
+        problem.con,
+        ordering,
+    )
+    return _memoized(key, compile)
+
+
+def _continuation(
+    plan: EliminationPlan,
+    scopes: Sequence[Tuple[int, ...]],
+    eliminate: Tuple[int, ...],
+) -> EliminationPlan:
+    """The rest of ``plan`` from a live pool with the given scopes."""
+    key = ("continuation", plan.variables, tuple(scopes), eliminate, plan.keep)
+    return _memoized(
+        key,
+        lambda: _compile_elimination(
+            plan.variables, scopes, eliminate, plan.keep
+        ),
+    )
+
+
+def _sweep(
+    plan: EliminationPlan,
+    arrays: List[np.ndarray],
+    lowering: Lowering,
+    stats: SolverStats,
+    variables: Sequence[Variable],
+    bucket_cache: Optional[BucketCache] = None,
+    digests: Optional[List[str]] = None,
+) -> tuple[np.ndarray, Tuple[int, ...]]:
+    """Run ``plan`` over the slot-indexed ``arrays`` (batch axis first);
+    return the final array and its scope.
+
+    With a ``bucket_cache`` (singleton solves only) each bucket is
+    looked up under its Merkle key first, ``digests`` holding every
+    slot's digest.  The key sorts its input digests, so a cached factor
+    may list the planned scope in another order — then the sweep resumes
+    with a plan compiled for the pool as it now stands, which is what
+    the factor-by-factor loop did implicitly.
+    """
+    for step, pool in zip(plan.buckets, plan.pools):
         stats.buckets_processed += 1
-        eliminated = None
-        key = None
-        if digests is not None:
-            key = _bucket_key(
-                "dense",
-                problem.semiring,
-                var.name,
-                [digests[id(f)] for f in bucket],
+        stats.largest_intermediate = max(
+            stats.largest_intermediate, step.size
+        )
+        if bucket_cache is None:
+            arrays.append(run_step(step, arrays, lowering))
+            continue
+        key = _bucket_key(
+            "dense",
+            lowering.semiring,
+            variables[step.var].name,
+            [digests[slot] for slot in step.inputs],
+        )
+        digests.append(key)
+        hit = bucket_cache.get(key)
+        if hit is None:
+            out = run_step(step, arrays, lowering)
+            scope = [variables[var] for var in step.scope]
+            bucket_cache.put(
+                key, (DenseFactor(lowering, scope, out[0]), step.size)
             )
-            hit = bucket_cache.get(key)
-            if hit is not None:
-                eliminated, combined_size = hit
-                stats.buckets_reused += 1
-                stats.largest_intermediate = max(
-                    stats.largest_intermediate, combined_size
-                )
-        if eliminated is None:
-            combined = combine_factors(bucket)
-            combined_size = assignment_space_size(combined.scope)
-            stats.largest_intermediate = max(
-                stats.largest_intermediate, combined_size
+            arrays.append(out)
+            continue
+        stats.buckets_reused += 1
+        factor = hit[0]
+        arrays.append(factor.array[np.newaxis])
+        names = tuple(plan.variables[var][0] for var in step.scope)
+        if factor.support != names:
+            index = {name: var for var, (name, _) in enumerate(plan.variables)}
+            scopes = [plan.scopes[slot] for slot in pool[:-1]]
+            scopes.append(tuple(index[name] for name in factor.support))
+            rest = plan.eliminate[plan.eliminate.index(step.var) + 1 :]
+            return _sweep(
+                _continuation(plan, scopes, rest),
+                [arrays[slot] for slot in pool],
+                lowering,
+                stats,
+                variables,
+                bucket_cache,
+                [digests[slot] for slot in pool],
             )
-            eliminated = combined.hide(var.name)
-            if key is not None:
-                bucket_cache.put(key, (eliminated, combined_size))
-        if digests is not None:
-            digests[id(eliminated)] = key
-        pool = rest + [eliminated]
-    solution = combine_factors(pool).project(problem.con)
-    return solution.to_table()
+    return run_step(plan.final, arrays, lowering), plan.final.scope
+
+
+@dataclass(frozen=True)
+class Message:
+    """One bucket of branch & bound's reverse pass over the search order.
+
+    ``transpose`` puts the message's axes in search order (``None`` when
+    they already are), ``depths`` is the search depth of each axis after
+    it, and ``covers`` the depths whose node bounds the message tightens.
+    """
+
+    step: Step
+    transpose: Optional[Tuple[int, ...]]
+    depths: Tuple[int, ...]
+    covers: Tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class SearchPlan:
+    """Branch & bound's compiled schedule for one topology.
+
+    ``order`` is the search order and ``activation[d]`` the constraints
+    (positions) fully assigned once depth ``d`` is; ``messages`` are the
+    buckets of depth ≥ 1 within the materialization limit, deepest
+    first, reading constraint slots ``lowered``; ``exact`` is false when
+    a bucket was skipped for the limit.
+    """
+
+    order: Tuple[int, ...]
+    activation: Tuple[Tuple[int, ...], ...]
+    messages: Tuple[Message, ...]
+    lowered: Tuple[int, ...]
+    exact: bool
+
+
+def _compile_search(
+    problem: SCSP, ordering: str | OrderingFn, limit: int
+) -> SearchPlan:
+    variables, _index, scopes, order = _indexed(problem, ordering)
+    sizes = [var.size for var in variables]
+    depth_of = {var: depth for depth, var in enumerate(order)}
+    activation: List[List[int]] = [[] for _ in order]
+    for slot, scope in enumerate(scopes):
+        if scope:
+            activation[max(depth_of[var] for var in scope)].append(slot)
+    buckets = [list(slots) for slots in activation]
+    messages: List[Message] = []
+    exact = True
+    for depth in range(len(order) - 1, 0, -1):
+        if not buckets[depth]:
+            continue
+        var = order[depth]
+        step = _compile_step(
+            buckets[depth], scopes, sizes, lambda v: v != var, var
+        )
+        if step.size > limit:
+            exact = False
+            continue
+        axes = sorted(
+            range(len(step.scope)), key=lambda axis: depth_of[step.scope[axis]]
+        )
+        depths = tuple(depth_of[step.scope[axis]] for axis in axes)
+        target = depths[-1] if depths else -1
+        if target > 0:
+            buckets[target].append(len(scopes))
+        scopes.append(step.scope)
+        messages.append(
+            Message(
+                step=step,
+                transpose=(
+                    None if axes == list(range(len(axes))) else tuple(axes)
+                ),
+                depths=depths,
+                covers=tuple(range(max(target, 0), depth)),
+            )
+        )
+    constraints = len(problem.constraints)
+    return SearchPlan(
+        order=order,
+        activation=tuple(tuple(slots) for slots in activation),
+        messages=tuple(messages),
+        lowered=tuple(
+            sorted(
+                {
+                    slot
+                    for message in messages
+                    for slot in message.step.inputs
+                    if slot < constraints
+                }
+            )
+        ),
+        exact=exact,
+    )
+
+
+def search_plan(
+    problem: SCSP, ordering: str | OrderingFn, limit: int
+) -> SearchPlan:
+    """Branch & bound's compiled schedule for ``problem``'s topology;
+    buckets whose combined table exceeds ``limit`` entries are skipped."""
+    key = None if callable(ordering) else (
+        "search",
+        _topology(problem),
+        ordering,
+        limit,
+    )
+    return _memoized(key, lambda: _compile_search(problem, ordering, limit))
 
 
 def eliminate_batch(
@@ -293,10 +682,11 @@ def eliminate_batch(
     scope tuples per constraint position, equal ``con`` and one shared
     semiring (see :func:`~repro.solver.cache.topology_fingerprint` —
     the batch scheduler groups by it).  Tables may differ freely; each
-    constraint position is stacked into one
-    :class:`~repro.solver.kernels.BatchDenseFactor` (positions where
-    all B problems share one constraint object stay broadcast views)
-    and the ordinary bucket schedule runs once over the batch axis.
+    constraint position is stacked into one array with a leading batch
+    axis (a position where all B problems share one constraint object
+    keeps a length-1 axis, so buckets reading only shared factors are
+    computed once) and the topology's compiled plan runs once over the
+    batch axis.
     Because every batched operation is the per-instance operation
     broadcast across axis 0, slice ``b`` of the sweep is bit-identical
     to eliminating ``problems[b]`` alone — on either backend.
@@ -334,41 +724,30 @@ def eliminate_batch(
             f"{semiring.name} has no ufunc pair"
         )
 
+    plan = elimination_plan(head, ordering)
+    arrays = []
+    for shared in zip(*(problem.constraints for problem in problems)):
+        first = shared[0]
+        if all(constraint is first for constraint in shared):
+            array = DenseFactor.from_constraint(first, lowering).array
+            arrays.append(array[np.newaxis])
+        else:
+            arrays.append(
+                np.stack(
+                    [
+                        DenseFactor.from_constraint(c, lowering).array
+                        for c in shared
+                    ]
+                )
+            )
     stats = SolverStats()
-    con_set = set(head.con)
-    order_fn = resolve_ordering(ordering)
-    to_eliminate = [
-        var
-        for var in order_fn(head.variables, head.constraints)
-        if var.name not in con_set
-    ]
-    pool: List[BatchDenseFactor] = [
-        stack_factors(
-            [
-                DenseFactor.from_constraint(p.constraints[j], lowering)
-                for p in problems
-            ]
-        )
-        for j in range(len(head.constraints))
-    ]
-    for var in to_eliminate:
-        bucket = [f for f in pool if var.name in f.support]
-        rest = [f for f in pool if var.name not in f.support]
-        if not bucket:
-            continue
-        stats.buckets_processed += 1
-        combined = combine_factors(bucket)
-        stats.largest_intermediate = max(
-            stats.largest_intermediate,
-            assignment_space_size(combined.scope),
-        )
-        pool = rest + [combined.hide(var.name)]
-    solution = combine_factors(pool).project(head.con)
-    if isinstance(solution, DenseFactor):  # pragma: no cover - 1-factor pool
-        solution = stack_factors([solution] * len(problems))
+    array, scope = _sweep(plan, arrays, lowering, stats, head.variables)
+    scope_vars = [head.variables[var] for var in scope]
     results: List[tuple[TableConstraint, SolverStats]] = []
-    for member in solution.split():
-        table = member.to_table()
+    for member in range(len(problems)):
+        table = DenseFactor(
+            lowering, scope_vars, array[member if len(array) > 1 else 0]
+        ).to_table()
         member_stats = replace(stats)
         member_stats.largest_intermediate = max(
             member_stats.largest_intermediate,

@@ -4,12 +4,16 @@ The dict-of-tuples :class:`~repro.constraints.table.TableConstraint` pays
 one virtual ``semiring.times`` call per assignment tuple.  For the four
 classical totally ordered instances both semiring operations are NumPy
 ufuncs, so a constraint can be *lowered* to an ndarray with one axis per
-scope variable and the paper's two operators become broadcast array ops:
+scope variable (:class:`DenseFactor`) and the paper's two operators
+become broadcast array ops:
 
-* ``⊗`` (:meth:`DenseFactor.combine`) — align scopes by broadcasting and
-  apply the times-ufunc elementwise;
-* ``⇓`` (:meth:`DenseFactor.project` / :meth:`DenseFactor.hide`) —
-  ``plus_ufunc.reduce`` over the eliminated axes.
+* ``⊗`` — align scopes by broadcasting and apply the times-ufunc
+  elementwise;
+* ``⇓`` — ``plus_ufunc.reduce`` over the eliminated axes.
+
+The solvers run both through compiled plans
+(:func:`repro.solver.elimination.run_step`), which precompute each
+step's axis alignment once per topology.
 
 This is the standard lowering used by factor-graph and bucket-elimination
 engines (cf. Dechter's bucket elimination); distributivity of ``×`` over
@@ -54,14 +58,14 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..caching import LRUCache, register_stats_provider
 from ..constraints.table import TableConstraint, to_table
 from ..constraints.constraint import SoftConstraint
-from ..constraints.variables import Variable, merge_scopes, scope_names
+from ..constraints.variables import Variable, scope_names
 from ..semirings.base import Semiring
 from ..semirings.boolean import BooleanSemiring
 from ..semirings.fuzzy import FuzzySemiring
@@ -513,76 +517,9 @@ class DenseFactor:
             name=name,
         )
 
-    # ------------------------------------------------------------------
-    # Scope helpers
-    # ------------------------------------------------------------------
-
     @property
     def support(self) -> Tuple[str, ...]:
         return scope_names(self.scope)
-
-    def _aligned(self, scope: Tuple[Variable, ...]) -> np.ndarray:
-        """A view of the array broadcastable over ``scope`` (a superset
-        of this factor's scope, in any order)."""
-        position = {var.name: i for i, var in enumerate(scope)}
-        mine = set(self.support)
-        order = sorted(
-            range(len(self.scope)),
-            key=lambda axis: position[self.scope[axis].name],
-        )
-        array = self.array
-        if order != list(range(len(self.scope))):
-            array = array.transpose(order)
-        shape = tuple(
-            var.size if var.name in mine else 1 for var in scope
-        )
-        return array.reshape(shape)
-
-    # ------------------------------------------------------------------
-    # The paper's two operators, vectorized
-    # ------------------------------------------------------------------
-
-    def combine(self, other: "DenseFactor") -> "DenseFactor":
-        """``c1 ⊗ c2`` — broadcast both arrays over the merged scope and
-        apply the times-ufunc elementwise."""
-        scope = merge_scopes(self.scope, other.scope)
-        array = self.lowering.times(
-            self._aligned(scope), other._aligned(scope)
-        )
-        return DenseFactor(self.lowering, scope, array)
-
-    def project(self, keep: Iterable[str | Variable]) -> "DenseFactor":
-        """``c ⇓ keep`` — plus-ufunc reduction over the eliminated axes.
-
-        Names in ``keep`` that are not in scope are ignored, mirroring
-        :meth:`SoftConstraint.project`.
-        """
-        keep_names = {
-            item.name if isinstance(item, Variable) else item
-            for item in keep
-        }
-        axes = tuple(
-            i
-            for i, var in enumerate(self.scope)
-            if var.name not in keep_names
-        )
-        if not axes:
-            return self
-        kept = tuple(
-            var for var in self.scope if var.name in keep_names
-        )
-        array = self.lowering.plus.reduce(self.array, axis=axes)
-        return DenseFactor(self.lowering, kept, array)
-
-    def hide(self, *names: str | Variable) -> "DenseFactor":
-        """``∃x.c`` — project the named variables *out*."""
-        hidden = {
-            item.name if isinstance(item, Variable) else item
-            for item in names
-        }
-        return self.project(
-            [var for var in self.scope if var.name not in hidden]
-        )
 
     def consistency(self) -> Any:
         """``c ⇓∅`` — plus-reduce every axis down to one scalar."""
@@ -605,230 +542,6 @@ class DenseFactor:
             f"DenseFactor(scope={self.support!r}, shape={self.array.shape}, "
             f"semiring={self.semiring.name})"
         )
-
-
-class BatchDenseFactor:
-    """B problem instances' factors over one shared scope, stacked on a
-    leading batch axis.
-
-    ``array.shape == (b, *dims)`` where ``dims`` follows the
-    :class:`DenseFactor` axis convention and ``b`` is either the logical
-    batch size ``batch`` or ``1`` — a length-1 leading axis marks a
-    factor *shared* by every instance (e.g. one provider's offer solved
-    against B different requirements) and broadcasts lazily, so stacking
-    B references to one table costs no copies.  ``combine``/``project``/
-    ``hide`` are the per-instance operations broadcast across the batch
-    axis: every slice ``array[b]`` evolves exactly as the corresponding
-    standalone :class:`DenseFactor` would, which is what makes batched
-    solves bit-identical to B independent ones.
-    """
-
-    __slots__ = ("semiring", "lowering", "scope", "array", "batch")
-
-    def __init__(
-        self,
-        lowering: Lowering,
-        scope: Sequence[Variable],
-        array: np.ndarray,
-        batch: Optional[int] = None,
-    ) -> None:
-        self.lowering = lowering
-        self.semiring = lowering.semiring
-        self.scope: Tuple[Variable, ...] = tuple(scope)
-        self.array = array
-        self.batch = array.shape[0] if batch is None else batch
-        if array.shape[0] not in (1, self.batch):
-            raise KernelError(
-                f"batch axis is {array.shape[0]}, expected 1 or "
-                f"{self.batch}"
-            )
-
-    @property
-    def support(self) -> Tuple[str, ...]:
-        return scope_names(self.scope)
-
-    def _aligned(self, scope: Tuple[Variable, ...]) -> np.ndarray:
-        """A view broadcastable over ``(batch, *scope dims)`` — the
-        :meth:`DenseFactor._aligned` permutation with the batch axis
-        pinned in front."""
-        position = {var.name: i for i, var in enumerate(scope)}
-        mine = set(self.support)
-        order = sorted(
-            range(len(self.scope)),
-            key=lambda axis: position[self.scope[axis].name],
-        )
-        array = self.array
-        if order != list(range(len(self.scope))):
-            array = array.transpose([0] + [axis + 1 for axis in order])
-        shape = (array.shape[0],) + tuple(
-            var.size if var.name in mine else 1 for var in scope
-        )
-        return array.reshape(shape)
-
-    def combine(self, other: "BatchDenseFactor") -> "BatchDenseFactor":
-        """``c1 ⊗ c2`` on every instance at once."""
-        if self.batch != other.batch and 1 not in (self.batch, other.batch):
-            raise KernelError(
-                f"cannot combine batches of size {self.batch} and "
-                f"{other.batch}"
-            )
-        scope = merge_scopes(self.scope, other.scope)
-        array = self.lowering.times(
-            self._aligned(scope), other._aligned(scope)
-        )
-        return BatchDenseFactor(
-            self.lowering, scope, array, batch=max(self.batch, other.batch)
-        )
-
-    def project(self, keep: Iterable[str | Variable]) -> "BatchDenseFactor":
-        """``c ⇓ keep`` on every instance — one axis-reduction per
-        eliminated variable, batch axis untouched.  The plus-ufuncs of
-        all four lowered semirings are selections (min/max/or), so the
-        reduction is exact regardless of traversal order."""
-        keep_names = {
-            item.name if isinstance(item, Variable) else item
-            for item in keep
-        }
-        axes = tuple(
-            i + 1
-            for i, var in enumerate(self.scope)
-            if var.name not in keep_names
-        )
-        if not axes:
-            return self
-        kept = tuple(
-            var for var in self.scope if var.name in keep_names
-        )
-        array = self.lowering.plus.reduce(self.array, axis=axes)
-        return BatchDenseFactor(self.lowering, kept, array, batch=self.batch)
-
-    def hide(self, *names: str | Variable) -> "BatchDenseFactor":
-        """``∃x.c`` — project the named variables *out* of every slice."""
-        hidden = {
-            item.name if isinstance(item, Variable) else item
-            for item in names
-        }
-        return self.project(
-            [var for var in self.scope if var.name not in hidden]
-        )
-
-    def consistency(self) -> List[Any]:
-        """``c ⇓∅`` per instance — one value per batch member."""
-        array = self.array
-        if array.ndim > 1:
-            array = self.lowering.plus.reduce(
-                array, axis=tuple(range(1, array.ndim))
-            )
-        if array.shape[0] != self.batch:
-            array = np.broadcast_to(array, (self.batch,))
-        unlift = self.lowering.unlift
-        return [unlift(value) for value in array]
-
-    def member(self, index: int) -> DenseFactor:
-        """Instance ``index`` as a standalone :class:`DenseFactor`."""
-        if not 0 <= index < self.batch:
-            raise KernelError(
-                f"batch index {index} out of range for batch {self.batch}"
-            )
-        slice_index = 0 if self.array.shape[0] == 1 else index
-        return DenseFactor(self.lowering, self.scope, self.array[slice_index])
-
-    def split(self) -> List[DenseFactor]:
-        """All instances, in batch order."""
-        return [self.member(index) for index in range(self.batch)]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"BatchDenseFactor(batch={self.batch}, scope={self.support!r}, "
-            f"shape={self.array.shape}, semiring={self.semiring.name})"
-        )
-
-
-def stack_factors(factors: Sequence[DenseFactor]) -> BatchDenseFactor:
-    """Stack B same-support factors into one :class:`BatchDenseFactor`.
-
-    Factors may list their scope variables in different orders; every
-    array is aligned to the first factor's axis order before stacking.
-    When the sequence is B references to one factor *object* the stack
-    is stored as a length-1 leading axis (a broadcast view, no copy).
-    """
-    if not factors:
-        raise KernelError("stack_factors needs at least one factor")
-    head = factors[0]
-    if all(factor is head for factor in factors[1:]):
-        return BatchDenseFactor(
-            head.lowering,
-            head.scope,
-            head.array[np.newaxis, ...],
-            batch=len(factors),
-        )
-    support = set(head.support)
-    for factor in factors[1:]:
-        if set(factor.support) != support:
-            raise KernelError(
-                f"cannot stack factors over different scopes: "
-                f"{sorted(support)} vs {sorted(factor.support)}"
-            )
-        if factor.lowering is not head.lowering:
-            raise KernelError(
-                "cannot stack factors lowered under different semirings"
-            )
-    array = np.stack([factor._aligned(head.scope) for factor in factors])
-    return BatchDenseFactor(head.lowering, head.scope, array)
-
-
-def split_results(batch: BatchDenseFactor) -> List[DenseFactor]:
-    """The inverse of :func:`stack_factors` (post-solve): one
-    :class:`DenseFactor` per batch member, in submission order."""
-    return batch.split()
-
-
-def combine_factors(
-    factors: "Sequence[DenseFactor | BatchDenseFactor]",
-) -> "DenseFactor | BatchDenseFactor":
-    """``⊗`` over a non-empty sequence in one ufunc chain.
-
-    The fold is left-to-right — the same association order as
-    :func:`repro.constraints.operations.combine`, so non-idempotent
-    ``×`` (Weighted's float add) rounds identically on both backends —
-    but all scopes are merged *up front* and every step writes into one
-    preallocated full-scope array (``out=``) instead of materializing a
-    progressively wider broadcast intermediate per factor: peak memory
-    in a wide bucket is one full-scope array, not two.  Elementwise the
-    accumulator holds exactly the pairwise fold's values (earlier steps
-    are merely replicated across axes later factors introduce), so the
-    result is bit-identical to the old pairwise materialization.
-    """
-    if not factors:
-        raise KernelError("combine_factors needs at least one factor")
-    if len(factors) == 1:
-        return factors[0]
-    head = factors[0]
-    lowering = head.lowering
-    times = lowering.times
-    scope = merge_scopes(*(factor.scope for factor in factors))
-    dims = tuple(var.size for var in scope)
-    views = [factor._aligned(scope) for factor in factors]
-    batched = [
-        factor for factor in factors if isinstance(factor, BatchDenseFactor)
-    ]
-    if batched:
-        batch = max(factor.batch for factor in batched)
-        lead = max(
-            view.shape[0]
-            for factor, view in zip(factors, views)
-            if isinstance(factor, BatchDenseFactor)
-        )
-        out = np.empty((lead, *dims), dtype=lowering.dtype)
-        times(views[0], views[1], out=out)
-        for view in views[2:]:
-            times(out, view, out=out)
-        return BatchDenseFactor(lowering, scope, out, batch=batch)
-    out = np.empty(dims, dtype=lowering.dtype)
-    times(views[0], views[1], out=out)
-    for view in views[2:]:
-        times(out, view, out=out)
-    return DenseFactor(lowering, scope, out)
 
 
 def _iter_keys(scope: Tuple[Variable, ...]):

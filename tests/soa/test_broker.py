@@ -1,5 +1,7 @@
 """The broker-orchestrator: selection, acceptance, composition, SLAs."""
 
+import gc
+
 import pytest
 
 from repro.constraints import Polynomial, integer_variable, polynomial_constraint
@@ -174,6 +176,32 @@ class TestSingleServiceNegotiation:
             client="C", operation="filter", attribute="cost"
         )
         assert isinstance(request.resolved_semiring(), WeightedSemiring)
+
+
+class TestCompiledOfferMemo:
+    def test_republished_document_gets_its_own_constraints(self, weighted):
+        # Once a document is unpublished and collected, a new one can be
+        # allocated at its address; the broker must still compile it.
+        x = integer_variable("x", 10)
+        request = ClientRequest(
+            client="C",
+            operation="filter",
+            attribute="cost",
+            requirements=[
+                polynomial_constraint(weighted, [x], Polynomial.linear({"x": 2}))
+            ],
+        )
+        registry = ServiceRegistry()
+        broker = Broker(registry)
+        stale = []
+        for index in range(200):
+            publish_cost_provider(registry, "s1", base=float(index))
+            result = broker.negotiate(request)
+            if result.sla.agreed_level != float(index):
+                stale.append(index)
+            registry.unpublish("filter-s1")
+            gc.collect()
+        assert stale == []
 
 
 class TestCompositionNegotiation:

@@ -17,6 +17,8 @@ from repro.solver import DenseFactor, resolve_lowering, resolve_ordering
 from repro.solver.heuristics import OrderingFn
 from repro.solver.problem import SCSP, SolverResult, SolverStats
 
+from .elimination_oracle import dense_hide
+
 
 def reference_branch_bound(
     problem: SCSP,
@@ -71,9 +73,10 @@ def reference_branch_bound(
     if lookahead and lowering is not None:
         best_tables = [
             [
-                DenseFactor.from_constraint(constraint, lowering)
-                .hide(pending.name)
-                .to_table()
+                dense_hide(
+                    DenseFactor.from_constraint(constraint, lowering),
+                    pending.name,
+                ).to_table()
                 for constraint, pending in entries
             ]
             for entries in one_left

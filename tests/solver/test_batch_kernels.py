@@ -23,11 +23,14 @@ from repro.semirings import (
     ProbabilisticSemiring,
     WeightedSemiring,
 )
-from repro.solver import (
+from repro.solver import DenseFactor, KernelError, lower_semiring
+
+from .elimination_oracle import (
     BatchDenseFactor,
-    DenseFactor,
-    KernelError,
-    lower_semiring,
+    dense_aligned,
+    dense_combine,
+    dense_hide,
+    dense_project,
     split_results,
     stack_factors,
 )
@@ -106,13 +109,14 @@ def test_batched_combine_matches_dict_and_dense(case):
     batched = lefts.combine(rights)
     assert batched.batch == len(instances)
     for index, (a, b) in enumerate(instances):
-        dense = DenseFactor.from_constraint(a, lowering).combine(
-            DenseFactor.from_constraint(b, lowering)
+        dense = dense_combine(
+            DenseFactor.from_constraint(a, lowering),
+            DenseFactor.from_constraint(b, lowering),
         )
         reference = a.combine(b)
         member = batched.member(index)
         assert member.support == dense.support
-        assert np.array_equal(member._aligned(dense.scope), dense.array)
+        assert np.array_equal(dense_aligned(member, dense.scope), dense.array)
         for assignment in _assignments(set(member.support), scopes):
             # == not approx: batched ops are the scalar IEEE-754 ops.
             assert member.value(assignment) == reference.value(assignment)
@@ -133,13 +137,13 @@ def test_batched_project_and_hide_match_per_instance(case):
     hidden_batch = batched.hide(hidden)
     for index, (a, _) in enumerate(instances):
         dense = DenseFactor.from_constraint(a, lowering)
+        kept = dense_project(dense, keep)
         assert np.array_equal(
-            projected.member(index)._aligned(dense.project(keep).scope),
-            dense.project(keep).array,
+            dense_aligned(projected.member(index), kept.scope), kept.array
         )
+        rest = dense_hide(dense, hidden)
         assert np.array_equal(
-            hidden_batch.member(index)._aligned(dense.hide(hidden).scope),
-            dense.hide(hidden).array,
+            dense_aligned(hidden_batch.member(index), rest.scope), rest.array
         )
         reference = a.project(keep)
         member = projected.member(index)
@@ -161,8 +165,9 @@ def test_batched_consistency_matches_per_instance(case):
     levels = lefts.combine(rights).consistency()
     assert len(levels) == len(instances)
     for level, (a, b) in zip(levels, instances):
-        dense = DenseFactor.from_constraint(a, lowering).combine(
-            DenseFactor.from_constraint(b, lowering)
+        dense = dense_combine(
+            DenseFactor.from_constraint(a, lowering),
+            DenseFactor.from_constraint(b, lowering),
         )
         assert level == dense.consistency()
 
@@ -180,7 +185,7 @@ def test_stack_split_roundtrip(case):
     for original, member in zip(factors, back):
         assert member.support == original.support
         assert np.array_equal(
-            member._aligned(original.scope), original.array
+            dense_aligned(member, original.scope), original.array
         )
 
 

@@ -189,7 +189,7 @@ class TestEdgeCases:
         def refuse(*args, **kwargs):
             raise AssertionError("a one-variable search needs no messages")
 
-        monkeypatch.setattr(branch_bound, "combine_factors", refuse)
+        monkeypatch.setattr(branch_bound, "run_step", refuse)
         monkeypatch.setattr(branch_bound, "combine", refuse)
         monkeypatch.setattr(branch_bound.DenseFactor, "from_constraint", refuse)
         x = variable("x", range(4))

@@ -34,6 +34,8 @@ from repro.solver import (
     solve_elimination,
 )
 
+from .elimination_oracle import dense_combine
+
 LOWERABLE = (
     WeightedSemiring(),
     FuzzySemiring(),
@@ -229,8 +231,9 @@ class TestDenseFactorUnits:
             [y, x],
             {(b, a): 0.2 * (b + 1) for a in (0, 1) for b in (0, 1, 2)},
         )
-        dense = DenseFactor.from_constraint(c1, lowering).combine(
-            DenseFactor.from_constraint(c2, lowering)
+        dense = dense_combine(
+            DenseFactor.from_constraint(c1, lowering),
+            DenseFactor.from_constraint(c2, lowering),
         )
         reference = c1.combine(c2)
         for a in (0, 1):
