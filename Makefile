@@ -32,10 +32,11 @@ bench-compare:
 		{ echo "usage: make bench-compare A=base.json B=change.json"; exit 2; }
 	python3 benchmarks/e2e/compare.py $(A) $(B)
 
-# make bench-solver W=chain-market — per-solve time on the candidate
-# SCSPs one workload's broker solves (minimum of PASSES passes):
-# METHOD=branch-bound solves them as the broker does, METHOD=elimination
-# asks each one's store-consistency query (con=()).
+# make bench-solver W=chain-market — per-candidate solve time on the
+# candidate SCSPs one workload's broker builds (minimum of PASSES
+# passes): METHOD=branch-bound solves them one by one, METHOD=stacked
+# solves each session's topology groups in one stacked scan each,
+# METHOD=elimination asks each one's store-consistency query (con=()).
 W ?= unique-market
 METHOD ?= branch-bound
 PASSES ?= 100

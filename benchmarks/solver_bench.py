@@ -2,19 +2,24 @@
 
 Serves a few sessions of an end-to-end workload (``benchmarks/e2e/
 workloads.py``, imported read-only) through a plain :class:`Broker`,
-captures every candidate SCSP the broker hands its solver, then times
-one solver over the captured problems:
+captures every candidate SCSP the broker builds, then times one solver
+over the captured problems:
 
 * ``--method branch-bound`` (the default): ``solve_branch_bound`` on
-  each problem, as the broker solves a candidate;
+  each problem, one candidate at a time;
+* ``--method stacked``: ``solve_stacked`` once per topology group of
+  each session's candidates, as the broker's step 3 solves a group
+  whose joint table is within ``STACK_LIMIT`` (here every group is
+  stacked, whatever its size, so the figure shows what stacking costs
+  beyond the bound too);
 * ``--method elimination``: ``solve_elimination`` on each problem's
   constraints with ``con=()`` — the store-consistency query ``σ ⇓∅``
   that ``verified-market``'s nmsccp confirmation asks.
 
 The figure printed is the minimum, over ``--passes`` passes (default
-100), of the mean time per solve: end-to-end runs swing with host speed,
-and the minimum of many short passes is the solver layer's cost with
-that noise stripped.
+100), of the mean time per candidate: end-to-end runs swing with host
+speed, and the minimum of many short passes is the solver layer's cost
+with that noise stripped.
 
 Constraint memos (tables and their search rows) are warm across passes.
 In ``unique-market`` traffic each session's requirement is new, so its
@@ -22,6 +27,8 @@ rows are built once per session; the traced end-to-end row
 ``solver.solve_ms_per_session`` carries that cost, this figure does not.
 
     python3 benchmarks/solver_bench.py --workload unique-market
+    python3 benchmarks/solver_bench.py --workload unique-market \
+        --method stacked
     python3 benchmarks/solver_bench.py --workload chain-market \
         --method elimination --passes 20
     make bench-solver W=chain-market METHOD=elimination PASSES=20
@@ -50,6 +57,8 @@ from repro.solver import (  # noqa: E402
     SCSP,
     solve_branch_bound,
     solve_elimination,
+    solve_stacked,
+    topology_groups,
 )
 
 SEED = 1
@@ -57,39 +66,53 @@ SESSIONS = 32
 PASSES = 100
 
 
-def capture(workload: str) -> List[SCSP]:
-    """Every candidate SCSP a plain broker solves over ``SESSIONS``
-    sessions of ``workload``'s request stream."""
+def capture(workload: str) -> List[List[SCSP]]:
+    """Every candidate SCSP a plain broker builds over ``SESSIONS``
+    sessions of ``workload``'s request stream, one topology group per
+    list (the groups the broker's step 3 forms)."""
     inputs = Inputs(WORKLOADS[workload], SEED, window=0)
     broker = Broker(inputs.registry())
-    problems: List[SCSP] = []
-    solve = broker._solve
+    session: List[SCSP] = []
+    build = broker._candidate_problem
 
-    def capturing(problem, **options):
-        problems.append(problem)
-        return solve(problem, **options)
+    def capturing(*args):
+        problem = build(*args)
+        if problem is not None:
+            session.append(problem)
+        return problem
 
-    broker._solve = capturing
+    broker._candidate_problem = capturing
+    groups: List[List[SCSP]] = []
     for index in range(SESSIONS):
         _spec, request = inputs.request(index)
+        session.clear()
         broker.negotiate(request)
-    return problems
+        groups.extend(
+            [session[member] for member in group]
+            for group in topology_groups(session)
+        )
+    return groups
 
 
 def pass_times(
-    problems: List[SCSP], method: str, passes: int
+    groups: List[List[SCSP]], method: str, passes: int
 ) -> List[float]:
-    """Mean seconds per solve, one entry per pass over ``problems``."""
-    if method == "elimination":
-        problems = [SCSP(p.constraints, con=()) for p in problems]
-        solver = solve_elimination
+    """Mean seconds per candidate, one entry per pass over ``groups``."""
+    problems = [problem for group in groups for problem in group]
+    if method == "stacked":
+        calls = [(solve_stacked, group) for group in groups]
+    elif method == "elimination":
+        calls = [
+            (solve_elimination, SCSP(p.constraints, con=()))
+            for p in problems
+        ]
     else:
-        solver = solve_branch_bound
+        calls = [(solve_branch_bound, problem) for problem in problems]
     times = []
     for _ in range(passes):
         started = time.perf_counter()
-        for problem in problems:
-            solver(problem)
+        for solver, argument in calls:
+            solver(argument)
         times.append((time.perf_counter() - started) / len(problems))
     return times
 
@@ -101,7 +124,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--method",
-        choices=("branch-bound", "elimination"),
+        choices=("branch-bound", "stacked", "elimination"),
         default="branch-bound",
     )
     parser.add_argument("--passes", type=int, default=PASSES)
@@ -109,20 +132,23 @@ def main(argv=None) -> int:
     if args.passes < 1:
         parser.error("--passes must be at least 1")
 
-    problems = capture(args.workload)
-    times = pass_times(problems, args.method, args.passes)
+    groups = capture(args.workload)
+    problems = sum(len(group) for group in groups)
+    times = pass_times(groups, args.method, args.passes)
     row = {
         "workload": args.workload,
         "method": args.method,
-        "problems": len(problems),
+        "problems": problems,
+        "groups": len(groups),
         "passes": args.passes,
         "solve_us_min": round(min(times) * 1e6, 2),
         "solve_us_median": round(statistics.median(times) * 1e6, 2),
     }
     print(
-        f"{args.workload} {args.method}: {len(problems)} candidate solves, "
-        f"min {row['solve_us_min']} µs / median "
-        f"{row['solve_us_median']} µs per solve over {args.passes} passes"
+        f"{args.workload} {args.method}: {problems} candidates in "
+        f"{len(groups)} groups, min {row['solve_us_min']} µs / median "
+        f"{row['solve_us_median']} µs per candidate over {args.passes} "
+        "passes"
     )
     print(json.dumps(row))
     return 0

@@ -112,9 +112,10 @@ class TieredSolveCache:
     """Drop-in :class:`~repro.solver.cache.SolveCache` replacement that
     stacks a private L1 on a shared L2.
 
-    Same ``fetch``/``store`` surface, so :func:`repro.solver.solve` and
-    the broker use it unchanged.  ``fetch`` tries L1, then L2 (promoting
-    hits into L1); ``store`` writes through both tiers.
+    Same ``fetch``/``store`` and ``fetch_entry``/``store_entry``
+    surface, so :func:`repro.solver.solve` and the broker use it
+    unchanged.  A fetch tries L1, then L2 (promoting hits into L1); a
+    store writes through both tiers.
     """
 
     def __init__(
@@ -135,10 +136,22 @@ class TieredSolveCache:
         return self._l2
 
     def fetch(self, key: str, problem: SCSP) -> Optional[SolverResult]:
+        entry = self.fetch_entry(key)
+        if entry is None:
+            return None
+        return entry.result_for(problem)
+
+    def store(self, key: str, result: SolverResult) -> None:
+        self.store_entry(key, _CacheEntry.from_result(result))
+
+    def fetch_entry(self, key: str) -> Optional[Any]:
+        """The raw entry from L1, else from L2 (promoted into L1), else
+        ``None`` — one lookup, whether the entry is one solve's or a
+        stacked group's."""
         entry = self._l1.fetch_entry(key)
         if entry is not None:
             self._count("l1", "hit")
-            return entry.result_for(problem)
+            return entry
         entry = self._l2.get(key)
         if entry is None:
             # The L1 miss was already counted by the L1 LRU itself;
@@ -154,10 +167,10 @@ class TieredSolveCache:
                 "fleet_l2_promotions_total",
                 "L2 hits promoted into a shard's L1 solve cache.",
             ).inc()
-        return entry.result_for(problem)
+        return entry
 
-    def store(self, key: str, result: SolverResult) -> None:
-        entry = _CacheEntry.from_result(result)
+    def store_entry(self, key: str, entry: Any) -> None:
+        """Write ``entry`` through both tiers."""
         self._l1.store_entry(key, entry)
         self._l2.put(key, entry)
 

@@ -290,10 +290,9 @@ class FairAllocation(AllocationPolicy):
                     f"with {request.attribute!r}",
                 )
                 continue
-            evaluations = [
-                broker._evaluate(description, request, semiring)
-                for description in candidates
-            ]
+            evaluations = broker._evaluate_candidates(
+                candidates, request, semiring
+            )
             accepted = [e for e in evaluations if e.accepted]
             if not accepted:
                 broker._post(broker.name, "negotiate-reject", request.client)
@@ -341,8 +340,9 @@ class FairAllocation(AllocationPolicy):
                     detail="nmsccp confirmation run failed",
                 )
                 continue
-            broker._clock += 1
-            sla = broker._sign(evaluation, member.request, member.semiring)
+            sla = broker._sign(
+                evaluation, member.request, member.semiring, broker._tick()
+            )
             broker._post(broker.name, "sla-created", sla.sla_id)
             get_events().emit(
                 "broker.sla-created",

@@ -9,14 +9,16 @@ solver, and carries out the five computation steps of the paper:
 4. offered vs required QoS are compared to determine an agreed QoS;
 5. on success, an SLA binding is created and both parties informed.
 
-Selection solves one SCSP per candidate (client requirement ⊗ provider
-offer) and keeps the semiring-best; composition introduces one selection
+Selection builds one SCSP per candidate (client requirement ⊗ provider
+offer), solves each topology group of them at once, and keeps the
+semiring-best; composition introduces one selection
 variable per pipeline slot and solves for the best provider tuple under
 the per-attribute aggregation rules.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -29,7 +31,7 @@ from ..constraints.store import empty_store
 from ..constraints.variables import Variable
 from ..semirings.base import Semiring
 from ..sccp.check import CheckSpec
-from ..solver import SCSP, SolveCache, solve
+from ..solver import SCSP, SolveCache, solve, stackable, topology_groups
 from .composition import (
     AGGREGATION_RULES,
     AggregationRule,
@@ -158,9 +160,17 @@ class MulticriteriaResult:
 class Broker:
     """The negotiation orchestrator with an embedded SCSP solver.
 
-    ``solve_cache`` (on by default) memoizes candidate-SCSP solves under
-    a canonical problem fingerprint, so a market's repeated negotiations
-    hit warm entries instead of re-running the solver;
+    Step 3 builds one SCSP per candidate (:meth:`_evaluate_candidates`).
+    Candidates whose joint table is small
+    (:func:`~repro.solver.stacked.stackable`) are grouped by constraint
+    topology, and each group is solved by one stacked dense scan,
+    bit-identical to per-candidate branch & bound; any other candidate,
+    and every candidate when ``batching`` is on, is solved on its own.
+
+    ``solve_cache`` (on by default) memoizes candidate-SCSP solves, one
+    entry per stacked group or per candidate, under a canonical
+    fingerprint, so a market's repeated negotiations hit warm entries
+    instead of re-running the solver;
     ``solver_backend`` selects the factor representation
     (``auto``/``dict``/``dense``, see :mod:`repro.solver.kernels`);
     ``store_backend`` selects the constraint-store representation for
@@ -274,9 +284,15 @@ class Broker:
         self._offer_memo = LRUCache(
             _OFFER_MEMO_SIZE, name="offers", threadsafe=True
         )
-        self._clock = 0
+        #: SLA timestamps: every session takes one tick, atomically, and
+        #: signs with it (``next`` on a count is atomic under the GIL).
+        self._ticks = itertools.count(1)
         if bus is not None:
             bus.register(self.ENDPOINT)
+
+    def _tick(self) -> int:
+        """The next SLA timestamp, taken once per session."""
+        return next(self._ticks)
 
     def _solve(self, problem: SCSP, **options) -> Any:
         """One SCSP solve through the broker's cache and backend.
@@ -427,7 +443,7 @@ class Broker:
         verify_scheduler_independence: bool,
         tracer: Any,
     ) -> NegotiationResult:
-        self._clock += 1
+        tick = self._tick()
 
         # Step 1: the client requests a binding, stating the required QoS.
         with tracer.span("broker.step1-request"):
@@ -454,14 +470,12 @@ class Broker:
                 f"{request.attribute!r}",
             )
 
-        # Step 3: QoS negotiation — one SCSP per candidate on the
-        # broker's store.
+        # Step 3: QoS negotiation — one SCSP per candidate, solved one
+        # topology group at a time.
         with tracer.span("broker.step3-negotiation"):
-            evaluations: List[CandidateEvaluation] = []
-            for description in candidates:
-                evaluations.append(
-                    self._evaluate(description, request, semiring)
-                )
+            evaluations = self._evaluate_candidates(
+                candidates, request, semiring
+            )
 
         # Step 4: offered vs required QoS determine the agreed QoS.
         with tracer.span("broker.step4-compare") as span:
@@ -493,7 +507,7 @@ class Broker:
 
         # Step 5: the SLA binding is created and both parties informed.
         with tracer.span("broker.step5-sla") as span:
-            sla = self._sign(best, request, semiring)
+            sla = self._sign(best, request, semiring, tick)
             span.set_attribute("sla_id", sla.sla_id)
             self._post(self.name, "sla-created", sla.sla_id)
         get_events().emit(
@@ -598,23 +612,14 @@ class Broker:
             "Per-candidate SCSP evaluations performed.",
         ).inc(len(result.evaluations))
 
-    def _evaluate(
+    def _candidate_problem(
         self,
         description: ServiceDescription,
         request: ClientRequest,
         semiring: Semiring,
-    ) -> CandidateEvaluation:
-        """Step 4: offered ⊗ required as one SCSP, solved once.
-
-        The acceptance check reads this solve: ``blevel(P) = Sol(P)⇓∅``
-        is the consistency of the store ``requirements ⊗ offer``, so
-        level thresholds (case C1, and the level side of C2/C3) are
-        judged against ``result.blevel`` — the very level the SLA is
-        signed at — instead of solving the same store again.  Accepted
-        candidates therefore always sign an ``agreed_level`` inside the
-        client's interval.  A store is built only when a threshold is a
-        constraint, whose ``refines``/``entails`` need it.
-        """
+    ) -> Optional[SCSP]:
+        """``requirements ⊗ offer`` as one SCSP, or ``None`` when the
+        provider offers nothing for the attribute."""
         pool: Dict[str, Variable] = {
             var.name: var
             for constraint in request.requirements
@@ -624,21 +629,119 @@ class Broker:
             description, request.attribute, semiring, pool
         )
         if not offer:
-            return CandidateEvaluation(description, semiring.zero, False, None)
-        constraints = list(request.requirements) + offer
-        problem = SCSP(constraints, name=description.service_id)
+            return None
+        return SCSP(
+            list(request.requirements) + offer, name=description.service_id
+        )
+
+    def _evaluate(
+        self,
+        description: ServiceDescription,
+        request: ClientRequest,
+        semiring: Semiring,
+    ) -> CandidateEvaluation:
+        """Step 3 for one candidate: the one-candidate case of
+        :meth:`_evaluate_candidates`."""
+        return self._evaluate_candidates([description], request, semiring)[0]
+
+    def _evaluate_candidates(
+        self,
+        candidates: Sequence[ServiceDescription],
+        request: ClientRequest,
+        semiring: Semiring,
+    ) -> List[CandidateEvaluation]:
+        """Step 3 for every candidate, in order.
+
+        Every candidate SCSP shares the request's requirements.  The
+        :func:`~repro.solver.stacked.stackable` ones are grouped by
+        constraint topology, and each group is solved by one stacked
+        scan (one ``solve`` call and one solve-cache entry) whose
+        answers equal per-candidate branch & bound bit for bit.  Any
+        other candidate, and every candidate when solver batching is
+        on, is solved on its own through :meth:`_solve`.
+        """
+        problems = [
+            self._candidate_problem(description, request, semiring)
+            for description in candidates
+        ]
+        results: List[Any] = [None] * len(problems)
+        stacked: List[int] = []
+        for index, problem in enumerate(problems):
+            if problem is None:
+                continue
+            if self.batcher is None and stackable(
+                problem, self.solver_backend
+            ):
+                stacked.append(index)
+            else:
+                (results[index],) = self._solve_candidates(
+                    [problem], stacked=False
+                )
+        for group in topology_groups([problems[i] for i in stacked]):
+            members = [stacked[i] for i in group]
+            solved = self._solve_candidates(
+                [problems[i] for i in members], stacked=True
+            )
+            for index, result in zip(members, solved):
+                results[index] = result
+        return [
+            CandidateEvaluation(description, semiring.zero, False, None)
+            if problem is None
+            else self._judge(description, request, semiring, problem, result)
+            for description, problem, result in zip(
+                candidates, problems, results
+            )
+        ]
+
+    def _solve_candidates(
+        self, problems: List[SCSP], stacked: bool
+    ) -> List[Any]:
+        """One ``broker.candidate-solve`` span: a stacked solve of a
+        topology group, or one candidate's :meth:`_solve`.  The
+        per-candidate histogram gets the span's time amortized over its
+        candidates."""
         started = time.perf_counter()
         with get_tracer().span(
             "broker.candidate-solve",
-            service_id=description.service_id,
-            provider=description.provider,
+            candidates=len(problems),
+            service_id=",".join(problem.name for problem in problems),
         ):
-            result = self._solve(problem)
-        get_registry().histogram(
+            if stacked:
+                results = solve(
+                    problems,
+                    backend=self.solver_backend,
+                    cache=self.solve_cache,
+                )
+            else:
+                results = [self._solve(problem) for problem in problems]
+        histogram = get_registry().histogram(
             "broker_candidate_solve_seconds",
             "Per-candidate SCSP solve wall time.",
-        ).observe(time.perf_counter() - started)
+        )
+        share = (time.perf_counter() - started) / len(problems)
+        for _ in problems:
+            histogram.observe(share)
+        return results
 
+    def _judge(
+        self,
+        description: ServiceDescription,
+        request: ClientRequest,
+        semiring: Semiring,
+        problem: SCSP,
+        result: Any,
+    ) -> CandidateEvaluation:
+        """Step 4's acceptance check for one solved candidate.
+
+        It reads the candidate solve: ``blevel(P) = Sol(P)⇓∅`` is the
+        consistency of the store ``requirements ⊗ offer``, so level
+        thresholds (case C1, and the level side of C2/C3) are judged
+        against ``result.blevel`` — the very level the SLA is signed at
+        — instead of solving the same store again.  Accepted candidates
+        therefore always sign an ``agreed_level`` inside the client's
+        interval.  A store is built only when a threshold is a
+        constraint, whose ``refines``/``entails`` need it.
+        """
         acceptance = request.acceptance
         if acceptance is None:
             accepted = result.is_consistent
@@ -649,7 +752,7 @@ class Broker:
                 # store stays a factor set and refines/entails route
                 # through the solver instead of materializing the union.
                 store = empty_store(semiring, backend=self.store_backend)
-                for constraint in constraints:
+                for constraint in problem.constraints:
                     store = store.tell(constraint)
             accepted = acceptance.holds(store, consistency=result.blevel)
         return CandidateEvaluation(
@@ -690,7 +793,9 @@ class Broker:
         evaluation: CandidateEvaluation,
         request: ClientRequest,
         semiring: Semiring,
+        tick: int,
     ) -> SLA:
+        """Step 5: the SLA binding, stamped with the session's ``tick``."""
         pool: Dict[str, Variable] = {
             var.name: var
             for constraint in request.requirements
@@ -711,7 +816,7 @@ class Broker:
             agreed_level=evaluation.blevel,
             resource_assignment=dict(evaluation.best_assignment or {}),
             service_ids=(evaluation.description.service_id,),
-            created_at=self._clock,
+            created_at=tick,
         )
         self.slas.add(sla)
         return sla
@@ -775,7 +880,7 @@ class Broker:
         slo_target: Any = None,
         slo_choose: str = "worst-case",
     ) -> Tuple[Optional[SLA], Optional[Plan], Dict[str, Any]]:
-        self._clock += 1
+        tick = self._tick()
         semiring = resolve_attribute(attribute).semiring()
         if rule is None:
             try:
@@ -886,7 +991,7 @@ class Broker:
             agreed_level=result.blevel,
             resource_assignment=dict(result.best_assignment),
             service_ids=tuple(chosen_ids),
-            created_at=self._clock,
+            created_at=tick,
         )
         self.slas.add(sla)
         self._post(self.name, "composition-sla", sla.sla_id)
@@ -1031,7 +1136,7 @@ class Broker:
             raise BrokerError(
                 "multicriteria negotiation needs at least two attributes"
             )
-        self._clock += 1
+        self._tick()
         component_semirings = [
             resolve_attribute(a).semiring() for a in attributes
         ]

@@ -2,11 +2,14 @@
 
 Backends: exhaustive enumeration (reference, any semiring), bucket
 elimination (exact, any semiring, avoids the full joint table), branch &
-bound (totally ordered semirings), plus soft arc consistency and α-cuts.
-``solve`` picks a backend automatically.
+bound (totally ordered semirings), stacked dense scans (a group of small
+topology-sharing problems at once), plus soft arc consistency and
+α-cuts.  ``solve`` picks a backend automatically.
 """
 
 from __future__ import annotations
+
+from typing import Any, Dict, List, Sequence
 
 from .alphacut import (
     alpha_cut,
@@ -18,6 +21,9 @@ from .branch_bound import solve_branch_bound
 from .cache import (
     DEFAULT_SOLVE_CACHE_SIZE,
     SolveCache,
+    group_entry,
+    group_fingerprint,
+    group_results,
     problem_fingerprint,
     topology_fingerprint,
 )
@@ -29,6 +35,7 @@ from .consistency import (
 from .elimination import (
     DEFAULT_BUCKET_CACHE_SIZE,
     BucketCache,
+    check_shared_topology,
     clear_bucket_cache,
     eliminate,
     eliminate_batch,
@@ -55,6 +62,13 @@ from .heuristics import (
     resolve_ordering,
 )
 from .problem import SCSP, ProblemError, SolverResult, SolverStats
+from .stacked import (
+    STACK_LIMIT,
+    _scan,
+    solve_stacked,
+    stackable,
+    topology_groups,
+)
 
 _METHODS = {
     "exhaustive": solve_exhaustive,
@@ -68,14 +82,15 @@ _BACKEND_AWARE = ("branch-bound", "elimination")
 
 
 def solve(
-    problem: SCSP,
+    problem: "SCSP | Sequence[SCSP]",
     method: str = "auto",
     backend: str = "auto",
     cache: "SolveCache | None" = None,
     bucket_cache: "BucketCache | None" = None,
     **options,
-) -> SolverResult:
-    """Solve an SCSP with the requested backend.
+) -> "SolverResult | List[SolverResult]":
+    """Solve an SCSP, or a list of topology-sharing SCSPs, with the
+    requested backend.
 
     ``method="auto"`` picks branch & bound for totally ordered semirings
     and bucket elimination otherwise.  ``backend`` selects the factor
@@ -87,7 +102,19 @@ def solve(
     a near-miss — same topology, one factor changed — re-eliminates only
     the affected buckets; it never changes results, so it is deliberately
     excluded from the problem fingerprint.
+
+    Given a list, ``solve`` returns one result per problem, in order.
+    Under ``method="auto"`` a :func:`~repro.solver.stacked.stackable`
+    group is answered by one :func:`~repro.solver.stacked.solve_stacked`
+    scan, cached as one entry under
+    :func:`~repro.solver.cache.group_fingerprint`; its answers equal
+    branch & bound's bit for bit.  Any other list is solved problem by
+    problem.
     """
+    if not isinstance(problem, SCSP):
+        return _solve_group(
+            list(problem), method, backend, cache, bucket_cache, options
+        )
     if method == "auto":
         method = (
             "branch-bound"
@@ -117,6 +144,36 @@ def solve(
     return result
 
 
+def _solve_group(
+    problems: List[SCSP],
+    method: str,
+    backend: str,
+    cache: "SolveCache | None",
+    bucket_cache: "BucketCache | None",
+    options: Dict[str, Any],
+) -> List[SolverResult]:
+    """``solve`` over a list: one stacked scan, or one solve each."""
+    if not problems:
+        raise ProblemError("solve needs at least one problem")
+    if method != "auto" or not stackable(problems[0], backend):
+        return [
+            solve(problem, method, backend, cache, bucket_cache, **options)
+            for problem in problems
+        ]
+    # Checked before the cache is asked: a group key names only the
+    # first member's semiring and ``con``.
+    check_shared_topology(problems)
+    if cache is None:
+        return _scan(problems, backend=backend, **options)
+    key = group_fingerprint(problems, "stacked", backend, options)
+    entry = cache.fetch_entry(key)
+    if entry is not None:
+        return group_results(entry, problems)
+    results = _scan(problems, backend=backend, **options)
+    cache.store_entry(key, group_entry(results))
+    return results
+
+
 __all__ = [
     "SCSP",
     "ProblemError",
@@ -125,6 +182,7 @@ __all__ = [
     "SolveCache",
     "DEFAULT_SOLVE_CACHE_SIZE",
     "problem_fingerprint",
+    "group_fingerprint",
     "topology_fingerprint",
     "BucketCache",
     "DEFAULT_BUCKET_CACHE_SIZE",
@@ -139,6 +197,10 @@ __all__ = [
     "solve",
     "solve_exhaustive",
     "solve_branch_bound",
+    "solve_stacked",
+    "stackable",
+    "topology_groups",
+    "STACK_LIMIT",
     "solve_elimination",
     "solve_elimination_batch",
     "eliminate",

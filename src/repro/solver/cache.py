@@ -8,7 +8,9 @@ across sessions.  :class:`SolveCache` memoizes
 *problem fingerprint* — a SHA-256 over the semiring, every constraint's
 scope/domains and materialized table bytes, the ``con`` set and the solve
 method/options — so a warm entry is provably the same problem, not just a
-same-named one.
+same-named one.  A stacked solve of a topology group
+(:func:`~repro.solver.stacked.solve_stacked`) is one entry, keyed by
+:func:`group_fingerprint` over every member in order.
 
 Invalidation is structural: any change to a constraint table, domain,
 ``con`` set or solve option changes the fingerprint, so stale entries are
@@ -21,9 +23,10 @@ counters.
 
 from __future__ import annotations
 
+import copy
 import hashlib
-from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..caching import LRUCache
 from ..constraints.digest import canon_value, constraint_digest
@@ -65,6 +68,30 @@ def problem_fingerprint(
     head.update(
         f"options {sorted((options or {}).items())!r};".encode()
     )
+    return head.hexdigest()
+
+
+def group_fingerprint(
+    problems: Sequence[SCSP],
+    method: str,
+    backend: Optional[str] = None,
+    options: Optional[Mapping[str, Any]] = None,
+) -> str:
+    """The digest of one stacked solve call: the semiring, ``con``, the
+    method/backend/options and every member's constraint digests, in
+    member and constraint order (a stacked solve answers per member and
+    folds constraints in the order given)."""
+    head = hashlib.sha256()
+    head.update(f"semiring {problems[0].semiring!r};".encode())
+    head.update(f"con {list(problems[0].con)};".encode())
+    head.update(f"method {method};backend {backend};".encode())
+    head.update(
+        f"options {sorted((options or {}).items())!r};".encode()
+    )
+    for problem in problems:
+        head.update(b"member;")
+        for constraint in problem.constraints:
+            head.update(constraint_digest(constraint).encode())
     return head.hexdigest()
 
 
@@ -135,7 +162,7 @@ class _CacheEntry:
                 for group in self.optima
             ],
             method=self.method,
-            stats=replace(self.stats),
+            stats=copy.copy(self.stats),
         )
 
     @classmethod
@@ -148,8 +175,22 @@ class _CacheEntry:
                 for group in result.optima
             ),
             method=result.method,
-            stats=replace(result.stats),
+            stats=copy.copy(result.stats),
         )
+
+
+def group_entry(results: Sequence[SolverResult]) -> Tuple[_CacheEntry, ...]:
+    """The cache entry of a stacked solve: one payload per member."""
+    return tuple(_CacheEntry.from_result(result) for result in results)
+
+
+def group_results(
+    entry: Tuple[_CacheEntry, ...], problems: Sequence[SCSP]
+) -> List[SolverResult]:
+    """A group entry's results, each rebound to its member problem."""
+    return [
+        member.result_for(problem) for member, problem in zip(entry, problems)
+    ]
 
 
 class SolveCache:
@@ -183,13 +224,14 @@ class SolveCache:
     def store(self, key: str, result: SolverResult) -> None:
         self.store_entry(key, _CacheEntry.from_result(result))
 
-    def fetch_entry(self, key: str) -> Optional[_CacheEntry]:
-        """The raw problem-independent entry — the currency tier stacks
+    def fetch_entry(self, key: str) -> Optional[Any]:
+        """The raw problem-independent entry (a :class:`_CacheEntry`, or
+        a tuple of them for a stacked group) — the currency tier stacks
         (:mod:`repro.fleet.cache`) move between levels without
         rebinding or re-deep-copying results."""
         return self._lru.get(key)
 
-    def store_entry(self, key: str, entry: _CacheEntry) -> None:
+    def store_entry(self, key: str, entry: Any) -> None:
         self._lru.put(key, entry)
 
     def clear(self) -> None:

@@ -671,6 +671,60 @@ def search_plan(
     return _memoized(key, lambda: _compile_search(problem, ordering, limit))
 
 
+def check_shared_topology(problems: Sequence[SCSP]) -> None:
+    """Raise :class:`ProblemError` unless ``problems`` is non-empty and
+    every problem has the first one's semiring, constraint scopes
+    (position by position) and ``con`` — the shape a stacked solve
+    needs."""
+    if not problems:
+        raise ProblemError("a stacked solve needs at least one problem")
+    head = problems[0]
+    semiring = head.semiring
+    scopes = [constraint.scope for constraint in head.constraints]
+    for position, problem in enumerate(problems[1:], start=1):
+        if problem.semiring is not semiring and repr(problem.semiring) != repr(
+            semiring
+        ):
+            raise ProblemError(
+                "stacked problems must share one semiring; problem "
+                f"{position} uses {problem.semiring.name}"
+            )
+        if [constraint.scope for constraint in problem.constraints] != scopes:
+            raise ProblemError(
+                f"problem {position} does not share the stacked topology "
+                "(constraint scopes differ)"
+            )
+        if problem.con != head.con:
+            raise ProblemError(
+                f"problem {position} does not share the stacked topology "
+                f"(con {problem.con!r} != {head.con!r})"
+            )
+
+
+def stack_factors(
+    problems: Sequence[SCSP], lowering: Lowering
+) -> List[np.ndarray]:
+    """Each constraint position of topology-sharing ``problems`` as one
+    array with a leading batch axis: length B, or length 1 where every
+    problem holds the very same constraint object."""
+    arrays = []
+    for shared in zip(*(problem.constraints for problem in problems)):
+        first = shared[0]
+        if all(constraint is first for constraint in shared):
+            array = DenseFactor.from_constraint(first, lowering).array
+            arrays.append(array[np.newaxis])
+        else:
+            arrays.append(
+                np.stack(
+                    [
+                        DenseFactor.from_constraint(c, lowering).array
+                        for c in shared
+                    ]
+                )
+            )
+    return arrays
+
+
 def eliminate_batch(
     problems: Sequence[SCSP],
     ordering: str | OrderingFn = "min-degree",
@@ -691,29 +745,9 @@ def eliminate_batch(
     broadcast across axis 0, slice ``b`` of the sweep is bit-identical
     to eliminating ``problems[b]`` alone — on either backend.
     """
-    if not problems:
-        raise ProblemError("eliminate_batch needs at least one problem")
+    check_shared_topology(problems)
     head = problems[0]
     semiring = head.semiring
-    for position, problem in enumerate(problems[1:], start=1):
-        if repr(problem.semiring) != repr(semiring):
-            raise ProblemError(
-                "batched problems must share one semiring; problem "
-                f"{position} uses {problem.semiring.name}"
-            )
-        if len(problem.constraints) != len(head.constraints) or any(
-            theirs.scope != ours.scope
-            for theirs, ours in zip(problem.constraints, head.constraints)
-        ):
-            raise ProblemError(
-                f"problem {position} does not share the batch topology "
-                "(constraint scopes differ)"
-            )
-        if problem.con != head.con:
-            raise ProblemError(
-                f"problem {position} does not share the batch topology "
-                f"(con {problem.con!r} != {head.con!r})"
-            )
     try:
         lowering = resolve_lowering(semiring, backend)
     except KernelError as exc:
@@ -725,21 +759,7 @@ def eliminate_batch(
         )
 
     plan = elimination_plan(head, ordering)
-    arrays = []
-    for shared in zip(*(problem.constraints for problem in problems)):
-        first = shared[0]
-        if all(constraint is first for constraint in shared):
-            array = DenseFactor.from_constraint(first, lowering).array
-            arrays.append(array[np.newaxis])
-        else:
-            arrays.append(
-                np.stack(
-                    [
-                        DenseFactor.from_constraint(c, lowering).array
-                        for c in shared
-                    ]
-                )
-            )
+    arrays = stack_factors(problems, lowering)
     stats = SolverStats()
     array, scope = _sweep(plan, arrays, lowering, stats, head.variables)
     scope_vars = [head.variables[var] for var in scope]

@@ -13,7 +13,7 @@ bench hook, or test turns collection on:
         print(t.snapshot()["metrics"])
 """
 
-from .caching import DEFAULT_CACHE_SIZE, LRUCache, cache_stats
+from ..caching import DEFAULT_CACHE_SIZE, LRUCache, cache_stats
 from .events import NULL_EVENT_LOG, EventLog, NullEventLog
 from .exporters import (
     snapshot,

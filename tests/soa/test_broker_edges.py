@@ -1,6 +1,8 @@
 """Broker edge paths: failed confirmations, semiring tie-breaks,
 update-style repeated negotiations."""
 
+import sys
+import threading
 
 from repro.constraints import Polynomial, integer_variable, polynomial_constraint
 from repro.sccp import interval
@@ -96,6 +98,32 @@ class TestRepeatedNegotiation:
         assert second.sla.sla_id > first.sla.sla_id
         assert second.sla.created_at > first.sla.created_at
         assert len(broker.slas) == 2
+
+    def test_concurrent_sessions_sign_their_own_tick(self, weighted):
+        registry = ServiceRegistry()
+        for provider, base in (("A", 2.0), ("B", 1.0), ("C", 3.0)):
+            publish_cost(registry, provider, base=base)
+        broker = Broker(registry)
+        request = ClientRequest(client="C", operation="op", attribute="cost")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda: [broker.negotiate(request) for _ in range(50)]
+                )
+                for _ in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        stamps = [sla.created_at for sla in broker.slas]
+        assert len(stamps) == 200
+        assert sorted(stamps) == list(range(1, 201))
 
     def test_tie_break_keeps_first_best(self, weighted):
         registry = ServiceRegistry()

@@ -113,13 +113,17 @@ class TestBrokerRequestTelemetry:
         assert root.attributes["client"] == "C"
         assert [c.name for c in root.children] == LIFECYCLE_SPANS
 
-        # step 3 nests one candidate-solve (and one solver.solve) per
-        # provider in the market
+        # the market's three offers share one topology: step 3 nests one
+        # candidate-solve for the group (and one stacked solver.solve)
         step3 = root.children[2]
         solves = [
             c for c in step3.children if c.name == "broker.candidate-solve"
         ]
-        assert len(solves) == 3
+        assert len(solves) == 1
+        assert solves[0].attributes["candidates"] == 3
+        assert [c.attributes["method"] for c in solves[0].children] == [
+            "stacked"
+        ]
         assert all(
             c.name == "solver.solve"
             for solve in solves
@@ -141,8 +145,9 @@ class TestBrokerRequestTelemetry:
         assert counter_total(registry, "solver_leaves_evaluated_total") > 0
         # prunes appear as a sample even when the search never pruned
         assert registry.get("solver_prunes_total") is not None
+        # one stacked solve, reported amortized once per candidate
         assert registry.get("solver_solve_seconds").labels(
-            "branch-bound"
+            "stacked"
         ).count == 3
 
         requests = registry.get("broker_requests_total")

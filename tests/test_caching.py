@@ -12,12 +12,6 @@ from repro.caching import DEFAULT_CACHE_SIZE, LRUCache, cache_stats
 
 
 class TestSharedImplementation:
-    def test_telemetry_module_reexports_the_shared_class(self):
-        from repro.caching import LRUCache as shared
-        from repro.telemetry.caching import LRUCache as legacy
-
-        assert legacy is shared
-
     def test_solve_cache_uses_it(self):
         from repro.solver.cache import SolveCache
 
