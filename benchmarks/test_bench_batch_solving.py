@@ -1,72 +1,33 @@
-"""E16/E17 — batched serving throughput and incremental re-solve (ours).
+"""E17 — incremental re-solve (ours).
 
-The acceptance runs of the batching tentpole (ISSUE 8), both on the
-serving hot path's homogeneous-market shape: one composite service whose
-offers form a chain of pairwise QoS constraints over shared resource
-variables, and one *unique* requirement table per session (so the solve
-cache never answers and every session really solves).
+A store-sized chain problem is re-solved after single-factor deltas,
+cold (empty :class:`~repro.solver.elimination.BucketCache`) vs warm (the
+memo holds the previous version's buckets, so only buckets downstream of
+the changed factor recompute).  Full mode gates warm re-solve at
+**≥ 3×** cold; both must match a from-scratch elimination bitwise.
 
-* **E16 — batched throughput.**  A worker pool serves B sessions twice:
-  through the plain per-session solver, and through a
-  :class:`~repro.runtime.batching.BatchScheduler` that coalesces
-  same-topology sessions into stacked sweeps.  Both runs must produce
-  bit-identical results; full mode gates the batched configuration at
-  **≥ 5×** the unbatched throughput.
-
-* **E17 — incremental re-solve.**  A store-sized chain problem is
-  re-solved after single-factor deltas, cold (empty
-  :class:`~repro.solver.elimination.BucketCache`) vs warm (the memo
-  holds the previous version's buckets, so only buckets downstream of
-  the changed factor recompute).  Full mode gates warm re-solve at
-  **≥ 3×** cold; both must match a from-scratch elimination bitwise.
-
-Quick mode (default, CI-sized) shrinks the market and skips the gates;
+Quick mode (default, CI-sized) shrinks the chain and skips the gate;
 set ``REPRO_BENCH_FULL=1`` for the gated sizes.  Results land in
 ``benchmarks/BENCH_PR8.json``.
 """
 
 import os
-import random
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from conftest import record_bench_artifact, report
 
 from repro.constraints import TableConstraint, variable
-from repro.runtime import BatchConfig, BatchScheduler
 from repro.semirings import WeightedSemiring
-from repro.solver import (
-    SCSP,
-    BucketCache,
-    solve,
-    solve_elimination,
-)
+from repro.solver import SCSP, BucketCache, solve_elimination
 
 FULL = bool(os.environ.get("REPRO_BENCH_FULL"))
 
 SCALE = {
-    "quick": {
-        "sessions": 32,
-        "resources": 6,
-        "domain": 6,
-        "workers": 16,
-        "max_batch": 16,
-        "rounds": 1,
-        "deltas": 3,
-    },
-    "full": {
-        "sessions": 256,
-        "resources": 12,
-        "domain": 10,
-        "workers": 64,
-        "max_batch": 64,
-        "rounds": 5,
-        "deltas": 5,
-    },
+    "quick": {"resources": 6, "domain": 6, "deltas": 3},
+    "full": {"resources": 12, "domain": 10, "deltas": 5},
 }[("full" if FULL else "quick")]
 
-THROUGHPUT_GATE = 5.0
 RESOLVE_GATE = 3.0
 
 ARTIFACT = "benchmarks/BENCH_PR8.json"
@@ -74,132 +35,10 @@ ARTIFACT = "benchmarks/BENCH_PR8.json"
 WEIGHTED = WeightedSemiring()
 
 
-def build_market_problems(sessions, resources, domain):
-    """B same-topology sessions over one homogeneous composite market.
-
-    The offer chain is shared (pooled constraint objects, as the
-    broker's registry pools QoS documents); each session contributes its
-    own requirement table, so fingerprint-level caching cannot answer
-    and every session costs a real solve.
-    """
-    resource_vars = [
-        variable(f"r{i}", range(domain)) for i in range(resources)
-    ]
-    offers = [
-        TableConstraint(
-            WEIGHTED,
-            [resource_vars[i], resource_vars[i + 1]],
-            {
-                (a, b): float((a * 3 + b + i) % 9)
-                for a in range(domain)
-                for b in range(domain)
-            },
-        )
-        for i in range(resources - 1)
-    ]
-    problems = []
-    for session in range(sessions):
-        rng = random.Random(session)
-        requirement = TableConstraint(
-            WEIGHTED,
-            [resource_vars[0]],
-            {(a,): float(rng.randint(0, 9)) for a in range(domain)},
-        )
-        problems.append(SCSP(offers + [requirement], con=["r0"]))
-    return problems
-
-
 def _assert_identical(left, right):
     assert left.blevel == right.blevel
     assert left.frontier == right.frontier
     assert left.optima == right.optima
-
-
-def test_batched_throughput(benchmark):
-    problems = build_market_problems(
-        SCALE["sessions"], SCALE["resources"], SCALE["domain"]
-    )
-    pool = ThreadPoolExecutor(max_workers=SCALE["workers"])
-    scheduler = BatchScheduler(
-        BatchConfig(window_ms=50.0, max_batch=SCALE["max_batch"])
-    )
-
-    def unbatched(problem):
-        return solve(problem, method="elimination", backend="auto")
-
-    # Warm the conversion/digest memos both paths share, outside the
-    # timed region (the serving steady state).
-    list(pool.map(scheduler.solve, problems))
-    list(pool.map(unbatched, problems))
-
-    timings = {"unbatched": [], "batched": []}
-    checks = {}
-
-    def one_round():
-        started = time.perf_counter()
-        checks["unbatched"] = list(pool.map(unbatched, problems))
-        mid = time.perf_counter()
-        checks["batched"] = list(pool.map(scheduler.solve, problems))
-        timings["unbatched"].append(mid - started)
-        timings["batched"].append(time.perf_counter() - mid)
-
-    def all_rounds():
-        for _ in range(SCALE["rounds"]):
-            one_round()
-
-    benchmark.pedantic(all_rounds, rounds=1, iterations=1)
-    pool.shutdown()
-
-    # Bit-identity first: the speedup must not cost a single bit.
-    for single, batched in zip(checks["unbatched"], checks["batched"]):
-        _assert_identical(single, batched)
-    assert scheduler.sessions_batched > 0
-    assert scheduler.largest_batch > 1
-
-    unbatched_s = statistics.median(timings["unbatched"])
-    batched_s = statistics.median(timings["batched"])
-    speedup = unbatched_s / batched_s
-    sessions = SCALE["sessions"]
-    rows = [
-        (
-            label,
-            f"{seconds * 1e3:.1f}",
-            f"{sessions / seconds:.0f}",
-        )
-        for label, seconds in (
-            ("unbatched", unbatched_s),
-            ("batched", batched_s),
-        )
-    ]
-    report(
-        f"E16 batched serving throughput — "
-        f"{'full' if FULL else 'quick'} ({sessions} sessions, "
-        f"{SCALE['resources']} resources, batch≤{SCALE['max_batch']})",
-        rows + [("speedup", f"{speedup:.2f}x", "-")],
-        ["config", "median ms", "sessions/s"],
-    )
-    record_bench_artifact(
-        "batched_throughput",
-        {
-            "mode": "full" if FULL else "quick",
-            "sessions": sessions,
-            "resources": SCALE["resources"],
-            "domain": SCALE["domain"],
-            "max_batch": SCALE["max_batch"],
-            "unbatched_s": unbatched_s,
-            "batched_s": batched_s,
-            "speedup": speedup,
-            "batches_dispatched": scheduler.batches_dispatched,
-            "largest_batch": scheduler.largest_batch,
-            "gate": THROUGHPUT_GATE if FULL else None,
-        },
-        path=ARTIFACT,
-    )
-    if FULL:
-        assert speedup >= THROUGHPUT_GATE, (
-            f"batched serving speedup {speedup:.2f}x below the "
-            f"{THROUGHPUT_GATE}x gate"
-        )
 
 
 def build_chain(resources, domain, tweak):

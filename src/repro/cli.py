@@ -27,7 +27,9 @@ resilience flags (``--resilience``, ``--breaker-*``, ``--bulkhead-*``,
 Each command reads JSON and prints a JSON result on stdout, so the tools
 compose in shell pipelines.  Exit status 0 = the engine ran and found an
 answer; 1 = well-formed input but no solution (inconsistent problem,
-failed negotiation, no stable partition found); 2 = bad input.
+failed negotiation, no stable partition found); 2 = bad input,
+including a flag value out of its range (rejected while the arguments
+are parsed, before any market is built).
 
 Observability (any command): ``--telemetry`` collects metrics and spans
 for the run and embeds the snapshot under a ``"telemetry"`` key in the
@@ -41,10 +43,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
-from typing import Any, Dict, NoReturn, Optional
+from typing import Any, Callable, Dict, NoReturn, Optional, Tuple
 
 from . import serialization
 from .coalitions import solve_engine, solve_exact, solve_local_search
@@ -269,23 +272,11 @@ def cmd_negotiate(args: argparse.Namespace) -> int:
     return 0 if result.success else 1
 
 
-def _batch_config(args: argparse.Namespace) -> Optional["BatchConfig"]:
-    """A :class:`BatchConfig` from the ``--solver-batching`` flag family,
-    ``None`` when batching is off (or the command has no such flags)."""
-    if not getattr(args, "solver_batching", False):
-        return None
-    from .runtime.batching import BatchConfig
-
-    return BatchConfig(
-        window_ms=args.batch_window_ms, max_batch=args.batch_max
-    )
-
-
 def _broker(
     args: argparse.Namespace, registry: ServiceRegistry
 ) -> Broker:
     """A broker honouring the ``--solver-backend``/``--solve-cache``/
-    ``--store-backend``/``--solver-batching`` flags."""
+    ``--store-backend``/``--allocation-policy`` flags."""
     backend = getattr(args, "store_backend", None)
     if backend is not None:
         # Sessions the broker does not build itself (negotiate() internals,
@@ -294,8 +285,6 @@ def _broker(
     allocation = getattr(args, "allocation_policy", None)
     rounds = None
     if allocation is not None:
-        # The --batch-window-ms/--batch-max knobs shape allocation
-        # rounds too, whether or not solver batching is on.
         from .runtime.batching import BatchConfig
 
         rounds = BatchConfig(
@@ -306,7 +295,6 @@ def _broker(
         solve_cache=args.solve_cache,
         solver_backend=args.solver_backend,
         store_backend=backend,
-        batching=_batch_config(args),
         allocation_policy=allocation,
         rounds=rounds,
     )
@@ -328,17 +316,9 @@ def _build_injector(
     if args.fault_crash is not None:
         models.append(BernoulliCrash(args.fault_crash))
     if args.fault_outage is not None:
-        try:
-            start, length = (int(p) for p in args.fault_outage.split(":"))
-        except ValueError:
-            _bad_input("--fault-outage expects START:LENGTH (integers)")
-        models.append(BurstOutage(start, length))
+        models.append(BurstOutage(*args.fault_outage))
     if args.fault_delay is not None:
-        try:
-            prob, extra_ms = (float(p) for p in args.fault_delay.split(":"))
-        except ValueError:
-            _bad_input("--fault-delay expects PROB:MILLISECONDS")
-        models.append(RandomDelay(prob, extra_ms))
+        models.append(RandomDelay(*args.fault_delay))
     if not models:
         return None
     injector = FaultInjector(seed=args.seed)
@@ -614,7 +594,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         route_by=args.route_by,
         solver_backend=args.solver_backend,
         store_backend=args.store_backend,
-        batching=_batch_config(args),
         allocation_policy=args.allocation_policy,
         rounds=rounds,
         resilience=_resilience_config(args),
@@ -755,6 +734,88 @@ def cmd_validate_semiring(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
+# Flag value types: a value out of its range is rejected while the
+# arguments are parsed (exit 2, the flag named on stderr).
+# ----------------------------------------------------------------------
+
+
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An ``int`` flag type accepting values of at least ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}"
+            )
+        return value
+
+    parse.__name__ = "integer"
+    return parse
+
+
+def _real(
+    low: float = 0.0, high: float = math.inf, strict: bool = False
+) -> Callable[[str], float]:
+    """A finite ``float`` flag type in ``[low, high]`` (``(low, high]``
+    when ``strict``)."""
+    if high == math.inf:
+        bound = f"{'>' if strict else '>='} {low:g}"
+    else:
+        bound = f"in {'(' if strict else '['}{low:g}, {high:g}]"
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if (
+            not math.isfinite(value)
+            or value < low
+            or (strict and value == low)
+            or value > high
+        ):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number {bound}, got {text}"
+            )
+        return value
+
+    parse.__name__ = "number"
+    return parse
+
+
+_POSITIVE_INT = _int_at_least(1)
+_NON_NEGATIVE = _real()
+_POSITIVE = _real(strict=True)
+_PROBABILITY = _real(0.0, 1.0)
+
+
+def _outage(text: str) -> Tuple[int, int]:
+    """``START:LENGTH`` of ``--fault-outage``: START >= 0, LENGTH >= 1."""
+    try:
+        start, length = (int(part) for part in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects START:LENGTH (integers), got {text}"
+        ) from None
+    if start < 0 or length < 1:
+        raise argparse.ArgumentTypeError(
+            f"needs START >= 0 and LENGTH >= 1, got {text}"
+        )
+    return start, length
+
+
+def _delay(text: str) -> Tuple[float, float]:
+    """``PROB:MS`` of ``--fault-delay``: a probability and a finite
+    non-negative delay."""
+    try:
+        prob, extra_ms = text.split(":")
+        return _PROBABILITY(prob), _NON_NEGATIVE(extra_ms)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise argparse.ArgumentTypeError(
+            f"expects PROB:MILLISECONDS with PROB in [0, 1] and "
+            f"MILLISECONDS >= 0, got {text}"
+        ) from None
+
+
+# ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
 
@@ -809,27 +870,20 @@ def build_parser() -> argparse.ArgumentParser:
         "(factored)",
     )
     broker_opts.add_argument(
-        "--solver-batching",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="coalesce concurrent same-topology solves into stacked "
-        "batched sweeps (bit-identical to unbatched)",
-    )
-    broker_opts.add_argument(
         "--batch-window-ms",
-        type=float,
+        type=_NON_NEGATIVE,
         default=2.0,
         metavar="MS",
-        help="how long a batch leader waits for followers before "
-        "dispatching (with --solver-batching)",
+        help="how long an allocation round's leader waits for "
+        "followers before dispatching (with --allocation-policy)",
     )
     broker_opts.add_argument(
         "--batch-max",
-        type=int,
+        type=_POSITIVE_INT,
         default=32,
         metavar="N",
-        help="hard cap on sessions coalesced into one stacked solve "
-        "(with --solver-batching)",
+        help="hard cap on sessions coalesced into one allocation round "
+        "(with --allocation-policy)",
     )
     broker_opts.add_argument(
         "--allocation-policy",
@@ -911,31 +965,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     serving = argparse.ArgumentParser(add_help=False)
     serving.add_argument(
-        "--workers", type=int, default=4, help="worker pool size"
+        "--workers", type=_POSITIVE_INT, default=4, help="worker pool size"
     )
     serving.add_argument(
         "--queue",
-        type=int,
+        type=_POSITIVE_INT,
         default=256,
         metavar="DEPTH",
         help="admission queue bound (full queue ⇒ typed overload)",
     )
     serving.add_argument(
         "--deadline",
-        type=float,
+        type=_NON_NEGATIVE,
         default=30.0,
         metavar="SECONDS",
         help="per-session deadline; 0 disables it",
     )
     serving.add_argument(
         "--max-attempts",
-        type=int,
+        type=_POSITIVE_INT,
         default=3,
         help="attempts per session before degradation",
     )
     serving.add_argument(
         "--base-backoff",
-        type=float,
+        type=_NON_NEGATIVE,
         default=0.05,
         metavar="SECONDS",
         help="first retry backoff (doubles per attempt, jittered)",
@@ -945,19 +999,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serving.add_argument(
         "--fault-crash",
-        type=float,
+        type=_PROBABILITY,
         default=None,
         metavar="PROB",
         help="attach BernoulliCrash(PROB) to every service",
     )
     serving.add_argument(
         "--fault-outage",
+        type=_outage,
         default=None,
         metavar="START:LENGTH",
         help="attach BurstOutage over admission-order ticks",
     )
     serving.add_argument(
         "--fault-delay",
+        type=_delay,
         default=None,
         metavar="PROB:MS",
         help="attach RandomDelay(PROB, MS) to every service",
@@ -972,7 +1028,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resilience.add_argument(
         "--breaker-threshold",
-        type=int,
+        type=_POSITIVE_INT,
         default=None,
         metavar="N",
         help="consecutive failures tripping a provider's circuit "
@@ -980,7 +1036,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resilience.add_argument(
         "--breaker-recovery",
-        type=float,
+        type=_NON_NEGATIVE,
         default=None,
         metavar="SECONDS",
         help="open-state duration before a half-open probe "
@@ -988,7 +1044,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resilience.add_argument(
         "--bulkhead-limit",
-        type=int,
+        type=_POSITIVE_INT,
         default=None,
         metavar="N",
         help="in-flight sessions allowed per service class "
@@ -996,7 +1052,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resilience.add_argument(
         "--health-interval",
-        type=float,
+        type=_POSITIVE,
         default=None,
         metavar="SECONDS",
         help="heartbeat probe period (enables health-checked "
@@ -1004,7 +1060,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resilience.add_argument(
         "--health-unhealthy-after",
-        type=int,
+        type=_POSITIVE_INT,
         default=None,
         metavar="N",
         help="failed probe sweeps before quarantine (enables health "
@@ -1012,14 +1068,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resilience.add_argument(
         "--hedge-delay",
-        type=float,
+        type=_NON_NEGATIVE,
         default=None,
         metavar="SECONDS",
         help="fallback shadow-solve launch delay (enables hedging)",
     )
     resilience.add_argument(
         "--hedge-percentile",
-        type=float,
+        type=_real(0.0, 100.0, strict=True),
         default=None,
         metavar="P",
         help="latency percentile setting the adaptive hedge delay "
@@ -1045,7 +1101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rt.add_argument("market", help="path to a market JSON file")
     p_rt.add_argument(
         "--requests",
-        type=int,
+        type=_POSITIVE_INT,
         default=10,
         metavar="N",
         help="concurrent sessions to serve",
@@ -1065,11 +1121,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="market JSON to serve (default: synthetic 4-provider market)",
     )
     loadshape.add_argument(
-        "--clients", type=int, default=10, help="client population size"
+        "--clients",
+        type=_POSITIVE_INT,
+        default=10,
+        help="client population size",
     )
     loadshape.add_argument(
         "--requests",
-        type=int,
+        type=_POSITIVE_INT,
         default=None,
         metavar="N",
         help="total sessions (default: one per client)",
@@ -1079,14 +1138,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadshape.add_argument(
         "--rate",
-        type=float,
+        type=_POSITIVE,
         default=50.0,
         metavar="RPS",
         help="open loop: mean Poisson arrival rate",
     )
     loadshape.add_argument(
         "--think-time",
-        type=float,
+        type=_NON_NEGATIVE,
         default=0.0,
         metavar="SECONDS",
         help="closed loop: pause between a client's requests",
@@ -1100,7 +1159,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadshape.add_argument(
         "--contention-providers",
-        type=int,
+        type=_int_at_least(2),
         default=3,
         metavar="N",
         help="provider count of the contention market",
@@ -1133,17 +1192,20 @@ def build_parser() -> argparse.ArgumentParser:
         ],
     )
     p_fleet.add_argument(
-        "--shards", type=int, default=2, help="broker shard count"
+        "--shards",
+        type=_POSITIVE_INT,
+        default=2,
+        help="broker shard count",
     )
     p_fleet.add_argument(
         "--vnodes",
-        type=int,
+        type=_POSITIVE_INT,
         default=64,
         help="virtual nodes per shard on the consistent-hash ring",
     )
     p_fleet.add_argument(
         "--dispatch-depth",
-        type=int,
+        type=_POSITIVE_INT,
         default=64,
         metavar="DEPTH",
         help="per-shard dispatch queue bound",

@@ -70,8 +70,8 @@ class TableConstraint(SoftConstraint):
         caller guarantees keys are enumerated from ``scope``'s own
         domains and values are semiring elements by construction (e.g.
         unlifted from a dense array whose dtype the semiring chose).
-        The serving hot path materializes one such table per session
-        per batch member, where re-validation is pure overhead.
+        The serving hot path materializes one such table per solve,
+        where re-validation is pure overhead.
         """
         self = cls.__new__(cls)
         SoftConstraint.__init__(self, semiring, scope)

@@ -108,23 +108,15 @@ class FleetConfig:
     #: state and the DLQ are fleet-global (a down provider is down for
     #: every shard); bulkheads and hedge latency tracking are per-shard.
     resilience: Optional[ResilienceConfig] = None
-    #: Solver batching (``--solver-batching``): each shard gets its own
-    #: :class:`~repro.runtime.batching.BatchScheduler` coalescing that
-    #: shard's concurrent same-topology candidate solves into stacked
-    #: sweeps, over the shared L2 solve cache (batched results are
-    #: written through the shard's ``TieredSolveCache``, so one shard's
-    #: sweep warms every shard).  ``None`` solves per session.
-    batching: Optional[BatchConfig] = None
     #: Multi-client allocation (``--allocation-policy``): each shard
     #: broker routes sessions through coalesced allocation rounds under
     #: this policy (``"greedy"`` reproduces per-session agreements
     #: exactly; ``"fair"`` solves one joint lexicographic SCSP per
-    #: round — see :mod:`repro.soa.allocation`).  Rounds ride the same
-    #: window/batch knobs as ``batching``.  ``None`` keeps the legacy
-    #: per-session path.
+    #: round — see :mod:`repro.soa.allocation`).  ``None`` keeps the
+    #: legacy per-session path.
     allocation_policy: Optional[str] = None
     #: Round-coalescing window override for ``allocation_policy``;
-    #: ``None`` inherits ``batching`` (or the default window).
+    #: ``None`` takes the default window.
     rounds: Optional[BatchConfig] = None
 
     def __post_init__(self) -> None:
@@ -299,7 +291,6 @@ class FleetFrontend:
             solve_cache=self.l2 is None,
             solver_backend=self.config.solver_backend,
             store_backend=self.config.store_backend,
-            batching=self.config.batching,
             allocation_policy=self.config.allocation_policy,
             rounds=self.config.rounds,
         )
@@ -747,25 +738,19 @@ class FleetFrontend:
 
     def cache_stats(self) -> Dict[str, Any]:
         """Tiered-cache counters: per-shard L1s plus the shared L2 (and
-        per-shard batch-scheduler dispatch counters when batching is
-        on)."""
+        per-shard allocation-round counters when a policy is set)."""
         per_shard: Dict[str, Any] = {}
-        batching: Dict[str, Any] = {}
         rounds: Dict[str, Any] = {}
         for shard_id, shard in self.shards.items():
             cache = shard.broker.solve_cache
             if cache is not None:
                 per_shard[shard_id] = cache.stats()
-            if shard.broker.batcher is not None:
-                batching[shard_id] = shard.broker.batcher.stats()
             if shard.broker.rounds is not None:
                 rounds[shard_id] = shard.broker.rounds.stats()
         stats: Dict[str, Any] = {
             "per_shard": per_shard,
             "l2": self.l2.stats() if self.l2 is not None else None,
         }
-        if batching:
-            stats["batching"] = batching
         if rounds:
             stats["allocation_rounds"] = rounds
         return stats

@@ -10,14 +10,7 @@ to the last-known SLA, and a load generator with open/closed-loop client
 populations.  Everything reports through :mod:`repro.telemetry`.
 """
 
-from .batching import (
-    BATCH_SIZE_BUCKETS,
-    BatchConfig,
-    BatchScheduler,
-    BatchingError,
-    COALESCE_OUTCOMES,
-    RoundScheduler,
-)
+from .batching import BatchConfig, BatchingError, RoundScheduler
 from .loadgen import (
     LoadGenError,
     LoadGenerator,
@@ -51,12 +44,9 @@ from .server import (
 )
 
 __all__ = [
-    "BatchScheduler",
     "BatchConfig",
     "RoundScheduler",
     "BatchingError",
-    "BATCH_SIZE_BUCKETS",
-    "COALESCE_OUTCOMES",
     "RuntimeServer",
     "RuntimeConfig",
     "SessionResult",

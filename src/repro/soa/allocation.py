@@ -87,7 +87,8 @@ DEFAULT_JOINT_LIMIT = 8
 #: low-millisecond range.
 MAX_JOINT_ROWS = 1 << 12
 
-#: Round-size histogram buckets (mirrors the batching layer's).
+#: Round-size histogram buckets: powers of two up to the default
+#: `--batch-max` (32) and one step past it.
 ROUND_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 

@@ -164,8 +164,8 @@ class Broker:
     Candidates whose joint table is small
     (:func:`~repro.solver.stacked.stackable`) are grouped by constraint
     topology, and each group is solved by one stacked dense scan,
-    bit-identical to per-candidate branch & bound; any other candidate,
-    and every candidate when ``batching`` is on, is solved on its own.
+    bit-identical to per-candidate branch & bound; any other candidate
+    is solved on its own.
 
     ``solve_cache`` (on by default) memoizes candidate-SCSP solves, one
     entry per stacked group or per candidate, under a canonical
@@ -177,13 +177,7 @@ class Broker:
     acceptance intervals with a constraint threshold (cases C2–C4; level
     thresholds read the candidate solve's blevel and build no store) and
     for nmsccp confirmation runs (``auto``/``monolith``/``factored``, see
-    :mod:`repro.constraints.store`); ``batching`` (a
-    :class:`~repro.runtime.batching.BatchConfig` or a prebuilt
-    :class:`~repro.runtime.batching.BatchScheduler`) coalesces
-    concurrent candidate solves sharing one constraint topology into
-    stacked batched sweeps — the ``--solver-batching`` serving-path
-    optimization; lowerable solves then route through batched bucket
-    elimination, bit-identical per session to solving alone;
+    :mod:`repro.constraints.store`);
     ``allocation_policy`` (``"greedy"``/``"fair"`` or an
     :class:`~repro.soa.allocation.AllocationPolicy`) routes
     :meth:`serve_session` through coalesced allocation rounds —
@@ -191,6 +185,9 @@ class Broker:
     ``fair`` solves one joint SCSP per round over the lexicographic
     ⟨min client satisfaction, total welfare⟩ objective.  ``None`` (the
     default) keeps the legacy path with no policy objects touched.
+    ``rounds`` (a :class:`~repro.runtime.batching.BatchConfig` or a
+    prebuilt :class:`~repro.runtime.batching.RoundScheduler`) sets the
+    round window; ``None`` takes the default window.
 
     ``slo_penalty`` (default ``None`` = off, matchmaking bit-identical
     to before the SLO analytics existed) turns on error-budget-aware
@@ -213,7 +210,6 @@ class Broker:
         solve_cache: bool = True,
         solver_backend: str = "auto",
         store_backend: Optional[str] = None,
-        batching: Optional[Any] = None,
         allocation_policy: Optional[Any] = None,
         rounds: Optional[Any] = None,
         slo_penalty: Optional[float] = None,
@@ -227,20 +223,6 @@ class Broker:
         )
         self.solver_backend = solver_backend
         self.store_backend = store_backend
-        self.batcher = None
-        if batching is not None:
-            # Deferred import: repro.runtime imports this module.
-            from ..runtime.batching import BatchConfig, BatchScheduler
-
-            if isinstance(batching, BatchScheduler):
-                self.batcher = batching
-            elif isinstance(batching, BatchConfig):
-                self.batcher = BatchScheduler(batching)
-            else:
-                raise BrokerError(
-                    "batching must be a BatchConfig or BatchScheduler, "
-                    f"got {type(batching).__name__}"
-                )
         self.allocation_policy = None
         self.rounds = None
         if allocation_policy is not None:
@@ -250,6 +232,7 @@ class Broker:
             self.allocation_policy = resolve_allocation_policy(
                 allocation_policy
             )
+            # Deferred import: repro.runtime imports this module.
             from ..runtime.batching import BatchConfig, RoundScheduler
 
             if isinstance(rounds, RoundScheduler):
@@ -257,15 +240,7 @@ class Broker:
             elif isinstance(rounds, BatchConfig):
                 self.rounds = RoundScheduler(rounds)
             elif rounds is None:
-                # Allocation rounds ride the same coalescing windows the
-                # solver batcher uses, so one --batch-window flag tunes
-                # both; without a batcher, a default window applies.
-                config = (
-                    self.batcher.config
-                    if self.batcher is not None
-                    else BatchConfig()
-                )
-                self.rounds = RoundScheduler(config)
+                self.rounds = RoundScheduler(BatchConfig())
             else:
                 raise BrokerError(
                     "rounds must be a BatchConfig or RoundScheduler, "
@@ -295,19 +270,7 @@ class Broker:
         return next(self._ticks)
 
     def _solve(self, problem: SCSP, **options) -> Any:
-        """One SCSP solve through the broker's cache and backend.
-
-        With batching enabled, plain candidate solves (no method
-        override) go through the :class:`BatchScheduler`, coalescing
-        with concurrent same-topology sessions; explicit-method callers
-        (composition paths) keep the direct route.
-        """
-        if self.batcher is not None and not options:
-            return self.batcher.solve(
-                problem,
-                backend=self.solver_backend,
-                cache=self.solve_cache,
-            )
+        """One SCSP solve through the broker's cache and backend."""
         return solve(
             problem,
             backend=self.solver_backend,
@@ -657,8 +620,7 @@ class Broker:
         constraint topology, and each group is solved by one stacked
         scan (one ``solve`` call and one solve-cache entry) whose
         answers equal per-candidate branch & bound bit for bit.  Any
-        other candidate, and every candidate when solver batching is
-        on, is solved on its own through :meth:`_solve`.
+        other candidate is solved on its own through :meth:`_solve`.
         """
         problems = [
             self._candidate_problem(description, request, semiring)
@@ -669,9 +631,7 @@ class Broker:
         for index, problem in enumerate(problems):
             if problem is None:
                 continue
-            if self.batcher is None and stackable(
-                problem, self.solver_backend
-            ):
+            if stackable(problem, self.solver_backend):
                 stacked.append(index)
             else:
                 (results[index],) = self._solve_candidates(

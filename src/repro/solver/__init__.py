@@ -25,7 +25,6 @@ from .cache import (
     group_fingerprint,
     group_results,
     problem_fingerprint,
-    topology_fingerprint,
 )
 from .consistency import (
     PropagationStats,
@@ -38,10 +37,8 @@ from .elimination import (
     check_shared_topology,
     clear_bucket_cache,
     eliminate,
-    eliminate_batch,
     shared_bucket_cache,
     solve_elimination,
-    solve_elimination_batch,
 )
 from .exhaustive import solve_exhaustive
 from .kernels import (
@@ -183,7 +180,6 @@ __all__ = [
     "DEFAULT_SOLVE_CACHE_SIZE",
     "problem_fingerprint",
     "group_fingerprint",
-    "topology_fingerprint",
     "BucketCache",
     "DEFAULT_BUCKET_CACHE_SIZE",
     "shared_bucket_cache",
@@ -202,9 +198,7 @@ __all__ = [
     "topology_groups",
     "STACK_LIMIT",
     "solve_elimination",
-    "solve_elimination_batch",
     "eliminate",
-    "eliminate_batch",
     "enforce_arc_consistency",
     "prune_domains",
     "PropagationStats",

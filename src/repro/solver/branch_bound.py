@@ -30,8 +30,6 @@ import itertools
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..constraints.constraint import SoftConstraint
 from ..constraints.operations import combine
 from ..constraints.store import _MATERIALIZE_LIMIT
@@ -371,13 +369,12 @@ def _bucket_messages(
         for slot in plan.lowered:
             arrays[slot] = DenseFactor.from_constraint(
                 factors[slot], lowering
-            ).array[np.newaxis]
+            ).array
     for message in plan.messages:
         step = message.step
         if lowering is not None:
-            out = run_step(step, arrays, lowering)
-            arrays.append(out)
-            array = out[0]
+            array = run_step(step, arrays, lowering)
+            arrays.append(array)
             if message.transpose is not None:
                 array = array.transpose(message.transpose)
             # ``tolist`` yields the very Python values ``to_table`` would.

@@ -95,50 +95,6 @@ def group_fingerprint(
     return head.hexdigest()
 
 
-def _scope_signature(constraint: Any) -> bytes:
-    """The canonical bytes of one constraint's scope (names + domains),
-    memoized on the object — scopes are immutable, and the serving hot
-    path fingerprints the same pooled offer constraints for every
-    session, so repeat calls must cost a ``getattr``, not a
-    re-serialization of every domain."""
-    memo = getattr(constraint, "_scope_sig_memo", None)
-    if memo is None:
-        memo = b"".join(
-            f"var {var.name}:{canon_value(var.domain)};".encode()
-            for var in constraint.scope
-        )
-        constraint._scope_sig_memo = memo
-    return memo
-
-
-def topology_fingerprint(
-    problem: SCSP,
-    backend: str = "auto",
-    ordering: str = "min-degree",
-) -> str:
-    """A digest of a problem's constraint *topology*, table values
-    excluded — the batch-compatibility key.
-
-    Two problems with equal topology fingerprints present the same
-    ordered sequence of constraint scopes (names and domains, in scope
-    order), the same ``con`` and the same semiring/backend/ordering, so
-    they run the identical bucket schedule and their factors stack
-    position-wise into one batched sweep
-    (:func:`~repro.solver.elimination.eliminate_batch`).  Unlike
-    :func:`problem_fingerprint` the constraint order is *not* sorted
-    away: positional stacking must preserve each problem's own combine
-    order for bit-identity.
-    """
-    head = hashlib.sha256()
-    head.update(f"semiring {problem.semiring!r};".encode())
-    head.update(f"backend {backend};ordering {ordering};".encode())
-    head.update(f"con {list(problem.con)};".encode())
-    for constraint in problem.constraints:
-        head.update(_scope_signature(constraint))
-        head.update(b"|")
-    return head.hexdigest()
-
-
 @dataclass(frozen=True)
 class _CacheEntry:
     """The problem-independent payload of a solved SCSP."""

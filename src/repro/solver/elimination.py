@@ -18,8 +18,7 @@ four lowered semirings); partial orders transparently keep the dict path.
 The dense schedule depends only on a problem's topology, so it is
 compiled once per topology (:class:`EliminationPlan`, and
 :class:`SearchPlan` for branch & bound's message pass) and memoized by
-value; a solve then only runs the plan's steps.  Singleton and batched
-solves run the same plan, over arrays with a leading batch axis.
+value; a solve then only runs the plan's steps.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -114,8 +113,8 @@ _shared_bucket_cache: Optional[BucketCache] = None
 
 def shared_bucket_cache() -> BucketCache:
     """The process-wide bucket memo (created lazily) — the store's query
-    paths and the batch scheduler share it so a delta re-solve hits the
-    buckets a previous version of the same store materialized."""
+    paths share it so a delta re-solve hits the buckets a previous
+    version of the same store materialized."""
     global _shared_bucket_cache
     if _shared_bucket_cache is None:
         _shared_bucket_cache = BucketCache()
@@ -174,7 +173,7 @@ def eliminate(
         table = _eliminate_dict(problem, to_eliminate, stats, bucket_cache)
     else:
         arrays = [
-            DenseFactor.from_constraint(c, lowering).array[np.newaxis]
+            DenseFactor.from_constraint(c, lowering).array
             for c in problem.constraints
         ]
         digests = None
@@ -190,7 +189,7 @@ def eliminate(
             digests,
         )
         table = DenseFactor(
-            lowering, [problem.variables[var] for var in scope], array[0]
+            lowering, [problem.variables[var] for var in scope], array
         ).to_table()
     stats.largest_intermediate = max(
         stats.largest_intermediate, assignment_space_size(table.scope)
@@ -276,13 +275,13 @@ class Step(NamedTuple):
     combine-and-project.
 
     Slots number a plan's factors: the problem's constraints first, then
-    each step's output in step order.  Every array a step reads carries
-    a leading batch axis (length 1 for a singleton solve; B, or 1 for a
-    shared factor, in a batched sweep).  ``views`` hold, per input, the
+    each step's output in step order.  ``views`` hold, per input, the
     axis transpose (``None`` when already in merged-scope order) and the
-    broadcast shape (``-1`` on the batch axis) aligning it to ``dims``,
-    the merged scope's sizes — empty for a single input, which is
-    reduced as it stands; ``axes`` are the reduced axes.
+    broadcast shape aligning it to ``dims``, the shape of the combined
+    array — empty for a single input, which is reduced as it stands;
+    ``axes`` are the reduced axes.  A stacked scan
+    (:mod:`repro.solver.stacked`) compiles its own step whose views and
+    ``dims`` lead with the member axis.
     """
 
     inputs: Tuple[int, ...]
@@ -319,8 +318,7 @@ def run_step(
             if transpose is not None:
                 array = array.transpose(transpose)
             views.append(array.reshape(shape))
-        lead = max(view.shape[0] for view in views)
-        combined = np.empty((lead, *step.dims), dtype=lowering.dtype)
+        combined = np.empty(step.dims, dtype=lowering.dtype)
         times = lowering.times
         times(views[0], views[1], out=combined)
         for view in views[2:]:
@@ -354,8 +352,8 @@ def _compile_step(
             transpose = None
             if axes != sorted(axes):
                 order = sorted(range(len(axes)), key=axes.__getitem__)
-                transpose = (0, *[axis + 1 for axis in order])
-            shape = (-1, *[sizes[v] if v in scope else 1 for v in merged])
+                transpose = tuple(order)
+            shape = tuple([sizes[v] if v in scope else 1 for v in merged])
             views.append((transpose, shape))
     kept = [keep(v) for v in merged]
     dims = tuple([sizes[v] for v in merged])
@@ -363,7 +361,7 @@ def _compile_step(
         tuple(inputs),
         tuple(views),
         dims,
-        tuple([axis + 1 for axis, k in enumerate(kept) if not k]),
+        tuple([axis for axis, k in enumerate(kept) if not k]),
         tuple([v for v, k in zip(merged, kept) if k]),
         math.prod(dims),
         var,
@@ -509,15 +507,15 @@ def _sweep(
     bucket_cache: Optional[BucketCache] = None,
     digests: Optional[List[str]] = None,
 ) -> tuple[np.ndarray, Tuple[int, ...]]:
-    """Run ``plan`` over the slot-indexed ``arrays`` (batch axis first);
-    return the final array and its scope.
+    """Run ``plan`` over the slot-indexed ``arrays``; return the final
+    array and its scope.
 
-    With a ``bucket_cache`` (singleton solves only) each bucket is
-    looked up under its Merkle key first, ``digests`` holding every
-    slot's digest.  The key sorts its input digests, so a cached factor
-    may list the planned scope in another order — then the sweep resumes
-    with a plan compiled for the pool as it now stands, which is what
-    the factor-by-factor loop did implicitly.
+    With a ``bucket_cache`` each bucket is looked up under its Merkle
+    key first, ``digests`` holding every slot's digest.  The key sorts
+    its input digests, so a cached factor may list the planned scope in
+    another order — then the sweep resumes with a plan compiled for the
+    pool as it now stands, which is what the factor-by-factor loop did
+    implicitly.
     """
     for step, pool in zip(plan.buckets, plan.pools):
         stats.buckets_processed += 1
@@ -539,13 +537,13 @@ def _sweep(
             out = run_step(step, arrays, lowering)
             scope = [variables[var] for var in step.scope]
             bucket_cache.put(
-                key, (DenseFactor(lowering, scope, out[0]), step.size)
+                key, (DenseFactor(lowering, scope, out), step.size)
             )
             arrays.append(out)
             continue
         stats.buckets_reused += 1
         factor = hit[0]
-        arrays.append(factor.array[np.newaxis])
+        arrays.append(factor.array)
         names = tuple(plan.variables[var][0] for var in step.scope)
         if factor.support != names:
             index = {name: var for var, (name, _) in enumerate(plan.variables)}
@@ -701,82 +699,6 @@ def check_shared_topology(problems: Sequence[SCSP]) -> None:
             )
 
 
-def stack_factors(
-    problems: Sequence[SCSP], lowering: Lowering
-) -> List[np.ndarray]:
-    """Each constraint position of topology-sharing ``problems`` as one
-    array with a leading batch axis: length B, or length 1 where every
-    problem holds the very same constraint object."""
-    arrays = []
-    for shared in zip(*(problem.constraints for problem in problems)):
-        first = shared[0]
-        if all(constraint is first for constraint in shared):
-            array = DenseFactor.from_constraint(first, lowering).array
-            arrays.append(array[np.newaxis])
-        else:
-            arrays.append(
-                np.stack(
-                    [
-                        DenseFactor.from_constraint(c, lowering).array
-                        for c in shared
-                    ]
-                )
-            )
-    return arrays
-
-
-def eliminate_batch(
-    problems: Sequence[SCSP],
-    ordering: str | OrderingFn = "min-degree",
-    backend: str = "auto",
-) -> List[tuple[TableConstraint, SolverStats]]:
-    """Bucket-eliminate B topology-sharing problems in one stacked sweep.
-
-    Every problem must present the same constraint *topology*: equal
-    scope tuples per constraint position, equal ``con`` and one shared
-    semiring (see :func:`~repro.solver.cache.topology_fingerprint` —
-    the batch scheduler groups by it).  Tables may differ freely; each
-    constraint position is stacked into one array with a leading batch
-    axis (a position where all B problems share one constraint object
-    keeps a length-1 axis, so buckets reading only shared factors are
-    computed once) and the topology's compiled plan runs once over the
-    batch axis.
-    Because every batched operation is the per-instance operation
-    broadcast across axis 0, slice ``b`` of the sweep is bit-identical
-    to eliminating ``problems[b]`` alone — on either backend.
-    """
-    check_shared_topology(problems)
-    head = problems[0]
-    semiring = head.semiring
-    try:
-        lowering = resolve_lowering(semiring, backend)
-    except KernelError as exc:
-        raise ProblemError(str(exc)) from None
-    if lowering is None:
-        raise ProblemError(
-            f"batched elimination needs a lowerable semiring; "
-            f"{semiring.name} has no ufunc pair"
-        )
-
-    plan = elimination_plan(head, ordering)
-    arrays = stack_factors(problems, lowering)
-    stats = SolverStats()
-    array, scope = _sweep(plan, arrays, lowering, stats, head.variables)
-    scope_vars = [head.variables[var] for var in scope]
-    results: List[tuple[TableConstraint, SolverStats]] = []
-    for member in range(len(problems)):
-        table = DenseFactor(
-            lowering, scope_vars, array[member if len(array) > 1 else 0]
-        ).to_table()
-        member_stats = replace(stats)
-        member_stats.largest_intermediate = max(
-            member_stats.largest_intermediate,
-            assignment_space_size(table.scope),
-        )
-        results.append((table, member_stats))
-    return results
-
-
 def _result_from_table(
     problem: SCSP, table: TableConstraint, stats: SolverStats
 ) -> SolverResult:
@@ -839,37 +761,6 @@ def solve_elimination(
         backend=used_backend,
     )
     return _result_from_table(problem, table, stats)
-
-
-def solve_elimination_batch(
-    problems: Sequence[SCSP],
-    ordering: str | OrderingFn = "min-degree",
-    backend: str = "auto",
-) -> List[SolverResult]:
-    """Solve B topology-sharing problems in one stacked bucket sweep.
-
-    Returns one :class:`SolverResult` per problem, in submission order,
-    each bit-identical to ``solve_elimination(problems[b])`` (the sweep
-    is the per-instance schedule broadcast over the batch axis).  Wall
-    time is reported to telemetry amortized — ``elapsed / B`` per member
-    — so ``solver_solve_seconds`` keeps meaning per-solve cost.
-    """
-    started = time.perf_counter()
-    with get_tracer().span(
-        "solver.solve-batch", method="elimination", size=len(problems)
-    ):
-        eliminated = eliminate_batch(problems, ordering, backend=backend)
-    elapsed = time.perf_counter() - started
-    results: List[SolverResult] = []
-    for problem, (table, stats) in zip(problems, eliminated):
-        record_solve_metrics(
-            "elimination",
-            stats,
-            elapsed / len(problems),
-            backend="dense",
-        )
-        results.append(_result_from_table(problem, table, stats))
-    return results
 
 
 def _backend_label(semiring: Any, backend: str) -> str:

@@ -40,7 +40,7 @@ lexicographic ``+`` selects whole tuples with a vectorized
 first-strictly-better mask.  Because every plane holds exactly the
 float64/bool values the dict path holds and ``ndarray.tolist`` on a
 structured array yields the same nested Python tuples, composite dense
-results are bit-identical to the dict path — so batched elimination and
+results are bit-identical to the dict path — so stacked scans and
 the bucket cache work unchanged on composite values.
 
 Set-based and bounded-weighted semirings still do not lower (``×`` is

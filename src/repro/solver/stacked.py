@@ -5,9 +5,8 @@ offer``.  A session's candidates share the requirements, and a market
 of uniform offers gives them one constraint topology.  When one such
 problem's joint table is small, scanning it densely is cheaper than
 branch & bound's search.  Scanning the whole group at once, with the
-candidate as a leading batch axis (the stacking
-:func:`~repro.solver.elimination.eliminate_batch` uses), pays the
-Python overhead once per group instead of once per candidate.
+candidate as a leading member axis, pays the Python overhead once per
+group instead of once per candidate.
 
 The scan reproduces :func:`~repro.solver.branch_bound.solve_branch_bound`
 bit for bit.  Branch & bound values a leaf as a left fold of ``×``.  The
@@ -41,10 +40,15 @@ from .elimination import (
     check_shared_topology,
     run_step,
     search_plan,
-    stack_factors,
 )
 from .heuristics import OrderingFn
-from .kernels import KernelError, Lowering, lower_semiring, resolve_lowering
+from .kernels import (
+    DenseFactor,
+    KernelError,
+    Lowering,
+    lower_semiring,
+    resolve_lowering,
+)
 from .problem import (
     SCSP,
     ProblemError,
@@ -97,9 +101,11 @@ class _ScanPlan(NamedTuple):
 
     ``step`` folds the base (slot ``len(constraints)``) and then every
     activated constraint, in branch & bound's activation order, into one
-    grid over the search order, reducing nothing.  ``empty`` lists the
-    empty-scope slots the base folds; ``con`` holds each ``con``
-    variable's search depth, name and domain, sorted by name.
+    grid over the search order, reducing nothing.  Its views lead with
+    the member axis (``-1``); its ``dims`` are one member's grid, and a
+    scan prepends the member count.  ``empty`` lists the empty-scope
+    slots the base folds; ``con`` holds each ``con`` variable's search
+    depth, name and domain, sorted by name.
     """
 
     step: Step
@@ -167,6 +173,28 @@ def _scan_plan(problem: SCSP, ordering: str | OrderingFn) -> _ScanPlan:
         ordering,
     )
     return _memoized(key, lambda: _compile_scan(problem, ordering))
+
+
+def _stack(problems: Sequence[SCSP], lowering: Lowering) -> List[np.ndarray]:
+    """Each constraint position of topology-sharing ``problems`` as one
+    array with a leading member axis: length B, or length 1 where every
+    problem holds the very same constraint object."""
+    arrays = []
+    for shared in zip(*(problem.constraints for problem in problems)):
+        first = shared[0]
+        if all(constraint is first for constraint in shared):
+            array = DenseFactor.from_constraint(first, lowering).array
+            arrays.append(array[np.newaxis])
+        else:
+            arrays.append(
+                np.stack(
+                    [
+                        DenseFactor.from_constraint(c, lowering).array
+                        for c in shared
+                    ]
+                )
+            )
+    return arrays
 
 
 def _base(
@@ -243,8 +271,8 @@ def solve_stacked(
     ``solve_branch_bound(problem, ordering)``'s bit for bit (see the
     module docstring).  ``lookahead`` only shapes branch & bound's
     search, never its answer, so it is accepted and ignored.  Wall time
-    is reported to telemetry amortized over the members, as
-    :func:`~repro.solver.elimination.solve_elimination_batch` does.
+    is reported to telemetry amortized over the members, so
+    ``solver_solve_seconds`` keeps meaning per-solve cost.
     """
     problems = list(problems)
     check_shared_topology(problems)
@@ -282,11 +310,13 @@ def _scan(
         rows: List[Tuple[Any, List[Dict[str, Any]]]] = []
         for start in range(0, len(problems), chunk):
             part = problems[start : start + chunk]
-            arrays = stack_factors(part, lowering)
+            arrays = _stack(part, lowering)
             arrays.append(_base(part, plan.empty, lowering))
-            grid = run_step(plan.step, arrays, lowering)
-            read = _read(grid.reshape(len(grid), -1), plan, lowering)
             # One row answers every member when they share every factor.
+            lead = max(len(array) for array in arrays)
+            step = plan.step._replace(dims=(lead, *plan.step.dims))
+            grid = run_step(step, arrays, lowering)
+            read = _read(grid.reshape(len(grid), -1), plan, lowering)
             rows.extend(read * len(part) if len(read) == 1 else read)
     elapsed = (time.perf_counter() - started) / len(problems)
     size = plan.step.size

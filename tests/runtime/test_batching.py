@@ -1,82 +1,9 @@
-"""The batch scheduler: coalescing, fan-back, and bit-identity.
-
-Unit tests drive :class:`BatchScheduler` with real threads (the shape
-the runtime's worker pool produces) and check the coalescing contract:
-same-topology solves share one stacked sweep, every caller gets *its
-own* result back, errors propagate to every member, non-lowerable
-semirings bypass batching, and a warm solve cache short-circuits the
-window.  The regression at the bottom is the acceptance criterion: a
-full loadgen run against one broker with batching on must produce
-agreements bit-identical to the same run with batching off, at both
-degenerate and maximal batch settings.
-"""
-
-import threading
+"""The allocation-round window: :class:`BatchConfig`'s defaults and range
+checks (the rounds themselves are covered in ``test_allocation_rounds``)."""
 
 import pytest
 
-from repro.constraints import TableConstraint, variable
-from repro.runtime import (
-    BatchConfig,
-    BatchScheduler,
-    BatchingError,
-    LoadGenerator,
-    LoadProfile,
-    RuntimeConfig,
-    RuntimeServer,
-    synthesize_market,
-)
-from repro.semirings import SetSemiring, WeightedSemiring
-from repro.solver import SCSP, SolveCache, solve_elimination
-from repro.soa import Broker, BrokerError
-from repro.telemetry import telemetry_session
-
-from ..telemetry.test_instrumentation import counter_total
-
-
-def _problem(offset, weighted=WeightedSemiring()):
-    """Same topology for every offset, different tables."""
-    x = variable("x", (0, 1, 2))
-    y = variable("y", (0, 1))
-    return SCSP(
-        [
-            TableConstraint(
-                weighted,
-                [x, y],
-                {
-                    (i, j): float((i * 2 + j + offset) % 5)
-                    for i in range(3)
-                    for j in range(2)
-                },
-            )
-        ],
-        con=["x"],
-    )
-
-
-def _solve_many(scheduler, problems, cache=None):
-    """Submit every problem from its own thread, as the worker pool
-    would; returns results in submission order."""
-    results = [None] * len(problems)
-    errors = [None] * len(problems)
-    barrier = threading.Barrier(len(problems))
-
-    def work(index):
-        barrier.wait()
-        try:
-            results[index] = scheduler.solve(problems[index], cache=cache)
-        except BaseException as exc:  # noqa: BLE001 - re-raised below
-            errors[index] = exc
-
-    threads = [
-        threading.Thread(target=work, args=(i,))
-        for i in range(len(problems))
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    return results, errors
+from repro.runtime import BatchConfig, BatchingError
 
 
 class TestBatchConfig:
@@ -91,231 +18,3 @@ class TestBatchConfig:
     def test_validation(self, kwargs):
         with pytest.raises(BatchingError):
             BatchConfig(**kwargs)
-
-
-class TestCoalescing:
-    def test_full_group_coalesces_into_one_batch(self):
-        scheduler = BatchScheduler(
-            BatchConfig(window_ms=2000.0, max_batch=4)
-        )
-        problems = [_problem(k) for k in range(4)]
-        results, errors = _solve_many(scheduler, problems)
-        assert errors == [None] * 4
-        # One stacked sweep served all four sessions (a full group never
-        # waits out the window).
-        assert scheduler.batches_dispatched == 1
-        assert scheduler.sessions_batched == 4
-        assert scheduler.largest_batch == 4
-        # ... and each caller got its own answer, bit-identical to an
-        # unbatched elimination solve of its problem.
-        for problem, result in zip(problems, results):
-            single = solve_elimination(problem, backend="dense")
-            assert result.blevel == single.blevel
-            assert result.frontier == single.frontier
-            assert result.optima == single.optima
-
-    def test_max_batch_caps_group_size(self):
-        scheduler = BatchScheduler(
-            BatchConfig(window_ms=2000.0, max_batch=2)
-        )
-        problems = [_problem(k) for k in range(6)]
-        results, errors = _solve_many(scheduler, problems)
-        assert errors == [None] * 6
-        assert scheduler.sessions_batched == 6
-        assert scheduler.largest_batch <= 2
-        assert scheduler.batches_dispatched >= 3
-        for problem, result in zip(problems, results):
-            assert result.blevel == solve_elimination(problem).blevel
-
-    def test_zero_window_still_answers_everyone(self):
-        scheduler = BatchScheduler(BatchConfig(window_ms=0.0, max_batch=8))
-        problems = [_problem(k) for k in range(5)]
-        results, errors = _solve_many(scheduler, problems)
-        assert errors == [None] * 5
-        assert scheduler.sessions_batched == 5
-        for problem, result in zip(problems, results):
-            assert result.blevel == solve_elimination(problem).blevel
-
-    def test_different_topologies_never_share_a_batch(self):
-        scheduler = BatchScheduler(
-            BatchConfig(window_ms=2000.0, max_batch=2)
-        )
-        weighted = WeightedSemiring()
-        z = variable("z", (0, 1))
-        other = SCSP(
-            [TableConstraint(weighted, [z], {(0,): 1.0, (1,): 3.0})],
-            con=["z"],
-        )
-        results, errors = _solve_many(scheduler, [_problem(0), other])
-        assert errors == [None, None]
-        assert results[0].blevel == solve_elimination(_problem(0)).blevel
-        assert results[1].blevel == solve_elimination(other).blevel
-        # Two topologies → two groups; sizes stay 1 each.
-        assert scheduler.largest_batch == 1
-
-
-class TestRouting:
-    def test_solo_mode_skips_grouping(self):
-        scheduler = BatchScheduler(BatchConfig(window_ms=5.0, max_batch=1))
-        with telemetry_session() as session:
-            result = scheduler.solve(_problem(1))
-        assert result.blevel == solve_elimination(_problem(1)).blevel
-        assert scheduler.batches_dispatched == 0
-        assert counter_total(
-            session.registry, "runtime_batches_total"
-        ) == 0
-
-    def test_non_lowerable_semiring_bypasses(self):
-        semiring = SetSemiring(frozenset({"r", "w"}))
-        x = variable("x", (0, 1))
-        problem = SCSP(
-            [
-                TableConstraint(
-                    semiring,
-                    [x],
-                    {(0,): frozenset({"r"}), (1,): frozenset({"w"})},
-                )
-            ]
-        )
-        scheduler = BatchScheduler()
-        result = scheduler.solve(problem)
-        assert result.blevel == frozenset({"r", "w"})
-        assert scheduler.batches_dispatched == 0
-        assert scheduler.stats()["open_groups"] == 0
-
-    def test_warm_cache_short_circuits_the_window(self):
-        scheduler = BatchScheduler(
-            BatchConfig(window_ms=2000.0, max_batch=8)
-        )
-        cache = SolveCache()
-        problem = _problem(2)
-        first = scheduler.solve(problem, cache=cache)
-        dispatched = scheduler.batches_dispatched
-        # The repeat must answer from the cache without ever joining a
-        # group (a 2-second window would hang this test otherwise).
-        second = scheduler.solve(problem, cache=cache)
-        assert scheduler.batches_dispatched == dispatched
-        assert second.blevel == first.blevel
-        assert second.optima == first.optima
-
-    def test_batch_and_singleton_solves_share_cache_keys(self):
-        cache = SolveCache()
-        problem = _problem(3)
-        scheduler = BatchScheduler(BatchConfig(window_ms=0.0, max_batch=4))
-        batched = scheduler.solve(problem, cache=cache)
-        stats = cache.stats()
-        assert stats["size"] == 1
-        # An unbatched elimination solve through the ordinary solve()
-        # path now hits the same entry.
-        from repro.solver import solve
-
-        hit = solve(
-            problem, method="elimination", backend="auto", cache=cache
-        )
-        assert cache.stats()["hits"] > stats["hits"]
-        assert hit.blevel == batched.blevel
-
-
-class TestErrorPropagation:
-    def test_batch_failure_reaches_every_member(self, monkeypatch):
-        import repro.runtime.batching as batching
-
-        def boom(problems, backend="auto"):
-            raise RuntimeError("stacked solve exploded")
-
-        monkeypatch.setattr(batching, "solve_elimination_batch", boom)
-        scheduler = BatchScheduler(
-            BatchConfig(window_ms=2000.0, max_batch=3)
-        )
-        problems = [_problem(k) for k in range(3)]
-        results, errors = _solve_many(scheduler, problems)
-        assert results == [None] * 3
-        assert all(
-            isinstance(error, RuntimeError) for error in errors
-        )
-        assert scheduler.batches_dispatched == 0
-        assert scheduler.stats()["open_groups"] == 0
-
-    def test_stats_shape(self):
-        scheduler = BatchScheduler()
-        stats = scheduler.stats()
-        assert stats == {
-            "batches_dispatched": 0,
-            "sessions_batched": 0,
-            "largest_batch": 0,
-            "open_groups": 0,
-        }
-
-
-class TestBrokerWiring:
-    def test_broker_accepts_config_and_scheduler(self, monkeypatch):
-        registry = synthesize_market(seed=3)
-        by_config = Broker(registry, batching=BatchConfig(max_batch=4))
-        assert by_config.batcher is not None
-        assert by_config.batcher.config.max_batch == 4
-        scheduler = BatchScheduler()
-        shared = Broker(registry, batching=scheduler)
-        assert shared.batcher is scheduler
-        with pytest.raises(BrokerError):
-            Broker(registry, batching="yes please")
-
-    def test_batching_broker_matches_plain_broker(self):
-        registry = synthesize_market(seed=5)
-        from repro.runtime import synthetic_request_factory
-
-        make_request = synthetic_request_factory()
-        plain = Broker(registry).negotiate(make_request("c0", 0))
-        batched = Broker(
-            registry, batching=BatchConfig(window_ms=0.0, max_batch=8)
-        ).negotiate(make_request("c0", 0))
-        assert batched.success == plain.success
-        assert batched.sla.providers == plain.sla.providers
-        assert batched.sla.agreed_level == plain.sla.agreed_level
-        assert (
-            batched.sla.resource_assignment == plain.sla.resource_assignment
-        )
-
-
-def _agreement_fingerprint(result):
-    """Everything observable about one session's agreement except the
-    globally-monotonic ``sla_id``."""
-    sla = result.sla
-    return (
-        result.status.value,
-        None
-        if sla is None
-        else (
-            sla.client,
-            sla.providers,
-            sla.attribute,
-            sla.agreed_level,
-            tuple(sorted(sla.resource_assignment.items())),
-            sla.service_ids,
-        ),
-    )
-
-
-def _run_loadgen(batching):
-    registry = synthesize_market(seed=11)
-    broker = Broker(registry, batching=batching)
-    server = RuntimeServer(broker, RuntimeConfig(workers=4, seed=11))
-    profile = LoadProfile(
-        clients=6, requests=18, mode="open", rate=4000.0, seed=7
-    )
-    report = LoadGenerator(server, profile).run_sync()
-    assert report.completed == 18
-    return [_agreement_fingerprint(r) for r in report.results]
-
-
-class TestLoadgenBitIdentity:
-    """The acceptance regression: batching on ≡ batching off."""
-
-    def test_agreements_identical_across_batch_settings(self):
-        baseline = _run_loadgen(None)
-        for config in (
-            BatchConfig(window_ms=0.0, max_batch=1),
-            BatchConfig(window_ms=0.0, max_batch=32),
-            BatchConfig(window_ms=25.0, max_batch=1),
-            BatchConfig(window_ms=25.0, max_batch=32),
-        ):
-            assert _run_loadgen(config) == baseline, config

@@ -2,24 +2,21 @@
 
 Before plans, every dense bucket pass re-derived its schedule per call:
 ``eliminate`` walked a factor pool with ``combine_factors``/``hide`` (and
-the :class:`~repro.solver.elimination.BucketCache` Merkle keys),
-``eliminate_batch`` ran a third copy of that loop over stacked factors,
-and branch & bound's bucket pass built its messages the same way.  Those
+the :class:`~repro.solver.elimination.BucketCache` Merkle keys), and
+branch & bound's bucket pass built its messages the same way.  Those
 loops are kept here, verbatim apart from dropping telemetry, as the
 oracles pinning that a compiled plan changes no value, no scope order
 and no :class:`~repro.solver.problem.SolverStats` field.
 
 The factor operations those loops ran on are kept with them: the
 pairwise ``combine``/``project``/``hide`` of one
-:class:`~repro.solver.kernels.DenseFactor` (as functions),
-:class:`BatchDenseFactor` with ``stack_factors``/``split_results``, and
+:class:`~repro.solver.kernels.DenseFactor` (as functions) and
 ``combine_factors``.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,12 +27,10 @@ from repro.constraints.variables import (
     Variable,
     assignment_space_size,
     merge_scopes,
-    scope_names,
 )
 from repro.solver import (
     DenseFactor,
     KernelError,
-    ProblemError,
     resolve_lowering,
     resolve_ordering,
 )
@@ -106,163 +101,7 @@ def dense_hide(factor: DenseFactor, *names: str | Variable) -> DenseFactor:
     )
 
 
-class BatchDenseFactor:
-    """B problem instances' factors over one shared scope, stacked on a
-    leading batch axis.
-
-    ``array.shape == (b, *dims)`` where ``b`` is either the logical batch
-    size ``batch`` or ``1`` — a length-1 leading axis marks a factor
-    *shared* by every instance and broadcasts lazily.  ``combine``/
-    ``project``/``hide`` are the per-instance operations broadcast
-    across the batch axis.
-    """
-
-    __slots__ = ("semiring", "lowering", "scope", "array", "batch")
-
-    def __init__(
-        self,
-        lowering: Lowering,
-        scope: Sequence[Variable],
-        array: np.ndarray,
-        batch: Optional[int] = None,
-    ) -> None:
-        self.lowering = lowering
-        self.semiring = lowering.semiring
-        self.scope: Tuple[Variable, ...] = tuple(scope)
-        self.array = array
-        self.batch = array.shape[0] if batch is None else batch
-        if array.shape[0] not in (1, self.batch):
-            raise KernelError(
-                f"batch axis is {array.shape[0]}, expected 1 or "
-                f"{self.batch}"
-            )
-
-    @property
-    def support(self) -> Tuple[str, ...]:
-        return scope_names(self.scope)
-
-    def _aligned(self, scope: Tuple[Variable, ...]) -> np.ndarray:
-        """:func:`dense_aligned` with the batch axis pinned in front."""
-        position = {var.name: i for i, var in enumerate(scope)}
-        mine = set(self.support)
-        order = sorted(
-            range(len(self.scope)),
-            key=lambda axis: position[self.scope[axis].name],
-        )
-        array = self.array
-        if order != list(range(len(self.scope))):
-            array = array.transpose([0] + [axis + 1 for axis in order])
-        shape = (array.shape[0],) + tuple(
-            var.size if var.name in mine else 1 for var in scope
-        )
-        return array.reshape(shape)
-
-    def combine(self, other: "BatchDenseFactor") -> "BatchDenseFactor":
-        """``c1 ⊗ c2`` on every instance at once."""
-        if self.batch != other.batch and 1 not in (self.batch, other.batch):
-            raise KernelError(
-                f"cannot combine batches of size {self.batch} and "
-                f"{other.batch}"
-            )
-        scope = merge_scopes(self.scope, other.scope)
-        array = self.lowering.times(
-            self._aligned(scope), other._aligned(scope)
-        )
-        return BatchDenseFactor(
-            self.lowering, scope, array, batch=max(self.batch, other.batch)
-        )
-
-    def project(self, keep: Iterable[str | Variable]) -> "BatchDenseFactor":
-        """``c ⇓ keep`` on every instance, batch axis untouched."""
-        keep_names = {
-            item.name if isinstance(item, Variable) else item
-            for item in keep
-        }
-        axes = tuple(
-            i + 1
-            for i, var in enumerate(self.scope)
-            if var.name not in keep_names
-        )
-        if not axes:
-            return self
-        kept = tuple(var for var in self.scope if var.name in keep_names)
-        array = self.lowering.plus.reduce(self.array, axis=axes)
-        return BatchDenseFactor(self.lowering, kept, array, batch=self.batch)
-
-    def hide(self, *names: str | Variable) -> "BatchDenseFactor":
-        """``∃x.c`` — project the named variables *out* of every slice."""
-        hidden = {
-            item.name if isinstance(item, Variable) else item
-            for item in names
-        }
-        return self.project(
-            [var for var in self.scope if var.name not in hidden]
-        )
-
-    def consistency(self) -> List[Any]:
-        """``c ⇓∅`` per instance — one value per batch member."""
-        array = self.array
-        if array.ndim > 1:
-            array = self.lowering.plus.reduce(
-                array, axis=tuple(range(1, array.ndim))
-            )
-        if array.shape[0] != self.batch:
-            array = np.broadcast_to(array, (self.batch,))
-        unlift = self.lowering.unlift
-        return [unlift(value) for value in array]
-
-    def member(self, index: int) -> DenseFactor:
-        """Instance ``index`` as a standalone :class:`DenseFactor`."""
-        if not 0 <= index < self.batch:
-            raise KernelError(
-                f"batch index {index} out of range for batch {self.batch}"
-            )
-        slice_index = 0 if self.array.shape[0] == 1 else index
-        return DenseFactor(self.lowering, self.scope, self.array[slice_index])
-
-    def split(self) -> List[DenseFactor]:
-        """All instances, in batch order."""
-        return [self.member(index) for index in range(self.batch)]
-
-
-def stack_factors(factors: Sequence[DenseFactor]) -> BatchDenseFactor:
-    """Stack B same-support factors into one :class:`BatchDenseFactor`,
-    aligned to the first factor's axis order; B references to one factor
-    *object* stack as a length-1 leading axis (a view, no copy)."""
-    if not factors:
-        raise KernelError("stack_factors needs at least one factor")
-    head = factors[0]
-    if all(factor is head for factor in factors[1:]):
-        return BatchDenseFactor(
-            head.lowering,
-            head.scope,
-            head.array[np.newaxis, ...],
-            batch=len(factors),
-        )
-    support = set(head.support)
-    for factor in factors[1:]:
-        if set(factor.support) != support:
-            raise KernelError(
-                f"cannot stack factors over different scopes: "
-                f"{sorted(support)} vs {sorted(factor.support)}"
-            )
-        if factor.lowering is not head.lowering:
-            raise KernelError(
-                "cannot stack factors lowered under different semirings"
-            )
-    array = np.stack([dense_aligned(factor, head.scope) for factor in factors])
-    return BatchDenseFactor(head.lowering, head.scope, array)
-
-
-def split_results(batch: BatchDenseFactor) -> List[DenseFactor]:
-    """The inverse of :func:`stack_factors`: one :class:`DenseFactor`
-    per batch member, in submission order."""
-    return batch.split()
-
-
-def combine_factors(
-    factors: "Sequence[DenseFactor | BatchDenseFactor]",
-) -> "DenseFactor | BatchDenseFactor":
+def combine_factors(factors: Sequence[DenseFactor]) -> DenseFactor:
     """``⊗`` over a non-empty sequence in one ufunc chain: all scopes
     merged up front, then a left fold into one preallocated full-scope
     array (``out=``)."""
@@ -275,27 +114,7 @@ def combine_factors(
     times = lowering.times
     scope = merge_scopes(*(factor.scope for factor in factors))
     dims = tuple(var.size for var in scope)
-    views = [
-        factor._aligned(scope)
-        if isinstance(factor, BatchDenseFactor)
-        else dense_aligned(factor, scope)
-        for factor in factors
-    ]
-    batched = [
-        factor for factor in factors if isinstance(factor, BatchDenseFactor)
-    ]
-    if batched:
-        batch = max(factor.batch for factor in batched)
-        lead = max(
-            view.shape[0]
-            for factor, view in zip(factors, views)
-            if isinstance(factor, BatchDenseFactor)
-        )
-        out = np.empty((lead, *dims), dtype=lowering.dtype)
-        times(views[0], views[1], out=out)
-        for view in views[2:]:
-            times(out, view, out=out)
-        return BatchDenseFactor(lowering, scope, out, batch=batch)
+    views = [dense_aligned(factor, scope) for factor in factors]
     out = np.empty(dims, dtype=lowering.dtype)
     times(views[0], views[1], out=out)
     for view in views[2:]:
@@ -386,61 +205,6 @@ def _eliminate_dense(
         pool = rest + [eliminated]
     solution = dense_project(combine_factors(pool), problem.con)
     return solution.to_table()
-
-
-def reference_eliminate_batch(
-    problems: Sequence[SCSP],
-    ordering: str | OrderingFn = "min-degree",
-) -> List[Tuple[TableConstraint, SolverStats]]:
-    """``eliminate_batch(problems, ordering)``'s stacked sweep as it was
-    (the topology checks are left to the production function)."""
-    head = problems[0]
-    lowering = resolve_lowering(head.semiring, "dense")
-    if lowering is None:  # pragma: no cover - callers pass lowerable ones
-        raise ProblemError("the batch oracle needs a lowerable semiring")
-    stats = SolverStats()
-    con_set = set(head.con)
-    to_eliminate = [
-        var
-        for var in resolve_ordering(ordering)(
-            head.variables, head.constraints
-        )
-        if var.name not in con_set
-    ]
-    pool = [
-        stack_factors(
-            [
-                DenseFactor.from_constraint(p.constraints[j], lowering)
-                for p in problems
-            ]
-        )
-        for j in range(len(head.constraints))
-    ]
-    for var in to_eliminate:
-        bucket = [f for f in pool if var.name in f.support]
-        rest = [f for f in pool if var.name not in f.support]
-        if not bucket:
-            continue
-        stats.buckets_processed += 1
-        combined = combine_factors(bucket)
-        stats.largest_intermediate = max(
-            stats.largest_intermediate,
-            assignment_space_size(combined.scope),
-        )
-        pool = rest + [combined.hide(var.name)]
-    solution = combine_factors(pool).project(head.con)
-    if isinstance(solution, DenseFactor):
-        solution = stack_factors([solution] * len(problems))
-    results = []
-    for member in solution.split():
-        table = member.to_table()
-        member_stats = replace(stats)
-        member_stats.largest_intermediate = max(
-            member_stats.largest_intermediate,
-            assignment_space_size(table.scope),
-        )
-        results.append((table, member_stats))
-    return results
 
 
 def reference_bucket_messages(

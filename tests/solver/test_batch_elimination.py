@@ -1,12 +1,13 @@
-"""Batched bucket elimination and the materialized-bucket memo.
+"""List solves of topology-sharing problems, and the materialized-bucket
+memo.
 
-``solve_elimination_batch`` over B topology-sharing problems must be
-bit-identical, member by member, to B independent ``solve_elimination``
-calls — blevel, frontier, optima and the shared work counters.  The
-:class:`BucketCache` must answer unchanged buckets from the memo after
-a re-solve (``buckets_reused`` > 0, same result), and after a
-:class:`FactoredStore` delta only the buckets downstream of the changed
-factor may recompute.
+``solve([...])`` over B topology-sharing problems (one stacked scan when
+they are small enough) must answer, member by member, exactly as B
+independent ``solve`` calls do, and refuses a list that does not share
+one topology.  The :class:`BucketCache` must answer unchanged buckets
+from the memo after a re-solve (``buckets_reused`` > 0, same result),
+and after a :class:`FactoredStore` delta only the buckets downstream of
+the changed factor may recompute.
 """
 
 import random
@@ -14,16 +15,17 @@ import random
 import pytest
 
 from repro.constraints import FactoredStore, TableConstraint, variable
-from repro.semirings import SetSemiring, WeightedSemiring
+from repro.semirings import BoundedWeightedSemiring
 from repro.solver import (
     SCSP,
     BucketCache,
     ProblemError,
     clear_bucket_cache,
-    eliminate_batch,
     shared_bucket_cache,
+    solve,
     solve_elimination,
-    solve_elimination_batch,
+    solve_stacked,
+    stackable,
 )
 
 from .test_kernels_equivalence import (
@@ -55,21 +57,17 @@ def batch_problems(semiring, structure_seed, batch):
 @pytest.mark.parametrize("batch", (1, 3))
 def test_batch_matches_independent_solves(semiring, seed, batch):
     problems = batch_problems(semiring, seed, batch)
-    results = solve_elimination_batch(problems)
+    assert stackable(problems[0])
+    results = solve(problems)
     assert len(results) == batch
+    assert {result.method for result in results} == {"stacked"}
     for problem, batched in zip(problems, results):
-        single = solve_elimination(problem, backend="dense")
-        assert_identical(single, batched)
-        assert batched.stats.buckets_processed == (
-            single.stats.buckets_processed
-        )
-        # Dict-path cross-check: still exact, per the kernel contract.
-        assert_identical(solve_elimination(problem, backend="dict"), batched)
+        assert_identical(solve(problem), batched)
 
 
 def test_shared_constraint_objects_broadcast(weighted):
     # One shared "offer" plus per-member "requirements" — the market
-    # shape the scheduler batches.  Sharing must not perturb results.
+    # shape step 3 stacks.  Sharing must not perturb results.
     x = variable("x", (0, 1, 2))
     y = variable("y", (0, 1))
     offer = TableConstraint(
@@ -82,21 +80,22 @@ def test_shared_constraint_objects_broadcast(weighted):
             weighted, [x], {(i,): float((i * member) % 3) for i in range(3)}
         )
         problems.append(SCSP([offer, requirement], con=["x"]))
-    for problem, batched in zip(problems, solve_elimination_batch(problems)):
-        assert_identical(solve_elimination(problem, backend="dense"), batched)
+    for problem, batched in zip(problems, solve(problems)):
+        assert batched.method == "stacked"
+        assert_identical(solve(problem), batched)
 
 
 class TestBatchValidation:
     def test_empty_batch_refused(self):
         with pytest.raises(ProblemError, match="at least one problem"):
-            eliminate_batch([])
+            solve([])
 
     def test_mixed_semirings_refused(self, weighted, fuzzy):
         x = variable("x", (0, 1))
         a = SCSP([TableConstraint(weighted, [x], {(0,): 1.0})])
         b = SCSP([TableConstraint(fuzzy, [x], {(0,): 0.5})])
         with pytest.raises(ProblemError, match="share one semiring"):
-            eliminate_batch([a, b])
+            solve([a, b])
 
     def test_mixed_scopes_refused(self, weighted):
         x = variable("x", (0, 1))
@@ -104,7 +103,7 @@ class TestBatchValidation:
         a = SCSP([TableConstraint(weighted, [x], {(0,): 1.0})])
         b = SCSP([TableConstraint(weighted, [y], {(0,): 1.0})])
         with pytest.raises(ProblemError, match="scopes differ"):
-            eliminate_batch([a, b])
+            solve([a, b])
 
     def test_mixed_con_refused(self, weighted):
         x = variable("x", (0, 1))
@@ -112,14 +111,16 @@ class TestBatchValidation:
         a = SCSP([TableConstraint(weighted, [x, y], {})], con=["x"])
         b = SCSP([TableConstraint(weighted, [x, y], {})], con=["y"])
         with pytest.raises(ProblemError, match="con"):
-            eliminate_batch([a, b])
+            solve([a, b])
 
     def test_non_lowerable_semiring_refused(self):
-        semiring = SetSemiring(frozenset({"r", "w"}))
+        # A list solve answers such a group one problem at a time; only
+        # an explicit stacked scan refuses it.
+        semiring = BoundedWeightedSemiring(10.0)
         x = variable("x", (0, 1))
-        c = TableConstraint(semiring, [x], {(0,): frozenset({"r"})})
+        c = TableConstraint(semiring, [x], {(0,): 1.0})
         with pytest.raises(ProblemError, match="lowerable semiring"):
-            eliminate_batch([SCSP([c])])
+            solve_stacked([SCSP([c])])
 
 
 @pytest.mark.parametrize("backend", ("dict", "dense"))

@@ -7,7 +7,7 @@ their bases.  These tests are the acceptance criterion: randomized
 composite SCSPs — pairs *and* nested composites over all four lowered
 bases — must solve bit-identically on the dict and dense paths, through
 single-problem elimination, branch & bound (Lex: the total order
-``solve("auto")`` routes to it), stacked batched elimination, and warm
+``solve("auto")`` routes to it) and warm
 :class:`~repro.solver.elimination.BucketCache` re-solves.  Composites
 with an unlowerable component must fall back silently on ``auto`` and
 tally the ``lowering-fallbacks`` stats row (the observability satellite).
@@ -38,7 +38,6 @@ from repro.solver import (
     solve,
     solve_branch_bound,
     solve_elimination,
-    solve_elimination_batch,
 )
 
 from .test_kernels_equivalence import assert_identical
@@ -181,12 +180,12 @@ class TestLexBranchBound:
 
 
 # ----------------------------------------------------------------------
-# Batched sweeps and warm bucket caches over composite carriers
+# Warm bucket caches over composite carriers
 # ----------------------------------------------------------------------
 
 
 def _chain_problems(semiring, sessions, n_vars=4, domain=3, tweak=0):
-    """B topology-sharing chain problems with per-session tables."""
+    """Topology-sharing chain problems with per-session tables."""
     variables = [
         variable(f"r{i}", list(range(domain))) for i in range(n_vars)
     ]
@@ -211,15 +210,6 @@ def _chain_problems(semiring, sessions, n_vars=4, domain=3, tweak=0):
     ids=lambda s: s.name,
 )
 class TestCompositeBatchAndCache:
-    def test_batched_matches_sequential(self, semiring):
-        problems = _chain_problems(semiring, sessions=5)
-        batched = solve_elimination_batch(problems, backend="dense")
-        assert len(batched) == len(problems)
-        for problem, stacked in zip(problems, batched):
-            assert_identical(
-                solve_elimination(problem, backend="dict"), stacked
-            )
-
     def test_warm_bucket_cache_reuses_and_matches(self, semiring):
         base = _chain_problems(semiring, sessions=1, tweak=0)[0]
         delta_constraints = list(base.constraints)

@@ -1,14 +1,16 @@
 """Compiled elimination plans against the loops they replaced.
 
 Every dense bucket pass — ``eliminate`` (and with it the factored
-store's queries and their :class:`BucketCache` reuse), ``eliminate_batch``
-and branch & bound's message pass — runs a plan compiled once per
-topology.  These pin that a plan moves only bookkeeping: tables (values
-bit for bit, scope order, iteration order), messages and every
+store's queries and their :class:`BucketCache` reuse) and branch &
+bound's message pass — runs a plan compiled once per topology, and a
+stacked scan runs its compiled step over a leading member axis.  These
+pin that a plan moves only bookkeeping: tables (values bit for bit,
+scope order, iteration order), messages and every
 :class:`~repro.solver.problem.SolverStats` field match the per-call
-loops kept in :mod:`tests.solver.elimination_oracle`, and that the plan
-memo is keyed by value, bounded, thread-safe and cleared with the other
-store caches.
+loops kept in :mod:`tests.solver.elimination_oracle`, a stacked batch
+matches the assignment-reading branch & bound oracle member by member,
+and the plan memo is keyed by value, bounded, thread-safe and cleared
+with the other store caches.
 """
 
 import itertools
@@ -38,18 +40,14 @@ from repro.solver import (
     SCSP,
     BucketCache,
     eliminate,
-    eliminate_batch,
     resolve_lowering,
     resolve_ordering,
     solve_branch_bound,
+    solve_stacked,
 )
 
 from .assignment_branch_bound import assignment_branch_bound
-from .elimination_oracle import (
-    reference_bucket_messages,
-    reference_eliminate,
-    reference_eliminate_batch,
-)
+from .elimination_oracle import reference_bucket_messages, reference_eliminate
 
 LEX = LexicographicSemiring([FuzzySemiring(), WeightedSemiring()])
 SEMIRINGS = (
@@ -228,17 +226,16 @@ def test_batch_matches_oracle(semiring, seed, batch):
             for position, constraint in enumerate(template.constraints)
         ]
         problems.append(SCSP(constraints, con=template.con))
-    results = eliminate_batch(problems)
-    for (table, stats), (ref_table, ref_stats) in zip(
-        results, reference_eliminate_batch(problems)
-    ):
-        assert bits(table) == bits(ref_table)
-        assert stats == ref_stats
-    # And each member equals its singleton solve.
-    for problem, (table, stats) in zip(problems, results):
-        single_table, single_stats = eliminate(problem, backend="dense")
-        assert bits(table) == bits(single_table)
-        assert stats == single_stats
+    # One member axis over stacked and shared (length-1) positions; each
+    # member answers as branch & bound does on it alone.
+    for problem, result in zip(problems, solve_stacked(problems)):
+        single = solve_branch_bound(problem)
+        assert result.blevel == single.blevel
+        assert result.optima == single.optima
+        if semiring.times_monotone:
+            reference = assignment_branch_bound(problem)
+            assert result.blevel == reference.blevel
+            assert result.optima == reference.optima
 
 
 def _oracle_inputs(problem, ordering="max-degree"):

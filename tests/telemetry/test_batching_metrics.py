@@ -1,20 +1,12 @@
-"""Telemetry of the batching hot path.
+"""Telemetry of the kernel caches.
 
-The batch scheduler must light up the coalesce-outcome counter family
-(preseeded, so every outcome class is visible at zero), the batch-size
-histogram, and the stacked-solve counter; bucket-memo reuse must flow
-into ``solver_buckets_reused_total``; and the bounded kernel caches
-("lowering", "buckets") must report through
+Bucket-memo reuse must flow into ``solver_buckets_reused_total``, and the
+bounded kernel caches ("lowering", "buckets") must report through
 :func:`repro.caching.cache_stats`.
 """
 
 from repro.caching import cache_stats
 from repro.constraints import TableConstraint, variable
-from repro.runtime import (
-    BatchConfig,
-    BatchScheduler,
-    COALESCE_OUTCOMES,
-)
 from repro.semirings import WeightedSemiring
 from repro.solver import (
     SCSP,
@@ -23,7 +15,7 @@ from repro.solver import (
     shared_bucket_cache,
     solve_elimination,
 )
-from repro.telemetry import telemetry_session, to_prometheus
+from repro.telemetry import telemetry_session
 
 from .test_instrumentation import counter_total
 
@@ -46,52 +38,6 @@ def _problem(offset=0):
         ],
         con=["x"],
     )
-
-
-class TestSchedulerMetrics:
-    def test_solo_solve_counts_lead_and_batch_size(self):
-        scheduler = BatchScheduler(BatchConfig(window_ms=0.0, max_batch=8))
-        with telemetry_session() as session:
-            scheduler.solve(_problem())
-        registry = session.registry
-        assert counter_total(registry, "runtime_batches_total") == 1
-        outcomes = registry.get("runtime_batch_coalesce_total")
-        by_label = {
-            s["labels"]["outcome"]: s["value"] for s in outcomes.samples()
-        }
-        # Preseeding keeps the whole family visible at zero.
-        assert set(by_label) == set(COALESCE_OUTCOMES)
-        assert by_label["lead"] == 1
-        assert by_label["join"] == 0
-        histogram = registry.get("runtime_batch_size")
-        assert histogram.count == 1
-        # A 1-session batch lands in the first (<= 1.0) bucket.
-        assert histogram.cumulative_counts()[0] == 1
-
-    def test_cache_hit_outcome_skips_batch_counters(self):
-        from repro.solver import SolveCache
-
-        scheduler = BatchScheduler(BatchConfig(window_ms=0.0, max_batch=8))
-        cache = SolveCache()
-        with telemetry_session() as session:
-            scheduler.solve(_problem(), cache=cache)
-            scheduler.solve(_problem(), cache=cache)
-        registry = session.registry
-        by_label = {
-            s["labels"]["outcome"]: s["value"]
-            for s in registry.get("runtime_batch_coalesce_total").samples()
-        }
-        assert by_label["cache-hit"] == 1
-        assert counter_total(registry, "runtime_batches_total") == 1
-
-    def test_metrics_reach_prometheus_exposition(self):
-        scheduler = BatchScheduler(BatchConfig(window_ms=0.0, max_batch=4))
-        with telemetry_session() as session:
-            scheduler.solve(_problem())
-            text = to_prometheus(session.registry)
-        assert "runtime_batch_coalesce_total" in text
-        assert "runtime_batch_size_bucket" in text
-        assert "runtime_batches_total" in text
 
 
 class TestBucketReuseMetrics:

@@ -711,3 +711,101 @@ class TestExitContract:
         assert completed.returncode == 0, completed.stderr
         assert json.loads(completed.stdout)["success"] is True
         assert trace.read_text() and metrics.read_text()
+
+    # Out-of-range flag values are rejected while parsing, before any
+    # market is built: exit 2, nothing on stdout, the flag on stderr.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("negotiate", "MARKET", "--allocation-policy", "fair",
+             "--batch-max", "0"),
+            ("runtime", "MARKET", "--allocation-policy", "fair",
+             "--batch-window-ms", "-1"),
+            ("fleet", "--allocation-policy", "greedy",
+             "--batch-window-ms", "-5"),
+            ("fleet", "--shards", "0"),
+            ("fleet", "--vnodes", "0"),
+            ("runtime", "MARKET", "--workers", "0"),
+            ("loadgen", "--clients", "0"),
+            ("runtime", "MARKET", "--fault-crash", "2.0"),
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
+    )
+    def test_out_of_range_flag_exits_2(self, market_file, argv):
+        argv = [market_file if arg == "MARKET" else arg for arg in argv]
+        completed = self.run_cli(*argv)
+        assert completed.returncode == 2, completed.stderr
+        assert completed.stdout == ""
+        assert argv[-2] in completed.stderr
+        assert "Traceback" not in completed.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("runtime", "--requests", "-3"),
+            ("runtime", "--queue", "0"),
+            ("runtime", "--deadline", "-1"),
+            ("runtime", "--max-attempts", "0"),
+            ("runtime", "--base-backoff", "-0.1"),
+            ("runtime", "--fault-crash", "nan"),
+            ("runtime", "--fault-outage", "0:0"),
+            ("runtime", "--fault-outage", "not-a-window"),
+            ("runtime", "--fault-delay", "1.5:10"),
+            ("runtime", "--breaker-threshold", "-1"),
+            ("runtime", "--breaker-recovery", "-1"),
+            ("runtime", "--bulkhead-limit", "0"),
+            ("runtime", "--health-interval", "0"),
+            ("runtime", "--health-unhealthy-after", "0"),
+            ("runtime", "--hedge-delay", "-1"),
+            ("runtime", "--hedge-percentile", "0"),
+            ("runtime", "--hedge-percentile", "101"),
+            ("loadgen", "--requests", "0"),
+            ("loadgen", "--rate", "0"),
+            ("loadgen", "--think-time", "-1"),
+            ("loadgen", "--contention-providers", "1"),
+            ("loadgen", "--batch-max", "x"),
+            ("fleet", "--dispatch-depth", "0"),
+            ("fleet", "--rate", "inf"),
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}",
+    )
+    def test_every_ranged_flag_checked_while_parsing(
+        self, market_file, capsys, argv
+    ):
+        command, flag, value = argv
+        args = [command, flag, value]
+        if command == "runtime":
+            args.insert(1, str(market_file))
+        with pytest.raises(SystemExit) as excinfo:
+            main(args)
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert flag in captured.err
+
+    def test_solver_batching_flag_is_gone(self, market_file):
+        completed = self.run_cli("runtime", market_file, "--solver-batching")
+        assert completed.returncode == 2
+        assert "--solver-batching" in completed.stderr
+        assert completed.stdout == ""
+
+    def test_in_range_fault_flags_still_parse(self, market_file, capsys):
+        exit_code = main(
+            [
+                "runtime",
+                str(market_file),
+                "--requests",
+                "2",
+                "--seed",
+                "1",
+                "--fault-outage",
+                "0:1",
+                "--fault-delay",
+                "0.5:0",
+                "--base-backoff",
+                "0",
+            ]
+        )
+        out = json.loads(capsys.readouterr().out)
+        assert exit_code == 0
+        assert out["requests"] == 2
