@@ -1,12 +1,16 @@
-"""PR4 — factored vs monolith constraint store on growing-scope traces.
+"""Store scaling — the factored constraint store vs the monolith test
+oracle on growing-scope traces.
 
 The workload is the nmsccp shape that motivated the refactor: a
 negotiation keeps telling policies that widen the store's scope (each
 step couples one fresh variable to the chain) and asks ``σ ⇓∅`` after
-every tell.  The monolith re-combines and re-tabulates the joint table
-on each tell — Θ(|D|^n) per step — while the factored store appends a
-factor in O(1) and routes the consistency query through bucket
-elimination, polynomial on chains.
+every tell.  The paper-literal monolith (kept as a test oracle in
+``tests/constraints/monolith_oracle.py``) re-combines and re-tabulates
+the joint table on each tell — Θ(|D|^n) per step — while the factored
+:class:`~repro.constraints.ConstraintStore` appends a factor in O(1) and
+routes the consistency query through bucket elimination, polynomial on
+chains.  Run from the repo root (``python -m pytest``), which puts the
+``tests`` package on the import path.
 
 Quick mode runs in CI; the acceptance gate requires the factored store
 to be ≥5× faster than the monolith at the largest quick instance, with
@@ -30,6 +34,7 @@ from repro.constraints import (
     variable,
 )
 from repro.semirings import WeightedSemiring
+from tests.constraints.monolith_oracle import MonolithStore
 
 BENCH_PATH = os.environ.get(
     "REPRO_BENCH_PR4_JSON", "benchmarks/BENCH_PR4.json"
@@ -71,8 +76,11 @@ def growing_scope_trace(n_vars: int, domain: int = DOMAIN, seed: int = 0):
 
 
 def run_trace(semiring, constraints, backend):
-    """tell each constraint, querying ``σ ⇓∅`` after every step."""
-    store = empty_store(semiring, backend=backend)
+    """tell each constraint, querying ``σ ⇓∅`` after every step; the
+    ``"monolith"`` backend is the oracle, ``"factored"`` the store."""
+    store = (
+        MonolithStore(semiring) if backend == "monolith" else empty_store(semiring)
+    )
     levels = []
     for constraint in constraints:
         store = store.tell(constraint)
@@ -126,7 +134,7 @@ def test_factored_vs_monolith_gate(benchmark):
     assert fact_levels == mono_levels  # bitwise: integer-cost arithmetic
     speedup = mono_s / fact_s
     report(
-        f"PR4 — store backends on a growing-scope trace (chain n={n_vars}, "
+        f"Store scaling — store vs monolith oracle, growing-scope trace (chain n={n_vars}, "
         f"|D|={DOMAIN}, {len(constraints)} tells, median of 3)",
         [
             (

@@ -51,7 +51,6 @@ from typing import Any, Callable, Dict, NoReturn, Optional, Tuple
 
 from . import serialization
 from .coalitions import solve_engine, solve_exact, solve_local_search
-from .constraints.store import STORE_BACKENDS, set_default_store_backend
 from .sccp.check import CheckSpec
 from .semirings.properties import validate_semiring
 from .semirings.registry import get_semiring
@@ -117,9 +116,7 @@ def _emit(payload: Dict[str, Any]) -> None:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     problem = serialization.problem_from_dict(_read_json(args.problem))
-    result = solve(
-        problem, method=args.method, backend=args.solver_backend
-    )
+    result = solve(problem, method=args.method)
     _emit(
         {
             "problem": problem.name,
@@ -275,13 +272,8 @@ def cmd_negotiate(args: argparse.Namespace) -> int:
 def _broker(
     args: argparse.Namespace, registry: ServiceRegistry
 ) -> Broker:
-    """A broker honouring the ``--solver-backend``/``--solve-cache``/
-    ``--store-backend``/``--allocation-policy`` flags."""
-    backend = getattr(args, "store_backend", None)
-    if backend is not None:
-        # Sessions the broker does not build itself (negotiate() internals,
-        # nmsccp runs kicked off by handlers) follow the same choice.
-        set_default_store_backend(backend)
+    """A broker honouring the ``--solve-cache``/``--allocation-policy``
+    flags."""
     allocation = getattr(args, "allocation_policy", None)
     rounds = None
     if allocation is not None:
@@ -293,8 +285,6 @@ def _broker(
     return Broker(
         registry,
         solve_cache=args.solve_cache,
-        solver_backend=args.solver_backend,
-        store_backend=backend,
         allocation_policy=allocation,
         rounds=rounds,
     )
@@ -569,8 +559,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     else:
         registry, factory = _synthetic_market(args)
 
-    if args.store_backend is not None:
-        set_default_store_backend(args.store_backend)
     rounds = None
     if args.allocation_policy is not None:
         from .runtime.batching import BatchConfig
@@ -592,8 +580,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         seed=args.seed,
         l2_cache=args.l2_cache,
         route_by=args.route_by,
-        solver_backend=args.solver_backend,
-        store_backend=args.store_backend,
         allocation_policy=args.allocation_policy,
         rounds=rounds,
         resilience=_resilience_config(args),
@@ -845,29 +831,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="write metrics in Prometheus text format (implies "
         "--telemetry)",
     )
-    solver_opts = argparse.ArgumentParser(add_help=False)
-    solver_opts.add_argument(
-        "--solver-backend",
-        default="auto",
-        choices=("auto", "dict", "dense"),
-        help="factor representation for the solver hot loop: dict tuple "
-        "tables, dense ndarray kernels, or auto (dense whenever the "
-        "semiring lowers)",
-    )
     broker_opts = argparse.ArgumentParser(add_help=False)
     broker_opts.add_argument(
         "--solve-cache",
         action=argparse.BooleanOptionalAction,
         default=True,
         help="memoize broker solves under a canonical problem fingerprint",
-    )
-    broker_opts.add_argument(
-        "--store-backend",
-        default="auto",
-        choices=STORE_BACKENDS,
-        help="constraint-store representation: the eagerly-combined "
-        "monolith, the structurally-shared factor set, or auto "
-        "(factored)",
     )
     broker_opts.add_argument(
         "--batch-window-ms",
@@ -899,7 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser(
         "solve",
         help="solve a JSON SCSP",
-        parents=[observability, solver_opts],
+        parents=[observability],
     )
     p_solve.add_argument("problem", help="path to an scsp JSON file")
     p_solve.add_argument(
@@ -952,7 +921,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_neg = sub.add_parser(
         "negotiate",
         help="run the broker over a JSON market",
-        parents=[observability, solver_opts, broker_opts],
+        parents=[observability, broker_opts],
     )
     p_neg.add_argument("market", help="path to a market JSON file")
     p_neg.add_argument(
@@ -1096,7 +1065,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rt = sub.add_parser(
         "runtime",
         help="serve concurrent sessions of a JSON market",
-        parents=[observability, serving, resilience, solver_opts, broker_opts],
+        parents=[observability, serving, resilience, broker_opts],
     )
     p_rt.add_argument("market", help="path to a market JSON file")
     p_rt.add_argument(
@@ -1173,7 +1142,6 @@ def build_parser() -> argparse.ArgumentParser:
             serving,
             resilience,
             loadshape,
-            solver_opts,
             broker_opts,
         ],
     )
@@ -1187,7 +1155,6 @@ def build_parser() -> argparse.ArgumentParser:
             serving,
             resilience,
             loadshape,
-            solver_opts,
             broker_opts,
         ],
     )
@@ -1229,7 +1196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dlq = sub.add_parser(
         "dlq",
         help="inspect or replay a dead-letter JSONL file",
-        parents=[observability, solver_opts, broker_opts],
+        parents=[observability, broker_opts],
     )
     p_dlq.add_argument(
         "action", choices=("inspect", "replay"), help="what to do"
@@ -1246,7 +1213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_slo = sub.add_parser(
         "slo",
         help="SLO analytics for a composition plan over a market",
-        parents=[observability, solver_opts, broker_opts],
+        parents=[observability, broker_opts],
     )
     p_slo.add_argument("market", help="path to a market JSON file")
     p_slo.add_argument(

@@ -30,17 +30,7 @@ from .operations import (
 )
 from .digest import constraint_digest
 from .polynomial import Polynomial, polynomial_constraint
-from .store import (
-    STORE_BACKENDS,
-    ConstraintStore,
-    FactoredStore,
-    MonolithStore,
-    StoreError,
-    clear_store_caches,
-    empty_store,
-    get_default_store_backend,
-    set_default_store_backend,
-)
+from .store import ConstraintStore, StoreError, clear_store_caches, empty_store
 from .table import TableConstraint, to_table
 from .variables import (
     Variable,
@@ -80,13 +70,8 @@ __all__ = [
     "Polynomial",
     "polynomial_constraint",
     "ConstraintStore",
-    "MonolithStore",
-    "FactoredStore",
     "StoreError",
     "empty_store",
-    "STORE_BACKENDS",
-    "set_default_store_backend",
-    "get_default_store_backend",
     "clear_store_caches",
     "constraint_digest",
     "Variable",

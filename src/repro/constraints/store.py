@@ -7,29 +7,19 @@ Stores are *immutable*: every operation returns a new store, which lets
 the interpreter explore nondeterministic branches without copying state
 by hand and makes traces trivially replayable.
 
-Two backends implement the contract:
+σ is kept as the *multiset of told factors* in a persistent cons chain,
+so ``tell`` is O(1) and shares its tail with the parent store.  The
+semantics only ever observes σ through ``blevel``/``⊢``/``⇓`` queries,
+and those route through :mod:`repro.solver` — bucket elimination over
+the factors, dense kernels when the semiring lowers.  An incrementally
+maintained SHA-256 *store digest* (the sum of the factors' digests mod
+2²⁵⁶, so it is order-insensitive and O(1) per ``tell``) keys the query
+caches: repeated asks on the same store version are cache hits, and two
+stores that told the same factors in any order share entries.
 
-:class:`MonolithStore`
-    The paper-literal representation — σ is one eagerly combined (and,
-    below a size bound, tabulated) constraint.  Every ``tell`` pays the
-    full union-scope materialization.
-
-:class:`FactoredStore`
-    σ is kept as the *multiset of told factors* in a persistent cons
-    chain, so ``tell`` is O(1) and shares its tail with the parent
-    store.  The semantics only ever observes σ through ``blevel``/``⊢``/
-    ``⇓`` queries, and those route through :mod:`repro.solver` — bucket
-    elimination over the factors, dense kernels when the semiring
-    lowers.  An incrementally maintained SHA-256 *store digest* (the sum
-    of the factors' digests mod 2²⁵⁶, so it is order-insensitive and
-    O(1) per ``tell``) keys the query caches: repeated asks on the same
-    store version are cache hits, and two stores that told the same
-    factors in any order share entries.
-
-``ConstraintStore(semiring, c)`` dispatches to the session default
-backend (``--store-backend {auto,monolith,factored}``; ``auto`` means
-factored).  The randomized equivalence suite asserts the two backends
-agree bit-for-bit on ``consistency``/``entails`` across every registered
+The randomized equivalence suite checks the store bit-for-bit against
+a paper-literal oracle kept with the tests (σ as one eagerly combined
+constraint) on ``consistency``/``entails`` across every registered
 semiring, including nonmonotonic ``retract``/``update`` traces.
 """
 
@@ -59,53 +49,18 @@ _EXACT_RETRACT_MAX_FACTORS = 8
 #: Sentinel marking a not-yet-computed cached value.
 _UNSET = object()
 
-#: The recognised ``--store-backend`` values.
-STORE_BACKENDS: Tuple[str, ...] = ("auto", "monolith", "factored")
-
-_default_backend = "auto"
-
 #: Memo for ``σ ⊢ c`` checks.  Entailment is the hot premise of the R2/
 #: R6/R7 transitions and the exhaustive explorer re-derives it for the
 #: same ``(σ, c)`` pair along every interleaving, so the memo pays for
-#: itself quickly.  It is LRU-capped and shared by both backends: the
-#: monolith keys by the *constraint objects* (identity hashing — strong
-#: references in the cache keep ids unambiguous), the factored store by
-#: its semantic ``(store digest, constraint digest)`` pair.
+#: itself quickly.  It is LRU-capped and keyed by the semantic
+#: ``(store digest, constraint digest)`` pair.
 _entailment_cache = LRUCache(DEFAULT_CACHE_SIZE, name="store-entails")
 
-#: Memo for factored-store ``consistency``/``project`` answers, keyed by
+#: Memo for store ``consistency``/``project`` answers, keyed by
 #: the incremental store digest.  The digest is order-insensitive, so
 #: two stores that told the same factors in different orders share one
 #: entry.
 _query_cache = LRUCache(DEFAULT_CACHE_SIZE, name="store-query")
-
-
-def set_default_store_backend(backend: str) -> None:
-    """Set the backend ``ConstraintStore(...)``/``empty_store`` build
-    (the CLI's ``--store-backend`` lands here)."""
-    global _default_backend
-    if backend not in STORE_BACKENDS:
-        raise StoreError(
-            f"unknown store backend {backend!r}; known: {STORE_BACKENDS}"
-        )
-    _default_backend = backend
-
-
-def get_default_store_backend() -> str:
-    return _default_backend
-
-
-def _backend_class(backend: Optional[str]) -> type:
-    name = backend or _default_backend
-    if name == "auto":
-        name = "factored"
-    if name == "monolith":
-        return MonolithStore
-    if name == "factored":
-        return FactoredStore
-    raise StoreError(
-        f"unknown store backend {name!r}; known: {STORE_BACKENDS}"
-    )
 
 
 def set_entailment_cache_size(maxsize: int) -> None:
@@ -137,8 +92,8 @@ def clear_store_caches() -> None:
     clear_plan_cache()
 
 
-def _record_tell(backend: str) -> None:
-    """``store_factors_total{backend}`` — one sample per told factor."""
+def _record_tell() -> None:
+    """``store_factors_total`` — one sample per told factor."""
     from ..telemetry.runtime import get_registry
 
     registry = get_registry()
@@ -146,8 +101,7 @@ def _record_tell(backend: str) -> None:
         registry.counter(
             "store_factors_total",
             "Factors told into constraint stores.",
-            labelnames=("backend",),
-        ).labels(backend).inc()
+        ).inc()
 
 
 def _record_query_hit(query: str) -> None:
@@ -167,63 +121,6 @@ def _record_query_hit(query: str) -> None:
 class StoreError(Exception):
     """Raised on invalid store operations (e.g. retracting a constraint
     the store does not entail)."""
-
-
-class ConstraintStore:
-    """An immutable constraint store σ; construction dispatches to the
-    session's default backend (or an explicit ``backend=``)."""
-
-    __slots__ = ()
-
-    #: Which representation this class implements.
-    backend = "abstract"
-
-    def __new__(
-        cls,
-        semiring: Semiring = None,  # type: ignore[assignment]
-        constraint: SoftConstraint | None = None,
-        backend: Optional[str] = None,
-    ) -> "ConstraintStore":
-        if cls is ConstraintStore:
-            cls = _backend_class(backend)
-        return object.__new__(cls)
-
-    # ------------------------------------------------------------------
-    # Shared helpers
-    # ------------------------------------------------------------------
-
-    def _check_semiring(self, constraint: SoftConstraint) -> None:
-        if constraint.semiring != self.semiring:
-            raise StoreError(
-                f"constraint over {constraint.semiring.name} cannot be used "
-                f"in a {self.semiring.name} store"
-            )
-
-    def refines(self, constraint: SoftConstraint) -> bool:
-        """``σ ⊒ c`` — the store is at least as *relaxed* as ``c``.
-
-        The lower-bound side of the check intervals (C1/C3): σ must not
-        demand more than ``c`` anywhere.  Enumerates the merged scope on
-        either backend (the dual of ``entails`` cannot ride the ``+``
-        projection because ``+`` is a lub, not a glb).
-        """
-        self._check_semiring(constraint)
-        return constraint_leq(constraint, self.constraint)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"{type(self).__name__}({self.semiring.name}, "
-            f"support={self.support!r})"
-        )
-
-    # Subclass contract -------------------------------------------------
-
-    @property
-    def factors(self) -> Tuple[SoftConstraint, ...]:
-        raise NotImplementedError
-
-    def fingerprint(self) -> Tuple:
-        raise NotImplementedError
 
 
 def _compact_factor(constraint: SoftConstraint) -> SoftConstraint:
@@ -284,130 +181,9 @@ def _factor_exact(semiring: Semiring, constraint: SoftConstraint) -> bool:
     return answer
 
 
-class MonolithStore(ConstraintStore):
-    """The paper-literal backend: σ is one eagerly combined constraint."""
-
-    __slots__ = ("semiring", "constraint", "_consistency")
-
-    backend = "monolith"
-
-    def __init__(
-        self,
-        semiring: Semiring,
-        constraint: SoftConstraint | None = None,
-        backend: Optional[str] = None,
-    ) -> None:
-        self.semiring = semiring
-        if constraint is None:
-            constraint = ConstantConstraint(semiring, semiring.one)
-        if constraint.semiring != semiring:
-            raise StoreError(
-                f"constraint over {constraint.semiring.name} cannot live in "
-                f"a {semiring.name} store"
-            )
-        self.constraint = _compact_factor(constraint)
-        self._consistency = _UNSET
-
-    # ------------------------------------------------------------------
-    # Store operations (paper rules R1, R7, R8)
-    # ------------------------------------------------------------------
-
-    def tell(self, constraint: SoftConstraint) -> "MonolithStore":
-        """``σ ⊗ c`` — add ``c`` to the store."""
-        self._check_semiring(constraint)
-        _record_tell("monolith")
-        return MonolithStore(
-            self.semiring, self.constraint.combine(constraint)
-        )
-
-    def retract(self, constraint: SoftConstraint) -> "MonolithStore":
-        """``σ ÷ c`` — remove ``c``; requires ``σ ⊑ c`` (rule R7).
-
-        The entailment premise of R7 guarantees the division is a genuine
-        relaxation; violating it raises :class:`StoreError`.
-        """
-        self._check_semiring(constraint)
-        if not self.entails(constraint):
-            raise StoreError(
-                "retract requires the store to entail the constraint "
-                "(σ ⊑ c); rule R7 premise violated"
-            )
-        return MonolithStore(
-            self.semiring, self.constraint.divide(constraint)
-        )
-
-    def update(
-        self, variables: Iterable[str | Variable], constraint: SoftConstraint
-    ) -> "MonolithStore":
-        """``(σ ⇓_{V∖X}) ⊗ c`` — transactional assignment (rule R8).
-
-        Removes the influence of every variable in ``X`` from the store,
-        then adds ``c``.  Projection and combination happen in one step,
-        mirroring the transactional semantics of the paper.
-        """
-        names = {
-            item.name if isinstance(item, Variable) else item
-            for item in variables
-        }
-        keep = [var for var in self.constraint.scope if var.name not in names]
-        refreshed = self.constraint.project(keep)
-        return MonolithStore(self.semiring, refreshed.combine(constraint))
-
-    # ------------------------------------------------------------------
-    # Queries (rules R2, R6 and the check function)
-    # ------------------------------------------------------------------
-
-    def entails(self, constraint: SoftConstraint) -> bool:
-        """``σ ⊢ c  ⇔  σ ⊑ c`` — the ask premise (rule R2), memoized."""
-        key = (self.constraint, constraint)
-        hit = _entailment_cache.get(key, _MISSING)
-        if hit is not _MISSING:
-            _record_query_hit("entails")
-            return hit
-        answer = constraint_leq(self.constraint, constraint)
-        _entailment_cache.put(key, answer)
-        return answer
-
-    def consistency(self) -> Any:
-        """``σ ⇓∅`` — the α-consistency level checked by C1–C4.
-
-        Cached: the store is immutable, and the checked transitions of
-        the nmsccp interpreter query this repeatedly.
-        """
-        if self._consistency is _UNSET:
-            self._consistency = self.constraint.consistency()
-        return self._consistency
-
-    def project(self, keep: Iterable[str | Variable]) -> SoftConstraint:
-        """Expose the store's interface over ``keep`` (paper Sec. 5)."""
-        return self.constraint.project(
-            [
-                item.name if isinstance(item, Variable) else item
-                for item in keep
-            ]
-        )
-
-    @property
-    def factors(self) -> Tuple[SoftConstraint, ...]:
-        """The monolith is its own (single) factor."""
-        return (self.constraint,)
-
-    @property
-    def support(self) -> Tuple[str, ...]:
-        return self.constraint.support
-
-    def value(self, assignment) -> Any:
-        """Evaluate σ under an assignment (delegates to the constraint)."""
-        return self.constraint.value(assignment)
-
-    def fingerprint(self) -> Tuple:
-        """A hashable extensional summary of σ (scope names + table)."""
-        table = to_table(self.constraint)
-        return (table.support, frozenset(table.items()))
-
-
-class FactoredStore(ConstraintStore):
-    """The factor-set backend: σ is the persistent chain of told factors.
+class ConstraintStore:
+    """An immutable constraint store σ: the persistent chain of told
+    factors.
 
     The chain cells are ``(factor, parent_cell)`` tuples, so a ``tell``
     allocates one cell and shares everything else with the parent store.
@@ -430,13 +206,8 @@ class FactoredStore(ConstraintStore):
         "_consistency",
     )
 
-    backend = "factored"
-
     def __init__(
-        self,
-        semiring: Semiring,
-        constraint: SoftConstraint | None = None,
-        backend: Optional[str] = None,
+        self, semiring: Semiring, constraint: SoftConstraint | None = None
     ) -> None:
         if constraint is not None and constraint.semiring != semiring:
             raise StoreError(
@@ -467,7 +238,7 @@ class FactoredStore(ConstraintStore):
         count: int,
         digest_int: Optional[int],
         all_exact: bool,
-    ) -> "FactoredStore":
+    ) -> "ConstraintStore":
         store = object.__new__(cls)
         store.semiring = semiring
         store._chain = chain
@@ -483,7 +254,7 @@ class FactoredStore(ConstraintStore):
     @classmethod
     def _from_factors(
         cls, semiring: Semiring, factors: Sequence[SoftConstraint]
-    ) -> "FactoredStore":
+    ) -> "ConstraintStore":
         chain = None
         digest_int: Optional[int] = 0
         all_exact = semiring.supports_exact_retract()
@@ -500,6 +271,19 @@ class FactoredStore(ConstraintStore):
                 all_exact = _factor_exact(semiring, factor)
         return cls._from_chain(
             semiring, chain, len(factors), digest_int, all_exact
+        )
+
+    def _check_semiring(self, constraint: SoftConstraint) -> None:
+        if constraint.semiring != self.semiring:
+            raise StoreError(
+                f"constraint over {constraint.semiring.name} cannot be used "
+                f"in a {self.semiring.name} store"
+            )
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"{type(self).__name__}({self.semiring.name}, "
+            f"support={self.support!r})"
         )
 
     # ------------------------------------------------------------------
@@ -532,8 +316,8 @@ class FactoredStore(ConstraintStore):
 
     @property
     def constraint(self) -> SoftConstraint:
-        """σ as a (lazily combined) single constraint — the monolith
-        view, for consumers of the paper-literal contract.  Never
+        """σ as a (lazily combined) single constraint — the view
+        consumers of the paper-literal contract read.  Never
         tabulated here: evaluation folds the factors on demand."""
         if self._combined_memo is None:
             self._combined_memo = combine(
@@ -576,7 +360,7 @@ class FactoredStore(ConstraintStore):
     # Store operations (paper rules R1, R7, R8)
     # ------------------------------------------------------------------
 
-    def tell(self, constraint: SoftConstraint) -> "FactoredStore":
+    def tell(self, constraint: SoftConstraint) -> "ConstraintStore":
         """``σ ⊗ c`` — append ``c`` to the factor chain, O(1).
 
         For ×-idempotent semirings a re-told factor is absorbed
@@ -602,8 +386,8 @@ class FactoredStore(ConstraintStore):
                         return self
                     cell = cell[1]
         all_exact = self._all_exact and _factor_exact(self.semiring, factor)
-        _record_tell("factored")
-        return FactoredStore._from_chain(
+        _record_tell()
+        return ConstraintStore._from_chain(
             self.semiring,
             (factor, self._chain),
             self._count + 1,
@@ -611,7 +395,7 @@ class FactoredStore(ConstraintStore):
             all_exact,
         )
 
-    def retract(self, constraint: SoftConstraint) -> "FactoredStore":
+    def retract(self, constraint: SoftConstraint) -> "ConstraintStore":
         """``σ ÷ c`` — remove ``c``; requires ``σ ⊑ c`` (rule R7).
 
         When the semiring's ``×`` is cancellative and every value in
@@ -620,7 +404,7 @@ class FactoredStore(ConstraintStore):
         factor set stays factored).  Otherwise — idempotent ``×``,
         rounding floats, saturating sums, or a ``c`` that was never told
         — it falls back to the residuated division over the combined
-        store, exactly like the monolith.
+        store, as the paper's rule states it.
         """
         self._check_semiring(constraint)
         if not self.entails(constraint):
@@ -638,17 +422,17 @@ class FactoredStore(ConstraintStore):
             for index, factor in enumerate(factors):
                 if constraint_digest(factor) == wanted:
                     remaining = factors[:index] + factors[index + 1 :]
-                    return FactoredStore._from_factors(
+                    return ConstraintStore._from_factors(
                         self.semiring, remaining
                     )
         divided = self.constraint.divide(constraint)
-        return FactoredStore._from_factors(
+        return ConstraintStore._from_factors(
             self.semiring, (_compact_factor(divided),)
         )
 
     def update(
         self, variables: Iterable[str | Variable], constraint: SoftConstraint
-    ) -> "FactoredStore":
+    ) -> "ConstraintStore":
         """``(σ ⇓_{V∖X}) ⊗ c`` — transactional assignment (rule R8).
 
         Only the factors that *mention* a refreshed variable are
@@ -669,7 +453,7 @@ class FactoredStore(ConstraintStore):
                 if var.name not in names
             ]
             untouched.append(self._eliminate_onto_table(touched, kept))
-        return FactoredStore._from_factors(self.semiring, untouched).tell(
+        return ConstraintStore._from_factors(self.semiring, untouched).tell(
             constraint
         )
 
@@ -750,11 +534,22 @@ class FactoredStore(ConstraintStore):
             lambda: self._eliminate_onto_table(self.factors, kept),
         )
 
+    def refines(self, constraint: SoftConstraint) -> bool:
+        """``σ ⊒ c`` — the store is at least as *relaxed* as ``c``.
+
+        The lower-bound side of the check intervals (C1/C3): σ must not
+        demand more than ``c`` anywhere.  Enumerates the merged scope
+        (the dual of ``entails`` cannot ride the ``+`` projection because
+        ``+`` is a lub, not a glb).
+        """
+        self._check_semiring(constraint)
+        return constraint_leq(constraint, self.constraint)
+
     def entails(self, constraint: SoftConstraint) -> bool:
         """``σ ⊢ c  ⇔  σ ⊑ c`` — decided on ``c``'s scope.
 
         Because ``+`` is the lub and idempotent, ``σ ⊑ c`` iff
-        ``(σ ⇓ scope(c)) ⊑ c``: project the factored store down to the
+        ``(σ ⇓ scope(c)) ⊑ c``: project the store's factors down to the
         asked scope with the solver, then compare pointwise over that
         (small) scope instead of the full union scope.
         """
@@ -782,8 +577,6 @@ class FactoredStore(ConstraintStore):
         return answer
 
 
-def empty_store(
-    semiring: Semiring, backend: Optional[str] = None
-) -> ConstraintStore:
+def empty_store(semiring: Semiring) -> ConstraintStore:
     """The store ``1̄`` with empty support — the paper's initial store 0̸."""
-    return ConstraintStore(semiring, backend=backend)
+    return ConstraintStore(semiring)

@@ -29,9 +29,9 @@ from ..semirings.base import Semiring
 
 #: A refinement check accepts either a bare constraint or a whole store —
 #: a broker session *is* an implementation, and routing the projection
-#: through :meth:`ConstraintStore.project` lets the factored backend use
-#: its solver-backed (and cached) elimination instead of materializing
-#: the full combination first.
+#: through :meth:`ConstraintStore.project` uses the store's solver-backed
+#: (and cached) elimination instead of materializing the full
+#: combination first.
 Implementation = Union[SoftConstraint, ConstraintStore]
 
 

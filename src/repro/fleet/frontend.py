@@ -101,8 +101,6 @@ class FleetConfig:
     #: With ``route_by="operation"``: give each shard broker only the
     #: registry partition it owns instead of the full shared registry.
     partition_registry: bool = False
-    solver_backend: str = "auto"
-    store_backend: Optional[str] = None
     #: Resilience layer (breakers/bulkheads/health/hedge/DLQ); ``None``
     #: serves exactly like the pre-resilience fleet.  Breakers, health
     #: state and the DLQ are fleet-global (a down provider is down for
@@ -289,8 +287,6 @@ class FleetFrontend:
             shard_registry,
             name=shard_id,
             solve_cache=self.l2 is None,
-            solver_backend=self.config.solver_backend,
-            store_backend=self.config.store_backend,
             allocation_policy=self.config.allocation_policy,
             rounds=self.config.rounds,
         )

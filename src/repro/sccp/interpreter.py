@@ -74,18 +74,16 @@ def run(
     procedures: ProcedureTable = EMPTY_PROCEDURES,
     scheduler: Optional[Scheduler] = None,
     max_steps: int = 10_000,
-    store_backend: Optional[str] = None,
 ) -> RunResult:
     """Execute ``agent`` until success, deadlock, or ``max_steps``.
 
     Provide either an initial ``store`` or a ``semiring`` (for the empty
-    store ``1̄``; ``store_backend`` picks its representation).  The
-    default scheduler is deterministic-leftmost.
+    store ``1̄``).  The default scheduler is deterministic-leftmost.
     """
     if store is None:
         if semiring is None:
             raise ValueError("run() needs either a store or a semiring")
-        store = empty_store(semiring, backend=store_backend)
+        store = empty_store(semiring)
     scheduler = scheduler or DeterministicScheduler()
 
     registry = get_registry()
@@ -174,20 +172,18 @@ def explore(
     semiring: Optional[Semiring] = None,
     procedures: ProcedureTable = EMPTY_PROCEDURES,
     max_configurations: int = 50_000,
-    store_backend: Optional[str] = None,
 ) -> ExplorationResult:
     """Breadth-first search of the full configuration graph.
 
-    Visited-state pruning uses per-backend store fingerprints (the
-    monolith's extensional table, the factored store's multiset digest),
-    so the search terminates whenever the reachable store lattice is
-    finite.  ``truncated`` reports a hit of the configuration budget
-    (results are then lower bounds).
+    Visited-state pruning uses the store fingerprint (the multiset
+    digest of the told factors), so the search terminates whenever the
+    reachable store lattice is finite.  ``truncated`` reports a hit of
+    the configuration budget (results are then lower bounds).
     """
     if store is None:
         if semiring is None:
             raise ValueError("explore() needs either a store or a semiring")
-        store = empty_store(semiring, backend=store_backend)
+        store = empty_store(semiring)
 
     initial = Configuration(agent, store)
     result = ExplorationResult()

@@ -236,10 +236,7 @@ def _step(
 
 
 def store_fingerprint(store: ConstraintStore) -> Tuple:
-    """A hashable summary of σ, delegated to the store backend.
-
-    The monolith summarizes extensionally (scope names + value table);
-    the factored backend answers with its incremental multiset digest,
+    """A hashable summary of σ: the store's incremental multiset digest,
     which never materializes the union scope.  A digest distinguishes
     differently-factored-but-equal stores — that only costs the explorer
     extra states, never wrong answers.

@@ -17,7 +17,7 @@ that sees one coalesced **round** of concurrent sessions at a time:
   search, per-candidate SCSP evaluation, acceptance filtering) but
   replaces the per-session argmax of step 4 with **one joint SCSP per
   round**: a selection variable per client (domain: its accepted
-  candidates) under a single :class:`FunctionConstraint` valued in the
+  candidates) under a single joint constraint valued in the
   lexicographic composite ``Lex[Fuzzy, Probabilistic]`` —
   ⟨min per-client satisfaction, total welfare⟩.  Maximizing that order
   first lifts the worst-off client (the egalitarian objective), then
@@ -25,10 +25,9 @@ that sees one coalesced **round** of concurrent sessions at a time:
   "cartesian product of c-semirings is still a c-semiring" machinery
   applied to fairness: the composite lowers through the same solver
   kernels as any scalar semiring (see ``repro.solver.kernels``), and
-  the default ``joint_solver="dense"`` evaluates the joint objective
-  the same way — stacked ndarray planes over the candidate
-  cross-product with a vectorized lex argmax (``"scsp"`` keeps the
-  FunctionConstraint-through-``solve()`` reference formulation).
+  the policy evaluates the joint objective the same way — stacked
+  ndarray planes over the candidate cross-product with a vectorized
+  lex argmax.
 
 Contention is modelled by a rank discount: the ``k``-th session a
 provider accepts within a round realizes ``satisfaction · γ^k``
@@ -51,8 +50,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..constraints.constraint import FunctionConstraint
-from ..constraints.variables import Variable
 from ..semirings import (
     BooleanSemiring,
     BoundedWeightedSemiring,
@@ -63,7 +60,6 @@ from ..semirings import (
     WeightedSemiring,
 )
 from ..semirings.base import Semiring
-from ..solver import SCSP, solve
 from ..telemetry import get_events, get_registry
 from .broker import Broker, CandidateEvaluation, ClientRequest, NegotiationResult
 
@@ -223,13 +219,9 @@ class FairAllocation(AllocationPolicy):
     a single joint objective, so the optimum is exact despite
     lexicographic composition not distributing over ``+`` in general
     (see the pinned counterexample in the law tests).  Provider loads
-    persist across cohorts and rounds start them at zero.
-
-    ``joint_solver`` picks the evaluation engine: ``"dense"`` (default)
-    lowers the objective onto stacked ndarray planes and takes a
-    vectorized lex argmax; ``"scsp"`` is the reference formulation —
-    one :class:`FunctionConstraint` per cohort handed to
-    :func:`repro.solver.solve`.  Identical optima, ~20× apart in cost.
+    persist across cohorts and rounds start them at zero.  The objective
+    is lowered onto stacked ndarray planes and maximized by a vectorized
+    lex argmax over the joint table.
     """
 
     name = "fair"
@@ -238,7 +230,6 @@ class FairAllocation(AllocationPolicy):
         self,
         gamma: float = DEFAULT_CONGESTION_GAMMA,
         joint_limit: int = DEFAULT_JOINT_LIMIT,
-        joint_solver: str = "dense",
     ) -> None:
         if not 0.0 < gamma <= 1.0:
             raise AllocationError(
@@ -248,17 +239,8 @@ class FairAllocation(AllocationPolicy):
             raise AllocationError(
                 f"joint_limit must be at least 1, got {joint_limit}"
             )
-        if joint_solver not in ("dense", "scsp"):
-            raise AllocationError(
-                f"unknown joint_solver {joint_solver!r}; "
-                "known: dense, scsp"
-            )
         self.gamma = gamma
         self.joint_limit = joint_limit
-        self.joint_solver = joint_solver
-        self.objective_semiring = LexicographicSemiring(
-            [FuzzySemiring(), ProbabilisticSemiring()]
-        )
 
     def allocate(
         self,
@@ -315,7 +297,7 @@ class FairAllocation(AllocationPolicy):
         loads: Dict[str, int] = {}
         for cohort in self._pack_cohorts(members):
             for member, evaluation in zip(
-                cohort, self._solve_cohort(broker, cohort, loads, round_id)
+                cohort, self._solve_cohort(cohort, loads)
             ):
                 member.chosen = evaluation
                 provider = evaluation.description.provider
@@ -395,34 +377,20 @@ class FairAllocation(AllocationPolicy):
         return cohorts
 
     def _solve_cohort(
-        self,
-        broker: Broker,
-        cohort: List[_Member],
-        loads: Dict[str, int],
-        round_id: int,
+        self, cohort: List[_Member], loads: Dict[str, int]
     ) -> List[CandidateEvaluation]:
         """Who gets which provider in this cohort.
 
-        ``joint_solver="dense"`` (the default) evaluates the joint
-        objective as stacked ndarray planes — one score/provider plane
-        per member broadcast over the full candidate cross-product,
-        ranks by a prefix equality fold, lex argmax at the end — the
-        same lowering philosophy :mod:`repro.solver.kernels` applies to
-        composite constraints, and ~20× faster than enumerating the
-        objective in Python.  ``joint_solver="scsp"`` keeps the
-        reference formulation: one :class:`FunctionConstraint` valued
-        in ``Lex[Fuzzy, Probabilistic]`` handed to
-        :func:`repro.solver.solve`.  Both optimize the identical
-        ⟨worst, welfare⟩ objective; the policy tests pin the agreement.
+        The joint objective is evaluated as stacked ndarray planes — one
+        score/provider plane per member broadcast over the full
+        candidate cross-product, ranks by a prefix equality fold, lex
+        argmax at the end — the same lowering philosophy
+        :mod:`repro.solver.kernels` applies to composite constraints,
+        and ~20× faster than enumerating the objective in Python.  The
+        policy tests pin it against the reference formulation (one
+        function constraint valued in ``Lex[Fuzzy, Probabilistic]``
+        handed to :func:`repro.solver.solve`).
         """
-        if self.joint_solver == "dense":
-            return self._solve_cohort_dense(cohort, loads)
-        return self._solve_cohort_scsp(broker, cohort, loads, round_id)
-
-    def _solve_cohort_dense(
-        self, cohort: List[_Member], loads: Dict[str, int]
-    ) -> List[CandidateEvaluation]:
-        """Vectorized exhaustive lex argmax over the joint table."""
         codes: Dict[str, int] = {}
         member_scores: List[np.ndarray] = []
         member_providers: List[np.ndarray] = []
@@ -472,8 +440,8 @@ class FairAllocation(AllocationPolicy):
             axis=1,
         )
         # rank[:, j] = carried load + how many earlier members in the
-        # same row picked the same provider (the queue position the
-        # scsp objective computes by walking the row).
+        # same row picked the same provider (the queue position a
+        # member takes when the row is walked in submission order).
         ranks = np.empty_like(scores)
         for j in range(width):
             prior = (
@@ -491,69 +459,6 @@ class FairAllocation(AllocationPolicy):
         return [
             cohort[j].accepted[int(choices[best, j])]
             for j in range(width)
-        ]
-
-    def _solve_cohort_scsp(
-        self,
-        broker: Broker,
-        cohort: List[_Member],
-        loads: Dict[str, int],
-        round_id: int,
-    ) -> List[CandidateEvaluation]:
-        """One joint SCSP: the reference formulation through the solver."""
-        variables: List[Variable] = []
-        scores: List[Dict[str, float]] = []
-        by_id: List[Dict[str, CandidateEvaluation]] = []
-        providers: Dict[str, str] = {}
-        for position, member in enumerate(cohort):
-            ids = tuple(
-                e.description.service_id for e in member.accepted
-            )
-            variables.append(Variable(f"alloc{position}", ids))
-            scores.append(
-                {
-                    e.description.service_id: satisfaction_score(
-                        member.semiring, e.blevel
-                    )
-                    for e in member.accepted
-                }
-            )
-            by_id.append(
-                {e.description.service_id: e for e in member.accepted}
-            )
-            for e in member.accepted:
-                providers[e.description.service_id] = e.description.provider
-
-        gamma = self.gamma
-        base_loads = dict(loads)
-
-        def objective(*chosen: str) -> tuple:
-            counts = dict(base_loads)
-            worst = 1.0
-            welfare = 1.0
-            for position, service_id in enumerate(chosen):
-                provider = providers[service_id]
-                rank = counts.get(provider, 0)
-                counts[provider] = rank + 1
-                realized = scores[position][service_id] * gamma**rank
-                if realized < worst:
-                    worst = realized
-                welfare *= realized
-            return (worst, welfare)
-
-        constraint = FunctionConstraint(
-            self.objective_semiring,
-            variables,
-            objective,
-            name=f"fair-round-{round_id}",
-        )
-        problem = SCSP([constraint], name=f"fair-round-{round_id}")
-        result = solve(problem, backend=broker.solver_backend)
-        assignment = result.best_assignment
-        assert assignment is not None
-        return [
-            by_id[position][assignment[f"alloc{position}"]]
-            for position in range(len(cohort))
         ]
 
 

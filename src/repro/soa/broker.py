@@ -170,14 +170,12 @@ class Broker:
     ``solve_cache`` (on by default) memoizes candidate-SCSP solves, one
     entry per stacked group or per candidate, under a canonical
     fingerprint, so a market's repeated negotiations hit warm entries
-    instead of re-running the solver;
-    ``solver_backend`` selects the factor representation
-    (``auto``/``dict``/``dense``, see :mod:`repro.solver.kernels`);
-    ``store_backend`` selects the constraint-store representation for
-    acceptance intervals with a constraint threshold (cases C2–C4; level
-    thresholds read the candidate solve's blevel and build no store) and
-    for nmsccp confirmation runs (``auto``/``monolith``/``factored``, see
-    :mod:`repro.constraints.store`);
+    instead of re-running the solver.  Solves take the solver's
+    automatic factor representation (dense kernels whenever the semiring
+    lowers, see :mod:`repro.solver.kernels`).  Acceptance intervals with
+    a constraint threshold (cases C2–C4) tell the candidate's factors
+    into a :class:`~repro.constraints.store.ConstraintStore`; level
+    thresholds read the candidate solve's blevel and build no store.
     ``allocation_policy`` (``"greedy"``/``"fair"`` or an
     :class:`~repro.soa.allocation.AllocationPolicy`) routes
     :meth:`serve_session` through coalesced allocation rounds —
@@ -208,8 +206,6 @@ class Broker:
         bus: Optional[MessageBus] = None,
         name: str = "broker",
         solve_cache: bool = True,
-        solver_backend: str = "auto",
-        store_backend: Optional[str] = None,
         allocation_policy: Optional[Any] = None,
         rounds: Optional[Any] = None,
         slo_penalty: Optional[float] = None,
@@ -221,8 +217,6 @@ class Broker:
         self.solve_cache: Optional[SolveCache] = (
             SolveCache() if solve_cache else None
         )
-        self.solver_backend = solver_backend
-        self.store_backend = store_backend
         self.allocation_policy = None
         self.rounds = None
         if allocation_policy is not None:
@@ -270,13 +264,8 @@ class Broker:
         return next(self._ticks)
 
     def _solve(self, problem: SCSP, **options) -> Any:
-        """One SCSP solve through the broker's cache and backend."""
-        return solve(
-            problem,
-            backend=self.solver_backend,
-            cache=self.solve_cache,
-            **options,
-        )
+        """One SCSP solve through the broker's cache."""
+        return solve(problem, cache=self.solve_cache, **options)
 
     def _compile_offer(
         self,
@@ -631,7 +620,7 @@ class Broker:
         for index, problem in enumerate(problems):
             if problem is None:
                 continue
-            if stackable(problem, self.solver_backend):
+            if stackable(problem):
                 stacked.append(index)
             else:
                 (results[index],) = self._solve_candidates(
@@ -667,11 +656,7 @@ class Broker:
             service_id=",".join(problem.name for problem in problems),
         ):
             if stacked:
-                results = solve(
-                    problems,
-                    backend=self.solver_backend,
-                    cache=self.solve_cache,
-                )
+                results = solve(problems, cache=self.solve_cache)
             else:
                 results = [self._solve(problem) for problem in problems]
         histogram = get_registry().histogram(
@@ -708,10 +693,10 @@ class Broker:
         else:
             store = None
             if acceptance.case != "C1":
-                # Told factor by factor: on the factored backend the
-                # store stays a factor set and refines/entails route
-                # through the solver instead of materializing the union.
-                store = empty_store(semiring, backend=self.store_backend)
+                # Told factor by factor: the store stays a factor set
+                # and refines/entails route through the solver instead
+                # of materializing the union.
+                store = empty_store(semiring)
                 for constraint in problem.constraints:
                     store = store.tell(constraint)
             accepted = acceptance.holds(store, consistency=result.blevel)
@@ -745,7 +730,6 @@ class Broker:
             [provider, client],
             semiring,
             verify_scheduler_independence=True,
-            store_backend=self.store_backend,
         )
 
     def _sign(
@@ -1052,6 +1036,11 @@ class Broker:
             constraints = self._compile_offer(
                 description, attribute, semiring, {}
             )
+            if not constraints:
+                raise BrokerError(
+                    f"service {service_id!r} offers no {attribute!r} QoS "
+                    "to analyze"
+                )
             problem = SCSP(constraints, name=service_id)
             published[service_id] = self._solve(problem).blevel
         observations = (

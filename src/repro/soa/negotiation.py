@@ -75,7 +75,6 @@ def negotiate(
     initial_store: Optional[ConstraintStore] = None,
     verify_scheduler_independence: bool = True,
     max_steps: int = 10_000,
-    store_backend: Optional[str] = None,
 ) -> NegotiationOutcome:
     """Run all parties' agents in parallel on one store.
 
@@ -83,12 +82,11 @@ def negotiate(
     reduces to ``success``); the agreed level is the final ``σ ⇓∅``.
     With ``verify_scheduler_independence`` the full configuration graph
     is explored and the certificate reports whether *every* interleaving
-    reaches the same verdict.  ``store_backend`` picks the store
-    representation when no ``initial_store`` is given.
+    reaches the same verdict.
     """
     if not parties:
         raise ValueError("negotiate() needs at least one party")
-    store = initial_store or empty_store(semiring, backend=store_backend)
+    store = initial_store or empty_store(semiring)
     agents = parallel(*(party.agent() for party in parties))
     result = run(agents, store=store, max_steps=max_steps)
 

@@ -48,13 +48,13 @@ class SLA:
                 f"{self.semiring.name} element"
             )
 
-    def as_store(self, backend: str | None = None) -> ConstraintStore:
+    def as_store(self) -> ConstraintStore:
         """The agreement as a constraint store — the final σ of the
         negotiation, rebuilt so later checks (monitoring, renegotiation)
         can reuse the store algebra: ``entails`` for "is this tightening
         already guaranteed?", ``tell`` for drafting amendments.
         """
-        return empty_store(self.semiring, backend=backend).tell(
+        return empty_store(self.semiring).tell(
             self.agreed_constraint
         )
 

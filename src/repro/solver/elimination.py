@@ -76,7 +76,7 @@ class BucketCache:
     digests (initial factors contribute their extensional
     :func:`~repro.constraints.digest.constraint_digest`; intermediates
     contribute the key of the bucket that produced them).  A
-    :class:`~repro.constraints.store.FactoredStore` delta (``tell``/
+    :class:`~repro.constraints.store.ConstraintStore` delta (``tell``/
     ``retract``/``update``) then only re-eliminates the buckets whose
     input digests actually changed — every untouched bucket is answered
     from the memo, factor object identity notwithstanding.

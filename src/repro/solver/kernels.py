@@ -400,7 +400,7 @@ register_stats_provider("lowering-fallbacks", lowering_fallback_stats)
 def resolve_lowering(
     semiring: Semiring, backend: str = "auto"
 ) -> Optional[Lowering]:
-    """Map a ``--solver-backend`` choice onto a lowering (or ``None``).
+    """Map a solver ``backend`` choice onto a lowering (or ``None``).
 
     ``"dict"`` always returns ``None``; ``"dense"`` raises
     :class:`KernelError` when the semiring does not lower; ``"auto"``

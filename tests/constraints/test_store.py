@@ -11,6 +11,8 @@ from repro.constraints import (
     polynomial_constraint,
 )
 
+from .monolith_oracle import MonolithStore
+
 
 @pytest.fixture
 def policies(weighted):
@@ -165,7 +167,7 @@ class TestExactRetractMemo:
             return check(self, value)
 
         monkeypatch.setattr(type(weighted), "exact_retract_value", counting)
-        base = empty_store(weighted, backend="factored").tell(policies["c3"])
+        base = empty_store(weighted).tell(policies["c3"])
         once = len(scanned)
         assert once == policies["x"].size
         store = base.tell(policies["c1"])
@@ -178,7 +180,7 @@ class TestExactRetractMemo:
         assert len(scanned) == 2 * once
         assert relaxed.factor_count == 3
         monolith = (
-            empty_store(weighted, backend="monolith")
+            MonolithStore(weighted)
             .tell(policies["c3"])
             .tell(policies["c1"])
             .tell(policies["c1"])

@@ -1,7 +1,9 @@
-"""Randomized factored-vs-monolith store equivalence.
+"""Randomized store-vs-monolith-oracle equivalence.
 
-The factored store is a *representation* change, not a semantics change:
-on identical tell/retract/update traces both backends must answer
+The factored :class:`~repro.constraints.ConstraintStore` is a
+*representation* of the paper's single-constraint store σ, not a
+semantics change: on identical tell/retract/update traces it and the
+paper-literal oracle (:mod:`tests.constraints.monolith_oracle`) must answer
 ``consistency()`` and ``entails()`` **bit-identically** (``==`` on the
 raw values, not ``semiring.equiv``).
 
@@ -39,6 +41,8 @@ from repro.semirings import (
     SetSemiring,
     WeightedSemiring,
 )
+
+from .monolith_oracle import MonolithStore
 
 # ----------------------------------------------------------------------
 # Per-semiring exact value samplers
@@ -118,13 +122,13 @@ def _assert_agreement(mono, fact, probes):
 @pytest.mark.parametrize("make_semiring,sampler,max_factors", CASES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_traces_agree_bitwise(make_semiring, sampler, max_factors, seed):
-    """Same trace, both backends, every step: identical answers."""
+    """Same trace, store and oracle, every step: identical answers."""
     rng = random.Random(seed)
     semiring = make_semiring()
     variables = _variables()
 
-    mono = empty_store(semiring, backend="monolith")
-    fact = empty_store(semiring, backend="factored")
+    mono = MonolithStore(semiring)
+    fact = empty_store(semiring)
     told = []
 
     for _ in range(14):
@@ -139,7 +143,7 @@ def test_random_traces_agree_bitwise(make_semiring, sampler, max_factors, seed):
             try:
                 next_mono = mono.retract(constraint)
             except StoreError:
-                # Both backends must agree the R7 premise fails.
+                # Store and oracle must agree the R7 premise fails.
                 with pytest.raises(StoreError, match="R7"):
                     fact.retract(constraint)
             else:
@@ -172,8 +176,8 @@ def test_told_factors_are_entailed_by_both(make_semiring, sampler, max_factors):
     rng = random.Random(5)
     semiring = make_semiring()
     variables = _variables()
-    mono = empty_store(semiring, backend="monolith")
-    fact = empty_store(semiring, backend="factored")
+    mono = MonolithStore(semiring)
+    fact = empty_store(semiring)
     told = [
         _random_constraint(rng, semiring, variables, sampler)
         for _ in range(min(4, max_factors))
@@ -193,8 +197,8 @@ def test_retract_traces_agree_on_weighted_exact_path():
     rng = random.Random(99)
     semiring = WeightedSemiring()
     variables = _variables()
-    mono = empty_store(semiring, backend="monolith")
-    fact = empty_store(semiring, backend="factored")
+    mono = MonolithStore(semiring)
+    fact = empty_store(semiring)
     told = []
     for _ in range(6):
         # Finite integer costs only: with an ∞ anywhere the residuation

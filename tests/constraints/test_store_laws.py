@@ -1,7 +1,9 @@
-"""Randomized algebraic laws of the store, on both backends.
+"""Randomized algebraic laws of the store and its monolith oracle.
 
-These are the paper's store identities, checked per backend (the
-equivalence suite separately pins the two backends to each other):
+These are the paper's store identities, checked on the factored
+:class:`~repro.constraints.ConstraintStore` and on the paper-literal
+:class:`~tests.constraints.monolith_oracle.MonolithStore` (the
+equivalence suite separately pins the two to each other):
 
 * tell is ⊑-decreasing: ``σ ⊗ c ⊑ σ``;
 * R7 premise: retract demands ``σ ⊑ c`` and raises otherwise;
@@ -20,6 +22,7 @@ import random
 import pytest
 
 from repro.constraints import (
+    ConstraintStore,
     StoreError,
     TableConstraint,
     constraint_leq,
@@ -36,6 +39,9 @@ from repro.semirings import (
     WeightedSemiring,
 )
 
+from .monolith_oracle import MonolithStore
+
+#: "factored" is the store under test, "monolith" the oracle.
 BACKENDS = ["monolith", "factored"]
 
 LAW_SEMIRINGS = [
@@ -50,6 +56,12 @@ LAW_SEMIRINGS = [
 @pytest.fixture(params=BACKENDS)
 def backend(request):
     return request.param
+
+
+def _empty(semiring, backend):
+    if backend == "monolith":
+        return MonolithStore(semiring)
+    return empty_store(semiring)
 
 
 def _vars():
@@ -77,7 +89,7 @@ def _random_constraint(rng, semiring, variables):
 def test_tell_is_decreasing(semiring, backend):
     rng = random.Random(3)
     variables = _vars()
-    store = empty_store(semiring, backend=backend)
+    store = _empty(semiring, backend)
     for _ in range(5):
         constraint = _random_constraint(rng, semiring, variables)
         told = store.tell(constraint)
@@ -91,7 +103,7 @@ def test_retract_premise_and_relaxation(semiring, backend):
     rng = random.Random(17)
     variables = _vars()
     for _ in range(6):
-        store = empty_store(semiring, backend=backend)
+        store = _empty(semiring, backend)
         told = [_random_constraint(rng, semiring, variables) for _ in range(3)]
         for constraint in told:
             store = store.tell(constraint)
@@ -111,7 +123,7 @@ def test_retract_unentailed_raises_r7(semiring, backend):
     worst = TableConstraint(
         semiring, [x], {(d,): semiring.zero for d in x.domain}
     )
-    store = empty_store(semiring, backend=backend).tell(best)
+    store = _empty(semiring, backend).tell(best)
     with pytest.raises(StoreError, match="R7"):
         store.retract(worst)
 
@@ -120,7 +132,7 @@ def test_weighted_roundtrip_restores_store(backend):
     semiring = WeightedSemiring()
     rng = random.Random(29)
     variables = _vars()
-    store = empty_store(semiring, backend=backend)
+    store = _empty(semiring, backend)
     for _ in range(3):
         var = rng.choice(variables)
         store = store.tell(
@@ -144,7 +156,7 @@ def test_update_is_transactional(semiring, backend):
     rng = random.Random(41)
     variables = _vars()
     for _ in range(6):
-        store = empty_store(semiring, backend=backend)
+        store = _empty(semiring, backend)
         for _ in range(3):
             store = store.tell(_random_constraint(rng, semiring, variables))
         target = rng.choice(variables)
@@ -165,7 +177,7 @@ def test_update_is_transactional(semiring, backend):
 def test_update_on_unknown_variable_just_tells(semiring, backend):
     rng = random.Random(53)
     variables = _vars()
-    store = empty_store(semiring, backend=backend).tell(
+    store = _empty(semiring, backend).tell(
         _random_constraint(rng, semiring, variables)
     )
     fresh = _random_constraint(rng, semiring, variables)
@@ -179,64 +191,18 @@ class TestConstructionFastPath:
     """Seeding a store with an already-tabulated constraint must not
     re-run compaction (the redundant ``to_table`` the refactor removed)."""
 
-    def test_monolith_keeps_table_identity(self, weighted):
-        x = variable("x", ["a", "b"])
-        table = TableConstraint(weighted, [x], {("a",): 1.0, ("b",): 2.0})
-        store = empty_store(weighted, backend="monolith").tell(table)
-        assert store.constraint is not None
-        from repro.constraints.store import MonolithStore
-
-        seeded = MonolithStore(weighted, table)
-        assert seeded.constraint is table
-
     def test_factored_keeps_table_identity(self, weighted):
         x = variable("x", ["a", "b"])
         table = TableConstraint(weighted, [x], {("a",): 1.0, ("b",): 2.0})
-        from repro.constraints.store import FactoredStore
-
-        seeded = FactoredStore(weighted, table)
+        seeded = ConstraintStore(weighted, table)
         assert seeded.factors == (table,)
         assert seeded.factors[0] is table
 
 
-class TestBackendSelection:
-    def test_auto_resolves_to_factored(self, weighted):
-        from repro.constraints.store import FactoredStore
-
-        assert isinstance(empty_store(weighted), FactoredStore)
-        assert isinstance(empty_store(weighted, backend="auto"), FactoredStore)
-
-    def test_explicit_backends(self, weighted):
-        from repro.constraints.store import FactoredStore, MonolithStore
-
-        assert isinstance(
-            empty_store(weighted, backend="monolith"), MonolithStore
-        )
-        assert isinstance(
-            empty_store(weighted, backend="factored"), FactoredStore
-        )
-
-    def test_unknown_backend_rejected(self, weighted):
-        with pytest.raises(StoreError):
-            empty_store(weighted, backend="quantum")
-
-    def test_default_backend_switch(self, weighted):
-        from repro.constraints.store import (
-            MonolithStore,
-            get_default_store_backend,
-            set_default_store_backend,
-        )
-
-        previous = get_default_store_backend()
-        try:
-            set_default_store_backend("monolith")
-            assert isinstance(empty_store(weighted), MonolithStore)
-        finally:
-            set_default_store_backend(previous)
-
-    def test_factored_tell_shares_tail(self, weighted):
+class TestPersistentChain:
+    def test_tell_shares_tail(self, weighted):
         x = variable("x", ["a", "b"])
-        base = empty_store(weighted, backend="factored")
+        base = empty_store(weighted)
         c1 = TableConstraint(weighted, [x], {("a",): 1.0, ("b",): 2.0})
         c2 = TableConstraint(weighted, [x], {("a",): 0.0, ("b",): 3.0})
         s1 = base.tell(c1)

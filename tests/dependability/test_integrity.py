@@ -148,24 +148,20 @@ class TestStoreAsImplementation:
     """A broker session's store *is* an implementation: refinement routes
     its interface view through ``ConstraintStore.project``."""
 
-    @pytest.mark.parametrize("backend", ["monolith", "factored"])
-    def test_store_refines_like_its_combination(self, photo, backend):
+    def test_store_refines_like_its_combination(self, photo):
         from repro.constraints import empty_store
 
-        store = empty_store(photo["memory"].semiring, backend=backend)
+        store = empty_store(photo["memory"].semiring)
         for module in ("red", "bw", "comp"):
             store = store.tell(photo[module])
         report = locally_refines(store, photo["memory"], ["incomp", "outcomp"])
         assert report.holds
         assert report.checked_assignments == len(SIZES) ** 2
 
-    @pytest.mark.parametrize("backend", ["monolith", "factored"])
-    def test_unreliable_module_breaks_store_refinement(
-        self, photo, boolean, backend
-    ):
+    def test_unreliable_module_breaks_store_refinement(self, photo, boolean):
         from repro.constraints import empty_store
 
-        store = empty_store(boolean, backend=backend)
+        store = empty_store(boolean)
         for module in (
             assume_unreliable(photo["red"]),
             photo["bw"],

@@ -5,7 +5,9 @@ constraint of the candidate SCSP into a constraint store and calling
 ``CheckSpec.holds(store)`` — a second, independent solve of the problem
 it had just solved.  It now reads the candidate solve's blevel.  This
 module keeps the old path so tests can pin the two decisions equal
-wherever both folds are exact, and show where they are not.
+wherever both folds are exact, and show where they are not.  The store
+is the factored :class:`~repro.constraints.ConstraintStore` by default,
+or the paper-literal monolith oracle with ``store="monolith"``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from repro.constraints import SoftConstraint, Variable
 from repro.constraints.store import empty_store
 from repro.soa.broker import CandidateEvaluation
 from repro.solver import SCSP
+
+from ..constraints.monolith_oracle import MonolithStore
 
 
 def candidate_constraints(broker, description, request, semiring) -> List[SoftConstraint]:
@@ -33,9 +37,9 @@ def candidate_constraints(broker, description, request, semiring) -> List[SoftCo
     return list(request.requirements) + offer
 
 
-def store_of(constraints, semiring, backend=None):
+def store_of(constraints, semiring, kind="factored"):
     """Every constraint told, factor by factor, into one store."""
-    store = empty_store(semiring, backend=backend)
+    store = MonolithStore(semiring) if kind == "monolith" else empty_store(semiring)
     for constraint in constraints:
         store = store.tell(constraint)
     return store
@@ -44,18 +48,21 @@ def store_of(constraints, semiring, backend=None):
 def store_consistency(broker, description, request, semiring) -> Any:
     """σ⇓∅ of the candidate store, solved by the store itself."""
     constraints = candidate_constraints(broker, description, request, semiring)
-    return store_of(constraints, semiring, broker.store_backend).consistency()
+    return store_of(constraints, semiring).consistency()
 
 
-def evaluate_via_store(broker, description, request, semiring) -> CandidateEvaluation:
+def evaluate_via_store(
+    broker, description, request, semiring, store="factored"
+) -> CandidateEvaluation:
     """The old ``Broker._evaluate``: solve, then re-solve the store."""
     constraints = candidate_constraints(broker, description, request, semiring)
     if not constraints:
         return CandidateEvaluation(description, semiring.zero, False, None)
     result = broker._solve(SCSP(constraints, name=description.service_id))
     if request.acceptance is not None:
-        store = store_of(constraints, semiring, broker.store_backend)
-        accepted = request.acceptance.holds(store)
+        accepted = request.acceptance.holds(
+            store_of(constraints, semiring, store)
+        )
     else:
         accepted = result.is_consistent
     return CandidateEvaluation(

@@ -138,19 +138,19 @@ EXACT = {
 }
 
 
-@pytest.mark.parametrize("store_backend", ["monolith", "factored"])
+@pytest.mark.parametrize("store", ["monolith", "factored"])
 @pytest.mark.parametrize("name", sorted(EXACT))
-def test_level_acceptance_matches_store_oracle(name, store_backend):
+def test_level_acceptance_matches_store_oracle(name, store):
     semiring, value = EXACT[name]
     decisions = set()
     for seed in range(4):
         rng = random.Random(seed)
         registry, requirements = random_market(rng, semiring, value)
-        broker = Broker(registry, store_backend=store_backend)
+        broker = Broker(registry)
         candidates = registry.find(operation="op")
         probe = request_for(requirements, None)
         levels = [
-            evaluate_via_store(broker, d, probe, semiring).blevel
+            evaluate_via_store(broker, d, probe, semiring, store).blevel
             for d in candidates
         ]
         levels += [value(rng), value(rng)]
@@ -159,7 +159,7 @@ def test_level_acceptance_matches_store_oracle(name, store_backend):
             for description in candidates:
                 new = broker._evaluate(description, request, semiring)
                 old = evaluate_via_store(
-                    broker, description, request, semiring
+                    broker, description, request, semiring, store
                 )
                 assert new.blevel == old.blevel
                 assert new.best_assignment == old.best_assignment

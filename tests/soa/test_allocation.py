@@ -39,6 +39,8 @@ from repro.soa import (
     satisfaction_score,
 )
 
+from .allocation_oracle import ScspFairAllocation
+
 CLIENTS = 12
 
 
@@ -271,12 +273,12 @@ class TestFairAllocation:
         # same ⟨worst, welfare⟩ objective — allocations must agree.
         dense = Broker(
             contention_market,
-            allocation_policy=FairAllocation(joint_solver="dense"),
+            allocation_policy=FairAllocation(),
             name="dense-broker",
         ).negotiate_round(contention_requests)
         scsp = Broker(
             contention_market,
-            allocation_policy=FairAllocation(joint_solver="scsp"),
+            allocation_policy=ScspFairAllocation(),
             name="scsp-broker",
         ).negotiate_round(contention_requests)
         assert sorted(realized(dense)) == pytest.approx(
@@ -291,10 +293,6 @@ class TestFairAllocation:
             provider = result.sla.providers[0]
             scsp_loads[provider] = scsp_loads.get(provider, 0) + 1
         assert loads == scsp_loads
-
-    def test_unknown_joint_solver_rejected(self):
-        with pytest.raises(AllocationError, match="joint_solver"):
-            FairAllocation(joint_solver="quantum")
 
     def test_cohort_packer_respects_row_cap(self, contention_market):
         from repro.soa.allocation import MAX_JOINT_ROWS, _Member

@@ -128,20 +128,20 @@ class TestTraceLevelsOnDemand:
         self, weighted, monkeypatch
     ):
         from repro.constraints import (
-            FactoredStore,
+            ConstraintStore,
             clear_store_caches,
             empty_store,
         )
 
         clear_store_caches()
         solved = []
-        solve = FactoredStore._solve_consistency
+        solve = ConstraintStore._solve_consistency
 
         def counting(store):
             solved.append(store.digest)
             return solve(store)
 
-        monkeypatch.setattr(FactoredStore, "_solve_consistency", counting)
+        monkeypatch.setattr(ConstraintStore, "_solve_consistency", counting)
         x = integer_variable("x", 6)
         first = FunctionConstraint(weighted, (x,), lambda v: 2.0 * v + 1.0)
         second = FunctionConstraint(weighted, (x,), lambda v: 9.0 - v)
@@ -154,12 +154,11 @@ class TestTraceLevelsOnDemand:
             [provider, client],
             weighted,
             verify_scheduler_independence=False,
-            store_backend="factored",
         )
         assert outcome.success and outcome.agreed_level == 10.0
 
         # The stores after each step, oldest first.
-        stores, store = [], empty_store(weighted, backend="factored")
+        stores, store = [], empty_store(weighted)
         for constraint in (first, second, demand):
             store = store.tell(constraint)
             stores.append(store)

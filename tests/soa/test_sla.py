@@ -20,19 +20,13 @@ def make_sla(client="C", providers=("P",), level=0.9, attribute="reliability"):
 
 
 class TestAsStore:
-    @pytest.mark.parametrize("backend", ["monolith", "factored"])
-    def test_rebuilds_the_agreed_store(self, backend):
+    def test_rebuilds_the_agreed_store(self):
         sla = make_sla(level=0.8)
-        store = sla.as_store(backend=backend)
-        assert store.backend == backend
+        store = sla.as_store()
         assert store.consistency() == 0.8
         assert store.entails(
             ConstantConstraint(sla.semiring, sla.agreed_level)
         )
-
-    def test_default_backend(self):
-        store = make_sla().as_store()
-        assert store.consistency() == make_sla().agreed_level
 
 
 class TestSLA:

@@ -6,7 +6,7 @@ they are small enough) must answer, member by member, exactly as B
 independent ``solve`` calls do, and refuses a list that does not share
 one topology.  The :class:`BucketCache` must answer unchanged buckets
 from the memo after a re-solve (``buckets_reused`` > 0, same result),
-and after a :class:`FactoredStore` delta only the buckets downstream of
+and after a :class:`ConstraintStore` delta only the buckets downstream of
 the changed factor may recompute.
 """
 
@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.constraints import FactoredStore, TableConstraint, variable
+from repro.constraints import ConstraintStore, TableConstraint, variable
 from repro.semirings import BoundedWeightedSemiring
 from repro.solver import (
     SCSP,
@@ -169,7 +169,7 @@ def test_store_deltas_reuse_shared_bucket_cache(weighted):
     clear_bucket_cache()
     x = variable("x", range(0, 6))
     y = variable("y", range(0, 6))
-    store = FactoredStore(weighted)
+    store = ConstraintStore(weighted)
     store = store.tell(TableConstraint(
         weighted, [x], {(i,): float(i) for i in range(6)}
     ))

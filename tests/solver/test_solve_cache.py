@@ -122,6 +122,22 @@ class TestSolveCache:
         assert bb.method == "branch-bound"
         assert elim.method == "elimination"
 
+    def test_backends_agree_under_one_cache(self):
+        # The factor representation is part of the key, never the answer.
+        cache = SolveCache()
+        results = {
+            backend: solve(make_problem(), backend=backend, cache=cache)
+            for backend in ("auto", "dict", "dense")
+        }
+        assert cache.stats()["misses"] == 3
+        for result in results.values():
+            assert result.blevel == results["auto"].blevel
+            assert result.best_assignment == results["auto"].best_assignment
+
+    def test_invalid_backend_surfaces(self):
+        with pytest.raises(Exception, match="unknown solver backend"):
+            solve(make_problem(), backend="bogus", cache=SolveCache())
+
 
 def _cost_registry():
     registry = ServiceRegistry()
@@ -170,26 +186,3 @@ class TestBrokerIntegration:
             client="c", operation="compress", attribute="cost"
         )
         assert broker.negotiate(request).success
-
-    def test_backend_flag_plumbs_through(self):
-        request = ClientRequest(
-            client="c", operation="compress", attribute="cost"
-        )
-        outcomes = {
-            backend: Broker(
-                _cost_registry(), solver_backend=backend
-            ).negotiate(request)
-            for backend in ("auto", "dict", "dense")
-        }
-        levels = {
-            outcome.sla.agreed_level for outcome in outcomes.values()
-        }
-        assert len(levels) == 1
-
-    def test_invalid_backend_surfaces(self):
-        broker = Broker(_cost_registry(), solver_backend="bogus")
-        request = ClientRequest(
-            client="c", operation="compress", attribute="cost"
-        )
-        with pytest.raises(Exception, match="unknown solver backend"):
-            broker.negotiate(request)

@@ -2,7 +2,7 @@
 
 The refactored store emits two counter families:
 
-* ``store_factors_total{backend}`` — one sample per told factor;
+* ``store_factors_total`` — one sample per told factor;
 * ``store_query_solver_hits_total{query}`` — a consistency / entailment
   / projection answered from the store's memo instead of the solver.
 
@@ -42,31 +42,23 @@ def _constraints(seed=0):
 
 
 class TestStoreFactorsTotal:
-    def test_counts_tells_per_backend(self):
+    def test_counts_told_factors(self):
         semiring, c1, c2 = _constraints(seed=11)
         with telemetry_session() as session:
-            empty_store(semiring, backend="factored").tell(c1).tell(c2)
-            empty_store(semiring, backend="monolith").tell(c1)
+            empty_store(semiring).tell(c1).tell(c2)
             snapshot = {
                 (m["name"], tuple(sorted(s["labels"].items()))): s["value"]
                 for m in session.registry.snapshot()["metrics"]
                 for s in m["samples"]
             }
-        assert (
-            snapshot[("store_factors_total", (("backend", "factored"),))]
-            == 2.0
-        )
-        assert (
-            snapshot[("store_factors_total", (("backend", "monolith"),))]
-            == 1.0
-        )
+        assert snapshot[("store_factors_total", ())] == 2.0
 
     def test_exposed_in_prometheus_format(self):
         semiring, c1, _ = _constraints(seed=23)
         with telemetry_session() as session:
-            empty_store(semiring, backend="factored").tell(c1)
+            empty_store(semiring).tell(c1)
             text = to_prometheus(session.registry)
-        assert 'store_factors_total{backend="factored"} 1' in text
+        assert "store_factors_total 1" in text.splitlines()
 
 
 class TestStoreQueryHitsTotal:
@@ -74,12 +66,12 @@ class TestStoreQueryHitsTotal:
         semiring, c1, c2 = _constraints(seed=37)
         clear_store_caches()
         with telemetry_session() as session:
-            store = empty_store(semiring, backend="factored").tell(c1).tell(c2)
+            store = empty_store(semiring).tell(c1).tell(c2)
             first = store.consistency()
             # A structurally identical rebuild shares the digest, so the
             # second solve is answered by the store-level memo.
             rebuilt = (
-                empty_store(semiring, backend="factored").tell(c1).tell(c2)
+                empty_store(semiring).tell(c1).tell(c2)
             )
             assert rebuilt.consistency() == first
             assert store.entails(c1)
@@ -90,7 +82,7 @@ class TestStoreQueryHitsTotal:
 
     def test_silent_outside_a_session(self):
         semiring, c1, _ = _constraints(seed=41)
-        store = empty_store(semiring, backend="factored").tell(c1)
+        store = empty_store(semiring).tell(c1)
         store.consistency()  # must not raise, must not record anything
         with telemetry_session() as session:
             text = to_prometheus(session.registry)

@@ -67,6 +67,22 @@ def market_file(tmp_path):
     return path
 
 
+def assert_flag_rejected(capsys, command, flag, value, market_file, fig1_file):
+    """``command flag value`` exits 2 while parsing: nothing on stdout,
+    the flag named on stderr."""
+    args = [command, flag, value]
+    if command in ("negotiate", "runtime"):
+        args.insert(1, str(market_file))
+    elif command == "solve":
+        args.insert(1, str(fig1_file))
+    with pytest.raises(SystemExit) as excinfo:
+        main(args)
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2, args
+    assert captured.out == ""
+    assert flag in captured.err
+
+
 class TestSolve:
     def test_solves_fig1(self, fig1_file, capsys):
         exit_code = main(["solve", str(fig1_file)])
@@ -81,15 +97,15 @@ class TestSolve:
         out = json.loads(capsys.readouterr().out)
         assert out["method"] == "elimination"
 
-    def test_solver_backend_flag(self, fig1_file, capsys):
-        for backend in ("dict", "dense"):
-            exit_code = main(
-                ["solve", str(fig1_file), "--solver-backend", backend]
-            )
-            out = json.loads(capsys.readouterr().out)
-            assert exit_code == 0
-            assert out["blevel"] == 7.0
-            assert out["optima"] == [[{"X": "a"}]]
+    def test_solver_backend_flag(self, market_file, fig1_file, capsys):
+        # The solver picks its factor representation itself; the flag is
+        # gone from every command that once took it.
+        for command in ("solve", "negotiate", "runtime", "fleet"):
+            for value in ("dict", "dense"):
+                assert_flag_rejected(
+                    capsys, command, "--solver-backend", value,
+                    market_file, fig1_file,
+                )
 
     def test_rejects_unknown_backend(self, fig1_file):
         with pytest.raises(SystemExit):
@@ -194,8 +210,6 @@ class TestNegotiate:
             [
                 "negotiate",
                 str(market_file),
-                "--solver-backend",
-                "dense",
                 "--no-solve-cache",
             ]
         )
@@ -204,26 +218,14 @@ class TestNegotiate:
         assert out["sla"]["providers"] == ["P2"]
 
     @pytest.mark.parametrize("backend", ["auto", "monolith", "factored"])
-    def test_store_backend_flag(self, market_file, capsys, backend):
-        from repro.constraints.store import (
-            get_default_store_backend,
-            set_default_store_backend,
-        )
-
-        previous = get_default_store_backend()
-        try:
-            exit_code = main(
-                ["negotiate", str(market_file), "--store-backend", backend]
+    def test_store_backend_flag(self, market_file, fig1_file, capsys, backend):
+        # One store representation: every former value of the flag is
+        # rejected while parsing, on every command.
+        for command in ("negotiate", "runtime", "fleet", "solve"):
+            assert_flag_rejected(
+                capsys, command, "--store-backend", backend,
+                market_file, fig1_file,
             )
-            # The flag also rebinds the process-wide default, so nmsccp
-            # sessions the broker spawns internally follow it.
-            assert get_default_store_backend() == backend
-        finally:
-            set_default_store_backend(previous)
-        out = json.loads(capsys.readouterr().out)
-        assert exit_code == 0
-        assert out["sla"]["providers"] == ["P2"]
-        assert out["sla"]["agreed_level"] == 3.0
 
     def test_unknown_store_backend_rejected(self, market_file):
         with pytest.raises(SystemExit):
@@ -782,6 +784,17 @@ class TestExitContract:
         assert excinfo.value.code == 2
         assert captured.out == ""
         assert flag in captured.err
+
+    def test_slo_on_unoffered_attribute_exits_2(self, market_file):
+        # The market's services publish cost only; availability (the
+        # default --attribute) has no offer to analyze.
+        completed = self.run_cli(
+            "slo", market_file, "--pipeline", "svc-P1", "--target", "0.9"
+        )
+        assert completed.returncode == 2, completed.stderr
+        assert completed.stdout == ""
+        assert "svc-P1" in completed.stderr
+        assert "Traceback" not in completed.stderr
 
     def test_solver_batching_flag_is_gone(self, market_file):
         completed = self.run_cli("runtime", market_file, "--solver-batching")
