@@ -6,6 +6,8 @@ from repro.constraints import ConstantConstraint
 from repro.semirings import ProbabilisticSemiring, WeightedSemiring
 from repro.soa import SLA, SLAError, SLARepository, SLAViolation
 
+from ..constraints.monolith_oracle import MonolithStore
+
 
 def make_sla(client="C", providers=("P",), level=0.9, attribute="reliability"):
     semiring = ProbabilisticSemiring()
@@ -19,10 +21,20 @@ def make_sla(client="C", providers=("P",), level=0.9, attribute="reliability"):
     )
 
 
+def _monolith_store(sla):
+    """The agreed constraint told to the paper-literal store oracle."""
+    return MonolithStore(sla.semiring).tell(sla.agreed_constraint)
+
+
 class TestAsStore:
-    def test_rebuilds_the_agreed_store(self):
+    @pytest.mark.parametrize(
+        "build",
+        [SLA.as_store, _monolith_store],
+        ids=["factored", "monolith"],
+    )
+    def test_rebuilds_the_agreed_store(self, build):
         sla = make_sla(level=0.8)
-        store = sla.as_store()
+        store = build(sla)
         assert store.consistency() == 0.8
         assert store.entails(
             ConstantConstraint(sla.semiring, sla.agreed_level)
