@@ -24,6 +24,11 @@ from typing import Iterable, Sequence
 
 import pytest
 
+#: Where bench runs write their JSON artifacts.  The directory is ignored
+#: by git, so a run never rewrites the ``benchmarks/BENCH_PR*.json``
+#: files committed as history.
+BENCH_OUT = "benchmarks/.out"
+
 
 def report(title: str, rows: Iterable[Sequence], headers: Sequence[str]):
     """Print a small fixed-width table under a title."""
@@ -75,14 +80,15 @@ def record_bench_artifact(
     """Merge ``payload`` under ``section`` in the bench JSON artifact.
 
     The default artifact (``REPRO_BENCH_JSON``, falling back to
-    ``benchmarks/BENCH_PR3.json``) accumulates one section per
+    ``benchmarks/.out/BENCH_PR3.json``) accumulates one section per
     benchmark — the CI bench job uploads the merged file, so the
-    dict-vs-dense and cold-vs-warm medians travel with every PR run.
-    Benchmarks introduced by later PRs pass an explicit ``path`` (e.g.
-    ``benchmarks/BENCH_PR4.json``) so each PR's artifact stays separate.
+    dict-vs-dense and cold-vs-warm medians travel with every run.
+    Later benchmarks pass an explicit ``path`` under :data:`BENCH_OUT`
+    (e.g. ``benchmarks/.out/BENCH_PR4.json``) so each artifact stays
+    separate.
     """
     if path is None:
-        path = os.environ.get("REPRO_BENCH_JSON", "benchmarks/BENCH_PR3.json")
+        path = os.environ.get("REPRO_BENCH_JSON", f"{BENCH_OUT}/BENCH_PR3.json")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     merged = {}

@@ -20,7 +20,7 @@ import statistics
 import time
 
 import pytest
-from conftest import record_bench_artifact, report
+from conftest import BENCH_OUT, record_bench_artifact, report
 
 from repro.coalitions import (
     random_trust_network,
@@ -29,7 +29,7 @@ from repro.coalitions import (
 )
 
 BENCH_PATH = os.environ.get(
-    "REPRO_BENCH_PR5_JSON", "benchmarks/BENCH_PR5.json"
+    "REPRO_BENCH_PR5_JSON", f"{BENCH_OUT}/BENCH_PR5.json"
 )
 
 FULL = bool(os.environ.get("REPRO_BENCH_FULL"))

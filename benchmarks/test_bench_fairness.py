@@ -22,13 +22,13 @@ closed-loop throughput.  Full mode (``REPRO_BENCH_FULL=1``) gates:
 
 Quick mode (default, CI-sized) keeps the fairness-improvement checks —
 they are load-shape invariants, not timings — and skips only the
-throughput gate.  Results land in ``benchmarks/BENCH_PR9.json``.
+throughput gate.  Results land in ``benchmarks/.out/BENCH_PR9.json``.
 """
 
 import os
 import statistics
 
-from conftest import record_bench_artifact, report
+from conftest import BENCH_OUT, record_bench_artifact, report
 
 from repro.runtime import (
     BatchConfig,
@@ -52,7 +52,7 @@ FAIR_JAIN_GATE = 0.9
 JAIN_MARGIN_GATE = 0.05
 THROUGHPUT_RATIO_GATE = 0.7
 
-ARTIFACT = "benchmarks/BENCH_PR9.json"
+ARTIFACT = f"{BENCH_OUT}/BENCH_PR9.json"
 
 
 def run_policy(policy, seed=9):

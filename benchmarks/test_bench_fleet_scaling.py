@@ -25,7 +25,7 @@ RNG construction — asserted here on every point.
 import os
 
 import pytest
-from conftest import record_bench_artifact, report
+from conftest import BENCH_OUT, record_bench_artifact, report
 
 from repro.fleet import FleetConfig, FleetFrontend, FleetLoadGenerator
 from repro.runtime import (
@@ -52,7 +52,7 @@ SCALE = {
 #: completion timing, which would break the outcome comparison below.
 RATE_RPS = 2000.0
 
-ARTIFACT = "benchmarks/BENCH_PR6.json"
+ARTIFACT = f"{BENCH_OUT}/BENCH_PR6.json"
 
 
 def build_fleet(shards, registry_seed=11):

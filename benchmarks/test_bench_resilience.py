@@ -17,12 +17,12 @@ same market, the same faults, the same seed:
 
 Quick mode (default, CI-sized) serves 48 sessions over 2 shards; set
 ``REPRO_BENCH_FULL=1`` for the E14-sized trace (640 sessions, 4
-shards).  Results land in ``benchmarks/BENCH_PR7.json``.
+shards).  Results land in ``benchmarks/.out/BENCH_PR7.json``.
 """
 
 import os
 
-from conftest import record_bench_artifact, report
+from conftest import BENCH_OUT, record_bench_artifact, report
 
 from repro.constraints import (
     Polynomial,
@@ -62,7 +62,7 @@ PROVIDERS = {"P0": 2.0, "P1": 4.0, "P2": 6.0, "P3": 9.0}
 
 AVAILABILITY_GATE = 0.99
 
-ARTIFACT = "benchmarks/BENCH_PR7.json"
+ARTIFACT = f"{BENCH_OUT}/BENCH_PR7.json"
 
 RESILIENCE = ResilienceConfig(
     # Trip on the first failure and stay open for the whole bench: a

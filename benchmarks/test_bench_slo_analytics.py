@@ -18,7 +18,7 @@ The acceptance run of the SLO tentpole (ISSUE 10).  Two measurements:
   serving-path cost of the broker precheck.  Full mode gates ≥ 200
   reports/s; quick mode records the number without gating a timing.
 
-Results land in ``benchmarks/BENCH_PR10.json`` (uploaded by the CI
+Results land in ``benchmarks/.out/BENCH_PR10.json`` (uploaded by the CI
 bench job).
 """
 
@@ -27,7 +27,7 @@ import os
 import random
 import time
 
-from conftest import record_bench_artifact, report
+from conftest import BENCH_OUT, record_bench_artifact, report
 
 from repro.dependability.metrics import ObservationWindow
 from repro.semirings import ProbabilisticSemiring
@@ -43,7 +43,7 @@ SCALE = {
 
 THROUGHPUT_GATE_RPS = 200.0
 
-ARTIFACT = "benchmarks/BENCH_PR10.json"
+ARTIFACT = f"{BENCH_OUT}/BENCH_PR10.json"
 
 PROB = ProbabilisticSemiring()
 

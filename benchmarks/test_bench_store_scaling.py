@@ -25,7 +25,7 @@ import statistics
 import time
 
 import pytest
-from conftest import record_bench_artifact, report
+from conftest import BENCH_OUT, record_bench_artifact, report
 
 from repro.constraints import (
     TableConstraint,
@@ -37,7 +37,7 @@ from repro.semirings import WeightedSemiring
 from tests.constraints.monolith_oracle import MonolithStore
 
 BENCH_PATH = os.environ.get(
-    "REPRO_BENCH_PR4_JSON", "benchmarks/BENCH_PR4.json"
+    "REPRO_BENCH_PR4_JSON", f"{BENCH_OUT}/BENCH_PR4.json"
 )
 
 #: Quick-mode sizes; 3¹⁰ = 59 049 keeps the monolith's largest table

@@ -771,6 +771,7 @@ _POSITIVE_INT = _int_at_least(1)
 _NON_NEGATIVE = _real()
 _POSITIVE = _real(strict=True)
 _PROBABILITY = _real(0.0, 1.0)
+_SHARE = _real(0.0, 1.0, strict=True)
 
 
 def _outage(text: str) -> Tuple[int, int]:
@@ -895,23 +896,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_coal.add_argument("--seed", type=int, default=0)
     p_coal.add_argument(
-        "--restarts", type=int, default=3, help="hill-climb restarts"
+        "--restarts",
+        type=_POSITIVE_INT,
+        default=3,
+        help="hill-climb restarts",
     )
     p_coal.add_argument(
         "--max-iterations",
-        type=int,
+        type=_int_at_least(0),
         default=200,
         help="climb steps per restart",
     )
     p_coal.add_argument(
         "--neighbour-sample",
-        type=int,
+        type=_POSITIVE_INT,
         default=64,
         help="candidate moves scored per step",
     )
     p_coal.add_argument(
         "--workers",
-        type=int,
+        type=_POSITIVE_INT,
         default=1,
         help="portfolio threads for --method engine "
         "(the result is worker-count independent)",
@@ -1249,14 +1253,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_slo.add_argument(
         "--buffer",
-        type=float,
+        type=_SHARE,
         default=0.9,
         metavar="F",
         help="planning safety margin applied to every provider level",
     )
     p_slo.add_argument(
         "--min-attempts",
-        type=int,
+        type=_POSITIVE_INT,
         default=5,
         metavar="N",
         help="observations required before delivered history discounts "
@@ -1264,7 +1268,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_slo.add_argument(
         "--flag-share",
-        type=float,
+        type=_SHARE,
         default=0.30,
         metavar="F",
         help="error-budget share above which a stage is flagged "

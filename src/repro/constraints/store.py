@@ -13,9 +13,11 @@ semantics only ever observes σ through ``blevel``/``⊢``/``⇓`` queries,
 and those route through :mod:`repro.solver` — bucket elimination over
 the factors, dense kernels when the semiring lowers.  An incrementally
 maintained SHA-256 *store digest* (the sum of the factors' digests mod
-2²⁵⁶, so it is order-insensitive and O(1) per ``tell``) keys the query
-caches: repeated asks on the same store version are cache hits, and two
-stores that told the same factors in any order share entries.
+2²⁵⁶, so it is order-insensitive and O(1) per ``tell``) keys the one
+query memo (``consistency`` and ``project``; ``⊢`` is a projection plus
+a pointwise compare): repeated asks on the same store version are memo
+hits, and two stores that told the same factors in any order share
+entries.  Each ask that misses eliminates the store's factors afresh.
 
 The randomized equivalence suite checks the store bit-for-bit against
 a paper-literal oracle kept with the tests (σ as one eagerly combined
@@ -49,46 +51,24 @@ _EXACT_RETRACT_MAX_FACTORS = 8
 #: Sentinel marking a not-yet-computed cached value.
 _UNSET = object()
 
-#: Memo for ``σ ⊢ c`` checks.  Entailment is the hot premise of the R2/
-#: R6/R7 transitions and the exhaustive explorer re-derives it for the
-#: same ``(σ, c)`` pair along every interleaving, so the memo pays for
-#: itself quickly.  It is LRU-capped and keyed by the semantic
-#: ``(store digest, constraint digest)`` pair.
-_entailment_cache = LRUCache(DEFAULT_CACHE_SIZE, name="store-entails")
-
 #: Memo for store ``consistency``/``project`` answers, keyed by
 #: the incremental store digest.  The digest is order-insensitive, so
 #: two stores that told the same factors in different orders share one
-#: entry.
+#: entry.  ``σ ⊢ c`` is a projection onto ``scope(c)`` plus a pointwise
+#: compare, so a repeated ask hits the ``"project"`` entry.
 _query_cache = LRUCache(DEFAULT_CACHE_SIZE, name="store-query")
 
 
-def set_entailment_cache_size(maxsize: int) -> None:
-    """Re-cap (and implicitly trim) the shared entailment memo."""
-    _entailment_cache.resize(maxsize)
-
-
-def entailment_cache_stats() -> dict:
-    return _entailment_cache.stats()
-
-
-def store_query_cache_stats() -> dict:
-    """Stats of the digest-keyed consistency/projection memo."""
-    return _query_cache.stats()
-
-
 def clear_store_caches() -> None:
-    """Drop every store-level memo (entailment, query, materialized
-    eliminated buckets, compiled elimination plans).
+    """Drop every store-level memo (the query memo and the compiled
+    elimination plans).
 
     Benchmarks call this between timed sections so warm-cache runs are a
     deliberate choice, not an accident of test ordering.
     """
-    from ..solver.elimination import clear_bucket_cache, clear_plan_cache
+    from ..solver.elimination import clear_plan_cache
 
-    _entailment_cache.clear()
     _query_cache.clear()
-    clear_bucket_cache()
     clear_plan_cache()
 
 
@@ -467,17 +447,11 @@ class ConstraintStore:
         keep: Sequence[Variable],
     ) -> TableConstraint:
         """``(⊗ factors) ⇓ keep`` via bucket elimination (dense kernels
-        whenever the semiring lowers).  Eliminations ride the shared
-        :class:`~repro.solver.elimination.BucketCache`: after a delta
-        (``tell``/``retract``/``update``) only buckets whose input-factor
-        digests changed are recomputed — untouched buckets are answered
-        from the materialized intermediates of earlier store versions."""
-        from ..solver import SCSP, eliminate, shared_bucket_cache
+        whenever the semiring lowers)."""
+        from ..solver import SCSP, eliminate
 
         problem = SCSP(list(factors), con=[var.name for var in keep])
-        table, _stats = eliminate(
-            problem, backend="auto", bucket_cache=shared_bucket_cache()
-        )
+        table, _stats = eliminate(problem, backend="auto")
         return table
 
     def _cached_query(self, label: str, extra, compute):
@@ -505,16 +479,10 @@ class ConstraintStore:
         return self._consistency
 
     def _solve_consistency(self) -> Any:
-        from ..solver import SCSP, shared_bucket_cache, solve
+        from ..solver import SCSP, solve
 
         problem = SCSP(list(self.factors), con=())
-        result = solve(
-            problem,
-            method="elimination",
-            backend="auto",
-            bucket_cache=shared_bucket_cache(),
-        )
-        return result.blevel
+        return solve(problem, method="elimination", backend="auto").blevel
 
     def project(self, keep: Iterable[str | Variable]) -> SoftConstraint:
         """``σ ⇓ keep`` via bucket elimination over the factors."""
@@ -551,30 +519,12 @@ class ConstraintStore:
         Because ``+`` is the lub and idempotent, ``σ ⊑ c`` iff
         ``(σ ⇓ scope(c)) ⊑ c``: project the store's factors down to the
         asked scope with the solver, then compare pointwise over that
-        (small) scope instead of the full union scope.
+        (small) scope instead of the full union scope.  The projection
+        rides the query memo, so a repeated ask on one store version
+        re-solves nothing.
         """
         self._check_semiring(constraint)
-        key = None
-        if (
-            self._digest_int is not None
-            and assignment_space_size(constraint.scope)
-            <= _MATERIALIZE_LIMIT
-        ):
-            key = (
-                "entails",
-                repr(self.semiring),
-                self._digest_int,
-                constraint_digest(constraint),
-            )
-            hit = _entailment_cache.get(key, _MISSING)
-            if hit is not _MISSING:
-                _record_query_hit("entails")
-                return hit
-        projected = self.project(constraint.support)
-        answer = constraint_leq(projected, constraint)
-        if key is not None:
-            _entailment_cache.put(key, answer)
-        return answer
+        return constraint_leq(self.project(constraint.support), constraint)
 
 
 def empty_store(semiring: Semiring) -> ConstraintStore:

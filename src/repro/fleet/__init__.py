@@ -12,12 +12,7 @@ problem fingerprint.  Determinism: per-session RNG streams derive from
 independent of shard count.
 """
 
-from .cache import (
-    DEFAULT_L2_CACHE_SIZE,
-    CacheBackend,
-    InProcessCacheBackend,
-    TieredSolveCache,
-)
+from .cache import DEFAULT_L2_CACHE_SIZE, TieredSolveCache
 from .frontend import (
     FleetConfig,
     FleetError,
@@ -34,8 +29,6 @@ __all__ = [
     "RingError",
     "hash_key",
     "DEFAULT_VNODES",
-    "CacheBackend",
-    "InProcessCacheBackend",
     "TieredSolveCache",
     "DEFAULT_L2_CACHE_SIZE",
     "FleetFrontend",

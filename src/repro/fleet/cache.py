@@ -10,15 +10,12 @@ the first shard to see a problem warms every other shard at once — the
 distributed-cache / cache-aside pattern pair from the scalability
 catalogue.
 
-The L2 hides behind the tiny :class:`CacheBackend` protocol (``get`` /
-``put`` / ``stats``).  :class:`InProcessCacheBackend` is the shipped
-implementation — a thread-safe, TTL-capable
-:class:`~repro.caching.LRUCache` shared by reference across shards of
-one process — and a networked backend (memcached/Redis speaking the
-same fingerprint keys) can slot in without touching the tiering logic.
-Entries are :class:`~repro.solver.cache._CacheEntry` payloads: already
-problem-independent and immutable, exactly what a serializing backend
-would marshal.
+The L2 is a plain :class:`~repro.solver.cache.SolveCache` (tier
+``l2``, :data:`DEFAULT_L2_CACHE_SIZE` entries) shared by reference
+across the shards of one process.  Its entries are
+:class:`~repro.solver.cache._CacheEntry` payloads, problem-independent
+and immutable, keyed by content fingerprint — so an entry can never go
+stale and needs no expiry; the LRU bound alone caps it.
 
 Observability: both tiers' LRUs carry a ``tier`` label on the shared
 ``cache_hits_total``/``cache_misses_total`` counters, and the tier
@@ -29,9 +26,8 @@ of a whole fleet off one metrics snapshot.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Protocol, runtime_checkable
+from typing import Any, Dict, Optional
 
-from ..caching import LRUCache
 from ..solver.cache import (
     DEFAULT_SOLVE_CACHE_SIZE,
     SolveCache,
@@ -52,62 +48,6 @@ TIER_OUTCOMES = (
 )
 
 
-@runtime_checkable
-class CacheBackend(Protocol):
-    """What the tier stack needs from a fleet-wide cache store."""
-
-    def get(self, key: str) -> Optional[Any]:
-        """The stored entry, or ``None``."""
-
-    def put(self, key: str, entry: Any) -> None:
-        """Store ``entry`` under ``key`` (last write wins)."""
-
-    def stats(self) -> Dict[str, int]:
-        """Hit/miss/size counters for reporting."""
-
-
-class InProcessCacheBackend:
-    """Process-local L2: one thread-safe LRU shared across shards.
-
-    Optional ``ttl`` ages entries out (stale agreements expire instead
-    of being served forever); ``clock`` is injectable for tests and is
-    never consulted when no TTL is set.
-    """
-
-    def __init__(
-        self,
-        maxsize: int = DEFAULT_L2_CACHE_SIZE,
-        ttl: Optional[float] = None,
-        clock: Optional[Any] = None,
-    ) -> None:
-        self._lru = LRUCache(
-            maxsize,
-            name="solve",
-            threadsafe=True,
-            tier="l2",
-            ttl=ttl,
-            clock=clock,
-        )
-
-    def get(self, key: str) -> Optional[Any]:
-        return self._lru.get(key)
-
-    def put(self, key: str, entry: Any) -> None:
-        self._lru.put(key, entry)
-
-    def clear(self) -> None:
-        self._lru.clear()
-
-    def stats(self) -> Dict[str, int]:
-        return self._lru.stats()
-
-    def __len__(self) -> int:
-        return len(self._lru)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"InProcessCacheBackend({self._lru!r})"
-
-
 class TieredSolveCache:
     """Drop-in :class:`~repro.solver.cache.SolveCache` replacement that
     stacks a private L1 on a shared L2.
@@ -120,7 +60,7 @@ class TieredSolveCache:
 
     def __init__(
         self,
-        l2: CacheBackend,
+        l2: SolveCache,
         l1_maxsize: int = DEFAULT_SOLVE_CACHE_SIZE,
     ) -> None:
         self._l1 = SolveCache(l1_maxsize, tier="l1")
@@ -132,7 +72,7 @@ class TieredSolveCache:
         return self._l1
 
     @property
-    def l2(self) -> CacheBackend:
+    def l2(self) -> SolveCache:
         return self._l2
 
     def fetch(self, key: str, problem: SCSP) -> Optional[SolverResult]:
@@ -152,7 +92,7 @@ class TieredSolveCache:
         if entry is not None:
             self._count("l1", "hit")
             return entry
-        entry = self._l2.get(key)
+        entry = self._l2.fetch_entry(key)
         if entry is None:
             # The L1 miss was already counted by the L1 LRU itself;
             # the stack's verdict is the L2 outcome.
@@ -172,7 +112,7 @@ class TieredSolveCache:
     def store_entry(self, key: str, entry: Any) -> None:
         """Write ``entry`` through both tiers."""
         self._l1.store_entry(key, entry)
-        self._l2.put(key, entry)
+        self._l2.store_entry(key, entry)
 
     def clear(self) -> None:
         """Clear the private L1 only — the L2 is shared fleet state."""

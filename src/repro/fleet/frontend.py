@@ -34,7 +34,7 @@ worker-count independent.
 
 Caching: with ``l2_cache`` on (the default), every shard broker gets a
 :class:`~repro.fleet.cache.TieredSolveCache` — private L1, one shared
-:class:`~repro.fleet.cache.InProcessCacheBackend` L2 — so the first
+:class:`~repro.solver.cache.SolveCache` L2 — so the first
 shard to solve a fingerprint warms the whole fleet.
 """
 
@@ -63,7 +63,8 @@ from ..soa.broker import Broker, ClientRequest
 from ..soa.faults import FaultInjector
 from ..soa.registry import ServiceRegistry
 from ..telemetry import get_events, get_registry, get_tracer
-from .cache import DEFAULT_L2_CACHE_SIZE, InProcessCacheBackend, TieredSolveCache
+from ..solver.cache import SolveCache
+from .cache import DEFAULT_L2_CACHE_SIZE, TieredSolveCache
 from .ring import DEFAULT_VNODES, HashRing
 
 #: Routing modes: ``session`` spreads the session space uniformly over
@@ -93,10 +94,6 @@ class FleetConfig:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     seed: Optional[int] = None
     l2_cache: bool = True
-    l2_maxsize: int = DEFAULT_L2_CACHE_SIZE
-    #: L2 entry lifetime in seconds (stale agreements age out); ``None``
-    #: keeps entries until LRU eviction.
-    l2_ttl: Optional[float] = None
     route_by: str = "session"
     #: With ``route_by="operation"``: give each shard broker only the
     #: registry partition it owns instead of the full shared registry.
@@ -212,10 +209,8 @@ class FleetFrontend:
             vnodes=self.config.vnodes,
             seed=self.config.seed or 0,
         )
-        self.l2: Optional[InProcessCacheBackend] = (
-            InProcessCacheBackend(
-                maxsize=self.config.l2_maxsize, ttl=self.config.l2_ttl
-            )
+        self.l2: Optional[SolveCache] = (
+            SolveCache(DEFAULT_L2_CACHE_SIZE, tier="l2")
             if self.config.l2_cache
             else None
         )

@@ -32,12 +32,8 @@ from .consistency import (
     prune_domains,
 )
 from .elimination import (
-    DEFAULT_BUCKET_CACHE_SIZE,
-    BucketCache,
     check_shared_topology,
-    clear_bucket_cache,
     eliminate,
-    shared_bucket_cache,
     solve_elimination,
 )
 from .exhaustive import solve_exhaustive
@@ -83,7 +79,6 @@ def solve(
     method: str = "auto",
     backend: str = "auto",
     cache: "SolveCache | None" = None,
-    bucket_cache: "BucketCache | None" = None,
     **options,
 ) -> "SolverResult | List[SolverResult]":
     """Solve an SCSP, or a list of topology-sharing SCSPs, with the
@@ -94,11 +89,7 @@ def solve(
     representation for the methods that support it (``auto``/``dict``/
     ``dense``, see :mod:`repro.solver.kernels`).  When ``cache`` is given
     the solve is keyed by :func:`~repro.solver.cache.problem_fingerprint`
-    and answered from a warm entry when one exists.  ``bucket_cache``
-    (elimination only) additionally memoizes per-bucket intermediates so
-    a near-miss — same topology, one factor changed — re-eliminates only
-    the affected buckets; it never changes results, so it is deliberately
-    excluded from the problem fingerprint.
+    and answered from a warm entry when one exists.
 
     Given a list, ``solve`` returns one result per problem, in order.
     Under ``method="auto"`` a :func:`~repro.solver.stacked.stackable`
@@ -109,9 +100,7 @@ def solve(
     problem.
     """
     if not isinstance(problem, SCSP):
-        return _solve_group(
-            list(problem), method, backend, cache, bucket_cache, options
-        )
+        return _solve_group(list(problem), method, backend, cache, options)
     if method == "auto":
         method = (
             "branch-bound"
@@ -128,8 +117,6 @@ def solve(
     call_options = dict(options)
     if method in _BACKEND_AWARE:
         call_options["backend"] = backend
-    if bucket_cache is not None and method == "elimination":
-        call_options["bucket_cache"] = bucket_cache
     if cache is not None:
         key = problem_fingerprint(problem, method, backend, options)
         hit = cache.fetch(key, problem)
@@ -146,7 +133,6 @@ def _solve_group(
     method: str,
     backend: str,
     cache: "SolveCache | None",
-    bucket_cache: "BucketCache | None",
     options: Dict[str, Any],
 ) -> List[SolverResult]:
     """``solve`` over a list: one stacked scan, or one solve each."""
@@ -154,7 +140,7 @@ def _solve_group(
         raise ProblemError("solve needs at least one problem")
     if method != "auto" or not stackable(problems[0], backend):
         return [
-            solve(problem, method, backend, cache, bucket_cache, **options)
+            solve(problem, method, backend, cache, **options)
             for problem in problems
         ]
     # Checked before the cache is asked: a group key names only the
@@ -180,10 +166,6 @@ __all__ = [
     "DEFAULT_SOLVE_CACHE_SIZE",
     "problem_fingerprint",
     "group_fingerprint",
-    "BucketCache",
-    "DEFAULT_BUCKET_CACHE_SIZE",
-    "shared_bucket_cache",
-    "clear_bucket_cache",
     "DenseFactor",
     "KernelError",
     "Lowering",

@@ -23,7 +23,6 @@ value; a solve then only runs the plan's steps.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import time
 from dataclasses import dataclass
@@ -42,7 +41,6 @@ from typing import (
 import numpy as np
 
 from ..caching import LRUCache
-from ..constraints.digest import constraint_digest
 from ..constraints.operations import combine
 from ..constraints.table import TableConstraint, to_table
 from ..constraints.variables import Variable, assignment_space_size
@@ -62,104 +60,17 @@ from .problem import (
     record_solve_metrics,
 )
 
-#: Default number of materialized eliminated buckets kept warm.
-DEFAULT_BUCKET_CACHE_SIZE = 4096
-
-
-class BucketCache:
-    """Digest-keyed memo of *materialized eliminated buckets*.
-
-    A bucket's output — ``(⊗ bucket) ⇓ (scope ∖ {var})`` — is a pure
-    function of the eliminated variable and the multiset of input
-    factors, so it is cached under a Merkle-style key: SHA-256 over the
-    backend, semiring, variable name and the *sorted multiset* of input
-    digests (initial factors contribute their extensional
-    :func:`~repro.constraints.digest.constraint_digest`; intermediates
-    contribute the key of the bucket that produced them).  A
-    :class:`~repro.constraints.store.ConstraintStore` delta (``tell``/
-    ``retract``/``update``) then only re-eliminates the buckets whose
-    input digests actually changed — every untouched bucket is answered
-    from the memo, factor object identity notwithstanding.
-
-    Entries hold immutable factors (dense arrays or tuple tables that
-    are never written after construction), so sharing them across solves
-    and threads is safe; the LRU itself is the shared thread-safe
-    :class:`~repro.caching.LRUCache` under the name ``"buckets"``
-    (visible in :func:`repro.caching.cache_stats` and the
-    ``cache_*_total{cache="buckets"}`` telemetry counters).
-    """
-
-    def __init__(self, maxsize: int = DEFAULT_BUCKET_CACHE_SIZE) -> None:
-        self._lru = LRUCache(maxsize, name="buckets", threadsafe=True)
-
-    def get(self, key: str) -> Optional[tuple]:
-        return self._lru.get(key)
-
-    def put(self, key: str, value: tuple) -> None:
-        self._lru.put(key, value)
-
-    def clear(self) -> None:
-        self._lru.clear()
-
-    def stats(self) -> Dict[str, int]:
-        return self._lru.stats()
-
-    def __len__(self) -> int:
-        return len(self._lru)
-
-
-_shared_bucket_cache: Optional[BucketCache] = None
-
-
-def shared_bucket_cache() -> BucketCache:
-    """The process-wide bucket memo (created lazily) — the store's query
-    paths share it so a delta re-solve hits the buckets a previous
-    version of the same store materialized."""
-    global _shared_bucket_cache
-    if _shared_bucket_cache is None:
-        _shared_bucket_cache = BucketCache()
-    return _shared_bucket_cache
-
-
-def clear_bucket_cache() -> None:
-    """Drop every materialized bucket (tests and benchmarks)."""
-    if _shared_bucket_cache is not None:
-        _shared_bucket_cache.clear()
-
-
-def _bucket_key(
-    backend_label: str,
-    semiring: Any,
-    var_name: str,
-    input_digests: Sequence[str],
-) -> str:
-    """The Merkle key (and output digest) of one eliminated bucket."""
-    piece = hashlib.sha256()
-    piece.update(
-        f"bucket {backend_label};{semiring!r};{var_name};".encode()
-    )
-    for digest in sorted(input_digests):
-        piece.update(digest.encode())
-    return piece.hexdigest()
-
-
 def eliminate(
     problem: SCSP,
     ordering: str | OrderingFn = "min-degree",
     backend: str = "auto",
-    bucket_cache: Optional[BucketCache] = None,
 ) -> tuple[TableConstraint, SolverStats]:
     """Return ``Sol(P)`` as an explicit table plus work statistics.
 
     ``backend`` selects the bucket representation: ``"dict"`` forces the
     tuple-table path, ``"dense"`` requires the vectorized kernels (and
     raises :class:`ProblemError` when the semiring does not lower), and
-    ``"auto"`` uses dense whenever possible.  ``bucket_cache`` enables
-    incremental re-solves: eliminated buckets are looked up (and
-    materialized into) the given :class:`BucketCache`, so only buckets
-    whose input-factor digests changed since a previous solve are
-    recomputed.  The cache never changes results — a key is a pure
-    function of a bucket's inputs — only which buckets are recomputed.
+    ``"auto"`` uses dense whenever possible.
     """
     stats = SolverStats()
     try:
@@ -170,24 +81,13 @@ def eliminate(
     plan = elimination_plan(problem, ordering)
     if lowering is None:
         to_eliminate = [problem.variables[var] for var in plan.eliminate]
-        table = _eliminate_dict(problem, to_eliminate, stats, bucket_cache)
+        table = _eliminate_dict(problem, to_eliminate, stats)
     else:
         arrays = [
             DenseFactor.from_constraint(c, lowering).array
             for c in problem.constraints
         ]
-        digests = None
-        if bucket_cache is not None:
-            digests = [constraint_digest(c) for c in problem.constraints]
-        array, scope = _sweep(
-            plan,
-            arrays,
-            lowering,
-            stats,
-            problem.variables,
-            bucket_cache,
-            digests,
-        )
+        array, scope = _sweep(plan, arrays, lowering, stats)
         table = DenseFactor(
             lowering, [problem.variables[var] for var in scope], array
         ).to_table()
@@ -201,51 +101,21 @@ def _eliminate_dict(
     problem: SCSP,
     to_eliminate: List[Variable],
     stats: SolverStats,
-    bucket_cache: Optional[BucketCache] = None,
 ) -> TableConstraint:
     """The reference dict-of-tuples bucket schedule."""
     semiring = problem.semiring
     pool: List[TableConstraint] = [to_table(c) for c in problem.constraints]
-    digests: Optional[Dict[int, str]] = None
-    if bucket_cache is not None:
-        digests = {
-            id(factor): constraint_digest(constraint)
-            for factor, constraint in zip(pool, problem.constraints)
-        }
     for var in to_eliminate:
         bucket = [c for c in pool if var.name in c.support]
         rest = [c for c in pool if var.name not in c.support]
         if not bucket:
             continue
         stats.buckets_processed += 1
-        eliminated = None
-        key = None
-        if digests is not None:
-            key = _bucket_key(
-                "dict",
-                semiring,
-                var.name,
-                [digests[id(c)] for c in bucket],
-            )
-            hit = bucket_cache.get(key)
-            if hit is not None:
-                eliminated, combined_size = hit
-                stats.buckets_reused += 1
-                stats.largest_intermediate = max(
-                    stats.largest_intermediate, combined_size
-                )
-        if eliminated is None:
-            combined = combine(bucket, semiring=semiring)
-            combined_size = assignment_space_size(combined.scope)
-            stats.largest_intermediate = max(
-                stats.largest_intermediate, combined_size
-            )
-            eliminated = to_table(combined.hide(var.name))
-            if key is not None:
-                bucket_cache.put(key, (eliminated, combined_size))
-        if digests is not None:
-            digests[id(eliminated)] = key
-        pool = rest + [eliminated]
+        combined = combine(bucket, semiring=semiring)
+        stats.largest_intermediate = max(
+            stats.largest_intermediate, assignment_space_size(combined.scope)
+        )
+        pool = rest + [to_table(combined.hide(var.name))]
     solution = combine(pool, semiring=semiring).project(problem.con)
     return to_table(solution)
 
@@ -254,9 +124,8 @@ def _eliminate_dict(
 # Compiled elimination plans
 # ---------------------------------------------------------------------------
 
-#: Compiled plans kept warm — one per topology, ordering and ``con``
-#: (plus the continuations of permuted bucket-cache hits, see
-#: :func:`_sweep`).  Keys hold, by value, everything a plan is compiled
+#: Compiled plans kept warm — one per topology, ordering and ``con``.
+#: Keys hold, by value, everything a plan is compiled
 #: from (scope names and sizes, the ordering name, and ``con`` or the
 #: materialization limit), never object ids, so a plan can never be
 #: served to a problem it was not compiled for; problems of one
@@ -372,33 +241,26 @@ def _compile_step(
 class EliminationPlan:
     """The dense bucket schedule of one topology: ``(⊗C) ⇓ con``.
 
-    ``eliminate`` lists the variables outside ``con`` in elimination
-    order; ``buckets`` holds one step per non-empty bucket and
-    ``pools[i]`` the live slots after ``buckets[i]`` (the unreduced rest,
-    then its output); ``final`` combines the last pool and projects onto
-    ``keep``.  Variables are indices into ``variables`` (names, sizes).
+    ``eliminate`` lists the variables outside ``con`` (indices into the
+    problem's variables) in elimination order; ``buckets`` holds one
+    step per non-empty bucket; ``final`` combines the last pool and
+    projects onto ``con``.
     """
 
-    variables: Tuple[Tuple[str, int], ...]
-    scopes: Tuple[Tuple[int, ...], ...]
     eliminate: Tuple[int, ...]
     buckets: Tuple[Step, ...]
-    pools: Tuple[Tuple[int, ...], ...]
     final: Step
-    keep: FrozenSet[int]
 
 
 def _compile_elimination(
-    variables: Tuple[Tuple[str, int], ...],
+    sizes: Sequence[int],
     scopes: Sequence[Tuple[int, ...]],
     eliminate: Tuple[int, ...],
     keep: FrozenSet[int],
 ) -> EliminationPlan:
-    sizes = [size for _name, size in variables]
     scopes = list(scopes)
     pool = list(range(len(scopes)))
     buckets: List[Step] = []
-    pools: List[Tuple[int, ...]] = []
     for var in eliminate:
         bucket = [slot for slot in pool if var in scopes[slot]]
         if not bucket:
@@ -408,15 +270,10 @@ def _compile_elimination(
         pool.append(len(scopes))
         scopes.append(step.scope)
         buckets.append(step)
-        pools.append(tuple(pool))
     return EliminationPlan(
-        variables=variables,
-        scopes=tuple(scopes),
         eliminate=eliminate,
         buckets=tuple(buckets),
-        pools=tuple(pools),
         final=_compile_step(pool, scopes, sizes, keep.__contains__),
-        keep=keep,
     )
 
 
@@ -468,7 +325,7 @@ def elimination_plan(
         variables, index, scopes, order = _indexed(problem, ordering)
         keep = frozenset(index[name] for name in problem.con)
         return _compile_elimination(
-            tuple((var.name, var.size) for var in variables),
+            [var.size for var in variables],
             scopes,
             tuple(var for var in order if var not in keep),
             keep,
@@ -483,82 +340,20 @@ def elimination_plan(
     return _memoized(key, compile)
 
 
-def _continuation(
-    plan: EliminationPlan,
-    scopes: Sequence[Tuple[int, ...]],
-    eliminate: Tuple[int, ...],
-) -> EliminationPlan:
-    """The rest of ``plan`` from a live pool with the given scopes."""
-    key = ("continuation", plan.variables, tuple(scopes), eliminate, plan.keep)
-    return _memoized(
-        key,
-        lambda: _compile_elimination(
-            plan.variables, scopes, eliminate, plan.keep
-        ),
-    )
-
-
 def _sweep(
     plan: EliminationPlan,
     arrays: List[np.ndarray],
     lowering: Lowering,
     stats: SolverStats,
-    variables: Sequence[Variable],
-    bucket_cache: Optional[BucketCache] = None,
-    digests: Optional[List[str]] = None,
 ) -> tuple[np.ndarray, Tuple[int, ...]]:
     """Run ``plan`` over the slot-indexed ``arrays``; return the final
-    array and its scope.
-
-    With a ``bucket_cache`` each bucket is looked up under its Merkle
-    key first, ``digests`` holding every slot's digest.  The key sorts
-    its input digests, so a cached factor may list the planned scope in
-    another order — then the sweep resumes with a plan compiled for the
-    pool as it now stands, which is what the factor-by-factor loop did
-    implicitly.
-    """
-    for step, pool in zip(plan.buckets, plan.pools):
+    array and its scope."""
+    for step in plan.buckets:
         stats.buckets_processed += 1
         stats.largest_intermediate = max(
             stats.largest_intermediate, step.size
         )
-        if bucket_cache is None:
-            arrays.append(run_step(step, arrays, lowering))
-            continue
-        key = _bucket_key(
-            "dense",
-            lowering.semiring,
-            variables[step.var].name,
-            [digests[slot] for slot in step.inputs],
-        )
-        digests.append(key)
-        hit = bucket_cache.get(key)
-        if hit is None:
-            out = run_step(step, arrays, lowering)
-            scope = [variables[var] for var in step.scope]
-            bucket_cache.put(
-                key, (DenseFactor(lowering, scope, out), step.size)
-            )
-            arrays.append(out)
-            continue
-        stats.buckets_reused += 1
-        factor = hit[0]
-        arrays.append(factor.array)
-        names = tuple(plan.variables[var][0] for var in step.scope)
-        if factor.support != names:
-            index = {name: var for var, (name, _) in enumerate(plan.variables)}
-            scopes = [plan.scopes[slot] for slot in pool[:-1]]
-            scopes.append(tuple(index[name] for name in factor.support))
-            rest = plan.eliminate[plan.eliminate.index(step.var) + 1 :]
-            return _sweep(
-                _continuation(plan, scopes, rest),
-                [arrays[slot] for slot in pool],
-                lowering,
-                stats,
-                variables,
-                bucket_cache,
-                [digests[slot] for slot in pool],
-            )
+        arrays.append(run_step(step, arrays, lowering))
     return run_step(plan.final, arrays, lowering), plan.final.scope
 
 
@@ -742,7 +537,6 @@ def solve_elimination(
     problem: SCSP,
     ordering: str | OrderingFn = "min-degree",
     backend: str = "auto",
-    bucket_cache: Optional[BucketCache] = None,
 ) -> SolverResult:
     """Solve via bucket elimination; exact for partial orders too."""
     semiring = problem.semiring
@@ -751,9 +545,7 @@ def solve_elimination(
     with get_tracer().span(
         "solver.solve", method="elimination", problem=problem.name
     ):
-        table, stats = eliminate(
-            problem, ordering, backend=backend, bucket_cache=bucket_cache
-        )
+        table, stats = eliminate(problem, ordering, backend=backend)
     record_solve_metrics(
         "elimination",
         stats,

@@ -131,10 +131,6 @@ class SolverStats:
     buckets_processed: int = 0
     largest_intermediate: int = 0
     incumbent_improvements: int = 0
-    #: Buckets answered from a materialized eliminated-bucket memo
-    #: (counted inside ``buckets_processed`` too — the schedule is the
-    #: same, the combine/project work was skipped).
-    buckets_reused: int = 0
 
     def merge(self, other: "SolverStats") -> "SolverStats":
         return SolverStats(
@@ -148,7 +144,6 @@ class SolverStats:
             ),
             incumbent_improvements=self.incumbent_improvements
             + other.incumbent_improvements,
-            buckets_reused=self.buckets_reused + other.buckets_reused,
         )
 
 
@@ -205,11 +200,6 @@ def record_solve_metrics(
             "solver_buckets_processed_total",
             "Bucket-elimination buckets processed.",
             stats.buckets_processed,
-        ),
-        (
-            "solver_buckets_reused_total",
-            "Buckets answered from the materialized-bucket memo.",
-            stats.buckets_reused,
         ),
     ):
         # inc(0) still registers the sample, so snapshots always show the

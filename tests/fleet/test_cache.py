@@ -1,16 +1,10 @@
-"""The two-tier solve cache: L1/L2 tiering, promotion, TTL expiry."""
-
-import pytest
+"""The two-tier solve cache: L1/L2 tiering and promotion."""
 
 from repro.caching import LRUCache
 from repro.constraints import TableConstraint, variable
-from repro.fleet import (
-    CacheBackend,
-    InProcessCacheBackend,
-    TieredSolveCache,
-)
+from repro.fleet import TieredSolveCache
 from repro.semirings import WeightedSemiring
-from repro.solver import SCSP, problem_fingerprint, solve
+from repro.solver import SCSP, SolveCache, problem_fingerprint, solve
 from repro.telemetry import telemetry_session
 
 
@@ -31,37 +25,14 @@ def solved(weight=3.0):
     return problem, key, solve(problem, method="branch-bound")
 
 
-class TestProtocol:
-    def test_in_process_backend_satisfies_it(self):
-        assert isinstance(InProcessCacheBackend(), CacheBackend)
-
-    def test_a_plain_dict_wrapper_satisfies_it(self):
-        class DictBackend:
-            def __init__(self):
-                self.data = {}
-
-            def get(self, key):
-                return self.data.get(key)
-
-            def put(self, key, entry):
-                self.data[key] = entry
-
-            def stats(self):
-                return {"size": len(self.data)}
-
-        backend = DictBackend()
-        assert isinstance(backend, CacheBackend)
-        # and the tier stack runs on it unchanged
-        tiered = TieredSolveCache(backend)
-        problem, key, result = solved()
-        tiered.store(key, result)
-        assert key in backend.data
-        assert tiered.fetch(key, make_problem()) is not None
+def shared_l2():
+    """The fleet's L2: one solve cache shared by reference."""
+    return SolveCache(tier="l2")
 
 
 class TestTiering:
     def test_store_writes_through_both_tiers(self):
-        l2 = InProcessCacheBackend()
+        l2 = shared_l2()
         tiered = TieredSolveCache(l2)
         problem, key, result = solved()
         tiered.store(key, result)
@@ -69,7 +40,7 @@ class TestTiering:
         assert len(l2) == 1
 
     def test_l1_hit_needs_no_l2(self):
-        l2 = InProcessCacheBackend()
+        l2 = shared_l2()
         tiered = TieredSolveCache(l2)
         problem, key, result = solved()
         tiered.store(key, result)
@@ -79,7 +50,7 @@ class TestTiering:
         assert fetched.blevel == result.blevel
 
     def test_l2_hit_promotes_into_l1(self):
-        l2 = InProcessCacheBackend()
+        l2 = shared_l2()
         warm = TieredSolveCache(l2)
         cold = TieredSolveCache(l2)  # another shard, same L2
         problem, key, result = solved()
@@ -94,11 +65,11 @@ class TestTiering:
         assert cold.fetch(key, make_problem()) is not None
 
     def test_full_miss_returns_none(self):
-        tiered = TieredSolveCache(InProcessCacheBackend())
+        tiered = TieredSolveCache(shared_l2())
         assert tiered.fetch("no-such-fingerprint", make_problem()) is None
 
     def test_clear_keeps_the_shared_l2(self):
-        l2 = InProcessCacheBackend()
+        l2 = shared_l2()
         tiered = TieredSolveCache(l2)
         problem, key, result = solved()
         tiered.store(key, result)
@@ -107,7 +78,7 @@ class TestTiering:
         assert len(l2) == 1
 
     def test_results_rebind_to_the_callers_problem(self):
-        l2 = InProcessCacheBackend()
+        l2 = shared_l2()
         warm = TieredSolveCache(l2)
         cold = TieredSolveCache(l2)
         problem, key, result = solved()
@@ -116,7 +87,7 @@ class TestTiering:
         assert cold.fetch(key, other).problem is other
 
     def test_stats_expose_both_tiers_and_promotions(self):
-        l2 = InProcessCacheBackend()
+        l2 = shared_l2()
         tiered = TieredSolveCache(l2)
         problem, key, result = solved()
         tiered.store(key, result)
@@ -129,7 +100,7 @@ class TestTiering:
 
     def test_tier_outcomes_flow_to_telemetry(self):
         problem, key, result = solved()
-        l2 = InProcessCacheBackend()
+        l2 = shared_l2()
         warm = TieredSolveCache(l2)
         cold = TieredSolveCache(l2)
         with telemetry_session() as session:
@@ -145,29 +116,6 @@ class TestTiering:
             assert requests.labels("l2", "miss").value == 1
             promotions = session.registry.get("fleet_l2_promotions_total")
             assert promotions.value == 1
-
-
-class TestTTL:
-    def test_entries_expire_on_the_injected_clock(self):
-        now = [0.0]
-        l2 = InProcessCacheBackend(ttl=10.0, clock=lambda: now[0])
-        problem, key, result = solved()
-        tiered = TieredSolveCache(l2)
-        tiered.store(key, result)
-        tiered.clear()  # force the next fetch through L2
-        assert tiered.fetch(key, make_problem()) is not None
-        tiered.clear()
-        now[0] = 10.0  # expiry is inclusive at exactly ttl
-        assert tiered.fetch(key, make_problem()) is None
-        assert l2.stats()["expirations"] == 1
-
-    def test_no_ttl_never_consults_the_clock(self):
-        def forbidden():  # pragma: no cover - would fail the test
-            raise AssertionError("clock consulted without a TTL")
-
-        backend = InProcessCacheBackend(clock=forbidden)
-        backend.put("k", "v")
-        assert backend.get("k") == "v"
 
 
 class TestLRUTierLabel:

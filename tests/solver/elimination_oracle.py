@@ -1,8 +1,7 @@
 """The dense bucket loops that compiled elimination plans replaced.
 
 Before plans, every dense bucket pass re-derived its schedule per call:
-``eliminate`` walked a factor pool with ``combine_factors``/``hide`` (and
-the :class:`~repro.solver.elimination.BucketCache` Merkle keys), and
+``eliminate`` walked a factor pool with ``combine_factors``/``hide``, and
 branch & bound's bucket pass built its messages the same way.  Those
 loops are kept here, verbatim apart from dropping telemetry, as the
 oracles pinning that a compiled plan changes no value, no scope order
@@ -21,7 +20,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 import repro.solver.branch_bound as branch_bound
-from repro.constraints.digest import constraint_digest
 from repro.constraints.table import TableConstraint
 from repro.constraints.variables import (
     Variable,
@@ -34,7 +32,6 @@ from repro.solver import (
     resolve_lowering,
     resolve_ordering,
 )
-from repro.solver.elimination import BucketCache, _bucket_key
 from repro.solver.heuristics import OrderingFn
 from repro.solver.kernels import Lowering
 from repro.solver.problem import SCSP, SolverStats
@@ -130,9 +127,8 @@ def combine_factors(factors: Sequence[DenseFactor]) -> DenseFactor:
 def reference_eliminate(
     problem: SCSP,
     ordering: str | OrderingFn = "min-degree",
-    bucket_cache: Optional[BucketCache] = None,
 ) -> Tuple[TableConstraint, SolverStats]:
-    """``eliminate(problem, ordering, "dense", bucket_cache)`` as it was."""
+    """``eliminate(problem, ordering, "dense")`` as it was."""
     stats = SolverStats()
     lowering = resolve_lowering(problem.semiring, "dense")
     con_set = set(problem.con)
@@ -143,9 +139,7 @@ def reference_eliminate(
         )
         if var.name not in con_set
     ]
-    table = _eliminate_dense(
-        problem, to_eliminate, lowering, stats, bucket_cache
-    )
+    table = _eliminate_dense(problem, to_eliminate, lowering, stats)
     stats.largest_intermediate = max(
         stats.largest_intermediate, assignment_space_size(table.scope)
     )
@@ -157,52 +151,22 @@ def _eliminate_dense(
     to_eliminate: List[Variable],
     lowering: Lowering,
     stats: SolverStats,
-    bucket_cache: Optional[BucketCache] = None,
 ) -> TableConstraint:
     pool: List[DenseFactor] = [
         DenseFactor.from_constraint(c, lowering)
         for c in problem.constraints
     ]
-    digests: Optional[Dict[int, str]] = None
-    if bucket_cache is not None:
-        digests = {
-            id(factor): constraint_digest(constraint)
-            for factor, constraint in zip(pool, problem.constraints)
-        }
     for var in to_eliminate:
         bucket = [f for f in pool if var.name in f.support]
         rest = [f for f in pool if var.name not in f.support]
         if not bucket:
             continue
         stats.buckets_processed += 1
-        eliminated = None
-        key = None
-        if digests is not None:
-            key = _bucket_key(
-                "dense",
-                problem.semiring,
-                var.name,
-                [digests[id(f)] for f in bucket],
-            )
-            hit = bucket_cache.get(key)
-            if hit is not None:
-                eliminated, combined_size = hit
-                stats.buckets_reused += 1
-                stats.largest_intermediate = max(
-                    stats.largest_intermediate, combined_size
-                )
-        if eliminated is None:
-            combined = combine_factors(bucket)
-            combined_size = assignment_space_size(combined.scope)
-            stats.largest_intermediate = max(
-                stats.largest_intermediate, combined_size
-            )
-            eliminated = dense_hide(combined, var.name)
-            if key is not None:
-                bucket_cache.put(key, (eliminated, combined_size))
-        if digests is not None:
-            digests[id(eliminated)] = key
-        pool = rest + [eliminated]
+        combined = combine_factors(bucket)
+        stats.largest_intermediate = max(
+            stats.largest_intermediate, assignment_space_size(combined.scope)
+        )
+        pool = rest + [dense_hide(combined, var.name)]
     solution = dense_project(combine_factors(pool), problem.con)
     return solution.to_table()
 

@@ -1,29 +1,21 @@
-"""List solves of topology-sharing problems, and the materialized-bucket
-memo.
+"""List solves of topology-sharing problems.
 
 ``solve([...])`` over B topology-sharing problems (one stacked scan when
 they are small enough) must answer, member by member, exactly as B
 independent ``solve`` calls do, and refuses a list that does not share
-one topology.  The :class:`BucketCache` must answer unchanged buckets
-from the memo after a re-solve (``buckets_reused`` > 0, same result),
-and after a :class:`ConstraintStore` delta only the buckets downstream of
-the changed factor may recompute.
+one topology.
 """
 
 import random
 
 import pytest
 
-from repro.constraints import ConstraintStore, TableConstraint, variable
+from repro.constraints import TableConstraint, variable
 from repro.semirings import BoundedWeightedSemiring
 from repro.solver import (
     SCSP,
-    BucketCache,
     ProblemError,
-    clear_bucket_cache,
-    shared_bucket_cache,
     solve,
-    solve_elimination,
     solve_stacked,
     stackable,
 )
@@ -121,80 +113,3 @@ class TestBatchValidation:
         c = TableConstraint(semiring, [x], {(0,): 1.0})
         with pytest.raises(ProblemError, match="lowerable semiring"):
             solve_stacked([SCSP([c])])
-
-
-@pytest.mark.parametrize("backend", ("dict", "dense"))
-@pytest.mark.parametrize("semiring", LOWERABLE, ids=lambda s: s.name)
-def test_bucket_cache_reuse_is_exact(semiring, backend):
-    problem = random_problem(semiring, 3)
-    cache = BucketCache()
-    cold = solve_elimination(problem, backend=backend, bucket_cache=cache)
-    assert cold.stats.buckets_reused == 0
-    warm = solve_elimination(problem, backend=backend, bucket_cache=cache)
-    assert_identical(cold, warm)
-    # Every bucket is answered from the memo on the identical re-solve.
-    assert warm.stats.buckets_reused == warm.stats.buckets_processed > 0
-
-
-def test_bucket_cache_partial_reuse_after_delta(weighted):
-    # A chain x0-x1-x2-x3: changing the tail constraint must leave the
-    # head buckets reusable.
-    variables = [variable(f"x{i}", (0, 1)) for i in range(4)]
-    chain = [
-        TableConstraint(
-            weighted,
-            [variables[i], variables[i + 1]],
-            {(a, b): float(a + 2 * b + i) for a in (0, 1) for b in (0, 1)},
-        )
-        for i in range(3)
-    ]
-    cache = BucketCache()
-    base = SCSP(chain, con=["x3"])
-    cold = solve_elimination(base, bucket_cache=cache)
-    assert cold.stats.buckets_reused == 0
-    tail = TableConstraint(
-        weighted,
-        [variables[2], variables[3]],
-        {(a, b): float(5 * a + b) for a in (0, 1) for b in (0, 1)},
-    )
-    changed = SCSP(chain[:2] + [tail], con=["x3"])
-    warm = solve_elimination(changed, bucket_cache=cache)
-    # Head-of-chain buckets hit the memo; the bucket that consumes the
-    # changed tail (and everything downstream of it) recomputes.
-    assert 0 < warm.stats.buckets_reused < warm.stats.buckets_processed
-    assert_identical(solve_elimination(changed), warm)
-
-
-def test_store_deltas_reuse_shared_bucket_cache(weighted):
-    clear_bucket_cache()
-    x = variable("x", range(0, 6))
-    y = variable("y", range(0, 6))
-    store = ConstraintStore(weighted)
-    store = store.tell(TableConstraint(
-        weighted, [x], {(i,): float(i) for i in range(6)}
-    ))
-    store = store.tell(TableConstraint(
-        weighted, [x, y],
-        {(i, j): float(abs(i - j)) for i in range(6) for j in range(6)},
-    ))
-    first = store.consistency()
-    baseline = len(shared_bucket_cache())
-    assert baseline > 0
-    # A tell touching only y leaves x-only buckets reusable; consistency
-    # answers must track the delta exactly.
-    grown = store.tell(TableConstraint(
-        weighted, [y], {(j,): float(2 * j) for j in range(6)}
-    ))
-    assert grown.consistency() >= first  # weighted: costs only grow
-    assert len(shared_bucket_cache()) > baseline
-    stats = shared_bucket_cache().stats()
-    assert stats["hits"] > 0
-    clear_bucket_cache()
-
-
-def test_bucket_cache_does_not_change_uncached_results(weighted):
-    problem = random_problem(weighted, 7)
-    plain = solve_elimination(problem)
-    cached = solve_elimination(problem, bucket_cache=BucketCache())
-    assert_identical(plain, cached)
-    assert plain.stats.buckets_processed == cached.stats.buckets_processed

@@ -6,9 +6,8 @@ component), so multicriteria problems ride the same vectorized sweeps as
 their bases.  These tests are the acceptance criterion: randomized
 composite SCSPs — pairs *and* nested composites over all four lowered
 bases — must solve bit-identically on the dict and dense paths, through
-single-problem elimination, branch & bound (Lex: the total order
-``solve("auto")`` routes to it) and warm
-:class:`~repro.solver.elimination.BucketCache` re-solves.  Composites
+single-problem elimination and branch & bound (Lex: the total order
+``solve("auto")`` routes to it).  Composites
 with an unlowerable component must fall back silently on ``auto`` and
 tally the ``lowering-fallbacks`` stats row (the observability satellite).
 """
@@ -31,7 +30,6 @@ from repro.semirings import (
 )
 from repro.solver import (
     SCSP,
-    BucketCache,
     ProblemError,
     lower_semiring,
     lowering_fallback_stats,
@@ -177,55 +175,6 @@ class TestLexBranchBound:
             result.blevel[0],
             solve_elimination(problem, backend="dict").blevel[0],
         )
-
-
-# ----------------------------------------------------------------------
-# Warm bucket caches over composite carriers
-# ----------------------------------------------------------------------
-
-
-def _chain_problems(semiring, sessions, n_vars=4, domain=3, tweak=0):
-    """Topology-sharing chain problems with per-session tables."""
-    variables = [
-        variable(f"r{i}", list(range(domain))) for i in range(n_vars)
-    ]
-    problems = []
-    for session in range(sessions):
-        rng = random.Random(session * 1009 + tweak)
-        constraints = [
-            _random_table(
-                semiring, [variables[i], variables[i + 1]], rng
-            )
-            for i in range(n_vars - 1)
-        ]
-        problems.append(
-            SCSP(constraints, con=["r0"], name=f"chain-{session}")
-        )
-    return problems
-
-
-@pytest.mark.parametrize(
-    "semiring",
-    (PRODUCTS[0], PRODUCTS[2], LEXES[0], LEXES[2]),
-    ids=lambda s: s.name,
-)
-class TestCompositeBatchAndCache:
-    def test_warm_bucket_cache_reuses_and_matches(self, semiring):
-        base = _chain_problems(semiring, sessions=1, tweak=0)[0]
-        delta_constraints = list(base.constraints)
-        rng = random.Random(99)
-        delta_constraints[-1] = _random_table(
-            semiring, list(delta_constraints[-1].scope), rng
-        )
-        delta = SCSP(delta_constraints, con=["r0"], name="chain-delta")
-
-        warm_cache = BucketCache()
-        solve_elimination(base, bucket_cache=warm_cache)
-        cold = solve_elimination(delta, bucket_cache=BucketCache())
-        warm = solve_elimination(delta, bucket_cache=warm_cache)
-        assert_identical(cold, warm)
-        assert_identical(solve_elimination(delta, backend="dict"), warm)
-        assert warm.stats.buckets_reused > 0
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Compiled elimination plans against the loops they replaced.
 
-Every dense bucket pass — ``eliminate`` (and with it the factored
-store's queries and their :class:`BucketCache` reuse) and branch &
-bound's message pass — runs a plan compiled once per topology, and a
+Every dense bucket pass — ``eliminate`` (and with it the store's
+queries) and branch & bound's message pass — runs a plan compiled once per topology, and a
 stacked scan runs its compiled step over a leading member axis.  These
 pin that a plan moves only bookkeeping: tables (values bit for bit,
 scope order, iteration order), messages and every
@@ -38,7 +37,6 @@ from repro.semirings import (
 )
 from repro.solver import (
     SCSP,
-    BucketCache,
     eliminate,
     resolve_lowering,
     resolve_ordering,
@@ -144,10 +142,10 @@ def test_elimination_matches_oracle(semiring, seed):
 
 
 @pytest.mark.parametrize("semiring", SEMIRINGS, ids=lambda s: s.name)
-def test_bucket_cache_sequence_matches_oracle(semiring):
-    """A run of problems sharing factors: every hit, miss and reused
-    factor matches the per-call loop's, solve by solve."""
-    plan_cache, ref_cache = BucketCache(), BucketCache()
+def test_shared_factor_sequence_matches_oracle(semiring):
+    """A run of problems sharing factors, shuffled and partly replaced,
+    with repeats: each matches the per-call loop, solve by solve, while
+    the plan memo serves every topology it has compiled."""
     base = random_problem(semiring, 5)
     problems = [base]
     rng = random.Random(3)
@@ -162,52 +160,10 @@ def test_bucket_cache_sequence_matches_oracle(semiring):
         problems.append(SCSP(constraints, con=base.con))
     problems.extend(problems[:3])
     for problem in problems:
-        table, stats = eliminate(
-            problem, backend="dense", bucket_cache=plan_cache
-        )
-        ref_table, ref_stats = reference_eliminate(
-            problem, bucket_cache=ref_cache
-        )
+        table, stats = eliminate(problem, backend="dense")
+        ref_table, ref_stats = reference_eliminate(problem)
         assert bits(table) == bits(ref_table)
         assert stats == ref_stats
-    assert stats.buckets_reused > 0
-
-
-@pytest.mark.parametrize(
-    "semiring", (WeightedSemiring(), LEX), ids=lambda s: s.name
-)
-def test_permuted_bucket_cache_hit_matches_oracle(semiring, monkeypatch):
-    """The Merkle key sorts its input digests, so a bucket cached by one
-    topology can answer another whose plan lists the output scope in a
-    different order; the sweep must then resume as the loop did."""
-    rng = random.Random(11)
-    x, y, z, w = (variable(name, range(3)) for name in "xyzw")
-    a = _table(semiring, [x, y], rng)
-    b = _table(semiring, [y, z], rng)
-    c = _table(semiring, [x, w], rng)
-    first = SCSP([a, b, c], con=["x", "z"])
-    second = SCSP([b, a, c], con=["x", "z"])
-    resumed = []
-    continuation = elimination._continuation
-    monkeypatch.setattr(
-        elimination,
-        "_continuation",
-        lambda *args: resumed.append(args) or continuation(*args),
-    )
-    plan_cache, ref_cache = BucketCache(), BucketCache()
-    for problem in (first, second):
-        table, stats = eliminate(
-            problem, "given", backend="dense", bucket_cache=plan_cache
-        )
-        ref_table, ref_stats = reference_eliminate(
-            problem, "given", bucket_cache=ref_cache
-        )
-        assert bits(table) == bits(ref_table)
-        assert stats == ref_stats
-    assert stats.buckets_reused == stats.buckets_processed == 2
-    assert len(resumed) == 1
-    # The cached (x, z) factor stands where the plan expected (z, x).
-    assert table.support == ("x", "z")
 
 
 @pytest.mark.parametrize("semiring", SEMIRINGS, ids=lambda s: s.name)

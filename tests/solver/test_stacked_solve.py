@@ -495,7 +495,9 @@ def test_group_entries_promote_from_l2_across_shards(e2e):
         broker._candidate_problem(description, request, semiring)
         for description in broker.registry.find(operation=request.operation)
     ]
-    entry = frontend.l2.get(group_fingerprint(group, "stacked", "auto", {}))
+    entry = frontend.l2.fetch_entry(
+        group_fingerprint(group, "stacked", "auto", {})
+    )
     assert len(entry) == len(group) == 8
     stats = frontend.cache_stats()
     busy = sum(1 for done in frontend.results_by_shard.values() if done)

@@ -1,23 +1,13 @@
 """Telemetry of the kernel caches.
 
-Bucket-memo reuse must flow into ``solver_buckets_reused_total``, and the
-bounded kernel caches ("lowering", "buckets") must report through
-:func:`repro.caching.cache_stats`.
+The bounded lowering cache must report through
+:func:`repro.caching.cache_stats`; elimination keeps no bucket memo.
 """
 
 from repro.caching import cache_stats
 from repro.constraints import TableConstraint, variable
 from repro.semirings import WeightedSemiring
-from repro.solver import (
-    SCSP,
-    BucketCache,
-    lower_semiring,
-    shared_bucket_cache,
-    solve_elimination,
-)
-from repro.telemetry import telemetry_session
-
-from .test_instrumentation import counter_total
+from repro.solver import SCSP, lower_semiring, solve_elimination
 
 
 def _problem(offset=0):
@@ -40,31 +30,12 @@ def _problem(offset=0):
     )
 
 
-class TestBucketReuseMetrics:
-    def test_reused_buckets_flow_into_solver_counter(self):
-        problem = _problem()
-        cache = BucketCache()
-        with telemetry_session() as session:
-            solve_elimination(problem, bucket_cache=cache)
-            solve_elimination(problem, bucket_cache=cache)
-        total = counter_total(
-            session.registry, "solver_buckets_reused_total"
-        )
-        assert total > 0
-        # Second solve answered every bucket from the memo.
-        warm = solve_elimination(problem, bucket_cache=cache)
-        assert warm.stats.buckets_reused == warm.stats.buckets_processed
-
-
 class TestBoundedCachesReport:
-    def test_cache_stats_list_lowering_and_buckets(self):
-        # Touch both caches so they exist and have traffic.
+    def test_cache_stats_list_lowering(self):
+        # Touch the cache so it exists and has traffic.
         lower_semiring(WeightedSemiring())
-        cache = shared_bucket_cache()
-        solve_elimination(_problem(), bucket_cache=cache)
+        solve_elimination(_problem())
         stats = cache_stats()
         assert "lowering" in stats
-        assert "buckets" in stats
-        assert all(
-            row["maxsize"] > 0 for row in stats["lowering"] + stats["buckets"]
-        )
+        assert "buckets" not in stats
+        assert all(row["maxsize"] > 0 for row in stats["lowering"])

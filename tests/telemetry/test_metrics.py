@@ -212,7 +212,6 @@ class TestLRUCache:
             "hits": 3,
             "misses": 1,
             "evictions": 1,
-            "expirations": 0,
         }
 
     def test_get_or_compute_computes_once(self):
@@ -226,16 +225,6 @@ class TestLRUCache:
         assert cache.get_or_compute("k", compute) == 42
         assert cache.get_or_compute("k", compute) == 42
         assert len(calls) == 1
-
-    def test_resize_trims_lru_tail(self):
-        cache = LRUCache(maxsize=4, name="t")
-        for key in "abcd":
-            cache.put(key, key)
-        cache.resize(2)
-        assert len(cache) == 2
-        assert "c" in cache and "d" in cache
-        with pytest.raises(ValueError):
-            cache.resize(0)
 
     def test_default_capacity_matches_spec(self):
         assert LRUCache().maxsize == DEFAULT_CACHE_SIZE == 4096

@@ -3,8 +3,10 @@
 The refactored store emits two counter families:
 
 * ``store_factors_total`` — one sample per told factor;
-* ``store_query_solver_hits_total{query}`` — a consistency / entailment
-  / projection answered from the store's memo instead of the solver.
+* ``store_query_solver_hits_total{query}`` — a consistency or
+  projection answered from the store's memo instead of the solver
+  (entailment asks a projection, so a repeated ask counts under
+  ``project``).
 
 Both must reach the Prometheus exposition through an enabled session and
 stay silent (null registry, zero overhead) outside one.
@@ -78,7 +80,9 @@ class TestStoreQueryHitsTotal:
             assert rebuilt.entails(c1)
             text = to_prometheus(session.registry)
         assert 'store_query_solver_hits_total{query="consistency"} 1' in text
-        assert 'store_query_solver_hits_total{query="entails"}' in text
+        # The second ask re-uses the first one's projection onto x.
+        assert 'store_query_solver_hits_total{query="project"} 1' in text
+        assert 'query="entails"' not in text
 
     def test_silent_outside_a_session(self):
         semiring, c1, _ = _constraints(seed=41)
