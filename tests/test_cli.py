@@ -101,11 +101,15 @@ class TestSolve:
         # The solver picks its factor representation itself; the flag is
         # gone from every command that once took it.
         for command in ("solve", "negotiate", "runtime", "fleet"):
-            for value in ("dict", "dense", "bogus"):
+            for value in ("dict", "dense"):
                 assert_flag_rejected(
                     capsys, command, "--solver-backend", value,
                     market_file, fig1_file,
                 )
+
+    def test_rejects_unknown_backend(self, fig1_file):
+        with pytest.raises(SystemExit):
+            main(["solve", str(fig1_file), "--solver-backend", "bogus"])
 
     def test_inconsistent_problem_exit_1(self, tmp_path, capsys):
         weighted = WeightedSemiring()
