@@ -62,6 +62,18 @@ def _median_seconds(fn, rounds=3):
     return statistics.median(samples)
 
 
+def _interleaved_medians(first, second, rounds=3):
+    """Median seconds of ``first`` and of ``second``, timed in
+    alternation, so a host-speed swing lands on both sides alike."""
+    samples = ([], [])
+    for _ in range(rounds):
+        for fn, out in zip((first, second), samples):
+            started = time.perf_counter()
+            fn()
+            out.append(time.perf_counter() - started)
+    return statistics.median(samples[0]), statistics.median(samples[1])
+
+
 @pytest.mark.parametrize("n,iterations,sample", SIZES)
 def test_engine_matches_naive_trajectory(benchmark, n, iterations, sample):
     network = _instance(n)
@@ -88,11 +100,9 @@ def test_engine_vs_naive_gate(benchmark):
     def compare():
         naive = solve_local_search(network, **kw)
         engine = solve_engine(network, workers=1, **kw)
-        naive_s = _median_seconds(
-            lambda: solve_local_search(network, **kw)
-        )
-        engine_s = _median_seconds(
-            lambda: solve_engine(network, workers=1, **kw)
+        naive_s, engine_s = _interleaved_medians(
+            lambda: solve_local_search(network, **kw),
+            lambda: solve_engine(network, workers=1, **kw),
         )
         return naive, engine, naive_s, engine_s
 
@@ -104,7 +114,7 @@ def test_engine_vs_naive_gate(benchmark):
     speedup = naive_s / engine_s
     report(
         f"PR5 — coalition engine vs naive local search (n={n}, "
-        f"{iterations} iterations, sample {sample}, median of 3)",
+        f"{iterations} iterations, sample {sample}, interleaved median of 3)",
         [
             (
                 f"{naive_s * 1000:.1f}",

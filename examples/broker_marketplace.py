@@ -15,6 +15,8 @@ negotiation over the product semiring Weighted × Probabilistic.
 Run:  python examples/broker_marketplace.py
 """
 
+import zlib
+
 from repro.constraints import (
     FunctionConstraint,
     Polynomial,
@@ -83,7 +85,7 @@ def publish_market(registry: ServiceRegistry) -> ServicePool:
                 registry.get(service_id),
                 reliability=reliability,
                 base_latency_ms=20.0,
-                seed=hash(service_id) % 2**32,
+                seed=zlib.crc32(service_id.encode()),
             )
         )
     return pool

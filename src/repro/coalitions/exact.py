@@ -73,9 +73,6 @@ class CoalitionSolution:
     def found(self) -> bool:
         return self.partition is not None
 
-    def coalitions_as_sets(self) -> List[set]:
-        return [set(group) for group in (self.partition or ())]
-
 
 def solve_exact(
     network: TrustNetwork,

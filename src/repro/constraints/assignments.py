@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Hashable, Iterator, Mapping, Sequence, Tuple
 
-from .variables import Variable, scope_names
+from .variables import Variable
 
 
 class Assignment(Mapping[str, Any]):
@@ -60,10 +60,6 @@ class Assignment(Mapping[str, Any]):
         return Assignment(
             {k: v for k, v in self._items.items() if k in wanted}
         )
-
-    def values_for(self, scope: Sequence[Variable]) -> Tuple[Any, ...]:
-        """Tuple of values in scope order (KeyError when unbound)."""
-        return tuple(self._items[name] for name in scope_names(scope))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         inner = ", ".join(f"{k}={v!r}" for k, v in self._key)

@@ -70,15 +70,6 @@ class SoftConstraint(ABC):
                 f"and {other.semiring.name}"
             )
 
-    def _scope_subset(self, names: Iterable[str]) -> Tuple[Variable, ...]:
-        wanted = set(names)
-        unknown = wanted - set(self.support)
-        if unknown:
-            raise ConstraintError(
-                f"variables {sorted(unknown)!r} not in scope {self.support!r}"
-            )
-        return tuple(var for var in self.scope if var.name in wanted)
-
     # ------------------------------------------------------------------
     # Algebra (lazy composite nodes)
     # ------------------------------------------------------------------

@@ -18,7 +18,6 @@ from .frontend import (
     FleetError,
     FleetFrontend,
     ROUTE_MODES,
-    drive_fleet,
     partition_registry,
 )
 from .loadgen import FleetLoadGenerator, FleetLoadReport
@@ -36,7 +35,6 @@ __all__ = [
     "FleetError",
     "ROUTE_MODES",
     "partition_registry",
-    "drive_fleet",
     "FleetLoadGenerator",
     "FleetLoadReport",
 ]

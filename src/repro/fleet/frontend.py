@@ -41,7 +41,6 @@ shard to solve a fingerprint warms the whole fleet.
 from __future__ import annotations
 
 import asyncio
-import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
@@ -745,24 +744,3 @@ class FleetFrontend:
         if rounds:
             stats["allocation_rounds"] = rounds
         return stats
-
-
-def drive_fleet(
-    registry: ServiceRegistry,
-    requests: Iterable[ClientRequest],
-    config: Optional[FleetConfig] = None,
-    injector_factory: Optional[
-        Callable[[str], Optional[FaultInjector]]
-    ] = None,
-) -> List[SessionResult]:
-    """One-shot convenience: build a fleet, serve, drain, stop."""
-    frontend = FleetFrontend(
-        registry, config=config, injector_factory=injector_factory
-    )
-    started = time.perf_counter()
-    results = frontend.run(list(requests))
-    get_registry().histogram(
-        "fleet_run_seconds",
-        "Wall time of one-shot fleet runs.",
-    ).observe(time.perf_counter() - started)
-    return results

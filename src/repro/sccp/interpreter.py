@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..constraints.store import ConstraintStore, empty_store
 from ..semirings.base import Semiring
@@ -26,6 +26,10 @@ from .transitions import (
     config_key,
     successors,
 )
+
+
+#: ``explore``'s default configuration budget.
+MAX_CONFIGURATIONS = 50_000
 
 
 def _transition_counter(registry):
@@ -129,17 +133,45 @@ def _finish(
     registry,
 ) -> RunResult:
     if registry.enabled:
-        registry.counter(
-            "sccp_runs_total",
-            "Scheduled nmsccp executions, by final status.",
-            labelnames=("status",),
-        ).labels(status.value).inc()
-        registry.histogram(
-            "sccp_run_steps",
-            "Transitions per scheduled run.",
-            buckets=(1, 2, 5, 10, 25, 50, 100, 250, 1000, 10_000),
-        ).observe(steps)
+        _count_status(registry, status, steps)
     return RunResult(status, configuration, trace, steps)
+
+
+def _count_status(registry, status: Status, steps: int) -> None:
+    registry.counter(
+        "sccp_runs_total",
+        "Scheduled nmsccp executions, by final status.",
+        labelnames=("status",),
+    ).labels(status.value).inc()
+    registry.histogram(
+        "sccp_run_steps",
+        "Transitions per scheduled run.",
+        buckets=(1, 2, 5, 10, 25, 50, 100, 250, 1000, 10_000),
+    ).observe(steps)
+
+
+def count_run(rules: Sequence[str], status: Status) -> None:
+    """Count a deterministic run taken outside :func:`run` (the
+    told-prefix grid's walk) exactly as ``run`` counts its own: one
+    transition per rule label, then the final status and step count."""
+    registry = get_registry()
+    if registry.enabled:
+        transitions = _transition_counter(registry)
+        for rule in rules:
+            transitions.labels(rule).inc()
+        _count_status(registry, status, len(rules))
+
+
+def count_exploration(verdict: str) -> None:
+    """One ``sccp_explorations_total`` sample: ``always-succeeds``,
+    ``mixed`` or ``truncated``."""
+    registry = get_registry()
+    if registry.enabled:
+        registry.counter(
+            "sccp_explorations_total",
+            "Exhaustive explorations, by verdict.",
+            labelnames=("verdict",),
+        ).labels(verdict).inc()
 
 
 @dataclass
@@ -171,7 +203,7 @@ def explore(
     store: Optional[ConstraintStore] = None,
     semiring: Optional[Semiring] = None,
     procedures: ProcedureTable = EMPTY_PROCEDURES,
-    max_configurations: int = 50_000,
+    max_configurations: int = MAX_CONFIGURATIONS,
 ) -> ExplorationResult:
     """Breadth-first search of the full configuration graph.
 
@@ -200,15 +232,11 @@ def explore(
             "sccp_configurations_visited_total",
             "Configurations expanded by exhaustive exploration.",
         ).inc(result.configurations_visited)
-        registry.counter(
-            "sccp_explorations_total",
-            "Exhaustive explorations, by verdict.",
-            labelnames=("verdict",),
-        ).labels(
+        count_exploration(
             "truncated"
             if result.truncated
             else ("always-succeeds" if result.always_succeeds else "mixed")
-        ).inc()
+        )
     return result
 
 

@@ -48,7 +48,7 @@ RULES: Tuple[str, ...] = (
 )
 
 
-def _count_check_failure(rule: str) -> None:
+def count_check_failure(rule: str) -> None:
     """Record a transition blocked by its check (C1–C4) — failure path
     only, so the enabled-transition fast path stays untouched."""
     from ..telemetry import get_registry
@@ -115,7 +115,7 @@ def _step(
                 Configuration(agent.continuation, next_store),
             )
         else:
-            _count_check_failure("R1-Tell")
+            count_check_failure("R1-Tell")
         return
 
     if isinstance(agent, Ask):
@@ -126,7 +126,7 @@ def _step(
                     "R2-Ask", "ask", Configuration(agent.continuation, store)
                 )
             else:
-                _count_check_failure("R2-Ask")
+                count_check_failure("R2-Ask")
         return
 
     if isinstance(agent, Nask):
@@ -139,7 +139,7 @@ def _step(
                     Configuration(agent.continuation, store),
                 )
             else:
-                _count_check_failure("R6-Nask")
+                count_check_failure("R6-Nask")
         return
 
     if isinstance(agent, Retract):
@@ -153,7 +153,7 @@ def _step(
                     Configuration(agent.continuation, next_store),
                 )
             else:
-                _count_check_failure("R7-Retract")
+                count_check_failure("R7-Retract")
         return
 
     if isinstance(agent, Update):
@@ -166,7 +166,7 @@ def _step(
                 Configuration(agent.continuation, next_store),
             )
         else:
-            _count_check_failure("R8-Update")
+            count_check_failure("R8-Update")
         return
 
     if isinstance(agent, Sum):

@@ -175,10 +175,6 @@ class SLAMonitor:
         )
 
     @property
-    def sample_count(self) -> int:
-        return self._observed
-
-    @property
     def in_breach(self) -> bool:
         """Whether the most recent estimate violates the agreement."""
         level = self.current_level()

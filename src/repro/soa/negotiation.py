@@ -3,28 +3,59 @@
 Implements the paper's Sec. 4 picture: "Two nmsccp agents P (provider)
 and C (client) can be concurrently executed on the broker and the tell
 operator can be used to add their requirements to the store."  A
-bilateral negotiation tells both policies under their checked arrows and
-then has each party re-check the merged store; the outcome is the final
-store (the draft SLA body) and its consistency (the agreed level), plus
-an exhaustive-exploration certificate that the outcome is
-scheduler-independent.
+bilateral negotiation tells both policies under their checked arrows;
+the outcome is the final store (the draft SLA body) and its consistency
+(the agreed level), plus a certificate that the outcome is
+scheduler-independent (Fig. 4, R1/R3/R4).
+
+Parties that only tell — every :class:`Party` with at least one policy
+constraint — are certified on the told-prefix grid (:class:`TellGrid`):
+a configuration is the vector of how many constraints each party has
+told, so the certificate is a reachability question on that grid.  Any
+other agent (retract, update, ask/nask, ``+``, procedures, an empty
+party) is run under the deterministic scheduler and certified by
+exhaustive exploration of its configuration graph.
 
 ``fuzzy_agreement`` reproduces the graphical intersection of Fig. 5.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+import itertools
+import math
+from collections import deque
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..constraints.constraint import ConstantConstraint, SoftConstraint
 from ..constraints.operations import combine
 from ..constraints.store import ConstraintStore, empty_store
 from ..semirings.base import Semiring
 from ..sccp.check import CheckSpec
-from ..sccp.interpreter import Status, explore, run
-from ..sccp.syntax import SUCCESS, Agent, parallel, sequence, tell
+from ..sccp.interpreter import (
+    MAX_CONFIGURATIONS,
+    Status,
+    count_exploration,
+    count_run,
+    explore,
+    run,
+)
+from ..sccp.syntax import (
+    SUCCESS,
+    Agent,
+    Parallel,
+    Success,
+    Tell,
+    parallel,
+    sequence,
+    tell,
+)
 from ..sccp.traces import Trace
+from ..sccp.transitions import Configuration, Step, count_check_failure
+from ..telemetry import get_registry, get_tracer
+
+Cell = Tuple[int, ...]
 
 
 @dataclass
@@ -51,15 +82,26 @@ class Party:
 
 @dataclass
 class NegotiationOutcome:
-    """Result of a bilateral (or multi-party) negotiation."""
+    """Result of a bilateral (or multi-party) negotiation.
+
+    ``trace`` is the deterministic run's trace, built by ``replay`` on
+    first read: the told-prefix grid decides an outcome without one and
+    replays its walk only when the trace is asked for.
+    """
 
     success: bool
     store: ConstraintStore
     agreed_level: Any
     parties: Tuple[str, ...]
-    trace: Optional[Trace] = None
+    replay: Optional[Callable[[], Trace]] = field(
+        default=None, repr=False, compare=False
+    )
     scheduler_independent: Optional[bool] = None
     detail: str = ""
+
+    @cached_property
+    def trace(self) -> Optional[Trace]:
+        return None if self.replay is None else self.replay()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         verdict = "agreement" if self.success else "no agreement"
@@ -67,6 +109,206 @@ class NegotiationOutcome:
             f"NegotiationOutcome({verdict} among {self.parties!r}, "
             f"level={self.agreed_level!r})"
         )
+
+
+def tell_chains(agent: Agent) -> Optional[Tuple[Tuple[Tell, ...], ...]]:
+    """The parties of ``parallel(sequence(tell…), …)``, each as its
+    tells in order, or ``None`` when ``agent`` has any other shape.
+
+    Every party needs at least one tell: a ``success`` inside a parallel
+    composition never steps (two trailing empty parties deadlock).
+    """
+    chains = []
+    while isinstance(agent, Parallel):
+        chain = _tell_chain(agent.left)
+        if chain is None:
+            return None
+        chains.append(chain)
+        agent = agent.right
+    chain = _tell_chain(agent)
+    if chain is None:
+        return None
+    chains.append(chain)
+    return tuple(chains)
+
+
+def _tell_chain(agent: Agent) -> Optional[Tuple[Tell, ...]]:
+    tells = []
+    while isinstance(agent, Tell):
+        tells.append(agent)
+        agent = agent.continuation
+    if not tells or not isinstance(agent, Success):
+        return None
+    return tuple(tells)
+
+
+class TellGrid:
+    """The configuration graph of parallel tell chains, as a grid.
+
+    A cell is the vector of told-prefix lengths, one per party; its
+    store is the initial store told every constraint of those prefixes.
+    Moving party ``i`` tells its next constraint, and the move is
+    enabled iff that tell's check holds on the store it produces (R1;
+    an unchecked tell is always enabled).  Stores are built lazily, each
+    by one ``tell`` from a neighbouring cell, and both the stores and
+    the move verdicts are memoized per cell.  Every check is
+    ``CheckSpec.holds`` on the real store; ``checks`` counts them.
+    """
+
+    def __init__(
+        self, chains: Sequence[Sequence[Tell]], store: ConstraintStore
+    ) -> None:
+        self.chains = chains
+        self.goal: Cell = tuple(len(chain) for chain in chains)
+        self.origin: Cell = (0,) * len(chains)
+        self.checks = 0
+        self._stores: Dict[Cell, ConstraintStore] = {self.origin: store}
+        self._enabled: Dict[Tuple[Cell, int], bool] = {}
+
+    def store(self, cell: Cell) -> ConstraintStore:
+        """The store at ``cell``, told from the nearest built cell."""
+        pending = []
+        while cell not in self._stores:
+            told = [party for party, count in enumerate(cell) if count]
+            party = next(
+                (p for p in told if _back(cell, p) in self._stores),
+                told[-1],
+            )
+            pending.append((cell, party))
+            cell = _back(cell, party)
+        store = self._stores[cell]
+        for cell, party in reversed(pending):
+            store = store.tell(self.chains[party][cell[party] - 1].constraint)
+            self._stores[cell] = store
+        return store
+
+    def enabled(self, cell: Cell, party: int) -> bool:
+        """Whether ``party`` (not yet finished at ``cell``) may tell."""
+        key = (cell, party)
+        verdict = self._enabled.get(key)
+        if verdict is None:
+            action = self.chains[party][cell[party]]
+            target = _advance(cell, party)
+            store = self._stores.get(target)
+            if store is None:
+                store = self._stores[target] = self.store(cell).tell(
+                    action.constraint
+                )
+            verdict = True
+            if action.check is not None:
+                self.checks += 1
+                verdict = action.check.holds(store)
+                if not verdict:
+                    count_check_failure("R1-Tell")
+            self._enabled[key] = verdict
+        return verdict
+
+    def walk(self) -> Tuple[Cell, List[Tuple[Cell, int]]]:
+        """The deterministic run: from the origin, always the leftmost
+        enabled move — ``DeterministicScheduler``'s choice, since
+        ``successors`` lists party 0's steps first.  Returns the cell
+        the run stops at and its moves, each as the source cell and the
+        moving party."""
+        cell, moves = self.origin, []
+        while cell != self.goal:
+            for party, count in enumerate(cell):
+                if count < self.goal[party] and self.enabled(cell, party):
+                    moves.append((cell, party))
+                    cell = _advance(cell, party)
+                    break
+            else:
+                break
+        return cell, moves
+
+    def label(self, cell: Cell, party: int) -> Tuple[str, str]:
+        """The rule and action ``run`` labels this move with.  The
+        unfinished parties form a right-nested ``‖``: the outermost node
+        names the rule, and each level adds an ``L:``/``R:`` prefix."""
+        busy = [p for p, count in enumerate(cell) if count < self.goal[p]]
+        last = len(busy) - 1
+        if last == 0:
+            return "R1-Tell", "tell"
+        depth = busy.index(party)
+        finishes = cell[party] + 1 == self.goal[party]
+        rule = (
+            "R4-Parall2"
+            if finishes and (depth == 0 or last == 1)
+            else "R3-Parall1"
+        )
+        if depth < last:
+            return rule, "R:" * depth + "L:tell"
+        return rule, "R:" * last + "tell"
+
+    def trace(self) -> Trace:
+        """The trace ``run`` records: the walk, step by step."""
+        trace = Trace()
+        for cell, party in self.walk()[1]:
+            rule, action = self.label(cell, party)
+            after = _advance(cell, party)
+            rest = [
+                chain[count]
+                for chain, count in zip(self.chains, after)
+                if count < len(chain)
+            ]
+            agent = parallel(*rest) if rest else SUCCESS
+            trace.record(
+                Step(rule, action, Configuration(agent, self.store(after)))
+            )
+        return trace
+
+    def certificate(self, succeeded: bool) -> bool:
+        """Whether every interleaving reaches the walk's verdict.
+
+        After a successful walk that means no reachable deadlock.  A
+        deadlock is a cell where every unfinished party's next tell is
+        checked and fails, so only such candidate cells are examined,
+        and only a stuck candidate pays for a reachability search.
+        After a failed walk it means the goal is unreachable.
+        """
+        if not succeeded:
+            return not self._reachable(self.goal)
+        candidates = [
+            [
+                count
+                for count in range(len(chain) + 1)
+                if count == len(chain) or chain[count].check is not None
+            ]
+            for chain in self.chains
+        ]
+        for cell in itertools.product(*candidates):
+            if cell == self.goal:
+                continue
+            busy = [p for p, count in enumerate(cell) if count < self.goal[p]]
+            if any(self.enabled(cell, party) for party in busy):
+                continue
+            if self._reachable(cell):
+                return False
+        return True
+
+    def _reachable(self, target: Cell) -> bool:
+        """Breadth-first search from the origin within the cells
+        componentwise below ``target``."""
+        seen = {self.origin}
+        queue = deque(seen)
+        while queue:
+            cell = queue.popleft()
+            if cell == target:
+                return True
+            for party, count in enumerate(cell):
+                if count < target[party] and self.enabled(cell, party):
+                    successor = _advance(cell, party)
+                    if successor not in seen:
+                        seen.add(successor)
+                        queue.append(successor)
+        return False
+
+
+def _advance(cell: Cell, party: int) -> Cell:
+    return cell[:party] + (cell[party] + 1,) + cell[party + 1 :]
+
+
+def _back(cell: Cell, party: int) -> Cell:
+    return cell[:party] + (cell[party] - 1,) + cell[party + 1 :]
 
 
 def negotiate(
@@ -79,31 +321,78 @@ def negotiate(
     """Run all parties' agents in parallel on one store.
 
     Success requires every agent to terminate (the parallel composition
-    reduces to ``success``); the agreed level is the final ``σ ⇓∅``.
-    With ``verify_scheduler_independence`` the full configuration graph
-    is explored and the certificate reports whether *every* interleaving
-    reaches the same verdict.
+    reduces to ``success``); the agreed level is the final ``σ ⇓∅`` of
+    the deterministic (leftmost) run.  With
+    ``verify_scheduler_independence`` the certificate reports whether
+    *every* interleaving reaches the same verdict.  Parties that only
+    tell — at most ``max_steps`` constraints in all, on a grid of at
+    most ``explore``'s configuration budget — are decided on the
+    told-prefix grid (:class:`TellGrid`); any other agent is run step by
+    step and its whole configuration graph explored.
     """
     if not parties:
         raise ValueError("negotiate() needs at least one party")
     store = initial_store or empty_store(semiring)
     agents = parallel(*(party.agent() for party in parties))
-    result = run(agents, store=store, max_steps=max_steps)
+    names = tuple(party.name for party in parties)
+    chains = tell_chains(agents)
+    if (
+        chains is None
+        or sum(map(len, chains)) > max_steps
+        or math.prod(len(chain) + 1 for chain in chains) > MAX_CONFIGURATIONS
+    ):
+        return _explored(
+            agents, store, names, verify_scheduler_independence, max_steps
+        )
 
     certificate: Optional[bool] = None
-    if verify_scheduler_independence:
+    with get_tracer().span("sccp.certify", method="grid") as span:
+        grid = TellGrid(chains, store)
+        cell, moves = grid.walk()
+        success = cell == grid.goal
+        status = Status.SUCCESS if success else Status.DEADLOCK
+        if get_registry().enabled:  # labels cost a pass over the moves
+            count_run([grid.label(*move)[0] for move in moves], status)
+        if verify_scheduler_independence:
+            certificate = grid.certificate(success)
+            count_exploration(
+                "always-succeeds" if success and certificate else "mixed"
+            )
+        span.set_attribute("checks", grid.checks)
+    final = grid.store(cell)
+    return NegotiationOutcome(
+        success=success,
+        store=final,
+        agreed_level=final.consistency(),
+        parties=names,
+        replay=lambda: TellGrid(chains, store).trace(),
+        scheduler_independent=certificate,
+        detail=f"run ended with {status.value}",
+    )
+
+
+def _explored(
+    agents: Agent,
+    store: ConstraintStore,
+    names: Tuple[str, ...],
+    verify: bool,
+    max_steps: int,
+) -> NegotiationOutcome:
+    """A scheduled run, certified by exhaustive exploration."""
+    result = run(agents, store=store, max_steps=max_steps)
+    certificate: Optional[bool] = None
+    if verify:
         exploration = explore(agents, store=store)
         if result.status is Status.SUCCESS:
             certificate = exploration.always_succeeds
         else:
             certificate = exploration.never_succeeds
-
     return NegotiationOutcome(
         success=result.status is Status.SUCCESS,
         store=result.store,
         agreed_level=result.store.consistency(),
-        parties=tuple(party.name for party in parties),
-        trace=result.trace,
+        parties=names,
+        replay=lambda: result.trace,
         scheduler_independent=certificate,
         detail=f"run ended with {result.status.value}",
     )

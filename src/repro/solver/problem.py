@@ -98,10 +98,6 @@ class SCSP:
     # Introspection
     # ------------------------------------------------------------------
 
-    @property
-    def variable_map(self) -> Dict[str, Variable]:
-        return {var.name: var for var in self.variables}
-
     def constraints_on(self, name: str) -> List[SoftConstraint]:
         """Constraints whose support includes variable ``name``."""
         return [c for c in self.constraints if name in c.support]

@@ -30,6 +30,8 @@ from repro.soa import (
     ServiceRegistry,
     SLA,
     SLAMonitor,
+    Party,
+    negotiate,
 )
 from repro.soa.execution import ExecutionReport
 from repro.soa.query import QueryEngine, ServiceQuery
@@ -175,12 +177,54 @@ class TestBrokerRequestTelemetry:
     def test_independence_check_exercises_all_nmsccp_rules(
         self, market, request_for_filter
     ):
+        # The broker's agents only tell, so the confirmation is decided
+        # on the told-prefix grid: one sccp.certify span, no step-by-step
+        # run or exploration, and the walk counted as the run it is.
         broker = Broker(market)
         with telemetry_session() as session:
             result = broker.negotiate(
                 request_for_filter, verify_scheduler_independence=True
             )
         assert result.success
+        registry = session.registry
+
+        (certify,) = [
+            span
+            for span in session.tracer.iter_spans()
+            if span.name == "sccp.certify"
+        ]
+        assert certify.attributes["method"] == "grid"
+        assert certify.attributes["checks"] >= 1
+        names = session.tracer.span_names()
+        assert "sccp.run" not in names
+        assert "sccp.explore" not in names
+        explorations = registry.get("sccp_explorations_total")
+        assert explorations.labels("always-succeeds").value == 1
+        samples = {
+            s["labels"]["rule"]: s["value"]
+            for s in registry.get("sccp_transitions_total").samples()
+        }
+        assert set(samples) == set(RULES)
+        assert samples["R1-Tell"] > 0
+        assert counter_total(registry, "sccp_runs_total") == 1
+
+    def test_agents_outside_the_tell_fragment_run_and_explore(
+        self, weighted, fig7
+    ):
+        # An empty party, or more tells than the step budget, leaves the
+        # tell-only fragment: the negotiation is a scheduled run plus
+        # exhaustive exploration, and the interpreter counts every rule
+        # it fires.
+        with telemetry_session() as session:
+            idle = negotiate(
+                [Party("idle", []), Party("P", [fig7["c4"], fig7["c3"]])],
+                weighted,
+            )
+            capped = negotiate(
+                [Party("P", [fig7["c4"], fig7["c3"]])], weighted, max_steps=1
+            )
+        assert idle.success and idle.scheduler_independent is True
+        assert capped.detail == "run ended with exhausted"
         registry = session.registry
 
         transitions = registry.get("sccp_transitions_total")
@@ -191,10 +235,12 @@ class TestBrokerRequestTelemetry:
         # the family is preseeded: all ten rules appear, fired or not
         assert set(samples) == set(RULES)
         assert samples["R1-Tell"] > 0
-        assert counter_total(registry, "sccp_runs_total") > 0
+        assert samples["R3-Parall1"] > 0 and samples["R4-Parall2"] > 0
+        assert counter_total(registry, "sccp_runs_total") == 2
         names = session.tracer.span_names()
-        assert "sccp.run" in names
-        assert "sccp.explore" in names
+        assert names.count("sccp.run") == 2
+        assert names.count("sccp.explore") == 2
+        assert "sccp.certify" not in names
 
 
 class TestTelemetryDisabled:
