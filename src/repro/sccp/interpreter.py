@@ -24,6 +24,7 @@ from .transitions import (
     RULES,
     Configuration,
     config_key,
+    iter_successors,
     successors,
 )
 
@@ -104,8 +105,8 @@ def run(
                 return _finish(
                     Status.SUCCESS, configuration, trace, steps_taken, registry
                 )
-            enabled = successors(configuration, procedures)
-            if not enabled:
+            step = scheduler.pick(iter_successors(configuration, procedures))
+            if step is None:
                 return _finish(
                     Status.DEADLOCK,
                     configuration,
@@ -113,7 +114,6 @@ def run(
                     steps_taken,
                     registry,
                 )
-            step = scheduler.choose(enabled)
             trace.record(step)
             if counting:
                 transitions.labels(step.rule).inc()

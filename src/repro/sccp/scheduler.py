@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from .transitions import Step
 
@@ -23,6 +23,12 @@ class Scheduler(ABC):
     def choose(self, steps: Sequence[Step]) -> Step:
         """Pick one of ``steps`` (guaranteed non-empty)."""
 
+    def pick(self, steps: Iterator[Step]) -> Optional[Step]:
+        """Pick one of the lazily built ``steps``, or ``None`` when there
+        are none.  Builds them all, then asks :meth:`choose`."""
+        enabled = list(steps)
+        return self.choose(enabled) if enabled else None
+
 
 class DeterministicScheduler(Scheduler):
     """Always the first enabled step (leftmost agent, first branch).
@@ -33,6 +39,12 @@ class DeterministicScheduler(Scheduler):
 
     def choose(self, steps: Sequence[Step]) -> Step:
         return steps[0]
+
+    def pick(self, steps: Iterator[Step]) -> Optional[Step]:
+        """The first step, without building the ones after it: a step
+        right of the first enabled one is never evaluated (its check
+        solves no store, and a hiding rule draws no fresh name)."""
+        return next(steps, None)
 
 
 class RandomScheduler(Scheduler):

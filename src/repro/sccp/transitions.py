@@ -96,7 +96,16 @@ def successors(
     procedures: ProcedureTable = EMPTY_PROCEDURES,
 ) -> List[Step]:
     """All single-step successors of ``config`` (empty when stuck)."""
-    return list(_step(config.agent, config.store, procedures))
+    return list(iter_successors(config, procedures))
+
+
+def iter_successors(
+    config: Configuration,
+    procedures: ProcedureTable = EMPTY_PROCEDURES,
+) -> Iterator[Step]:
+    """``successors`` in the same order, built one step at a time: a
+    step's check is evaluated only when the step is asked for."""
+    return _step(config.agent, config.store, procedures)
 
 
 def _step(

@@ -52,8 +52,8 @@ from ..sccp.syntax import (
     tell,
 )
 from ..sccp.traces import Trace
-from ..sccp.transitions import Configuration, Step, count_check_failure
-from ..telemetry import get_registry, get_tracer
+from ..sccp.transitions import count_check_failure
+from ..telemetry import get_registry, get_tracer, telemetry_suspended
 
 Cell = Tuple[int, ...]
 
@@ -84,24 +84,24 @@ class Party:
 class NegotiationOutcome:
     """Result of a bilateral (or multi-party) negotiation.
 
-    ``trace`` is the deterministic run's trace, built by ``replay`` on
-    first read: the told-prefix grid decides an outcome without one and
-    replays its walk only when the trace is asked for.
+    ``trace`` is the deterministic run's trace, built by ``_replay`` on
+    first read: the told-prefix grid decides an outcome without running
+    ``run``, and replays ``run`` only when the trace is asked for.
     """
 
     success: bool
     store: ConstraintStore
     agreed_level: Any
     parties: Tuple[str, ...]
-    replay: Optional[Callable[[], Trace]] = field(
-        default=None, repr=False, compare=False
-    )
     scheduler_independent: Optional[bool] = None
     detail: str = ""
+    _replay: Optional[Callable[[], Trace]] = field(
+        default=None, repr=False, compare=False, kw_only=True
+    )
 
     @cached_property
     def trace(self) -> Optional[Trace]:
-        return None if self.replay is None else self.replay()
+        return None if self._replay is None else self._replay()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         verdict = "agreement" if self.success else "no agreement"
@@ -153,6 +153,11 @@ class TellGrid:
     by one ``tell`` from a neighbouring cell, and both the stores and
     the move verdicts are memoized per cell.  Every check is
     ``CheckSpec.holds`` on the real store; ``checks`` counts them.
+
+    ``sccp_check_failures_total`` counts only blocked tells of reachable
+    cells: those the walk tries, and those of a deadlock the
+    certificate finds.  Candidate cells no interleaving reaches are not
+    counted.
     """
 
     def __init__(
@@ -198,8 +203,6 @@ class TellGrid:
             if action.check is not None:
                 self.checks += 1
                 verdict = action.check.holds(store)
-                if not verdict:
-                    count_check_failure("R1-Tell")
             self._enabled[key] = verdict
         return verdict
 
@@ -212,10 +215,12 @@ class TellGrid:
         cell, moves = self.origin, []
         while cell != self.goal:
             for party, count in enumerate(cell):
-                if count < self.goal[party] and self.enabled(cell, party):
-                    moves.append((cell, party))
-                    cell = _advance(cell, party)
-                    break
+                if count < self.goal[party]:
+                    if self.enabled(cell, party):
+                        moves.append((cell, party))
+                        cell = _advance(cell, party)
+                        break
+                    count_check_failure("R1-Tell")
             else:
                 break
         return cell, moves
@@ -238,23 +243,6 @@ class TellGrid:
         if depth < last:
             return rule, "R:" * depth + "L:tell"
         return rule, "R:" * last + "tell"
-
-    def trace(self) -> Trace:
-        """The trace ``run`` records: the walk, step by step."""
-        trace = Trace()
-        for cell, party in self.walk()[1]:
-            rule, action = self.label(cell, party)
-            after = _advance(cell, party)
-            rest = [
-                chain[count]
-                for chain, count in zip(self.chains, after)
-                if count < len(chain)
-            ]
-            agent = parallel(*rest) if rest else SUCCESS
-            trace.record(
-                Step(rule, action, Configuration(agent, self.store(after)))
-            )
-        return trace
 
     def certificate(self, succeeded: bool) -> bool:
         """Whether every interleaving reaches the walk's verdict.
@@ -282,6 +270,8 @@ class TellGrid:
             if any(self.enabled(cell, party) for party in busy):
                 continue
             if self._reachable(cell):
+                for _ in busy:
+                    count_check_failure("R1-Tell")
                 return False
         return True
 
@@ -365,10 +355,19 @@ def negotiate(
         store=final,
         agreed_level=final.consistency(),
         parties=names,
-        replay=lambda: TellGrid(chains, store).trace(),
+        _replay=lambda: _quiet_trace(agents, store, max_steps),
         scheduler_independent=certificate,
         detail=f"run ended with {status.value}",
     )
+
+
+def _quiet_trace(
+    agents: Agent, store: ConstraintStore, max_steps: int
+) -> Trace:
+    """``run``'s trace, replayed without telemetry: the grid has
+    already counted the run it stands for."""
+    with telemetry_suspended():
+        return run(agents, store=store, max_steps=max_steps).trace
 
 
 def _explored(
@@ -392,7 +391,7 @@ def _explored(
         store=result.store,
         agreed_level=result.store.consistency(),
         parties=names,
-        replay=lambda: result.trace,
+        _replay=lambda: result.trace,
         scheduler_independent=certificate,
         detail=f"run ended with {result.status.value}",
     )

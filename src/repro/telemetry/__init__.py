@@ -40,6 +40,7 @@ from .runtime import (
     get_tracer,
     install,
     telemetry_session,
+    telemetry_suspended,
     uninstall,
 )
 from .tracing import NULL_TRACER, NullTracer, Span, Tracer
@@ -71,6 +72,7 @@ __all__ = [
     "install",
     "uninstall",
     "telemetry_session",
+    "telemetry_suspended",
     "snapshot",
     "write_snapshot",
     "to_prometheus",

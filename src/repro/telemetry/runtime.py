@@ -9,6 +9,8 @@ the bench harness, or a test) — and everything reverts on
 
 ``telemetry_session`` is the scoped form: install, yield the session,
 restore whatever was active before (sessions nest).
+``telemetry_suspended`` is its opposite: the null implementations for
+the duration of a block, then whatever was active before.
 """
 
 from __future__ import annotations
@@ -88,5 +90,18 @@ def telemetry_session(
     active = install(session)
     try:
         yield active
+    finally:
+        _registry, _tracer, _events = previous
+
+
+@contextmanager
+def telemetry_suspended() -> Iterator[None]:
+    """Scoped uninstall: the block records nothing, and the previously
+    active surfaces come back on exit."""
+    global _registry, _tracer, _events
+    previous = (_registry, _tracer, _events)
+    uninstall()
+    try:
+        yield
     finally:
         _registry, _tracer, _events = previous

@@ -6,7 +6,7 @@ vectors (``TellGrid``) instead of running ``successors`` step by step and
 exploring every interleaving.  These tests hold the grid to ``run`` +
 ``explore`` on seeded random tell-only party sets: the verdict, the
 final store, the agreed level (bit for bit), the certificate and the
-trace must all be the ones the interpreter produces.
+walk's steps must all be the ones the interpreter produces.
 """
 
 import random
@@ -18,6 +18,7 @@ from repro.sccp import (
     SUCCESS,
     CheckError,
     CheckSpec,
+    ScriptedScheduler,
     Status,
     ask,
     explore,
@@ -136,23 +137,26 @@ def interpreter_verdict(agent, store):
             else exploration.never_succeeds
         ),
         "consistencies": [_bits(v) for v in result.trace.consistencies()],
-        "events": list(result.trace),
+        "steps": [(event.rule, event.action) for event in result.trace],
     }
 
 
 def grid_verdict(agent, store):
+    """The same verdict from the grid: the walk step by step, labelled
+    as ``run`` labels it, and the certificate."""
     grid = TellGrid(tell_chains(agent), store)
-    cell, _ = grid.walk()
+    cell, moves = grid.walk()
     succeeded = cell == grid.goal
     final = grid.store(cell)
-    trace = grid.trace()
     return {
         "success": succeeded,
         "level": _bits(final.consistency()),
         "fingerprint": final.fingerprint(),
         "certificate": grid.certificate(succeeded),
-        "consistencies": [_bits(v) for v in trace.consistencies()],
-        "events": list(trace),
+        "consistencies": [
+            _bits(grid.store(_advance(*move)).consistency()) for move in moves
+        ],
+        "steps": [grid.label(*move) for move in moves],
     }
 
 
@@ -168,6 +172,25 @@ def test_grid_matches_run_and_explore(semiring_name):
         verdicts.add((expected["success"], expected["certificate"]))
     # Succeeding and failing runs, each certified and not.
     assert verdicts == {(s, c) for s in (True, False) for c in (True, False)}
+
+
+def test_the_lazy_default_scheduler_makes_the_eager_choice(weighted, fig7):
+    """``DeterministicScheduler`` picks the first step without building
+    the others; the run is the one an eager first-step choice makes
+    (``ScriptedScheduler`` with an empty script chooses index 0 of the
+    full list)."""
+    agents = [random_agent(seed, "weighted")[1] for seed in range(20)]
+    c3, c4 = fig7["c3"], fig7["c4"]
+    agents.append(
+        parallel(sequence(tell(c4), ask(c3), retract(c4)), tell(c3))
+    )
+    for agent in agents:
+        store = empty_store(weighted)
+        expected = run(agent, store=store, scheduler=ScriptedScheduler([]))
+        got = run(agent, store=store)
+        assert got.status is expected.status
+        assert got.store.fingerprint() == expected.store.fingerprint()
+        assert list(got.trace) == list(expected.trace)
 
 
 def _cells(grid):
@@ -242,14 +265,12 @@ def test_a_deadlock_behind_a_checked_tell_that_is_not_the_last(weighted):
     leaves party 0's first tell over its bound: a deadlock at a cell
     where party 0's next tell is checked though it is not its last."""
 
-    def cost(value):
-        return TableConstraint(weighted, (X,), {(v,): value for v in X.domain})
-
     agent = parallel(
         sequence(
-            tell(cost(1.0), CheckSpec(weighted, lower=3.0)), tell(cost(0.0))
+            tell(_cost(weighted, 1.0), CheckSpec(weighted, lower=3.0)),
+            tell(_cost(weighted, 0.0)),
         ),
-        tell(cost(5.0)),
+        tell(_cost(weighted, 5.0)),
     )
     store = empty_store(weighted)
     expected = interpreter_verdict(agent, store)
@@ -282,7 +303,12 @@ def test_negotiate_matches_the_interpreter(semiring_name):
         assert _bits(outcome.agreed_level) == expected["level"]
         assert outcome.store.fingerprint() == expected["fingerprint"]
         assert outcome.scheduler_independent == expected["certificate"]
-        assert list(outcome.trace) == expected["events"]
+        assert [_bits(v) for v in outcome.trace.consistencies()] == (
+            expected["consistencies"]
+        )
+        assert [(e.rule, e.action) for e in outcome.trace] == (
+            expected["steps"]
+        )
         assert outcome.detail == (
             "run ended with success"
             if expected["success"]
@@ -292,8 +318,8 @@ def test_negotiate_matches_the_interpreter(semiring_name):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_grid_counts_the_run_it_replaces(seed):
-    """The walk records the transitions, status and step count ``run``
-    records for the same agents."""
+    """The walk records the transitions, status, step count and failed
+    checks ``run`` records for the same agents."""
     semiring, values = SEMIRINGS["weighted"]
     rng = random.Random(f"telemetry:{seed}")
     parties = [
@@ -306,12 +332,17 @@ def test_grid_counts_the_run_it_replaces(seed):
     ]
 
     def counted(registry):
+        metrics = (
+            "sccp_transitions_total",
+            "sccp_runs_total",
+            "sccp_check_failures_total",
+        )
         return {
             metric: sorted(
                 (tuple(sorted(s["labels"].items())), s["value"])
-                for s in registry.get(metric).samples()
+                for s in getattr(registry.get(metric), "samples", list)()
             )
-            for metric in ("sccp_transitions_total", "sccp_runs_total")
+            for metric in metrics
         }
 
     with telemetry_session() as grid_session:
@@ -319,6 +350,68 @@ def test_grid_counts_the_run_it_replaces(seed):
     with telemetry_session() as run_session:
         run(parallel(*(p.agent() for p in parties)), semiring=semiring)
     assert counted(grid_session.registry) == counted(run_session.registry)
+
+
+def _cost(weighted, value):
+    return TableConstraint(weighted, (X,), {(v,): value for v in X.domain})
+
+
+def _check_failures(session):
+    counter = session.registry.get("sccp_check_failures_total")
+    samples = counter.samples() if counter is not None else []
+    return {s["labels"]["rule"]: s["value"] for s in samples if s["value"]}
+
+
+def test_an_unreachable_stuck_cell_counts_no_check_failure(weighted):
+    """Cell (1, 1) is stuck (party 0's second tell needs a cost of at
+    most 6 and would make it 7) but no interleaving reaches it (party
+    1's tell needs a cost of at least 7).  The certificate holds, and
+    the candidate it had to evaluate there is no blocked transition."""
+    agent = parallel(
+        sequence(
+            tell(_cost(weighted, 1.0)),
+            tell(_cost(weighted, 5.0), CheckSpec(weighted, lower=6.0)),
+        ),
+        tell(_cost(weighted, 1.0), CheckSpec(weighted, upper=7.0)),
+    )
+    store = empty_store(weighted)
+    assert grid_verdict(agent, store) == interpreter_verdict(agent, store)
+    with telemetry_session() as session:
+        grid = TellGrid(tell_chains(agent), store)
+        assert grid.walk()[0] == grid.goal
+        assert grid.certificate(True) is True
+        assert not grid.enabled((1, 1), 0)
+    assert _check_failures(session) == {}
+
+
+def test_a_reachable_deadlock_counts_its_blocked_tells(weighted):
+    agent = parallel(
+        sequence(
+            tell(_cost(weighted, 1.0), CheckSpec(weighted, lower=3.0)),
+            tell(_cost(weighted, 0.0)),
+        ),
+        tell(_cost(weighted, 5.0)),
+    )
+    with telemetry_session() as session:
+        grid = TellGrid(tell_chains(agent), empty_store(weighted))
+        assert grid.walk()[0] == grid.goal
+        assert grid.certificate(True) is False
+    assert _check_failures(session) == {"R1-Tell": 1}
+
+
+def test_reading_the_trace_replays_run_without_telemetry(weighted, fig7):
+    parties = [
+        Party("P", [fig7["c4"]]),
+        Party("C", [fig7["c3"]], CheckSpec(weighted, lower=10.0)),
+    ]
+    with telemetry_session() as session:
+        outcome = negotiate(parties, weighted)
+        before = session.snapshot()
+        replayed = outcome.trace
+        assert session.snapshot() == before
+    agent = parallel(*(party.agent() for party in parties))
+    assert list(replayed) == list(run(agent, semiring=weighted).trace)
+    assert outcome.trace is replayed
 
 
 class TestShapesLeftToExplore:
