@@ -62,7 +62,7 @@ def _median_seconds(fn, rounds=3):
     return statistics.median(samples)
 
 
-def _interleaved_medians(first, second, rounds=3):
+def _interleaved_medians(first, second, rounds=7):
     """Median seconds of ``first`` and of ``second``, timed in
     alternation, so a host-speed swing lands on both sides alike."""
     samples = ([], [])
@@ -114,7 +114,7 @@ def test_engine_vs_naive_gate(benchmark):
     speedup = naive_s / engine_s
     report(
         f"PR5 — coalition engine vs naive local search (n={n}, "
-        f"{iterations} iterations, sample {sample}, interleaved median of 3)",
+        f"{iterations} iterations, sample {sample}, interleaved median of 7)",
         [
             (
                 f"{naive_s * 1000:.1f}",

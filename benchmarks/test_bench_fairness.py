@@ -39,7 +39,7 @@ from repro.runtime import (
     contention_request_factory,
     synthesize_contention_market,
 )
-from repro.soa import Broker
+from repro.soa import Broker, BrokerConfig
 
 FULL = bool(os.environ.get("REPRO_BENCH_FULL"))
 
@@ -59,8 +59,10 @@ def run_policy(policy, seed=9):
     market = synthesize_contention_market(providers=SCALE["providers"])
     broker = Broker(
         market,
-        allocation_policy=policy,
-        rounds=BatchConfig(window_ms=60.0, max_batch=16),
+        BrokerConfig(
+            allocation_policy=policy,
+            rounds=BatchConfig(window_ms=60.0, max_batch=16),
+        ),
     )
     server = RuntimeServer(
         broker,

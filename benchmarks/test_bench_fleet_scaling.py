@@ -31,6 +31,7 @@ from repro.fleet import FleetConfig, FleetFrontend, FleetLoadGenerator
 from repro.runtime import (
     LoadProfile,
     RetryPolicy,
+    RuntimeConfig,
     synthesize_market,
     synthetic_request_factory,
 )
@@ -73,8 +74,10 @@ def build_fleet(shards, registry_seed=11):
         shards=shards,
         workers_per_shard=4,
         seed=11,
-        deadline_s=None,
-        retry=RetryPolicy(max_attempts=2, base_backoff_s=0.0),
+        runtime=RuntimeConfig(
+            deadline_s=None,
+            retry=RetryPolicy(max_attempts=2, base_backoff_s=0.0),
+        ),
     )
     return FleetFrontend(
         registry, config, injector_factory=injector_factory

@@ -36,7 +36,7 @@ from repro.resilience import (
     HealthConfig,
     ResilienceConfig,
 )
-from repro.runtime import RetryPolicy
+from repro.runtime import RetryPolicy, RuntimeConfig
 from repro.semirings import WeightedSemiring
 from repro.soa import (
     BurstOutage,
@@ -135,9 +135,11 @@ def run_trace(resilience):
             shards=SCALE["shards"],
             workers_per_shard=2,
             seed=17,
-            deadline_s=None,
-            retry=RetryPolicy(max_attempts=3, base_backoff_s=0.0),
             resilience=resilience,
+            runtime=RuntimeConfig(
+                deadline_s=None,
+                retry=RetryPolicy(max_attempts=3, base_backoff_s=0.0),
+            ),
         ),
         injector_factory=injector_factory,
     )

@@ -27,7 +27,7 @@ from repro.runtime import (
     synthesize_market,
     synthetic_request_factory,
 )
-from repro.soa import Broker
+from repro.soa import Broker, BrokerConfig
 
 FULL = bool(os.environ.get("REPRO_BENCH_FULL"))
 
@@ -41,7 +41,7 @@ SCALE = {
 def make_server(workers=4, max_queue_depth=256, seed=11, **broker_kwargs):
     registry = synthesize_market(seed=seed)
     return RuntimeServer(
-        Broker(registry, **broker_kwargs),
+        Broker(registry, BrokerConfig(**broker_kwargs)),
         RuntimeConfig(
             workers=workers, max_queue_depth=max_queue_depth, seed=seed
         ),

@@ -20,16 +20,16 @@ Exposes the library's main flows over JSON files (the wire format of
 * ``validate-semiring NAME``    — check the semiring laws on a sample.
 
 The serving commands (``runtime``/``loadgen``/``fleet``) accept the
-resilience flags (``--resilience``, ``--breaker-*``, ``--bulkhead-*``,
-``--health-*``, ``--hedge-*``, ``--dlq``/``--dlq-out``) described in
-``docs/resilience.md``.
+resilience flags of ``docs/resilience.md``.  The broker, serving,
+resilience, load-shape and fleet flags are generated from the
+serving-config tree (:mod:`repro.config`): a flag's default, range and
+help text are the declaration of the config field it sets.
 
-Each command reads JSON and prints a JSON result on stdout, so the tools
-compose in shell pipelines.  Exit status 0 = the engine ran and found an
-answer; 1 = well-formed input but no solution (inconsistent problem,
-failed negotiation, no stable partition found); 2 = bad input,
-including a flag value out of its range (rejected while the arguments
-are parsed, before any market is built).
+Each command reads JSON and prints a JSON result on stdout.  Exit status
+0 = the engine ran and found an answer; 1 = well-formed input but no
+solution (inconsistent problem, failed negotiation, no stable
+partition); 2 = bad input, including a flag value out of its range
+(rejected while parsing, before any market is built).
 
 Observability (any command): ``--telemetry`` collects metrics and spans
 for the run and embeds the snapshot under a ``"telemetry"`` key in the
@@ -43,20 +43,37 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
-from typing import Any, Callable, Dict, NoReturn, Optional, Tuple
+from typing import Any, Dict, NoReturn, Optional, Tuple
 
 from . import serialization
 from .coalitions import solve_engine, solve_exact, solve_local_search
-from .sccp.check import CheckSpec
+from .config import NON_NEGATIVE, NON_NEGATIVE_INT, POSITIVE_INT, SHARE, Range
+from .config import add_flags, from_args
+from .fleet import FleetConfig, FleetFrontend, FleetLoadGenerator
+from .resilience import DeadLetterQueue, DLQConfig, DLQError, ResilienceConfig
+from .runtime import (
+    LoadGenerator,
+    LoadProfile,
+    RuntimeConfig,
+    RuntimeServer,
+    SessionResult,
+    contention_request_factory,
+    synthesize_contention_market,
+    synthesize_market,
+    synthetic_request_factory,
+)
 from .semirings.properties import validate_semiring
 from .semirings.registry import get_semiring
-from .soa.broker import Broker, BrokerError, ClientRequest
+from .slo import SLOError, render_text
+from .soa.broker import Broker, BrokerConfig, BrokerError, ClientRequest
+from .soa.composition import pipeline
+from .soa.faults import BernoulliCrash, BurstOutage, FaultInjector, RandomDelay
 from .soa.registry import RegistryError, ServiceRegistry
-from .soa.service import ServiceDescription, ServiceInterface
 from .solver import solve
 from .telemetry import (
     TelemetrySession,
@@ -147,31 +164,20 @@ def cmd_coalitions(args: argparse.Namespace) -> int:
     network = serialization.trust_network_from_dict(
         _read_json(args.network)
     )
+    options: Dict[str, Any] = {"op": args.op, "aggregate": args.aggregate}
     if args.method == "exact":
-        solution = solve_exact(
-            network, op=args.op, aggregate=args.aggregate
-        )
-    elif args.method == "engine":
-        solution = solve_engine(
-            network,
-            op=args.op,
-            aggregate=args.aggregate,
-            seed=args.seed,
-            restarts=args.restarts,
-            max_iterations=args.max_iterations,
-            neighbour_sample=args.neighbour_sample,
-            workers=args.workers,
-        )
+        solution = solve_exact(network, **options)
     else:
-        solution = solve_local_search(
-            network,
-            op=args.op,
-            aggregate=args.aggregate,
+        options.update(
             seed=args.seed,
             restarts=args.restarts,
             max_iterations=args.max_iterations,
             neighbour_sample=args.neighbour_sample,
         )
+        if args.method == "engine":
+            solution = solve_engine(network, workers=args.workers, **options)
+        else:
+            solution = solve_local_search(network, **options)
     _emit(serialization.coalition_solution_to_dict(solution))
     # "No solution" covers the heuristics ending on an unstable local
     # optimum, not just exact search proving no stable partition exists
@@ -180,66 +186,20 @@ def cmd_coalitions(args: argparse.Namespace) -> int:
     return 0 if solution.found and solution.stable else 1
 
 
-def _market_registry(market: Dict[str, Any]) -> ServiceRegistry:
-    """Publish every service of a market spec into a fresh registry."""
-    registry = ServiceRegistry()
-    for entry in market.get("services", []):
-        document = serialization.qos_document_from_dict(entry["qos"])
-        registry.publish(
-            ServiceDescription(
-                service_id=entry["service_id"],
-                name=entry.get("name", document.service_name),
-                provider=document.provider,
-                interface=ServiceInterface(operation=entry["operation"]),
-                qos=document,
-                tags=tuple(entry.get("tags", ())),
-            )
-        )
-    return registry
-
-
-def _market_request(market: Dict[str, Any]) -> ClientRequest:
-    """The client request of a market spec."""
-    spec = market["request"]
-    from .soa.qos import resolve_attribute
-
-    semiring = resolve_attribute(spec["attribute"]).semiring()
-    acceptance = None
-    if "acceptance" in spec:
-        acceptance = CheckSpec(
-            semiring,
-            lower=serialization.value_from_json(
-                spec["acceptance"].get("lower")
-            ),
-            upper=serialization.value_from_json(
-                spec["acceptance"].get("upper")
-            ),
-        )
-    return ClientRequest(
-        client=spec.get("client", "cli"),
-        operation=spec["operation"],
-        attribute=spec["attribute"],
-        acceptance=acceptance,
-    )
-
-
-def _load_market(path: str) -> Dict[str, Any]:
+def _load_market(path: str) -> Tuple[Dict[str, Any], ServiceRegistry]:
+    """A market spec and the registry its services are published in."""
     market = _read_json(path)
     if not isinstance(market, dict) or market.get("kind") != "market":
         _bad_input("payload is not a market spec")
-    return market
+    return market, serialization.market_registry_from_dict(market)
 
 
 def cmd_negotiate(args: argparse.Namespace) -> int:
-    market = _load_market(args.market)
-    registry = _market_registry(market)
-    request = _market_request(market)
-    broker = _broker(args, registry)
+    market, registry = _load_market(args.market)
+    request = serialization.market_request_from_dict(market)
+    broker = Broker(registry, from_args(BrokerConfig, args))
     result = broker.negotiate(
-        request,
-        verify_scheduler_independence=getattr(
-            args, "verify_independence", False
-        ),
+        request, verify_scheduler_independence=args.verify_independence
     )
     _emit(
         {
@@ -247,14 +207,7 @@ def cmd_negotiate(args: argparse.Namespace) -> int:
             "detail": result.detail,
             "sla": None
             if result.sla is None
-            else {
-                "sla_id": result.sla.sla_id,
-                "providers": list(result.sla.providers),
-                "service_ids": list(result.sla.service_ids),
-                "agreed_level": serialization.value_to_json(
-                    result.sla.agreed_level
-                ),
-            },
+            else serialization.sla_to_dict(result.sla),
             "evaluations": [
                 {
                     "provider": evaluation.provider,
@@ -269,46 +222,16 @@ def cmd_negotiate(args: argparse.Namespace) -> int:
     return 0 if result.success else 1
 
 
-def _broker(
-    args: argparse.Namespace, registry: ServiceRegistry
-) -> Broker:
-    """A broker honouring the ``--solve-cache``/``--allocation-policy``
-    flags."""
-    allocation = getattr(args, "allocation_policy", None)
-    rounds = None
-    if allocation is not None:
-        from .runtime.batching import BatchConfig
-
-        rounds = BatchConfig(
-            window_ms=args.batch_window_ms, max_batch=args.batch_max
-        )
-    return Broker(
-        registry,
-        solve_cache=args.solve_cache,
-        allocation_policy=allocation,
-        rounds=rounds,
-    )
-
-
 def _build_injector(
     args: argparse.Namespace, registry: ServiceRegistry
-) -> Optional["FaultInjector"]:
-    """Fault injector from the ``--fault-*`` flags, attached to every
+) -> Optional[FaultInjector]:
+    """Fault injector attaching the ``--fault-*`` models to every
     published service; ``None`` when no fault flag was given."""
-    from .soa.faults import (
-        BernoulliCrash,
-        BurstOutage,
-        FaultInjector,
-        RandomDelay,
-    )
-
-    models = []
-    if args.fault_crash is not None:
-        models.append(BernoulliCrash(args.fault_crash))
-    if args.fault_outage is not None:
-        models.append(BurstOutage(*args.fault_outage))
-    if args.fault_delay is not None:
-        models.append(RandomDelay(*args.fault_delay))
+    models = [
+        model
+        for model in (args.fault_crash, args.fault_outage, args.fault_delay)
+        if model is not None
+    ]
     if not models:
         return None
     injector = FaultInjector(seed=args.seed)
@@ -318,92 +241,73 @@ def _build_injector(
     return injector
 
 
-def _resilience_config(
-    args: argparse.Namespace,
-) -> "Optional[ResilienceConfig]":
-    """Resilience layer from the ``--breaker-*``/``--bulkhead-*``/
-    ``--health-*``/``--hedge-*``/``--dlq*`` flags.
+def _serving(args: argparse.Namespace, registry: ServiceRegistry) -> Any:
+    """The serving stack the flags describe: a ``RuntimeServer`` over
+    one broker, or (``fleet``) a ``FleetFrontend`` over broker shards.
 
-    ``--resilience`` turns every pattern on at its defaults; otherwise
-    each pattern activates when one of its own flags is given.  Returns
-    ``None`` (the exact pre-resilience serving path) when nothing asked
-    for it.
+    ``--resilience`` turns every resilience pattern on at its defaults;
+    otherwise a pattern turns on when one of its own flags is given.
     """
-    from .resilience import (
-        BreakerConfig,
-        BulkheadConfig,
-        DLQConfig,
-        HealthConfig,
-        HedgeConfig,
-        ResilienceConfig,
-    )
-
-    everything = args.resilience
-    breaker = None
-    if everything or args.breaker_threshold or args.breaker_recovery:
-        breaker = BreakerConfig(
-            failure_threshold=args.breaker_threshold or 3,
-            recovery_s=(
-                args.breaker_recovery
-                if args.breaker_recovery is not None
-                else 0.25
-            ),
-        )
-    bulkhead = None
-    if everything or args.bulkhead_limit:
-        bulkhead = BulkheadConfig(default_limit=args.bulkhead_limit or 16)
-    health = None
-    if everything or args.health_interval or args.health_unhealthy_after:
-        health = HealthConfig(
-            interval_s=args.health_interval or 0.05,
-            unhealthy_after=args.health_unhealthy_after or 2,
-        )
-    hedge = None
-    if everything or args.hedge_delay or args.hedge_percentile:
-        hedge = HedgeConfig(
-            delay_s=(
-                args.hedge_delay if args.hedge_delay is not None else 0.1
-            ),
-            percentile=args.hedge_percentile or 95.0,
-        )
-    dlq = None
-    if everything or args.dlq or args.dlq_out:
-        dlq = DLQConfig()
-    if not any((breaker, bulkhead, health, hedge, dlq)):
-        return None
-    return ResilienceConfig(
-        breaker=breaker,
-        bulkhead=bulkhead,
-        health=health,
-        hedge=hedge,
-        dlq=dlq,
-    )
-
-
-def _write_dlq(args: argparse.Namespace, dlq: Any) -> Optional[str]:
-    """Persist the captured dead letters when ``--dlq-out`` was given."""
-    if dlq is None or not getattr(args, "dlq_out", None):
-        return None
-    return str(dlq.to_jsonl(args.dlq_out))
-
-
-def _runtime_config(args: argparse.Namespace) -> "RuntimeConfig":
-    from .runtime import RetryPolicy, RuntimeConfig
-
-    return RuntimeConfig(
-        workers=args.workers,
-        max_queue_depth=args.queue,
-        deadline_s=args.deadline if args.deadline > 0 else None,
-        retry=RetryPolicy(
-            max_attempts=args.max_attempts,
-            base_backoff_s=args.base_backoff,
-        ),
-        seed=args.seed,
+    broker = from_args(BrokerConfig, args)
+    runtime = from_args(
+        RuntimeConfig,
+        args,
         verify_independence=getattr(args, "verify_independence", False),
     )
+    resilience = from_args(ResilienceConfig, args, enable=args.resilience)
+    if args.dlq or args.dlq_out:
+        resilience = replace(resilience, dlq=resilience.dlq or DLQConfig())
+    if not resilience.any_enabled:
+        resilience = None  # the exact pre-resilience serving path
+    if args.command != "fleet":
+        return RuntimeServer(
+            Broker(registry, broker),
+            runtime,
+            injector=_build_injector(args, registry),
+            resilience=resilience,
+        )
+    # The serving flags keep their meaning fleet-wide: --workers per
+    # shard, --queue at the fleet edge, --seed as the master seed.
+    config = from_args(
+        FleetConfig,
+        args,
+        workers_per_shard=runtime.workers,
+        ingress_depth=runtime.max_queue_depth,
+        seed=runtime.seed,
+        broker=broker,
+        runtime=RuntimeConfig(
+            deadline_s=runtime.deadline_s, retry=runtime.retry
+        ),
+        resilience=resilience,
+    )
+    # Every shard gets its own injector built from the same flags, so
+    # fault behaviour stays keyed to the session, not the shard.
+    return FleetFrontend(
+        registry,
+        config,
+        injector_factory=lambda shard_id: _build_injector(args, registry),
+    )
 
 
-def _session_summary(result: "SessionResult") -> Dict[str, Any]:
+def _add_resilience(
+    payload: Dict[str, Any], args: argparse.Namespace, target: Any
+) -> None:
+    """The resilience snapshot (and ``--dlq-out`` file) of a run."""
+    if args.command == "fleet":
+        if target.config.resilience is None:
+            return
+        payload["resilience"] = target.resilience_snapshot()
+        dlq = target.dlq
+    else:
+        if not target.resilience.config.any_enabled:
+            return
+        payload["resilience"] = target.resilience.snapshot()
+        dlq = target.resilience.dlq
+    if dlq is not None and args.dlq_out:
+        payload["dlq_out"] = str(dlq.to_jsonl(args.dlq_out))
+
+
+def _session_summary(result: SessionResult) -> Dict[str, Any]:
     return {
         "index": result.index,
         "client": result.request.client,
@@ -422,205 +326,64 @@ def _session_summary(result: "SessionResult") -> Dict[str, Any]:
 
 def cmd_runtime(args: argparse.Namespace) -> int:
     """Serve N copies of a market's request through the runtime."""
-    from .runtime import RuntimeServer, SessionStatus
-
-    market = _load_market(args.market)
-    registry = _market_registry(market)
-    request = _market_request(market)
-    injector = _build_injector(args, registry)
-    server = RuntimeServer(
-        _broker(args, registry),
-        _runtime_config(args),
-        injector=injector,
-        resilience=_resilience_config(args),
-    )
-    template = request
-    requests = [
-        ClientRequest(
-            client=f"{template.client}-{index}",
-            operation=template.operation,
-            attribute=template.attribute,
-            requirements=template.requirements,
-            acceptance=template.acceptance,
-        )
-        for index in range(args.requests)
-    ]
-    results = server.run(requests)
-    outcomes: Dict[str, int] = {}
-    for result in results:
-        key = result.status.value
-        outcomes[key] = outcomes.get(key, 0) + 1
-    served = outcomes.get(SessionStatus.COMPLETED.value, 0) + outcomes.get(
-        SessionStatus.DEGRADED.value, 0
+    market, registry = _load_market(args.market)
+    template = serialization.market_request_from_dict(market)
+    server = _serving(args, registry)
+    results = server.run(
+        [
+            replace(template, client=f"{template.client}-{index}")
+            for index in range(args.requests)
+        ]
     )
     payload = {
         "requests": len(results),
-        "outcomes": outcomes,
+        "outcomes": dict(Counter(result.status.value for result in results)),
         "retries_total": sum(result.retries for result in results),
         "sessions": [_session_summary(result) for result in results],
     }
-    if server.resilience.config.any_enabled:
-        payload["resilience"] = server.resilience.snapshot()
-        dlq_path = _write_dlq(args, server.resilience.dlq)
-        if dlq_path is not None:
-            payload["dlq_out"] = dlq_path
+    _add_resilience(payload, args, server)
     _emit(payload)
-    return 0 if served == len(results) else 1
-
-
-def _synthetic_market(args: argparse.Namespace):
-    """The synthetic market + request factory for loadgen/fleet runs:
-    the default polynomial-cost market, or (``--contention``) the
-    decreasing-quality contention market the fairness scenario uses."""
-    from .runtime import (
-        contention_request_factory,
-        synthesize_contention_market,
-        synthesize_market,
-        synthetic_request_factory,
-    )
-
-    if getattr(args, "contention", False):
-        return (
-            synthesize_contention_market(
-                providers=args.contention_providers
-            ),
-            contention_request_factory(),
-        )
-    return synthesize_market(seed=args.seed), synthetic_request_factory()
+    return 0 if all(result.ok for result in results) else 1
 
 
 def cmd_loadgen(args: argparse.Namespace) -> int:
-    """Measure the runtime under a synthetic client population."""
-    from .runtime import LoadGenerator, LoadProfile, RuntimeServer
-
+    """Measure the runtime (or, for ``fleet``, a sharded broker fleet)
+    under a synthetic client population."""
     if args.market is not None:
-        market = _load_market(args.market)
-        registry = _market_registry(market)
-        template = _market_request(market)
+        market, registry = _load_market(args.market)
+        template = serialization.market_request_from_dict(market)
 
         def factory(client: str, index: int) -> ClientRequest:
-            return ClientRequest(
-                client=client,
-                operation=template.operation,
-                attribute=template.attribute,
-                requirements=template.requirements,
-                acceptance=template.acceptance,
-            )
+            return replace(template, client=client)
 
+    elif args.contention:
+        # The decreasing-quality market the fairness scenario uses.
+        registry = synthesize_contention_market(args.contention_providers)
+        factory = contention_request_factory()
     else:
-        registry, factory = _synthetic_market(args)
+        registry = synthesize_market(seed=args.seed)
+        factory = synthetic_request_factory()
 
-    injector = _build_injector(args, registry)
-    server = RuntimeServer(
-        _broker(args, registry),
-        _runtime_config(args),
-        injector=injector,
-        resilience=_resilience_config(args),
+    target = _serving(args, registry)
+    fleet = args.command == "fleet"
+    generator = (FleetLoadGenerator if fleet else LoadGenerator)(
+        target, from_args(LoadProfile, args, seed=args.seed), factory
     )
-    profile = LoadProfile(
-        clients=args.clients,
-        requests=args.requests,
-        mode=args.mode,
-        rate=args.rate,
-        think_time_s=args.think_time,
-        seed=args.seed,
-    )
-    generator = LoadGenerator(server, profile, factory)
     report = generator.run_sync()
     payload = report.to_dict()
-    if server.resilience.config.any_enabled:
-        payload["resilience"] = server.resilience.snapshot()
-        dlq_path = _write_dlq(args, server.resilience.dlq)
-        if dlq_path is not None:
-            payload["dlq_out"] = dlq_path
+    _add_resilience(payload, args, target)
     _emit(payload)
-    return 0 if report.completed + report.degraded > 0 else 1
-
-
-def cmd_fleet(args: argparse.Namespace) -> int:
-    """Measure a sharded broker fleet under synthetic load."""
-    from .fleet import FleetConfig, FleetFrontend, FleetLoadGenerator
-    from .runtime import LoadProfile, RetryPolicy
-
-    if args.market is not None:
-        market = _load_market(args.market)
-        registry = _market_registry(market)
-        template = _market_request(market)
-
-        def factory(client: str, index: int) -> ClientRequest:
-            return ClientRequest(
-                client=client,
-                operation=template.operation,
-                attribute=template.attribute,
-                requirements=template.requirements,
-                acceptance=template.acceptance,
-            )
-
-    else:
-        registry, factory = _synthetic_market(args)
-
-    rounds = None
-    if args.allocation_policy is not None:
-        from .runtime.batching import BatchConfig
-
-        rounds = BatchConfig(
-            window_ms=args.batch_window_ms, max_batch=args.batch_max
-        )
-    config = FleetConfig(
-        shards=args.shards,
-        vnodes=args.vnodes,
-        workers_per_shard=args.workers,
-        ingress_depth=args.queue,
-        dispatch_depth=args.dispatch_depth,
-        deadline_s=args.deadline if args.deadline > 0 else None,
-        retry=RetryPolicy(
-            max_attempts=args.max_attempts,
-            base_backoff_s=args.base_backoff,
-        ),
-        seed=args.seed,
-        l2_cache=args.l2_cache,
-        route_by=args.route_by,
-        allocation_policy=args.allocation_policy,
-        rounds=rounds,
-        resilience=_resilience_config(args),
-    )
-    # Every shard gets its own injector built from the same flags, so
-    # fault behaviour stays keyed to the session, not the shard.
-    frontend = FleetFrontend(
-        registry,
-        config,
-        injector_factory=lambda shard_id: _build_injector(args, registry),
-    )
-    profile = LoadProfile(
-        clients=args.clients,
-        requests=args.requests,
-        mode=args.mode,
-        rate=args.rate,
-        think_time_s=args.think_time,
-        seed=args.seed,
-    )
-    generator = FleetLoadGenerator(frontend, profile, factory)
-    report = generator.run_sync()
-    payload = report.to_dict()
-    if config.resilience is not None:
-        payload["resilience"] = frontend.resilience_snapshot()
-        dlq_path = _write_dlq(args, frontend.dlq)
-        if dlq_path is not None:
-            payload["dlq_out"] = dlq_path
-    _emit(payload)
-    fleet = report.fleet
-    return 0 if fleet.completed + fleet.degraded > 0 else 1
+    served = report.fleet if fleet else report
+    return 0 if served.completed + served.degraded > 0 else 1
 
 
 def _slo_plan(args: argparse.Namespace, market: Dict[str, Any]):
     """The plan to analyze: ``--plan PATH``, the market's ``plan`` entry,
     or the ``--pipeline id,id,…`` shorthand."""
-    if getattr(args, "plan", None):
+    if args.plan:
         return serialization.plan_from_dict(_read_json(args.plan))
-    if getattr(args, "pipeline", None):
-        from .soa.composition import pipeline as make_pipeline
-
-        return make_pipeline(*args.pipeline.split(","))
+    if args.pipeline:
+        return pipeline(*args.pipeline.split(","))
     if "plan" in market:
         return serialization.plan_from_dict(market["plan"])
     _bad_input(
@@ -630,10 +393,7 @@ def _slo_plan(args: argparse.Namespace, market: Dict[str, Any]):
 
 
 def cmd_slo(args: argparse.Namespace) -> int:
-    from .slo import SLOError, render_text
-
-    market = _load_market(args.market)
-    registry = _market_registry(market)
+    market, registry = _load_market(args.market)
     plan = _slo_plan(args, market)
     for service_id, window in market.get("observations", {}).items():
         registry.record_observations(
@@ -641,7 +401,7 @@ def cmd_slo(args: argparse.Namespace) -> int:
             int(window.get("attempts", 0)),
             int(window.get("failures", 0)),
         )
-    broker = _broker(args, registry)
+    broker = Broker(registry, from_args(BrokerConfig, args))
     try:
         report = broker.slo_report(
             plan,
@@ -668,10 +428,9 @@ def cmd_dlq(args: argparse.Namespace) -> int:
 
     ``inspect`` summarizes the envelopes; ``replay`` re-drives every
     replayable one against the (recovered) market's broker and reports
-    the agreement each session would have signed.
+    the agreement each session would have signed.  A broker configured
+    unlike the one that captured an envelope is refused (exit 2).
     """
-    from .resilience import DeadLetterQueue
-
     queue = DeadLetterQueue.from_jsonl(args.file)
     if args.action == "inspect":
         _emit(
@@ -684,10 +443,12 @@ def cmd_dlq(args: argparse.Namespace) -> int:
         return 0
     if args.market is None:
         _bad_input("replay requires --market")
-    market = _load_market(args.market)
-    registry = _market_registry(market)
-    broker = _broker(args, registry)
-    rows = queue.replay(broker)
+    market, registry = _load_market(args.market)
+    broker = Broker(registry, from_args(BrokerConfig, args))
+    try:
+        rows = queue.replay(broker)
+    except DLQError as exc:
+        _bad_input(str(exc))
     completed = sum(1 for row in rows if row["outcome"] == "completed")
     replayable = sum(1 for letter in queue if letter.replayable)
     _emit(
@@ -720,86 +481,42 @@ def cmd_validate_semiring(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# Flag value types: a value out of its range is rejected while the
-# arguments are parsed (exit 2, the flag named on stderr).
+# Fault flag types (the config knobs' flag types are their declared
+# ranges, see repro.config)
 # ----------------------------------------------------------------------
 
 
-def _int_at_least(low: int) -> Callable[[str], int]:
-    """An ``int`` flag type accepting values of at least ``low``."""
+def _fault_model(build: Any, expects: str) -> Any:
+    """A ``--fault-*`` flag type: ``build`` a fault model from the text,
+    reporting what the flag ``expects`` when that fails."""
 
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
+    def parse(text: str) -> Any:
+        try:
+            return build(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
             raise argparse.ArgumentTypeError(
-                f"must be at least {low}, got {value}"
-            )
-        return value
+                f"expects {expects}, got {text}"
+            ) from None
 
-    parse.__name__ = "integer"
     return parse
 
 
-def _real(
-    low: float = 0.0, high: float = math.inf, strict: bool = False
-) -> Callable[[str], float]:
-    """A finite ``float`` flag type in ``[low, high]`` (``(low, high]``
-    when ``strict``)."""
-    if high == math.inf:
-        bound = f"{'>' if strict else '>='} {low:g}"
-    else:
-        bound = f"in {'(' if strict else '['}{low:g}, {high:g}]"
-
-    def parse(text: str) -> float:
-        value = float(text)
-        if (
-            not math.isfinite(value)
-            or value < low
-            or (strict and value == low)
-            or value > high
-        ):
-            raise argparse.ArgumentTypeError(
-                f"must be a finite number {bound}, got {text}"
-            )
-        return value
-
-    parse.__name__ = "number"
-    return parse
+_crash = _fault_model(
+    lambda text: BernoulliCrash(float(text)), "a probability in [0, 1]"
+)
+_outage = _fault_model(
+    lambda text: BurstOutage(*(int(part) for part in text.split(":"))),
+    "START:LENGTH with integers START >= 0 and LENGTH >= 1",
+)
+def _random_delay(text: str) -> RandomDelay:
+    prob, extra_ms = text.split(":")
+    return RandomDelay(float(prob), NON_NEGATIVE(extra_ms))
 
 
-_POSITIVE_INT = _int_at_least(1)
-_NON_NEGATIVE = _real()
-_POSITIVE = _real(strict=True)
-_PROBABILITY = _real(0.0, 1.0)
-_SHARE = _real(0.0, 1.0, strict=True)
-
-
-def _outage(text: str) -> Tuple[int, int]:
-    """``START:LENGTH`` of ``--fault-outage``: START >= 0, LENGTH >= 1."""
-    try:
-        start, length = (int(part) for part in text.split(":"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expects START:LENGTH (integers), got {text}"
-        ) from None
-    if start < 0 or length < 1:
-        raise argparse.ArgumentTypeError(
-            f"needs START >= 0 and LENGTH >= 1, got {text}"
-        )
-    return start, length
-
-
-def _delay(text: str) -> Tuple[float, float]:
-    """``PROB:MS`` of ``--fault-delay``: a probability and a finite
-    non-negative delay."""
-    try:
-        prob, extra_ms = text.split(":")
-        return _PROBABILITY(prob), _NON_NEGATIVE(extra_ms)
-    except (ValueError, argparse.ArgumentTypeError):
-        raise argparse.ArgumentTypeError(
-            f"expects PROB:MILLISECONDS with PROB in [0, 1] and "
-            f"MILLISECONDS >= 0, got {text}"
-        ) from None
+_delay = _fault_model(
+    _random_delay,
+    "PROB:MILLISECONDS with PROB in [0, 1] and MILLISECONDS >= 0",
+)
 
 
 # ----------------------------------------------------------------------
@@ -809,8 +526,7 @@ def _delay(text: str) -> Tuple[float, float]:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Soft constraints for dependable SOAs — CLI",
+        prog="repro", description="Soft constraints for dependable SOAs — CLI"
     )
     observability = argparse.ArgumentParser(add_help=False)
     observability.add_argument(
@@ -818,114 +534,59 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="collect metrics/spans and embed the snapshot in the output",
     )
-    observability.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="PATH",
-        help="write the span/event journal as JSON lines (implies "
-        "--telemetry)",
-    )
-    observability.add_argument(
-        "--prometheus-out",
-        default=None,
-        metavar="PATH",
-        help="write metrics in Prometheus text format (implies "
-        "--telemetry)",
-    )
+    for flag, what in (
+        ("--trace-out", "the span/event journal as JSON lines"),
+        ("--prometheus-out", "metrics in Prometheus text format"),
+    ):
+        observability.add_argument(
+            flag,
+            default=None,
+            metavar="PATH",
+            help=f"write {what} (implies --telemetry)",
+        )
     broker_opts = argparse.ArgumentParser(add_help=False)
-    broker_opts.add_argument(
-        "--solve-cache",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="memoize broker solves under a canonical problem fingerprint",
-    )
-    broker_opts.add_argument(
-        "--batch-window-ms",
-        type=_NON_NEGATIVE,
-        default=2.0,
-        metavar="MS",
-        help="how long an allocation round's leader waits for "
-        "followers before dispatching (with --allocation-policy)",
-    )
-    broker_opts.add_argument(
-        "--batch-max",
-        type=_POSITIVE_INT,
-        default=32,
-        metavar="N",
-        help="hard cap on sessions coalesced into one allocation round "
-        "(with --allocation-policy)",
-    )
-    broker_opts.add_argument(
-        "--allocation-policy",
-        default=None,
-        choices=("greedy", "fair"),
-        help="serve sessions through coalesced allocation rounds: "
-        "greedy replays per-session agreements exactly, fair solves "
-        "one joint lexicographic ⟨min satisfaction, welfare⟩ SCSP "
-        "per round (default: legacy per-session path)",
-    )
+    add_flags(broker_opts, BrokerConfig)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser(
-        "solve",
-        help="solve a JSON SCSP",
-        parents=[observability],
-    )
+    def command(name, fn, help, *parents):
+        sub_parser = sub.add_parser(
+            name, help=help, parents=[observability, *parents]
+        )
+        sub_parser.set_defaults(fn=fn)
+        return sub_parser
+
+    p_solve = command("solve", cmd_solve, "solve a JSON SCSP")
     p_solve.add_argument("problem", help="path to an scsp JSON file")
     p_solve.add_argument(
         "--method",
         default="auto",
         choices=("auto", "exhaustive", "branch-bound", "elimination"),
     )
-    p_solve.set_defaults(fn=cmd_solve)
 
-    p_coal = sub.add_parser(
-        "coalitions",
-        help="partition a JSON trust network",
-        parents=[observability],
+    p_coal = command(
+        "coalitions", cmd_coalitions, "partition a JSON trust network"
     )
     p_coal.add_argument("network", help="path to a trust-network JSON file")
     p_coal.add_argument(
-        "--method",
-        default="exact",
-        choices=("exact", "local-search", "engine"),
+        "--method", default="exact", choices=("exact", "local-search", "engine")
     )
     p_coal.add_argument("--op", default="avg", choices=("min", "avg", "max"))
     p_coal.add_argument(
         "--aggregate", default="min", choices=("min", "avg", "max")
     )
     p_coal.add_argument("--seed", type=int, default=0)
-    p_coal.add_argument(
-        "--restarts",
-        type=_POSITIVE_INT,
-        default=3,
-        help="hill-climb restarts",
-    )
-    p_coal.add_argument(
-        "--max-iterations",
-        type=_int_at_least(0),
-        default=200,
-        help="climb steps per restart",
-    )
-    p_coal.add_argument(
-        "--neighbour-sample",
-        type=_POSITIVE_INT,
-        default=64,
-        help="candidate moves scored per step",
-    )
-    p_coal.add_argument(
-        "--workers",
-        type=_POSITIVE_INT,
-        default=1,
-        help="portfolio threads for --method engine "
-        "(the result is worker-count independent)",
-    )
-    p_coal.set_defaults(fn=cmd_coalitions)
+    for flag, type_, default, help in (
+        ("--restarts", POSITIVE_INT, 3, "hill-climb restarts"),
+        ("--max-iterations", NON_NEGATIVE_INT, 200, "climb steps per restart"),
+        ("--neighbour-sample", POSITIVE_INT, 64, "candidate moves scored per step"),
+        ("--workers", POSITIVE_INT, 1, "portfolio threads for --method engine "
+         "(the result is worker-count independent)"),
+    ):
+        p_coal.add_argument(flag, type=type_, default=default, help=help)
 
-    p_neg = sub.add_parser(
-        "negotiate",
-        help="run the broker over a JSON market",
-        parents=[observability, broker_opts],
+    p_neg = command(
+        "negotiate", cmd_negotiate, "run the broker over a JSON market",
+        broker_opts,
     )
     p_neg.add_argument("market", help="path to a market JSON file")
     p_neg.add_argument(
@@ -934,63 +595,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-run the winner as nmsccp agents and certify the outcome "
         "is scheduler-independent",
     )
-    p_neg.set_defaults(fn=cmd_negotiate)
 
     serving = argparse.ArgumentParser(add_help=False)
-    serving.add_argument(
-        "--workers", type=_POSITIVE_INT, default=4, help="worker pool size"
-    )
-    serving.add_argument(
-        "--queue",
-        type=_POSITIVE_INT,
-        default=256,
-        metavar="DEPTH",
-        help="admission queue bound (full queue ⇒ typed overload)",
-    )
-    serving.add_argument(
-        "--deadline",
-        type=_NON_NEGATIVE,
-        default=30.0,
-        metavar="SECONDS",
-        help="per-session deadline; 0 disables it",
-    )
-    serving.add_argument(
-        "--max-attempts",
-        type=_POSITIVE_INT,
-        default=3,
-        help="attempts per session before degradation",
-    )
-    serving.add_argument(
-        "--base-backoff",
-        type=_NON_NEGATIVE,
-        default=0.05,
-        metavar="SECONDS",
-        help="first retry backoff (doubles per attempt, jittered)",
-    )
-    serving.add_argument(
-        "--seed", type=int, default=None, help="master RNG seed"
-    )
-    serving.add_argument(
-        "--fault-crash",
-        type=_PROBABILITY,
-        default=None,
-        metavar="PROB",
-        help="attach BernoulliCrash(PROB) to every service",
-    )
-    serving.add_argument(
-        "--fault-outage",
-        type=_outage,
-        default=None,
-        metavar="START:LENGTH",
-        help="attach BurstOutage over admission-order ticks",
-    )
-    serving.add_argument(
-        "--fault-delay",
-        type=_delay,
-        default=None,
-        metavar="PROB:MS",
-        help="attach RandomDelay(PROB, MS) to every service",
-    )
+    add_flags(serving, RuntimeConfig)
+    for flag, type_, metavar, help in (
+        ("--fault-crash", _crash, "PROB",
+         "attach BernoulliCrash(PROB) to every service"),
+        ("--fault-outage", _outage, "START:LENGTH",
+         "attach BurstOutage over admission-order ticks"),
+        ("--fault-delay", _delay, "PROB:MS",
+         "attach RandomDelay(PROB, MS) to every service"),
+    ):
+        serving.add_argument(
+            flag, type=type_, default=None, metavar=metavar, help=help
+        )
 
     resilience = argparse.ArgumentParser(add_help=False)
     resilience.add_argument(
@@ -999,61 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable every resilience pattern at its defaults "
         "(breakers, bulkheads, health checks, hedging, DLQ)",
     )
-    resilience.add_argument(
-        "--breaker-threshold",
-        type=_POSITIVE_INT,
-        default=None,
-        metavar="N",
-        help="consecutive failures tripping a provider's circuit "
-        "breaker (enables breakers)",
-    )
-    resilience.add_argument(
-        "--breaker-recovery",
-        type=_NON_NEGATIVE,
-        default=None,
-        metavar="SECONDS",
-        help="open-state duration before a half-open probe "
-        "(enables breakers)",
-    )
-    resilience.add_argument(
-        "--bulkhead-limit",
-        type=_POSITIVE_INT,
-        default=None,
-        metavar="N",
-        help="in-flight sessions allowed per service class "
-        "(enables bulkheads)",
-    )
-    resilience.add_argument(
-        "--health-interval",
-        type=_POSITIVE,
-        default=None,
-        metavar="SECONDS",
-        help="heartbeat probe period (enables health-checked "
-        "matchmaking)",
-    )
-    resilience.add_argument(
-        "--health-unhealthy-after",
-        type=_POSITIVE_INT,
-        default=None,
-        metavar="N",
-        help="failed probe sweeps before quarantine (enables health "
-        "checks)",
-    )
-    resilience.add_argument(
-        "--hedge-delay",
-        type=_NON_NEGATIVE,
-        default=None,
-        metavar="SECONDS",
-        help="fallback shadow-solve launch delay (enables hedging)",
-    )
-    resilience.add_argument(
-        "--hedge-percentile",
-        type=_real(0.0, 100.0, strict=True),
-        default=None,
-        metavar="P",
-        help="latency percentile setting the adaptive hedge delay "
-        "(enables hedging)",
-    )
+    add_flags(resilience, ResilienceConfig)
     resilience.add_argument(
         "--dlq",
         action="store_true",
@@ -1066,15 +630,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="write captured dead letters as JSON lines (implies --dlq)",
     )
 
-    p_rt = sub.add_parser(
-        "runtime",
-        help="serve concurrent sessions of a JSON market",
-        parents=[observability, serving, resilience, broker_opts],
+    p_rt = command(
+        "runtime", cmd_runtime, "serve concurrent sessions of a JSON market",
+        serving, resilience, broker_opts,
     )
     p_rt.add_argument("market", help="path to a market JSON file")
     p_rt.add_argument(
         "--requests",
-        type=_POSITIVE_INT,
+        type=POSITIVE_INT,
         default=10,
         metavar="N",
         help="concurrent sessions to serve",
@@ -1084,7 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="certify each winner as scheduler-independent (slow)",
     )
-    p_rt.set_defaults(fn=cmd_runtime)
 
     loadshape = argparse.ArgumentParser(add_help=False)
     loadshape.add_argument(
@@ -1093,36 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="market JSON to serve (default: synthetic 4-provider market)",
     )
-    loadshape.add_argument(
-        "--clients",
-        type=_POSITIVE_INT,
-        default=10,
-        help="client population size",
-    )
-    loadshape.add_argument(
-        "--requests",
-        type=_POSITIVE_INT,
-        default=None,
-        metavar="N",
-        help="total sessions (default: one per client)",
-    )
-    loadshape.add_argument(
-        "--mode", default="open", choices=("open", "closed")
-    )
-    loadshape.add_argument(
-        "--rate",
-        type=_POSITIVE,
-        default=50.0,
-        metavar="RPS",
-        help="open loop: mean Poisson arrival rate",
-    )
-    loadshape.add_argument(
-        "--think-time",
-        type=_NON_NEGATIVE,
-        default=0.0,
-        metavar="SECONDS",
-        help="closed loop: pause between a client's requests",
-    )
+    add_flags(loadshape, LoadProfile)
     loadshape.add_argument(
         "--contention",
         action="store_true",
@@ -1132,75 +665,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadshape.add_argument(
         "--contention-providers",
-        type=_int_at_least(2),
+        type=Range(2, integer=True),
         default=3,
         metavar="N",
         help="provider count of the contention market",
     )
+    load = (serving, resilience, loadshape, broker_opts)
+    command(
+        "loadgen", cmd_loadgen, "measure the runtime under synthetic load",
+        *load,
+    )
+    p_fleet = command(
+        "fleet", cmd_loadgen,
+        "measure a sharded broker fleet under synthetic load", *load,
+    )
+    add_flags(p_fleet, FleetConfig, nested=False)
 
-    p_lg = sub.add_parser(
-        "loadgen",
-        help="measure the runtime under synthetic load",
-        parents=[
-            observability,
-            serving,
-            resilience,
-            loadshape,
-            broker_opts,
-        ],
-    )
-    p_lg.set_defaults(fn=cmd_loadgen)
-
-    p_fleet = sub.add_parser(
-        "fleet",
-        help="measure a sharded broker fleet under synthetic load",
-        parents=[
-            observability,
-            serving,
-            resilience,
-            loadshape,
-            broker_opts,
-        ],
-    )
-    p_fleet.add_argument(
-        "--shards",
-        type=_POSITIVE_INT,
-        default=2,
-        help="broker shard count",
-    )
-    p_fleet.add_argument(
-        "--vnodes",
-        type=_POSITIVE_INT,
-        default=64,
-        help="virtual nodes per shard on the consistent-hash ring",
-    )
-    p_fleet.add_argument(
-        "--dispatch-depth",
-        type=_POSITIVE_INT,
-        default=64,
-        metavar="DEPTH",
-        help="per-shard dispatch queue bound",
-    )
-    p_fleet.add_argument(
-        "--l2-cache",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="share one fleet-wide L2 solve cache across shards "
-        "(per-shard L1s become a two-tier stack)",
-    )
-    p_fleet.add_argument(
-        "--route-by",
-        default="session",
-        choices=("session", "operation"),
-        help="ring routing key: per-session spread or per-operation "
-        "ownership",
-    )
-    p_fleet.set_defaults(fn=cmd_fleet)
-
-    p_dlq = sub.add_parser(
-        "dlq",
-        help="inspect or replay a dead-letter JSONL file",
-        parents=[observability, broker_opts],
+    p_dlq = command(
+        "dlq", cmd_dlq, "inspect or replay a dead-letter JSONL file",
+        broker_opts,
     )
     p_dlq.add_argument(
         "action", choices=("inspect", "replay"), help="what to do"
@@ -1212,12 +695,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="market JSON to replay against (required for replay)",
     )
-    p_dlq.set_defaults(fn=cmd_dlq)
 
-    p_slo = sub.add_parser(
-        "slo",
-        help="SLO analytics for a composition plan over a market",
-        parents=[observability, broker_opts],
+    p_slo = command(
+        "slo", cmd_slo, "SLO analytics for a composition plan over a market",
+        broker_opts,
     )
     p_slo.add_argument("market", help="path to a market JSON file")
     p_slo.add_argument(
@@ -1226,24 +707,15 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="the SLO level to check reachability of",
     )
-    p_slo.add_argument(
-        "--attribute",
-        default="availability",
-        help="QoS attribute to analyze (default: availability)",
-    )
-    p_slo.add_argument(
-        "--plan",
-        default=None,
-        metavar="PATH",
-        help="composition plan JSON (kind: plan); defaults to the "
-        "market's own 'plan' entry",
-    )
-    p_slo.add_argument(
-        "--pipeline",
-        default=None,
-        metavar="IDS",
-        help="comma-separated service ids as a pipeline plan shorthand",
-    )
+    for flag, default, metavar, help in (
+        ("--attribute", "availability", None,
+         "QoS attribute to analyze (default: availability)"),
+        ("--plan", None, "PATH", "composition plan JSON (kind: plan); "
+         "defaults to the market's own 'plan' entry"),
+        ("--pipeline", None, "IDS",
+         "comma-separated service ids as a pipeline plan shorthand"),
+    ):
+        p_slo.add_argument(flag, default=default, metavar=metavar, help=help)
     p_slo.add_argument(
         "--choose",
         default="worst-case",
@@ -1251,29 +723,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="reading of Choose nodes: the guarantee holding whichever "
         "branch runs, or failover replicas (1 − ∏(1 − Rᵢ))",
     )
-    p_slo.add_argument(
-        "--buffer",
-        type=_SHARE,
-        default=0.9,
-        metavar="F",
-        help="planning safety margin applied to every provider level",
-    )
-    p_slo.add_argument(
-        "--min-attempts",
-        type=_POSITIVE_INT,
-        default=5,
-        metavar="N",
-        help="observations required before delivered history discounts "
-        "a published level",
-    )
-    p_slo.add_argument(
-        "--flag-share",
-        type=_SHARE,
-        default=0.30,
-        metavar="F",
-        help="error-budget share above which a stage is flagged "
-        "high-risk",
-    )
+    for flag, type_, default, metavar, help in (
+        ("--buffer", SHARE, 0.9, "F",
+         "planning safety margin applied to every provider level"),
+        ("--min-attempts", POSITIVE_INT, 5, "N",
+         "observations required before delivered history discounts "
+         "a published level"),
+        ("--flag-share", SHARE, 0.30, "F",
+         "error-budget share above which a stage is flagged high-risk"),
+    ):
+        p_slo.add_argument(
+            flag, type=type_, default=default, metavar=metavar, help=help
+        )
     p_slo.add_argument(
         "--trust-published",
         action="store_true",
@@ -1286,19 +747,16 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("json", "text"),
         help="output as JSON (default) or a terminal report",
     )
-    p_slo.set_defaults(fn=cmd_slo)
 
-    p_val = sub.add_parser(
-        "validate-semiring",
-        help="check semiring laws on a sample",
-        parents=[observability],
+    p_val = command(
+        "validate-semiring", cmd_validate_semiring,
+        "check semiring laws on a sample",
     )
     p_val.add_argument("name", help="registered semiring name")
     p_val.add_argument(
         "--universe", default="", help="comma-separated set universe"
     )
     p_val.add_argument("--cap", type=float, default=None)
-    p_val.set_defaults(fn=cmd_validate_semiring)
     return parser
 
 

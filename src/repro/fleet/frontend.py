@@ -35,30 +35,29 @@ worker-count independent.
 Caching: with ``l2_cache`` on (the default), every shard broker gets a
 :class:`~repro.fleet.cache.TieredSolveCache` — private L1, one shared
 :class:`~repro.solver.cache.SolveCache` L2 — so the first
-shard to solve a fingerprint warms the whole fleet.
+shard to solve a fingerprint warms the whole fleet.  A broker config with
+``solve_cache=False`` gives the shards no solve cache at any tier.
 """
 
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
+from ..config import POSITIVE_INT, Config, knob, subtree
 from ..resilience.breaker import BreakerRegistry
 from ..resilience.dlq import DeadLetterQueue
 from ..resilience.health import HealthMonitor
 from ..resilience.policy import ResilienceConfig, build_resilience
-from ..runtime.batching import BatchConfig
-from ..runtime.retry import RetryPolicy
 from ..runtime.server import (
     Overloaded,
     RuntimeConfig,
     RuntimeServer,
     SessionResult,
     SessionStatus,
-    derive_session_seed,
 )
-from ..soa.broker import Broker, ClientRequest
+from ..soa.broker import Broker, BrokerConfig, ClientRequest
 from ..soa.faults import FaultInjector
 from ..soa.registry import ServiceRegistry
 from ..telemetry import get_events, get_registry, get_tracer
@@ -79,52 +78,75 @@ class FleetError(Exception):
 
 
 @dataclass(frozen=True)
-class FleetConfig:
-    """Knobs of the sharded serving fleet."""
+class FleetConfig(Config):
+    """Knobs of the sharded serving fleet.
 
-    shards: int = 2
-    vnodes: int = DEFAULT_VNODES
-    workers_per_shard: int = 2
+    Each shard's :class:`RuntimeConfig` is derived (:meth:`shard_runtime`):
+    ``workers_per_shard`` workers, the fleet ``seed``, a queue sized to
+    the shard's dispatch slots, and ``runtime``'s per-session deadline
+    and retry policy.  ``runtime`` leaves its other fields at their
+    defaults.
+    """
+
+    error = FleetError
+
+    shards: int = knob(
+        2, range=POSITIVE_INT, flag="--shards", help="broker shard count"
+    )
+    vnodes: int = knob(
+        DEFAULT_VNODES,
+        range=POSITIVE_INT,
+        flag="--vnodes",
+        help="virtual nodes per shard on the consistent-hash ring",
+    )
+    workers_per_shard: int = knob(2, range=POSITIVE_INT)
     #: Fleet-edge admission bound (full ⇒ typed ``Overloaded``).
-    ingress_depth: int = 1024
+    ingress_depth: int = knob(1024, range=POSITIVE_INT)
     #: Per-shard dispatch queue bound (full ⇒ dispatcher backpressure).
-    dispatch_depth: int = 64
-    deadline_s: Optional[float] = 30.0
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
+    dispatch_depth: int = knob(
+        64,
+        range=POSITIVE_INT,
+        flag="--dispatch-depth",
+        metavar="DEPTH",
+        help="per-shard dispatch queue bound",
+    )
     seed: Optional[int] = None
-    l2_cache: bool = True
-    route_by: str = "session"
+    l2_cache: bool = knob(
+        True,
+        flag="--l2-cache",
+        help="share one fleet-wide L2 solve cache across shards "
+        "(per-shard L1s become a two-tier stack)",
+    )
+    route_by: str = knob(
+        "session",
+        choices=ROUTE_MODES,
+        flag="--route-by",
+        help="ring routing key: per-session spread or per-operation "
+        "ownership",
+    )
     #: With ``route_by="operation"``: give each shard broker only the
     #: registry partition it owns instead of the full shared registry.
     partition_registry: bool = False
+    #: Every shard broker's config; with ``l2_cache`` its solve cache is
+    #: the two-tier stack, and ``solve_cache=False`` gives shards none.
+    broker: BrokerConfig = subtree(BrokerConfig)
+    #: The shards' per-session deadline and retry policy.
+    runtime: RuntimeConfig = subtree(RuntimeConfig)
     #: Resilience layer (breakers/bulkheads/health/hedge/DLQ); ``None``
     #: serves exactly like the pre-resilience fleet.  Breakers, health
     #: state and the DLQ are fleet-global (a down provider is down for
     #: every shard); bulkheads and hedge latency tracking are per-shard.
-    resilience: Optional[ResilienceConfig] = None
-    #: Multi-client allocation (``--allocation-policy``): each shard
-    #: broker routes sessions through coalesced allocation rounds under
-    #: this policy (``"greedy"`` reproduces per-session agreements
-    #: exactly; ``"fair"`` solves one joint lexicographic SCSP per
-    #: round — see :mod:`repro.soa.allocation`).  ``None`` keeps the
-    #: legacy per-session path.
-    allocation_policy: Optional[str] = None
-    #: Round-coalescing window override for ``allocation_policy``;
-    #: ``None`` takes the default window.
-    rounds: Optional[BatchConfig] = None
+    resilience: Optional[ResilienceConfig] = subtree(
+        ResilienceConfig, optional=True
+    )
 
-    def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise FleetError("shards must be at least 1")
-        if self.workers_per_shard < 1:
-            raise FleetError("workers_per_shard must be at least 1")
-        if self.ingress_depth < 1 or self.dispatch_depth < 1:
-            raise FleetError("queue depths must be at least 1")
-        if self.route_by not in ROUTE_MODES:
-            raise FleetError(
-                f"route_by must be one of {ROUTE_MODES}, "
-                f"not {self.route_by!r}"
-            )
+    def _check(self) -> None:
+        for name in _SHARD_SET:
+            if getattr(self.runtime, name) != getattr(RuntimeConfig, name):
+                raise FleetError(
+                    f"runtime.{name} is not read by a fleet (it sets the "
+                    "shards' own); leave it at its default"
+                )
         if self.partition_registry and self.route_by != "operation":
             raise FleetError(
                 "partition_registry requires route_by='operation' "
@@ -140,6 +162,34 @@ class FleetConfig:
                 "health-checked matchmaking requires a shared registry "
                 "(quarantine state cannot span registry partitions)"
             )
+
+    def shard_runtime(self) -> RuntimeConfig:
+        """The runtime config of every shard server."""
+        return RuntimeConfig(
+            workers=self.workers_per_shard,
+            # Sized to the slot bound: fleet dispatch can never see a
+            # shard-level Overloaded.
+            max_queue_depth=self.dispatch_depth + self.workers_per_shard,
+            deadline_s=self.runtime.deadline_s,
+            retry=self.runtime.retry,
+            # Every shard carries the *fleet* master seed: keyed sessions
+            # derive their RNG from (seed, session key), so the seed must
+            # be identical on whichever shard serves the session — that
+            # is what makes a run shard-count independent.
+            seed=self.seed,
+            probe_interval_s=0.0,  # no per-shard loop probe
+        )
+
+
+#: The ``runtime`` fields a fleet does not read: ``shard_runtime``
+#: takes only the deadline and the retry policy from it.
+_SHARD_SET = (
+    "workers",
+    "max_queue_depth",
+    "seed",
+    "probe_interval_s",
+    "verify_independence",
+)
 
 
 def partition_registry(
@@ -210,7 +260,7 @@ class FleetFrontend:
         )
         self.l2: Optional[SolveCache] = (
             SolveCache(DEFAULT_L2_CACHE_SIZE, tier="l2")
-            if self.config.l2_cache
+            if self.config.l2_cache and self.config.broker.solve_cache
             else None
         )
         self._partitions: Optional[Dict[str, ServiceRegistry]] = (
@@ -277,20 +327,10 @@ class FleetFrontend:
             if self._partitions is not None
             else self.registry
         )
-        broker = Broker(
-            shard_registry,
-            name=shard_id,
-            solve_cache=self.l2 is None,
-            allocation_policy=self.config.allocation_policy,
-            rounds=self.config.rounds,
-        )
+        broker = Broker(shard_registry, self.config.broker, name=shard_id)
         if self.l2 is not None:
             broker.solve_cache = TieredSolveCache(self.l2)
-        # Every shard carries the *fleet* master seed: keyed sessions
-        # derive their RNG from (config.seed, session key), so the seed
-        # must be identical on whichever shard serves the session —
-        # that is what makes a run shard-count independent.
-        capacity = self.config.dispatch_depth + self.config.workers_per_shard
+        runtime = self.config.shard_runtime()
         injector = (
             self._injector_factory(shard_id)
             if self._injector_factory is not None
@@ -312,25 +352,13 @@ class FleetFrontend:
                 owns_health_loop=False,
             )
         server = RuntimeServer(
-            broker,
-            RuntimeConfig(
-                workers=self.config.workers_per_shard,
-                # Sized to the slot bound: fleet dispatch can never see
-                # a shard-level Overloaded.
-                max_queue_depth=capacity,
-                deadline_s=self.config.deadline_s,
-                retry=self.config.retry,
-                seed=self.config.seed,
-                probe_interval_s=0.0,  # one probe per fleet is plenty
-            ),
-            injector=injector,
-            resilience=resilience,
+            broker, runtime, injector=injector, resilience=resilience
         )
         return _Shard(
             shard_id=shard_id,
             broker=broker,
             server=server,
-            capacity=capacity,
+            capacity=runtime.max_queue_depth,
         )
 
     # ------------------------------------------------------------------
@@ -534,7 +562,7 @@ class FleetFrontend:
             deadline_s=(
                 deadline_s
                 if deadline_s is not None
-                else self.config.deadline_s
+                else self.config.runtime.deadline_s
             ),
         )
         try:

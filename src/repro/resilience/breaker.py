@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..config import FRACTION, NON_NEGATIVE, POSITIVE_INT, Config, knob
 from ..soa.service import ServiceDescription
 from ..telemetry import get_events, get_registry
 
@@ -58,30 +59,36 @@ STATE_LEVELS = {
 
 
 @dataclass(frozen=True)
-class BreakerConfig:
+class BreakerConfig(Config):
     """Knobs of one provider's breaker (shared by the whole registry)."""
 
+    error = BreakerError
+
     #: Consecutive failures (faults or SLA violations) that trip it.
-    failure_threshold: int = 3
+    failure_threshold: int = knob(
+        3,
+        range=POSITIVE_INT,
+        flag="--breaker-threshold",
+        metavar="N",
+        help="consecutive failures tripping a provider's circuit "
+        "breaker (enables breakers)",
+    )
     #: Seconds a tripped breaker stays open before probing.
-    recovery_s: float = 0.25
+    recovery_s: float = knob(
+        0.25,
+        range=NON_NEGATIVE,
+        flag="--breaker-recovery",
+        metavar="SECONDS",
+        help="open-state duration before a half-open probe "
+        "(enables breakers)",
+    )
     #: Fractional jitter on the recovery deadline (``± jitter·recovery``)
     #: so a fleet's breakers don't all probe in lockstep.
-    probe_jitter: float = 0.2
+    probe_jitter: float = knob(0.2, range=FRACTION)
     #: Probe slots handed out per half-open episode.
-    half_open_probes: int = 1
+    half_open_probes: int = knob(1, range=POSITIVE_INT)
     #: Probe successes required to close from half-open.
-    close_after: int = 1
-
-    def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise BreakerError("failure_threshold must be at least 1")
-        if self.recovery_s < 0:
-            raise BreakerError("recovery_s must be non-negative")
-        if not 0.0 <= self.probe_jitter <= 1.0:
-            raise BreakerError("probe_jitter must be a fraction in [0, 1]")
-        if self.half_open_probes < 1 or self.close_after < 1:
-            raise BreakerError("probe counts must be at least 1")
+    close_after: int = knob(1, range=POSITIVE_INT)
 
 
 class CircuitBreaker:

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
+from ..config import POSITIVE_INT, Config, knob
 from ..telemetry import get_registry
 
 
@@ -29,21 +30,28 @@ class BulkheadError(Exception):
 
 
 @dataclass(frozen=True)
-class BulkheadConfig:
+class BulkheadConfig(Config):
     """Compartment sizing.
 
     ``default_limit`` caps every class not named in ``limits``; a class
     mapped to ``None`` in ``limits`` is uncapped.
     """
 
-    default_limit: int = 16
+    error = BulkheadError
+
+    default_limit: int = knob(
+        16,
+        range=POSITIVE_INT,
+        flag="--bulkhead-limit",
+        metavar="N",
+        help="in-flight sessions allowed per service class "
+        "(enables bulkheads)",
+    )
     limits: Mapping[str, Optional[int]] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if self.default_limit < 1:
-            raise BulkheadError("default_limit must be at least 1")
+    def _check(self) -> None:
         for cls, limit in self.limits.items():
-            if limit is not None and limit < 1:
+            if limit is not None and not POSITIVE_INT.contains(limit):
                 raise BulkheadError(
                     f"limit for class {cls!r} must be at least 1 (or None)"
                 )

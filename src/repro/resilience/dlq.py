@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from .. import serialization
+from ..config import POSITIVE_INT, Config, knob
 from ..sccp.check import CheckSpec
 from ..soa.broker import ClientRequest
 from ..telemetry import get_events, get_registry
@@ -40,11 +41,13 @@ class DLQError(Exception):
 
 
 @dataclass(frozen=True)
-class DLQConfig:
+class DLQConfig(Config):
     """Knobs of the dead-letter queue."""
 
+    error = DLQError
+
     #: Envelopes kept in memory; overflow drops the oldest.
-    maxlen: int = 1024
+    maxlen: int = knob(1024, range=POSITIVE_INT)
     #: Session outcomes captured (``SessionStatus.value`` strings).
     #: Both defaults are the retries-exhausted outcomes: ``failed``
     #: (nothing to serve) and ``degraded`` (a stale SLA was served —
@@ -52,9 +55,7 @@ class DLQConfig:
     #: still owed).
     capture_statuses: tuple = ("failed", "degraded")
 
-    def __post_init__(self) -> None:
-        if self.maxlen < 1:
-            raise DLQError("maxlen must be at least 1")
+    def _check(self) -> None:
         if not self.capture_statuses:
             raise DLQError("capture_statuses must not be empty")
 
@@ -79,6 +80,9 @@ class DeadLetter:
     replayable: bool = True
     #: Capture ordinal within this queue (stable replay order).
     seq: int = 0
+    #: The capturing broker's ``BrokerConfig.to_dict()`` (``None`` for
+    #: envelopes captured before configs were recorded).
+    broker_config: Optional[Dict[str, Any]] = None
     extra: Dict[str, Any] = field(default_factory=dict)
 
     # -- wire format ---------------------------------------------------
@@ -100,6 +104,7 @@ class DeadLetter:
             "requirements": self.requirements,
             "acceptance": self.acceptance,
             "replayable": self.replayable,
+            "broker_config": self.broker_config,
             "extra": self.extra,
         }
 
@@ -122,6 +127,7 @@ class DeadLetter:
             acceptance=payload.get("acceptance"),
             replayable=payload.get("replayable", True),
             seq=payload.get("seq", 0),
+            broker_config=payload.get("broker_config"),
             extra=payload.get("extra", {}),
         )
 
@@ -181,9 +187,11 @@ class DeadLetterQueue:
         result: "SessionResult",
         master_seed: Optional[int] = None,
         tick: Optional[int] = None,
+        broker_config: Optional[Dict[str, Any]] = None,
     ) -> Optional[DeadLetter]:
         """Envelope one terminal session result (if its status is
-        captured); returns the envelope or ``None``."""
+        captured); returns the envelope or ``None``.  ``broker_config``
+        is the serving broker's ``BrokerConfig.to_dict()``."""
         if not self.wants(result.status.value):
             return None
         request = result.request
@@ -221,6 +229,7 @@ class DeadLetterQueue:
             acceptance=acceptance,
             replayable=replayable,
             seq=self._captured,
+            broker_config=broker_config,
         )
         self._captured += 1
         self._letters.append(letter)
@@ -313,7 +322,28 @@ class DeadLetterQueue:
         ``submit(session_key=…)`` (a
         :class:`~repro.runtime.server.RuntimeServer` or a fleet
         front-end).  Returns one summary row per envelope.
+
+        Raises :class:`DLQError`, before replaying anything, when an
+        envelope recorded a broker config that differs from the
+        target's: a differently configured broker can sign a different
+        agreement.  Envelopes without a recorded config replay as is.
         """
+        config = _broker_config(target)
+        for letter in self._letters:
+            recorded = letter.broker_config
+            if recorded is None or config is None or recorded == config:
+                continue
+            differing = sorted(
+                key
+                for key in recorded.keys() | config.keys()
+                if recorded.get(key) != config.get(key)
+            )
+            raise DLQError(
+                f"envelope #{letter.seq} was captured by a broker whose "
+                f"config differs from the replay target's in "
+                f"{', '.join(differing)}: captured {recorded}, target "
+                f"{config}"
+            )
         rows: List[Dict[str, Any]] = []
         for letter in self._letters:
             rows.append(replay_letter(letter, target))
@@ -327,6 +357,15 @@ class DeadLetterQueue:
             for row in rows:
                 counter.labels(row["outcome"]).inc()
         return rows
+
+
+def _broker_config(target: Any) -> Optional[Dict[str, Any]]:
+    """The broker config of a replay target (broker, server or fleet)."""
+    config = getattr(target, "config", None)
+    if hasattr(target, "broker"):  # a RuntimeServer
+        config = target.broker.config
+    config = getattr(config, "broker", config)  # a fleet's subtree
+    return config.to_dict() if hasattr(config, "to_dict") else None
 
 
 def replay_letter(letter: DeadLetter, target: Any) -> Dict[str, Any]:
@@ -347,12 +386,7 @@ def replay_letter(letter: DeadLetter, target: Any) -> Dict[str, Any]:
         row["detail"] = result.detail
         if result.sla is not None:
             row["sla"] = {
-                "sla_id": result.sla.sla_id,
-                "providers": list(result.sla.providers),
-                "service_ids": list(result.sla.service_ids),
-                "agreed_level": serialization.value_to_json(
-                    result.sla.agreed_level
-                ),
+                **serialization.sla_to_dict(result.sla),
                 "resource_assignment": {
                     name: serialization.value_to_json(value)
                     for name, value in sorted(
@@ -381,14 +415,7 @@ def replay_letter(letter: DeadLetter, target: Any) -> Dict[str, Any]:
         row["outcome"] = session.status.value
         row["detail"] = session.detail
         if session.sla is not None:
-            row["sla"] = {
-                "sla_id": session.sla.sla_id,
-                "providers": list(session.sla.providers),
-                "service_ids": list(session.sla.service_ids),
-                "agreed_level": serialization.value_to_json(
-                    session.sla.agreed_level
-                ),
-            }
+            row["sla"] = serialization.sla_to_dict(session.sla)
         return row
     raise DLQError(
         f"cannot replay against {type(target).__name__}: expected a "

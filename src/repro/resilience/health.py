@@ -32,6 +32,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
+from ..config import POSITIVE, POSITIVE_INT, Config, knob
 from ..soa.faults import FaultInjector
 from ..soa.registry import ServiceRegistry
 from ..telemetry import get_events, get_registry
@@ -42,25 +43,33 @@ class HealthError(Exception):
 
 
 @dataclass(frozen=True)
-class HealthConfig:
+class HealthConfig(Config):
     """Knobs of the heartbeat/probe loop."""
 
-    #: Sleep between probe sweeps in the async loop.
-    interval_s: float = 0.05
-    #: Consecutive failed sweeps before a provider is quarantined.
-    unhealthy_after: int = 2
-    #: Consecutive clean sweeps before a quarantined provider rejoins.
-    healthy_after: int = 2
-    #: Lease renewed on every clean sweep (None = no lease management).
-    lease_s: Optional[float] = None
+    error = HealthError
 
-    def __post_init__(self) -> None:
-        if self.interval_s <= 0:
-            raise HealthError("interval_s must be positive")
-        if self.unhealthy_after < 1 or self.healthy_after < 1:
-            raise HealthError("probe thresholds must be at least 1")
-        if self.lease_s is not None and self.lease_s <= 0:
-            raise HealthError("lease_s must be positive (or None)")
+    #: Sleep between probe sweeps in the async loop.
+    interval_s: float = knob(
+        0.05,
+        range=POSITIVE,
+        flag="--health-interval",
+        metavar="SECONDS",
+        help="heartbeat probe period (enables health-checked "
+        "matchmaking)",
+    )
+    #: Consecutive failed sweeps before a provider is quarantined.
+    unhealthy_after: int = knob(
+        2,
+        range=POSITIVE_INT,
+        flag="--health-unhealthy-after",
+        metavar="N",
+        help="failed probe sweeps before quarantine (enables health "
+        "checks)",
+    )
+    #: Consecutive clean sweeps before a quarantined provider rejoins.
+    healthy_after: int = knob(2, range=POSITIVE_INT)
+    #: Lease renewed on every clean sweep (None = no lease management).
+    lease_s: Optional[float] = knob(None, range=POSITIVE, optional=True)
 
 
 class HealthMonitor:

@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional
 
+from ..config import NON_NEGATIVE, POSITIVE_INT, Config, Range, knob
 from ..telemetry import get_registry
 
 
@@ -38,30 +39,35 @@ class HedgeError(Exception):
 
 
 @dataclass(frozen=True)
-class HedgeConfig:
+class HedgeConfig(Config):
     """When (and how often) to launch shadow attempts."""
 
+    error = HedgeError
+
     #: Fallback launch delay while the tracker is still warming up.
-    delay_s: float = 0.1
+    delay_s: float = knob(
+        0.1,
+        range=NON_NEGATIVE,
+        flag="--hedge-delay",
+        metavar="SECONDS",
+        help="fallback shadow-solve launch delay (enables hedging)",
+    )
     #: Latency percentile (0–100) that sets the adaptive launch delay.
-    percentile: float = 95.0
+    percentile: float = knob(
+        95.0,
+        range=Range(0.0, 100.0, strict=True),
+        flag="--hedge-percentile",
+        metavar="P",
+        help="latency percentile setting the adaptive hedge delay "
+        "(enables hedging)",
+    )
     #: Completed sessions required before the percentile is trusted.
-    min_samples: int = 20
+    min_samples: int = knob(20, range=POSITIVE_INT)
     #: Shadow attempts per session (1 = classic hedged request).
-    max_hedges: int = 1
+    max_hedges: int = knob(1, range=POSITIVE_INT)
     #: Hedge only sessions that carry a deadline (the latency-sensitive
     #: ones); ``False`` hedges everything.
     deadline_only: bool = True
-
-    def __post_init__(self) -> None:
-        if self.delay_s < 0:
-            raise HedgeError("delay_s must be non-negative")
-        if not 0 < self.percentile <= 100:
-            raise HedgeError("percentile must be in (0, 100]")
-        if self.min_samples < 1:
-            raise HedgeError("min_samples must be at least 1")
-        if self.max_hedges < 1:
-            raise HedgeError("max_hedges must be at least 1")
 
 
 class LatencyTracker:

@@ -16,9 +16,10 @@ latency tracking stay per-shard (they guard per-shard resources).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, Optional
 
+from ..config import Config, subtree
 from ..soa.faults import FaultInjector
 from ..soa.registry import ServiceRegistry
 from .breaker import BreakerConfig, BreakerRegistry
@@ -29,18 +30,20 @@ from .hedge import HedgeConfig, HedgePolicy
 
 
 @dataclass(frozen=True)
-class ResilienceConfig:
+class ResilienceConfig(Config):
     """Which patterns are on, and how they are tuned.
 
     Every field is optional; ``None`` disables the pattern entirely
     (no object built, no gate registered, no counters touched).
     """
 
-    breaker: Optional[BreakerConfig] = None
-    bulkhead: Optional[BulkheadConfig] = None
-    health: Optional[HealthConfig] = None
-    hedge: Optional[HedgeConfig] = None
-    dlq: Optional[DLQConfig] = None
+    breaker: Optional[BreakerConfig] = subtree(BreakerConfig, optional=True)
+    bulkhead: Optional[BulkheadConfig] = subtree(
+        BulkheadConfig, optional=True
+    )
+    health: Optional[HealthConfig] = subtree(HealthConfig, optional=True)
+    hedge: Optional[HedgeConfig] = subtree(HedgeConfig, optional=True)
+    dlq: Optional[DLQConfig] = subtree(DLQConfig, optional=True)
 
     @property
     def any_enabled(self) -> bool:
@@ -51,13 +54,7 @@ class ResilienceConfig:
     @classmethod
     def all_defaults(cls) -> "ResilienceConfig":
         """Every pattern on, at its default tuning."""
-        return cls(
-            breaker=BreakerConfig(),
-            bulkhead=BulkheadConfig(),
-            health=HealthConfig(),
-            hedge=HedgeConfig(),
-            dlq=DLQConfig(),
-        )
+        return cls(**{f.name: f.metadata["tree"]() for f in fields(cls)})
 
 
 #: Disabled-everything singleton (the implicit default everywhere).

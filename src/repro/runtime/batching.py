@@ -3,8 +3,9 @@
 :class:`RoundScheduler` coalesces concurrent negotiations for the same
 market into one allocation round, so the broker's allocation policy
 (``--allocation-policy``) assigns their providers jointly
-(``Broker.negotiate_round``).  :class:`BatchConfig` holds the round
-window (``--batch-window-ms``/``--batch-max``).
+(``Broker.negotiate_round``).  :class:`BatchConfig` (declared in
+:mod:`repro.config`) holds the round window
+(``--batch-window-ms``/``--batch-max``).
 
 Coalescing is leader/follower, with no dedicated dispatcher thread: the
 first arrival for a market becomes the round's *leader*, waits up to
@@ -18,32 +19,11 @@ submission order.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
+from ..config import BatchConfig, BatchingError
 
-class BatchingError(Exception):
-    """Raised on a malformed round configuration, or a round whose
-    policy returned too few results."""
-
-
-@dataclass(frozen=True)
-class BatchConfig:
-    """Knobs of the allocation-round window (``--batch-window-ms``/
-    ``--batch-max``)."""
-
-    #: How long a round leader waits for followers, in milliseconds.
-    #: ``0`` dispatches immediately (degenerate rounds of ~1).
-    window_ms: float = 2.0
-    #: Hard cap on sessions per round; a full round dispatches without
-    #: waiting out the window.
-    max_batch: int = 32
-
-    def __post_init__(self) -> None:
-        if self.window_ms < 0:
-            raise BatchingError("window_ms must be >= 0")
-        if self.max_batch < 1:
-            raise BatchingError("max_batch must be at least 1")
+__all__ = ["BatchConfig", "BatchingError", "RoundScheduler"]
 
 
 class _Group:

@@ -27,6 +27,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from ..config import NON_NEGATIVE, POSITIVE, POSITIVE_INT, Config, knob
 from ..constraints.polynomial import Polynomial, polynomial_constraint
 from ..constraints.variables import integer_variable
 from ..soa.broker import ClientRequest
@@ -68,27 +69,44 @@ def summarize(values: List[float]) -> Dict[str, float]:
 
 
 @dataclass(frozen=True)
-class LoadProfile:
+class LoadProfile(Config):
     """Shape of one synthetic client population."""
 
-    clients: int = 10
-    requests: Optional[int] = None  # total sessions; default = clients
-    mode: str = "open"  # "open" | "closed"
-    rate: float = 50.0  # open loop: mean arrivals per second
-    think_time_s: float = 0.0  # closed loop: pause between a client's calls
-    seed: Optional[int] = None
+    error = LoadGenError
 
-    def __post_init__(self) -> None:
-        if self.clients < 1:
-            raise LoadGenError("clients must be at least 1")
-        if self.requests is not None and self.requests < 1:
-            raise LoadGenError("requests must be at least 1")
-        if self.mode not in ("open", "closed"):
-            raise LoadGenError(f"unknown load mode {self.mode!r}")
-        if self.rate <= 0:
-            raise LoadGenError("rate must be positive")
-        if self.think_time_s < 0:
-            raise LoadGenError("think_time_s must be non-negative")
+    clients: int = knob(
+        10,
+        range=POSITIVE_INT,
+        flag="--clients",
+        help="client population size",
+    )
+    #: Total sessions; ``None`` = one per client.
+    requests: Optional[int] = knob(
+        None,
+        range=POSITIVE_INT,
+        optional=True,
+        flag="--requests",
+        metavar="N",
+        help="total sessions (default: one per client)",
+    )
+    mode: str = knob("open", choices=("open", "closed"), flag="--mode")
+    #: Open loop: mean arrivals per second.
+    rate: float = knob(
+        50.0,
+        range=POSITIVE,
+        flag="--rate",
+        metavar="RPS",
+        help="open loop: mean Poisson arrival rate",
+    )
+    #: Closed loop: pause between a client's calls.
+    think_time_s: float = knob(
+        0.0,
+        range=NON_NEGATIVE,
+        flag="--think-time",
+        metavar="SECONDS",
+        help="closed loop: pause between a client's requests",
+    )
+    seed: Optional[int] = None
 
     @property
     def total_requests(self) -> int:

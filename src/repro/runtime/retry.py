@@ -19,13 +19,15 @@ import random
 from dataclasses import dataclass
 from typing import List
 
+from ..config import FRACTION, NON_NEGATIVE, POSITIVE_INT, Config, Range, knob
+
 
 class RetryError(Exception):
     """Raised on malformed retry policies."""
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(Config):
     """How (and how often) a failed session attempt is re-driven.
 
     ``max_attempts`` counts every attempt including the first, so
@@ -33,21 +35,24 @@ class RetryPolicy:
     three retries.
     """
 
-    max_attempts: int = 3
-    base_backoff_s: float = 0.05
-    max_backoff_s: float = 2.0
-    multiplier: float = 2.0
-    jitter: float = 0.5
+    error = RetryError
 
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise RetryError("max_attempts must be at least 1")
-        if self.base_backoff_s < 0 or self.max_backoff_s < 0:
-            raise RetryError("backoff delays must be non-negative")
-        if self.multiplier < 1.0:
-            raise RetryError("multiplier must be at least 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise RetryError("jitter must be a fraction in [0, 1]")
+    max_attempts: int = knob(
+        3,
+        range=POSITIVE_INT,
+        flag="--max-attempts",
+        help="attempts per session before degradation",
+    )
+    base_backoff_s: float = knob(
+        0.05,
+        range=NON_NEGATIVE,
+        flag="--base-backoff",
+        metavar="SECONDS",
+        help="first retry backoff (doubles per attempt, jittered)",
+    )
+    max_backoff_s: float = knob(2.0, range=NON_NEGATIVE)
+    multiplier: float = knob(2.0, range=Range(1.0))
+    jitter: float = knob(0.5, range=FRACTION)
 
     @property
     def max_retries(self) -> int:

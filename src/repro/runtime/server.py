@@ -49,13 +49,14 @@ import hashlib
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable, List, Optional
 
 from ..coalitions.engine import solve_engine
 from ..coalitions.exact import CoalitionSolution
 from ..coalitions.trust import CompositionOp, TrustNetwork
+from ..config import NON_NEGATIVE, POSITIVE, POSITIVE_INT, Config, knob, subtree
 from ..resilience.hedge import hedge_attempt_key
 from ..resilience.policy import (
     ResilienceConfig,
@@ -168,25 +169,37 @@ class Overloaded(SessionResult):
 
 
 @dataclass(frozen=True)
-class RuntimeConfig:
+class RuntimeConfig(Config):
     """Knobs of the serving layer."""
 
-    workers: int = 4
-    max_queue_depth: int = 256
-    deadline_s: Optional[float] = 30.0
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    seed: Optional[int] = None
+    error = RuntimeError_
+
+    workers: int = knob(
+        4, range=POSITIVE_INT, flag="--workers", help="worker pool size"
+    )
+    max_queue_depth: int = knob(
+        256,
+        range=POSITIVE_INT,
+        flag="--queue",
+        metavar="DEPTH",
+        help="admission queue bound (full queue ⇒ typed overload)",
+    )
+    deadline_s: Optional[float] = knob(
+        30.0,
+        range=POSITIVE,
+        optional=True,
+        off=0.0,
+        flag="--deadline",
+        metavar="SECONDS",
+        help="per-session deadline; 0 disables it",
+    )
+    retry: RetryPolicy = subtree(RetryPolicy)
+    seed: Optional[int] = knob(
+        None, type=int, flag="--seed", help="master RNG seed"
+    )
     verify_independence: bool = False
     #: Event-loop responsiveness probe period; 0 disables the probe.
-    probe_interval_s: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise RuntimeError_("workers must be at least 1")
-        if self.max_queue_depth < 1:
-            raise RuntimeError_("max_queue_depth must be at least 1")
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise RuntimeError_("deadline_s must be positive (or None)")
+    probe_interval_s: float = knob(0.05, range=NON_NEGATIVE)
 
 
 @dataclass(frozen=True)
@@ -904,7 +917,12 @@ class RuntimeServer:
         self.results.append(result)
         dlq = self.resilience.dlq
         if dlq is not None:
-            dlq.capture(result, master_seed=self.config.seed, tick=tick)
+            dlq.capture(
+                result,
+                master_seed=self.config.seed,
+                tick=tick,
+                broker_config=self.broker.config.to_dict(),
+            )
         registry = get_registry()
         registry.counter(
             "runtime_sessions_total",

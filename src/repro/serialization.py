@@ -9,6 +9,8 @@ substitutions).  Everything that can be stated declaratively round-trips:
 * variables, table / polynomial / constant constraints;
 * whole SCSPs ``⟨C, con⟩``;
 * :class:`~repro.soa.qos.QoSDocument` / :class:`~repro.soa.qos.QoSPolicy`;
+* market specs (``kind: market``: services and a client request, read
+  by the CLI);
 * :class:`~repro.coalitions.trust.TrustNetwork`.
 
 Function constraints (arbitrary Python callables) intentionally do not
@@ -35,8 +37,13 @@ from .semirings.product import ProductSemiring
 from .semirings.registry import get_semiring
 from .semirings.setbased import SetSemiring
 from .semirings.weighted import BoundedWeightedSemiring, WeightedSemiring
+from .sccp.check import CheckSpec
+from .soa.broker import ClientRequest
 from .soa.composition import Choose, Invoke, Pipeline, Plan, Split
-from .soa.qos import QoSDocument, QoSPolicy
+from .soa.qos import QoSDocument, QoSPolicy, resolve_attribute
+from .soa.registry import ServiceRegistry
+from .soa.service import ServiceDescription, ServiceInterface
+from .soa.sla import SLA
 from .solver.problem import SCSP
 
 
@@ -325,6 +332,52 @@ def qos_document_from_dict(payload: Dict[str, Any]) -> QoSDocument:
         policies=[
             qos_policy_from_dict(p) for p in payload.get("policies", [])
         ],
+    )
+
+
+def sla_to_dict(sla: SLA) -> Dict[str, Any]:
+    """The identity and agreed level of a signed SLA."""
+    return {
+        "sla_id": sla.sla_id,
+        "providers": list(sla.providers),
+        "service_ids": list(sla.service_ids),
+        "agreed_level": value_to_json(sla.agreed_level),
+    }
+
+
+def market_registry_from_dict(payload: Dict[str, Any]) -> ServiceRegistry:
+    """Publish every service of a market spec into a fresh registry."""
+    registry = ServiceRegistry()
+    for entry in payload.get("services", []):
+        document = qos_document_from_dict(entry["qos"])
+        registry.publish(
+            ServiceDescription(
+                service_id=entry["service_id"],
+                name=entry.get("name", document.service_name),
+                provider=document.provider,
+                interface=ServiceInterface(operation=entry["operation"]),
+                qos=document,
+                tags=tuple(entry.get("tags", ())),
+            )
+        )
+    return registry
+
+
+def market_request_from_dict(payload: Dict[str, Any]) -> ClientRequest:
+    """The client request of a market spec."""
+    spec = payload["request"]
+    acceptance = None
+    if "acceptance" in spec:
+        acceptance = CheckSpec(
+            resolve_attribute(spec["attribute"]).semiring(),
+            lower=value_from_json(spec["acceptance"].get("lower")),
+            upper=value_from_json(spec["acceptance"].get("upper")),
+        )
+    return ClientRequest(
+        client=spec.get("client", "cli"),
+        operation=spec["operation"],
+        attribute=spec["attribute"],
+        acceptance=acceptance,
     )
 
 

@@ -7,7 +7,7 @@ unavailability is ``1 − ∏Rᵢ ≈ Σ(1 − Rᵢ)`` to first order, so a stag
 *share* is its own unavailability divided by the budget.  A stage
 consuming more than :data:`DEFAULT_FLAG_SHARE` (30%) of the budget is
 flagged high-risk — the signal the broker's matchmaking penalty feeds
-on (see ``Broker(slo_penalty=…)``).
+on (see ``BrokerConfig(slo_penalty=…)``).
 
 Shares are attributed per *stage* (direct child of the plan root, the
 same granularity as :func:`~repro.slo.bounds.stage_bounds`): a

@@ -8,6 +8,7 @@ aggregation, a fault-injecting execution engine and a runtime SLA monitor.
 
 from .broker import (
     Broker,
+    BrokerConfig,
     BrokerError,
     CandidateEvaluation,
     ClientRequest,
@@ -157,6 +158,7 @@ __all__ = [
     "iterative_concession",
     "merged_policy",
     "Broker",
+    "BrokerConfig",
     "BrokerError",
     "AllocationError",
     "AllocationInfo",

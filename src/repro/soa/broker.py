@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..caching import LRUCache
+from ..config import SHARE, BatchConfig, Config, knob, subtree
 from ..constraints.constraint import FunctionConstraint, SoftConstraint
 from ..telemetry import get_events, get_registry, get_tracer
 from ..constraints.operations import combine
@@ -54,6 +55,34 @@ _OFFER_MEMO_SIZE = 1024
 
 class BrokerError(Exception):
     """Raised on unanswerable requests (no providers, no attribute, …)."""
+
+
+@dataclass(frozen=True)
+class BrokerConfig(Config):
+    """Knobs of one broker: everything, besides the request and the
+    market, that decides which agreement it signs."""
+
+    error = BrokerError
+
+    solve_cache: bool = knob(
+        True,
+        flag="--solve-cache",
+        help="memoize broker solves under a canonical problem fingerprint",
+    )
+    #: The allocation-round window (used with ``allocation_policy``).
+    rounds: BatchConfig = subtree(BatchConfig)
+    allocation_policy: Optional[str] = knob(
+        None,
+        choices=("greedy", "fair"),
+        optional=True,
+        flag="--allocation-policy",
+        help="serve sessions through coalesced allocation rounds: "
+        "greedy replays per-session agreements exactly, fair solves "
+        "one joint lexicographic ⟨min satisfaction, welfare⟩ SCSP "
+        "per round (default: legacy per-session path)",
+    )
+    #: Error-budget-aware selection: a flag share, ``None`` = off.
+    slo_penalty: Optional[float] = knob(None, range=SHARE, optional=True)
 
 
 @dataclass
@@ -167,7 +196,8 @@ class Broker:
     bit-identical to per-candidate branch & bound; any other candidate
     is solved on its own.
 
-    ``solve_cache`` (on by default) memoizes candidate-SCSP solves, one
+    The broker's knobs are its :class:`BrokerConfig`.  ``solve_cache``
+    (on by default) memoizes candidate-SCSP solves, one
     entry per stacked group or per candidate, under a canonical
     fingerprint, so a market's repeated negotiations hit warm entries
     instead of re-running the solver.  Solves take the solver's
@@ -176,16 +206,15 @@ class Broker:
     a constraint threshold (cases C2–C4) tell the candidate's factors
     into a :class:`~repro.constraints.store.ConstraintStore`; level
     thresholds read the candidate solve's blevel and build no store.
-    ``allocation_policy`` (``"greedy"``/``"fair"`` or an
-    :class:`~repro.soa.allocation.AllocationPolicy`) routes
-    :meth:`serve_session` through coalesced allocation rounds —
+    ``allocation_policy`` (``"greedy"``/``"fair"``) routes
+    :meth:`serve_session` through coalesced allocation rounds over the
+    ``rounds`` window —
     ``greedy`` reproduces this method's per-session agreements exactly,
     ``fair`` solves one joint SCSP per round over the lexicographic
     ⟨min client satisfaction, total welfare⟩ objective.  ``None`` (the
-    default) keeps the legacy path with no policy objects touched.
-    ``rounds`` (a :class:`~repro.runtime.batching.BatchConfig` or a
-    prebuilt :class:`~repro.runtime.batching.RoundScheduler`) sets the
-    round window; ``None`` takes the default window.
+    default) keeps the legacy path with no policy objects touched.  The
+    resolved :class:`~repro.soa.allocation.AllocationPolicy` is the
+    ``allocation_policy`` attribute; assign another instance to swap it.
 
     ``slo_penalty`` (default ``None`` = off, matchmaking bit-identical
     to before the SLO analytics existed) turns on error-budget-aware
@@ -203,50 +232,29 @@ class Broker:
     def __init__(
         self,
         registry: ServiceRegistry,
+        config: Optional[BrokerConfig] = None,
         bus: Optional[MessageBus] = None,
         name: str = "broker",
-        solve_cache: bool = True,
-        allocation_policy: Optional[Any] = None,
-        rounds: Optional[Any] = None,
-        slo_penalty: Optional[float] = None,
     ) -> None:
         self.registry = registry
+        self.config = config or BrokerConfig()
         self.bus = bus
         self.name = name
         self.slas = SLARepository()
         self.solve_cache: Optional[SolveCache] = (
-            SolveCache() if solve_cache else None
+            SolveCache() if self.config.solve_cache else None
         )
         self.allocation_policy = None
         self.rounds = None
-        if allocation_policy is not None:
-            # Deferred import: repro.soa.allocation imports this module.
+        if self.config.allocation_policy is not None:
+            # Deferred imports: both modules import this one.
+            from ..runtime.batching import RoundScheduler
             from .allocation import resolve_allocation_policy
 
             self.allocation_policy = resolve_allocation_policy(
-                allocation_policy
+                self.config.allocation_policy
             )
-            # Deferred import: repro.runtime imports this module.
-            from ..runtime.batching import BatchConfig, RoundScheduler
-
-            if isinstance(rounds, RoundScheduler):
-                self.rounds = rounds
-            elif isinstance(rounds, BatchConfig):
-                self.rounds = RoundScheduler(rounds)
-            elif rounds is None:
-                self.rounds = RoundScheduler(BatchConfig())
-            else:
-                raise BrokerError(
-                    "rounds must be a BatchConfig or RoundScheduler, "
-                    f"got {type(rounds).__name__}"
-                )
-        elif rounds is not None:
-            raise BrokerError(
-                "rounds requires an allocation_policy to dispatch to"
-            )
-        if slo_penalty is not None and not 0.0 < slo_penalty <= 1.0:
-            raise BrokerError("slo_penalty must be in (0, 1] or None")
-        self.slo_penalty = slo_penalty
+            self.rounds = RoundScheduler(self.config.rounds)
         #: (qos-doc id, attribute, semiring, pool identities) → the keyed
         #: document and pool variables, the compiled offer constraints and
         #: the variables compiling added to the pool.
@@ -503,7 +511,8 @@ class Broker:
             return best
 
         target = self._budget_target(request)
-        if self.slo_penalty is None or target is None:
+        penalty = self.config.slo_penalty
+        if penalty is None or target is None:
             return semiring_best(accepted)
         from ..slo import share_of
 
@@ -512,7 +521,7 @@ class Broker:
             for e in accepted
             if isinstance(e.blevel, (int, float))
             and 0.0 <= e.blevel <= 1.0
-            and share_of(e.blevel, target) <= self.slo_penalty
+            and share_of(e.blevel, target) <= penalty
         ]
         pool = unflagged or accepted
         registry = get_registry()

@@ -18,11 +18,13 @@ from repro.fleet.loadgen import FleetLoadGenerator
 from repro.runtime import (
     BatchConfig,
     LoadProfile,
+    RuntimeConfig,
     SessionStatus,
     contention_request_factory,
     jain_index,
     synthesize_contention_market,
 )
+from repro.soa import BrokerConfig
 
 from .conftest import OPERATIONS
 
@@ -56,7 +58,11 @@ class TestGreedyBitIdentity:
     ):
         requests = mixed_requests(make_request, 18)
         plain = FleetFrontend(
-            market, FleetConfig(shards=shards, seed=5, deadline_s=None)
+            market, FleetConfig(
+                shards=shards,
+                seed=5,
+                runtime=RuntimeConfig(deadline_s=None),
+            )
         )
         baseline = plain.run(requests)
         assert all(
@@ -68,9 +74,11 @@ class TestGreedyBitIdentity:
             FleetConfig(
                 shards=shards,
                 seed=5,
-                deadline_s=None,
-                allocation_policy="greedy",
-                rounds=BatchConfig(window_ms=40.0, max_batch=8),
+                broker=BrokerConfig(
+                    allocation_policy="greedy",
+                    rounds=BatchConfig(window_ms=40.0, max_batch=8),
+                ),
+                runtime=RuntimeConfig(deadline_s=None),
             ),
         )
         seamed.run(requests)
@@ -85,9 +93,11 @@ class TestGreedyBitIdentity:
                 FleetConfig(
                     shards=shards,
                     seed=5,
-                    deadline_s=None,
-                    allocation_policy="greedy",
-                    rounds=BatchConfig(window_ms=40.0, max_batch=8),
+                    broker=BrokerConfig(
+                        allocation_policy="greedy",
+                        rounds=BatchConfig(window_ms=40.0, max_batch=8),
+                    ),
+                    runtime=RuntimeConfig(deadline_s=None),
                 ),
             )
             frontend.run(requests)
@@ -100,9 +110,11 @@ class TestGreedyBitIdentity:
             FleetConfig(
                 shards=2,
                 seed=5,
-                deadline_s=None,
-                allocation_policy="greedy",
-                rounds=BatchConfig(window_ms=20.0, max_batch=8),
+                broker=BrokerConfig(
+                    allocation_policy="greedy",
+                    rounds=BatchConfig(window_ms=20.0, max_batch=8),
+                ),
+                runtime=RuntimeConfig(deadline_s=None),
             ),
         )
         frontend.run(mixed_requests(make_request, 12))
@@ -124,10 +136,12 @@ class TestFairFleet:
             FleetConfig(
                 shards=2,
                 seed=9,
-                deadline_s=None,
                 workers_per_shard=16,
-                allocation_policy="fair",
-                rounds=BatchConfig(window_ms=60.0, max_batch=16),
+                broker=BrokerConfig(
+                    allocation_policy="fair",
+                    rounds=BatchConfig(window_ms=60.0, max_batch=16),
+                ),
+                runtime=RuntimeConfig(deadline_s=None),
             ),
         )
         generator = FleetLoadGenerator(
@@ -158,10 +172,12 @@ class TestFairFleet:
                 FleetConfig(
                     shards=2,
                     seed=9,
-                    deadline_s=None,
                     workers_per_shard=16,
-                    allocation_policy=policy,
-                    rounds=BatchConfig(window_ms=60.0, max_batch=16),
+                    broker=BrokerConfig(
+                        allocation_policy=policy,
+                        rounds=BatchConfig(window_ms=60.0, max_batch=16),
+                    ),
+                    runtime=RuntimeConfig(deadline_s=None),
                 ),
             )
             generator = FleetLoadGenerator(

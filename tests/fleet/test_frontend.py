@@ -11,7 +11,7 @@ from repro.fleet import (
     partition_registry,
 )
 from repro.fleet.frontend import _FleetItem
-from repro.runtime import RetryPolicy, SessionStatus
+from repro.runtime import RetryPolicy, RuntimeConfig, SessionStatus
 from repro.soa import BernoulliCrash, FaultInjector
 
 from .conftest import OPERATIONS
@@ -58,7 +58,11 @@ class TestConfig:
 class TestServing:
     def test_serves_across_shards(self, market, make_request):
         frontend = FleetFrontend(
-            market, FleetConfig(shards=3, seed=1, deadline_s=None)
+            market, FleetConfig(
+                shards=3,
+                seed=1,
+                runtime=RuntimeConfig(deadline_s=None),
+            )
         )
         results = frontend.run(requests_for(make_request, 24))
         assert len(results) == 24
@@ -89,7 +93,11 @@ class TestServing:
         self, market, make_request
     ):
         frontend = FleetFrontend(
-            market, FleetConfig(shards=2, seed=3, deadline_s=None)
+            market, FleetConfig(
+                shards=2,
+                seed=3,
+                runtime=RuntimeConfig(deadline_s=None),
+            )
         )
         frontend.run(requests_for(make_request, 10))
         by_key = frontend.results_by_key()
@@ -103,7 +111,11 @@ class TestBackpressure:
     ):
         frontend = FleetFrontend(
             market,
-            FleetConfig(shards=2, ingress_depth=1, deadline_s=None),
+            FleetConfig(
+                shards=2,
+                ingress_depth=1,
+                runtime=RuntimeConfig(deadline_s=None),
+            ),
         )
         results = asyncio.run(self._flood(frontend, make_request))
         overloaded = [
@@ -135,7 +147,11 @@ class TestResharding:
     @staticmethod
     async def _redirect(market, make_request):
         frontend = FleetFrontend(
-            market, FleetConfig(shards=2, seed=0, deadline_s=None)
+            market, FleetConfig(
+                shards=2,
+                seed=0,
+                runtime=RuntimeConfig(deadline_s=None),
+            )
         )
         async with frontend:
             # A key owned by shard-1, planted on shard-0's queue —
@@ -166,7 +182,11 @@ class TestResharding:
     @staticmethod
     async def _grow(market, make_request):
         frontend = FleetFrontend(
-            market, FleetConfig(shards=2, seed=2, deadline_s=None)
+            market, FleetConfig(
+                shards=2,
+                seed=2,
+                runtime=RuntimeConfig(deadline_s=None),
+            )
         )
         async with frontend:
             first = await asyncio.gather(
@@ -193,7 +213,11 @@ class TestResharding:
     @staticmethod
     async def _shrink(market, make_request):
         frontend = FleetFrontend(
-            market, FleetConfig(shards=3, seed=2, deadline_s=None)
+            market, FleetConfig(
+                shards=3,
+                seed=2,
+                runtime=RuntimeConfig(deadline_s=None),
+            )
         )
         async with frontend:
             first = await asyncio.gather(
@@ -241,7 +265,11 @@ class TestDrainingShutdown:
     @staticmethod
     async def _stop_early(market, make_request):
         frontend = FleetFrontend(
-            market, FleetConfig(shards=2, seed=4, deadline_s=None)
+            market, FleetConfig(
+                shards=2,
+                seed=4,
+                runtime=RuntimeConfig(deadline_s=None),
+            )
         )
         await frontend.start()
         futures = [
@@ -258,8 +286,10 @@ class TestShardCountIndependence:
             FleetConfig(
                 shards=shards,
                 seed=7,
-                deadline_s=None,
-                retry=RetryPolicy(max_attempts=3, base_backoff_s=0.0),
+                runtime=RuntimeConfig(
+                    deadline_s=None,
+                    retry=RetryPolicy(max_attempts=3, base_backoff_s=0.0),
+                ),
             ),
             injector_factory=crashy_injector_factory(market),
         )
@@ -320,9 +350,9 @@ class TestOperationRouting:
             FleetConfig(
                 shards=3,
                 seed=1,
-                deadline_s=None,
                 route_by="operation",
                 partition_registry=True,
+                runtime=RuntimeConfig(deadline_s=None),
             ),
         )
         results = frontend.run(requests_for(make_request, 12))
@@ -336,7 +366,11 @@ class TestOperationRouting:
 class TestCaching:
     def test_l2_warms_sibling_shards(self, market, make_request):
         frontend = FleetFrontend(
-            market, FleetConfig(shards=4, seed=5, deadline_s=None)
+            market, FleetConfig(
+                shards=4,
+                seed=5,
+                runtime=RuntimeConfig(deadline_s=None),
+            )
         )
         # one operation only: every shard solves the same fingerprint
         requests = [
@@ -362,7 +396,12 @@ class TestCaching:
     def test_l2_can_be_disabled(self, market, make_request):
         frontend = FleetFrontend(
             market,
-            FleetConfig(shards=2, seed=5, deadline_s=None, l2_cache=False),
+            FleetConfig(
+                shards=2,
+                seed=5,
+                l2_cache=False,
+                runtime=RuntimeConfig(deadline_s=None),
+            ),
         )
         results = frontend.run(requests_for(make_request, 6))
         assert all(r.status is SessionStatus.COMPLETED for r in results)

@@ -7,6 +7,7 @@ from repro.fleet import FleetConfig, FleetFrontend, FleetLoadGenerator
 from repro.runtime import (
     LoadGenError,
     LoadProfile,
+    RuntimeConfig,
     SessionResult,
     SessionStatus,
     build_report,
@@ -87,7 +88,11 @@ class TestFleetLoadGenerator:
         self, market, make_request
     ):
         frontend = FleetFrontend(
-            market, FleetConfig(shards=3, seed=9, deadline_s=None)
+            market, FleetConfig(
+                shards=3,
+                seed=9,
+                runtime=RuntimeConfig(deadline_s=None),
+            )
         )
 
         def factory(client, index):
@@ -128,7 +133,11 @@ class TestFleetLoadGenerator:
     ):
         frontend = FleetFrontend(
             market,
-            FleetConfig(shards=2, ingress_depth=1, deadline_s=None),
+            FleetConfig(
+                shards=2,
+                ingress_depth=1,
+                runtime=RuntimeConfig(deadline_s=None),
+            ),
         )
 
         def factory(client, index):

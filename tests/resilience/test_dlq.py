@@ -18,7 +18,13 @@ from repro.runtime import (
     SessionStatus,
 )
 from repro.semirings import FuzzySemiring
-from repro.soa import BernoulliCrash, Broker, ClientRequest, FaultInjector
+from repro.soa import (
+    BernoulliCrash,
+    Broker,
+    BrokerConfig,
+    ClientRequest,
+    FaultInjector,
+)
 
 
 def failed_result(request, index=0, session_key=None, detail="boom"):
@@ -184,3 +190,42 @@ class TestReplay:
         letter = queue.capture(failed_result(make_request("C")))
         with pytest.raises(DLQError):
             replay_letter(letter, target=object())
+
+
+class TestReplayConfigCheck:
+    """An envelope records its broker's config; replay refuses a target
+    configured differently, since it could sign a different agreement."""
+
+    def test_envelopes_record_the_broker_config(self, market, make_request):
+        broker = Broker(market, BrokerConfig(slo_penalty=0.3))
+        _, dlq = crashed_run(broker, [make_request("C")])
+        assert [letter.broker_config for letter in dlq] == [
+            broker.config.to_dict()
+        ]
+
+    def test_mismatched_broker_config_is_refused(
+        self, market, make_request, tmp_path
+    ):
+        _, dlq = crashed_run(
+            Broker(market, BrokerConfig(slo_penalty=0.3)),
+            [make_request("C")],
+        )
+        restored = DeadLetterQueue.from_jsonl(dlq.to_jsonl(tmp_path / "d"))
+        with pytest.raises(DLQError, match="slo_penalty"):
+            restored.replay(Broker(market))
+        server = RuntimeServer(
+            Broker(market), RuntimeConfig(workers=1, probe_interval_s=0.0)
+        )
+        with pytest.raises(DLQError, match="slo_penalty"):
+            restored.replay(server)
+        rows = restored.replay(Broker(market, BrokerConfig(slo_penalty=0.3)))
+        assert rows[0]["outcome"] == "completed"
+
+    def test_envelopes_without_a_config_replay_as_before(
+        self, market, make_request
+    ):
+        queue = DeadLetterQueue()
+        queue.capture(failed_result(make_request("C")))
+        assert queue.letters()[0].broker_config is None
+        rows = queue.replay(Broker(market, BrokerConfig(slo_penalty=0.3)))
+        assert rows[0]["outcome"] == "completed"

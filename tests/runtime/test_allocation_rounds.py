@@ -27,7 +27,7 @@ from repro.runtime import (
     fairness_summary,
     synthesize_contention_market,
 )
-from repro.soa import Broker
+from repro.soa import Broker, BrokerConfig
 
 
 @pytest.fixture
@@ -68,8 +68,10 @@ class TestCoalescing:
     def test_concurrent_sessions_share_one_round(self, contention_market):
         broker = Broker(
             contention_market,
-            allocation_policy="fair",
-            rounds=BatchConfig(window_ms=250.0, max_batch=12),
+            BrokerConfig(
+                allocation_policy="fair",
+                rounds=BatchConfig(window_ms=250.0, max_batch=12),
+            ),
         )
         results, errors = serve_concurrently(broker, requests_for(12))
         assert errors == [None] * 12
@@ -88,8 +90,10 @@ class TestCoalescing:
     def test_max_batch_caps_round_size(self, contention_market):
         broker = Broker(
             contention_market,
-            allocation_policy="fair",
-            rounds=BatchConfig(window_ms=250.0, max_batch=4),
+            BrokerConfig(
+                allocation_policy="fair",
+                rounds=BatchConfig(window_ms=250.0, max_batch=4),
+            ),
         )
         results, errors = serve_concurrently(broker, requests_for(12))
         assert errors == [None] * 12
@@ -102,8 +106,10 @@ class TestCoalescing:
     def test_max_batch_one_dispatches_immediately(self, contention_market):
         broker = Broker(
             contention_market,
-            allocation_policy="fair",
-            rounds=BatchConfig(window_ms=250.0, max_batch=1),
+            BrokerConfig(
+                allocation_policy="fair",
+                rounds=BatchConfig(window_ms=250.0, max_batch=1),
+            ),
         )
         results, errors = serve_concurrently(broker, requests_for(4))
         assert errors == [None] * 4
@@ -116,8 +122,10 @@ class TestCoalescing:
     def test_lone_session_round_of_one(self, contention_market):
         broker = Broker(
             contention_market,
-            allocation_policy="fair",
-            rounds=BatchConfig(window_ms=1.0, max_batch=12),
+            BrokerConfig(
+                allocation_policy="fair",
+                rounds=BatchConfig(window_ms=1.0, max_batch=12),
+            ),
         )
         result = broker.serve_session(requests_for(1)[0])
         assert result.success
@@ -147,8 +155,10 @@ class TestErrorContracts:
     def test_round_errors_propagate_to_every_caller(self, contention_market):
         broker = Broker(
             contention_market,
-            allocation_policy="fair",
-            rounds=BatchConfig(window_ms=250.0, max_batch=4),
+            BrokerConfig(
+                allocation_policy="fair",
+                rounds=BatchConfig(window_ms=250.0, max_batch=4),
+            ),
         )
         broker.negotiate_round = _ExplodingBroker().negotiate_round
         results, errors = serve_concurrently(broker, requests_for(4))
@@ -166,8 +176,10 @@ class TestEndToEndFairness:
     def test_closed_loop_run_reports_near_one_jain(self, contention_market):
         broker = Broker(
             contention_market,
-            allocation_policy="fair",
-            rounds=BatchConfig(window_ms=60.0, max_batch=16),
+            BrokerConfig(
+                allocation_policy="fair",
+                rounds=BatchConfig(window_ms=60.0, max_batch=16),
+            ),
         )
         server = RuntimeServer(
             broker, RuntimeConfig(workers=16, seed=7, deadline_s=None)
@@ -187,8 +199,10 @@ class TestEndToEndFairness:
     def test_greedy_run_reports_lower_fairness(self, contention_market):
         broker = Broker(
             contention_market,
-            allocation_policy="greedy",
-            rounds=BatchConfig(window_ms=60.0, max_batch=16),
+            BrokerConfig(
+                allocation_policy="greedy",
+                rounds=BatchConfig(window_ms=60.0, max_batch=16),
+            ),
         )
         server = RuntimeServer(
             broker, RuntimeConfig(workers=16, seed=7, deadline_s=None)

@@ -32,7 +32,7 @@ from repro.soa import (
     AllocationInfo,
     AllocationPolicy,
     Broker,
-    BrokerError,
+    BrokerConfig,
     FairAllocation,
     GreedyAllocation,
     resolve_allocation_policy,
@@ -144,12 +144,6 @@ class TestPolicyResolution:
         with pytest.raises(NotImplementedError):
             AllocationPolicy().allocate(Broker(contention_market), [])
 
-    def test_rounds_without_policy_rejected(self, contention_market):
-        from repro.runtime import BatchConfig
-
-        with pytest.raises(BrokerError, match="allocation_policy"):
-            Broker(contention_market, rounds=BatchConfig())
-
 
 # ----------------------------------------------------------------------
 # Greedy: the legacy path behind the seam, bit for bit
@@ -176,7 +170,9 @@ class TestGreedyBitIdentity:
     def test_greedy_piles_onto_best_provider(
         self, contention_market, contention_requests
     ):
-        broker = Broker(contention_market, allocation_policy="greedy")
+        broker = Broker(contention_market, BrokerConfig(
+            allocation_policy="greedy",
+        ))
         results = broker.negotiate_round(contention_requests)
         assert {r.sla.providers[0] for r in results} == {"P0"}
 
@@ -219,7 +215,9 @@ class TestFairAllocation:
     def test_spreads_load_across_providers(
         self, contention_market, contention_requests
     ):
-        broker = Broker(contention_market, allocation_policy="fair")
+        broker = Broker(contention_market, BrokerConfig(
+            allocation_policy="fair",
+        ))
         results = broker.negotiate_round(contention_requests)
         assert all(r.success for r in results)
         by_provider = {}
@@ -235,12 +233,12 @@ class TestFairAllocation:
     ):
         greedy = Broker(
             contention_market,
-            allocation_policy="greedy",
+            BrokerConfig(allocation_policy="greedy"),
             name="greedy-broker",
         ).negotiate_round(contention_requests)
         fair = Broker(
             contention_market,
-            allocation_policy="fair",
+            BrokerConfig(allocation_policy="fair"),
             name="fair-broker",
         ).negotiate_round(contention_requests)
         jain_greedy = jain_index(realized(greedy))
@@ -255,10 +253,8 @@ class TestFairAllocation:
     ):
         # joint_limit=2 forces six cohorts; carried loads must still
         # steer later cohorts away from saturated providers.
-        broker = Broker(
-            contention_market,
-            allocation_policy=FairAllocation(joint_limit=2),
-        )
+        broker = Broker(contention_market)
+        broker.allocation_policy = FairAllocation(joint_limit=2)
         results = broker.negotiate_round(contention_requests)
         assert len(results) == len(contention_requests)
         providers = {r.sla.providers[0] for r in results}
@@ -271,16 +267,12 @@ class TestFairAllocation:
         # The vectorized plane evaluation and the reference
         # FunctionConstraint-through-solve() formulation optimize the
         # same ⟨worst, welfare⟩ objective — allocations must agree.
-        dense = Broker(
-            contention_market,
-            allocation_policy=FairAllocation(),
-            name="dense-broker",
-        ).negotiate_round(contention_requests)
-        scsp = Broker(
-            contention_market,
-            allocation_policy=ScspFairAllocation(),
-            name="scsp-broker",
-        ).negotiate_round(contention_requests)
+        dense_broker = Broker(contention_market, name="dense-broker")
+        dense_broker.allocation_policy = FairAllocation()
+        dense = dense_broker.negotiate_round(contention_requests)
+        scsp_broker = Broker(contention_market, name="scsp-broker")
+        scsp_broker.allocation_policy = ScspFairAllocation()
+        scsp = scsp_broker.negotiate_round(contention_requests)
         assert sorted(realized(dense)) == pytest.approx(
             sorted(realized(scsp))
         )
@@ -321,7 +313,9 @@ class TestFairAllocation:
     ):
         # A singleton round has no contention: fair == greedy choice.
         factory = contention_request_factory()
-        broker = Broker(contention_market, allocation_policy="fair")
+        broker = Broker(contention_market, BrokerConfig(
+            allocation_policy="fair",
+        ))
         [result] = broker.negotiate_round([factory("solo", 0)])
         assert result.sla.providers == ("P0",)
         assert result.allocation.realized_satisfaction == pytest.approx(
@@ -335,7 +329,9 @@ class TestFairAllocation:
         missing = ClientRequest(
             client="c0", operation="teleport", attribute="fuzzy-reliability"
         )
-        broker = Broker(contention_market, allocation_policy="fair")
+        broker = Broker(contention_market, BrokerConfig(
+            allocation_policy="fair",
+        ))
         legacy = Broker(contention_market, name="legacy")
         mixed = broker.negotiate_round([missing, factory("c1", 1)])
         assert len(mixed) == 2
@@ -347,7 +343,9 @@ class TestFairAllocation:
     def test_slas_recorded_like_legacy(
         self, contention_market, contention_requests
     ):
-        broker = Broker(contention_market, allocation_policy="fair")
+        broker = Broker(contention_market, BrokerConfig(
+            allocation_policy="fair",
+        ))
         results = broker.negotiate_round(contention_requests[:6])
         recorded = {sla.sla_id for sla in broker.slas.active()}
         assert {r.sla.sla_id for r in results} <= recorded
@@ -374,8 +372,10 @@ class TestServeSession:
 
         broker = Broker(
             contention_market,
-            allocation_policy="fair",
-            rounds=BatchConfig(window_ms=1.0, max_batch=1),
+            BrokerConfig(
+                allocation_policy="fair",
+                rounds=BatchConfig(window_ms=1.0, max_batch=1),
+            ),
         )
         result = broker.serve_session(contention_requests[0])
         assert result.success

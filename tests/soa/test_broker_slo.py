@@ -10,6 +10,7 @@ from repro.sccp import interval
 from repro.semirings import ProbabilisticSemiring
 from repro.soa import (
     Broker,
+    BrokerConfig,
     BrokerError,
     ClientRequest,
     ExecutionReport,
@@ -168,14 +169,16 @@ class TestSloPenalty:
     def test_invalid_penalty_rejected(self, market):
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(BrokerError, match="slo_penalty"):
-                Broker(market, slo_penalty=bad)
+                Broker(market, BrokerConfig(slo_penalty=bad))
 
     def test_default_off_is_bit_identical(self, market):
         plain = Broker(market).negotiate(self.request())
         assert plain.success
         # The seam exists but defaults off: same winner, same level,
         # same evaluation order and values.
-        again = Broker(market, slo_penalty=None).negotiate(self.request())
+        again = Broker(market, BrokerConfig(
+            slo_penalty=None,
+        )).negotiate(self.request())
         assert again.sla.providers == plain.sla.providers
         assert again.sla.agreed_level == plain.sla.agreed_level
         assert [
@@ -185,7 +188,7 @@ class TestSloPenalty:
     def test_penalty_on_keeps_the_unflagged_best(self, market):
         # Floor 0.9 → budget 0.1.  red-B spends (1-0.95)/0.1 = 50% of
         # the budget and is set aside; red-A (10%) survives and wins.
-        result = Broker(market, slo_penalty=0.3).negotiate(
+        result = Broker(market, BrokerConfig(slo_penalty=0.3)).negotiate(
             self.request(floor=0.9)
         )
         assert result.success
@@ -195,7 +198,7 @@ class TestSloPenalty:
         # Floor 0.989 → even red-A spends ~91% of the budget; with every
         # candidate flagged the penalty must not turn acceptance into
         # rejection.
-        result = Broker(market, slo_penalty=0.3).negotiate(
+        result = Broker(market, BrokerConfig(slo_penalty=0.3)).negotiate(
             self.request(floor=0.989)
         )
         assert result.success
@@ -206,7 +209,9 @@ class TestSloPenalty:
         request = ClientRequest(
             client="C", operation="red", attribute="reliability"
         )
-        result = Broker(market, slo_penalty=0.3).negotiate(request)
+        result = Broker(market, BrokerConfig(
+            slo_penalty=0.3,
+        )).negotiate(request)
         assert result.success
         assert result.sla.providers == ("A",)
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.constraints import TableConstraint, variable
 from repro.semirings import FuzzySemiring, WeightedSemiring
-from repro.soa.broker import Broker, ClientRequest
+from repro.soa.broker import Broker, BrokerConfig, ClientRequest
 from repro.soa.qos import QoSDocument, QoSPolicy
 from repro.soa.registry import ServiceRegistry
 from repro.soa.service import ServiceDescription, ServiceInterface
@@ -180,7 +180,7 @@ class TestBrokerIntegration:
         assert warm.sla.agreed_level == cold.sla.agreed_level
 
     def test_cache_can_be_disabled(self):
-        broker = Broker(_cost_registry(), solve_cache=False)
+        broker = Broker(_cost_registry(), BrokerConfig(solve_cache=False))
         assert broker.solve_cache is None
         request = ClientRequest(
             client="c", operation="compress", attribute="cost"

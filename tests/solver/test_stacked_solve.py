@@ -20,7 +20,7 @@ import pytest
 
 from repro.constraints import ConstantConstraint, TableConstraint, variable
 from repro.fleet import FleetConfig, FleetFrontend
-from repro.runtime import SessionStatus
+from repro.runtime import RuntimeConfig, SessionStatus
 from repro.semirings import (
     BooleanSemiring,
     BoundedWeightedSemiring,
@@ -449,7 +449,12 @@ def fleet_agreements(e2e, shards):
     requests = [inputs.request(index)[1] for index in range(24)]
     frontend = FleetFrontend(
         inputs.registry(),
-        FleetConfig(shards=shards, workers_per_shard=1, seed=2, deadline_s=None),
+        FleetConfig(
+            shards=shards,
+            workers_per_shard=1,
+            seed=2,
+            runtime=RuntimeConfig(deadline_s=None),
+        ),
     )
     frontend.run(requests)
     return {
@@ -472,7 +477,11 @@ def test_group_entries_promote_from_l2_across_shards(e2e):
     # same group of eight candidates.
     request = inputs.request(0)[1]
     frontend = FleetFrontend(
-        inputs.registry(), FleetConfig(shards=4, seed=5, deadline_s=None)
+        inputs.registry(), FleetConfig(
+            shards=4,
+            seed=5,
+            runtime=RuntimeConfig(deadline_s=None),
+        )
     )
     results = frontend.run(
         [

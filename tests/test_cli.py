@@ -101,15 +101,11 @@ class TestSolve:
         # The solver picks its factor representation itself; the flag is
         # gone from every command that once took it.
         for command in ("solve", "negotiate", "runtime", "fleet"):
-            for value in ("dict", "dense"):
+            for value in ("dict", "dense", "bogus"):
                 assert_flag_rejected(
                     capsys, command, "--solver-backend", value,
                     market_file, fig1_file,
                 )
-
-    def test_rejects_unknown_backend(self, fig1_file):
-        with pytest.raises(SystemExit):
-            main(["solve", str(fig1_file), "--solver-backend", "bogus"])
 
     def test_inconsistent_problem_exit_1(self, tmp_path, capsys):
         weighted = WeightedSemiring()
@@ -364,6 +360,23 @@ class TestLoadgen:
         assert out["offered"] == 6
         assert out["outcomes"]["completed"] == 6
 
+    @pytest.mark.parametrize(
+        "flag,key",
+        [("--hedge-delay", "hedges_launched"), ("--breaker-recovery", "breakers")],
+    )
+    def test_zero_valued_pattern_flag_enables_its_pattern(
+        self, capsys, flag, key
+    ):
+        # A pattern turns on when one of its flags is given, whatever
+        # the value: 0 is a valid delay, not "flag absent".
+        exit_code = main(
+            ["loadgen", "--clients", "2", "--requests", "4", "--seed", "1",
+             flag, "0"]
+        )
+        out = json.loads(capsys.readouterr().out)
+        assert exit_code == 0
+        assert key in out["resilience"]
+
     def test_telemetry_snapshot_shows_queue_wait_histogram(self, capsys):
         exit_code = main(
             [
@@ -436,6 +449,31 @@ class TestFleet:
         assert out["cache"]["l2"] is None
         assert out["fleet"]["outcomes"]["completed"] == 4
 
+    def test_no_solve_cache_flag_leaves_shards_uncached(
+        self, market_file, capsys
+    ):
+        exit_code = main(
+            ["fleet", "--market", str(market_file), "--clients", "2",
+             "--requests", "4", "--seed", "5", "--no-solve-cache"]
+        )
+        out = json.loads(capsys.readouterr().out)
+        assert exit_code == 0
+        # No cache at any tier: no per-shard L1 and no shared L2.
+        assert out["cache"]["per_shard"] == {}
+        assert out["cache"]["l2"] is None
+
+    def test_no_l2_cache_keeps_plain_per_shard_caches(
+        self, market_file, capsys
+    ):
+        main(
+            ["fleet", "--market", str(market_file), "--clients", "2",
+             "--requests", "4", "--seed", "5", "--no-l2-cache"]
+        )
+        cache = json.loads(capsys.readouterr().out)["cache"]
+        assert cache["l2"] is None
+        assert sorted(cache["per_shard"]) == ["shard-0", "shard-1"]
+        assert all("hits" in stats for stats in cache["per_shard"].values())
+
     def test_telemetry_snapshot_shows_fleet_metrics(self, capsys):
         exit_code = main(
             [
@@ -494,6 +532,38 @@ def slo_market_file(tmp_path):
     path = tmp_path / "slo-market.json"
     path.write_text(json.dumps(market))
     return path
+
+
+class TestDlq:
+    @staticmethod
+    def capture(market_file, path, *broker_flags):
+        """A runtime run whose every provider always crashes, writing the
+        failed session to ``path``."""
+        main(
+            ["runtime", str(market_file), "--requests", "1", "--seed", "1",
+             "--fault-crash", "1.0", "--base-backoff", "0",
+             "--dlq-out", str(path), *broker_flags]
+        )
+
+    def test_replay_refuses_a_differently_configured_broker(
+        self, market_file, tmp_path, capsys
+    ):
+        letters = tmp_path / "dlq.jsonl"
+        self.capture(market_file, letters, "--no-solve-cache")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["dlq", "replay", str(letters), "--market", str(market_file)])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert "solve_cache" in captured.err
+        exit_code = main(
+            ["dlq", "replay", str(letters), "--market", str(market_file),
+             "--no-solve-cache"]
+        )
+        out = json.loads(capsys.readouterr().out)
+        assert exit_code == 0
+        assert out["completed"] == out["replayed"] == 1
 
 
 class TestSlo:
