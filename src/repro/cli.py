@@ -52,11 +52,12 @@ from typing import Any, Dict, NoReturn, Optional, Tuple
 
 from . import serialization
 from .coalitions import solve_engine, solve_exact, solve_local_search
-from .config import NON_NEGATIVE, NON_NEGATIVE_INT, POSITIVE_INT, SHARE, Range
+from .config import NON_NEGATIVE, POSITIVE_INT, SHARE, Range
 from .config import add_flags, from_args
 from .fleet import FleetConfig, FleetFrontend, FleetLoadGenerator
 from .resilience import DeadLetterQueue, DLQConfig, DLQError, ResilienceConfig
 from .runtime import (
+    CoalitionQuery,
     LoadGenerator,
     LoadProfile,
     RuntimeConfig,
@@ -69,7 +70,13 @@ from .runtime import (
 )
 from .semirings.properties import validate_semiring
 from .semirings.registry import get_semiring
-from .slo import SLOError, render_text
+from .slo import (
+    DEFAULT_BUFFER,
+    DEFAULT_FLAG_SHARE,
+    DEFAULT_MIN_ATTEMPTS,
+    SLOError,
+    render_text,
+)
 from .soa.broker import Broker, BrokerConfig, BrokerError, ClientRequest
 from .soa.composition import pipeline
 from .soa.faults import BernoulliCrash, BurstOutage, FaultInjector, RandomDelay
@@ -575,14 +582,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--aggregate", default="min", choices=("min", "avg", "max")
     )
     p_coal.add_argument("--seed", type=int, default=0)
-    for flag, type_, default, help in (
-        ("--restarts", POSITIVE_INT, 3, "hill-climb restarts"),
-        ("--max-iterations", NON_NEGATIVE_INT, 200, "climb steps per restart"),
-        ("--neighbour-sample", POSITIVE_INT, 64, "candidate moves scored per step"),
-        ("--workers", POSITIVE_INT, 1, "portfolio threads for --method engine "
-         "(the result is worker-count independent)"),
-    ):
-        p_coal.add_argument(flag, type=type_, default=default, help=help)
+    add_flags(p_coal, CoalitionQuery)
+    p_coal.add_argument(
+        "--workers",
+        type=POSITIVE_INT,
+        default=1,
+        help="portfolio threads for --method engine "
+        "(the result is worker-count independent)",
+    )
 
     p_neg = command(
         "negotiate", cmd_negotiate, "run the broker over a JSON market",
@@ -724,12 +731,12 @@ def build_parser() -> argparse.ArgumentParser:
         "branch runs, or failover replicas (1 − ∏(1 − Rᵢ))",
     )
     for flag, type_, default, metavar, help in (
-        ("--buffer", SHARE, 0.9, "F",
+        ("--buffer", SHARE, DEFAULT_BUFFER, "F",
          "planning safety margin applied to every provider level"),
-        ("--min-attempts", POSITIVE_INT, 5, "N",
+        ("--min-attempts", POSITIVE_INT, DEFAULT_MIN_ATTEMPTS, "N",
          "observations required before delivered history discounts "
          "a published level"),
-        ("--flag-share", SHARE, 0.30, "F",
+        ("--flag-share", SHARE, DEFAULT_FLAG_SHARE, "F",
          "error-budget share above which a stage is flagged high-risk"),
     ):
         p_slo.add_argument(

@@ -1,7 +1,8 @@
 """The fleet's two-tier solve cache: per-shard L1 over a fleet-wide L2.
 
-Cache-aside over the existing SHA-256 problem fingerprint
-(:func:`repro.solver.cache.problem_fingerprint`): every shard broker
+Cache-aside over the solver's SHA-256 content keys
+(:func:`repro.solver.cache.problem_fingerprint`, and a stacked group's
+:func:`repro.solver.stacked.group_key`): every shard broker
 keeps its own :class:`~repro.solver.cache.SolveCache` as L1, and on an
 L1 miss consults a single fleet-wide L2 shared by all shards.  An L2
 hit is *promoted* into the shard's L1 (the next repeat on that shard is
@@ -13,9 +14,10 @@ catalogue.
 The L2 is a plain :class:`~repro.solver.cache.SolveCache` (tier
 ``l2``, :data:`DEFAULT_L2_CACHE_SIZE` entries) shared by reference
 across the shards of one process.  Its entries are
-:class:`~repro.solver.cache._CacheEntry` payloads, problem-independent
-and immutable, keyed by content fingerprint — so an entry can never go
-stale and needs no expiry; the LRU bound alone caps it.
+:class:`~repro.solver.cache._CacheEntry` payloads, or a stacked group's
+rows (:func:`repro.solver.stacked.group_key`), problem-independent and
+immutable, keyed by content — so an entry can never go stale and needs
+no expiry; the LRU bound alone caps it.
 
 Observability: both tiers' LRUs carry a ``tier`` label on the shared
 ``cache_hits_total``/``cache_misses_total`` counters, and the tier

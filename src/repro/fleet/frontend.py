@@ -56,6 +56,7 @@ from ..runtime.server import (
     RuntimeServer,
     SessionResult,
     SessionStatus,
+    probe_loop_lag,
 )
 from ..soa.broker import Broker, BrokerConfig, ClientRequest
 from ..soa.faults import FaultInjector
@@ -177,17 +178,18 @@ class FleetConfig(Config):
             # be identical on whichever shard serves the session — that
             # is what makes a run shard-count independent.
             seed=self.seed,
-            probe_interval_s=0.0,  # no per-shard loop probe
+            # The fleet runs one loop probe at ``runtime.probe_interval_s``.
+            probe_interval_s=0.0,
         )
 
 
-#: The ``runtime`` fields a fleet does not read: ``shard_runtime``
-#: takes only the deadline and the retry policy from it.
+#: The ``runtime`` fields a fleet does not read: it takes the deadline
+#: and the retry policy for its shards, and the probe period for its
+#: own event-loop probe.
 _SHARD_SET = (
     "workers",
     "max_queue_depth",
     "seed",
-    "probe_interval_s",
     "verify_independence",
 )
 
@@ -283,6 +285,7 @@ class FleetFrontend:
         )
         self.health: Optional[HealthMonitor] = None
         self._health_task: Optional["asyncio.Task[None]"] = None
+        self._probe: Optional["asyncio.Task[None]"] = None
         self.shards: Dict[str, _Shard] = {}
         for shard_id in self.ring.shards:
             self.shards[shard_id] = self._build_shard(shard_id)
@@ -382,6 +385,11 @@ class FleetFrontend:
             self._health_task = asyncio.create_task(
                 self.health.run(), name="fleet-health"
             )
+        interval = self.config.runtime.probe_interval_s
+        if interval > 0:
+            self._probe = asyncio.create_task(
+                probe_loop_lag(interval), name="fleet-loop-probe"
+            )
         get_events().emit(
             "fleet.started",
             shards=len(self.shards),
@@ -420,13 +428,14 @@ class FleetFrontend:
         except asyncio.CancelledError:
             pass
         self._dispatcher = None
-        if self._health_task is not None:
-            self._health_task.cancel()
-            try:
-                await self._health_task
-            except asyncio.CancelledError:
-                pass
-            self._health_task = None
+        for task in (self._health_task, self._probe):
+            if task is not None:
+                task.cancel()
+                try:
+                    await task
+                except asyncio.CancelledError:
+                    pass
+        self._health_task = self._probe = None
         for shard in self.shards.values():
             await self._stop_shard(shard, drain=drain)
         self._ingress = None

@@ -56,7 +56,15 @@ from typing import Any, Iterable, List, Optional
 from ..coalitions.engine import solve_engine
 from ..coalitions.exact import CoalitionSolution
 from ..coalitions.trust import CompositionOp, TrustNetwork
-from ..config import NON_NEGATIVE, POSITIVE, POSITIVE_INT, Config, knob, subtree
+from ..config import (
+    NON_NEGATIVE,
+    NON_NEGATIVE_INT,
+    POSITIVE,
+    POSITIVE_INT,
+    Config,
+    knob,
+    subtree,
+)
 from ..resilience.hedge import hedge_attempt_key
 from ..resilience.policy import (
     ResilienceConfig,
@@ -203,27 +211,58 @@ class RuntimeConfig(Config):
 
 
 @dataclass(frozen=True)
-class CoalitionQuery:
+class CoalitionQuery(Config):
     """One offloadable Sec. 6 coalition-formation request.
 
     The runtime treats these like negotiation sessions: the CPU-bound
     search runs on the worker executor, never on the event loop, and a
     seedless query draws its seed from the server's master RNG — so a
     single ``RuntimeConfig.seed`` reproduces a whole mixed workload of
-    negotiations and coalition queries.
+    negotiations and coalition queries.  The search knobs are declared
+    here once; ``repro coalitions`` generates its flags from them.
     """
+
+    error = RuntimeError_
 
     network: TrustNetwork
     op: "str | CompositionOp" = "min"
     aggregate: "str | CompositionOp" = "min"
     seed: Optional[int] = None
-    restarts: int = 3
-    max_iterations: int = 200
-    neighbour_sample: int = 64
+    restarts: int = knob(
+        3, range=POSITIVE_INT, flag="--restarts", help="hill-climb restarts"
+    )
+    max_iterations: int = knob(
+        200,
+        range=NON_NEGATIVE_INT,
+        flag="--max-iterations",
+        help="climb steps per restart",
+    )
+    neighbour_sample: int = knob(
+        64,
+        range=POSITIVE_INT,
+        flag="--neighbour-sample",
+        help="candidate moves scored per step",
+    )
 
 
 #: Preseeded so a metrics snapshot always shows the complete family.
 COALITION_OUTCOMES = ("stable", "unstable")
+
+
+async def probe_loop_lag(interval: float) -> None:
+    """Measure event-loop scheduling lag every ``interval`` seconds,
+    until cancelled: if a solver ever ran on the loop, this histogram's
+    tail would show it.  A server and a fleet each run one."""
+    histogram = get_registry().histogram(
+        "runtime_loop_lag_seconds",
+        "Extra delay of a timed sleep on the event loop — "
+        "spikes mean something blocked the loop.",
+        buckets=LATENCY_BUCKETS,
+    )
+    while True:
+        started = time.perf_counter()
+        await asyncio.sleep(interval)
+        histogram.observe(max(0.0, time.perf_counter() - started - interval))
 
 
 @dataclass
@@ -301,7 +340,8 @@ class RuntimeServer:
         ]
         if self.config.probe_interval_s > 0:
             self._probe = asyncio.create_task(
-                self._probe_loop(), name="runtime-loop-probe"
+                probe_loop_lag(self.config.probe_interval_s),
+                name="runtime-loop-probe",
             )
         if (
             self.resilience.health is not None
@@ -944,21 +984,4 @@ class RuntimeServer:
                 "runtime.bulkhead-rejected",
                 client=result.request.client,
                 operation=result.request.operation,
-            )
-
-    async def _probe_loop(self) -> None:
-        """Measure event-loop scheduling lag: if a solver ever ran on
-        the loop, this histogram's tail would show it."""
-        interval = self.config.probe_interval_s
-        histogram = get_registry().histogram(
-            "runtime_loop_lag_seconds",
-            "Extra delay of a timed sleep on the event loop — "
-            "spikes mean something blocked the loop.",
-            buckets=LATENCY_BUCKETS,
-        )
-        while True:
-            started = time.perf_counter()
-            await asyncio.sleep(interval)
-            histogram.observe(
-                max(0.0, time.perf_counter() - started - interval)
             )

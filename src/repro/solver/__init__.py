@@ -21,9 +21,6 @@ from .branch_bound import solve_branch_bound
 from .cache import (
     DEFAULT_SOLVE_CACHE_SIZE,
     SolveCache,
-    group_entry,
-    group_fingerprint,
-    group_results,
     problem_fingerprint,
 )
 from .consistency import (
@@ -58,6 +55,7 @@ from .problem import SCSP, ProblemError, SolverResult, SolverStats
 from .stacked import (
     STACK_LIMIT,
     _scan,
+    group_key,
     solve_stacked,
     stackable,
     topology_groups,
@@ -94,8 +92,8 @@ def solve(
     Given a list, ``solve`` returns one result per problem, in order.
     Under ``method="auto"`` a :func:`~repro.solver.stacked.stackable`
     group is answered by one :func:`~repro.solver.stacked.solve_stacked`
-    scan, cached as one entry under
-    :func:`~repro.solver.cache.group_fingerprint`; its answers equal
+    scan, cached as one entry of the scan's rows under
+    :func:`~repro.solver.stacked.group_key`; its answers equal
     branch & bound's bit for bit.  Any other list is solved problem by
     problem.
     """
@@ -146,15 +144,7 @@ def _solve_group(
     # Checked before the cache is asked: a group key names only the
     # first member's semiring and ``con``.
     check_shared_topology(problems)
-    if cache is None:
-        return _scan(problems, backend=backend, **options)
-    key = group_fingerprint(problems, "stacked", backend, options)
-    entry = cache.fetch_entry(key)
-    if entry is not None:
-        return group_results(entry, problems)
-    results = _scan(problems, backend=backend, **options)
-    cache.store_entry(key, group_entry(results))
-    return results
+    return _scan(problems, backend=backend, cache=cache, **options)
 
 
 __all__ = [
@@ -165,7 +155,7 @@ __all__ = [
     "SolveCache",
     "DEFAULT_SOLVE_CACHE_SIZE",
     "problem_fingerprint",
-    "group_fingerprint",
+    "group_key",
     "DenseFactor",
     "KernelError",
     "Lowering",

@@ -8,9 +8,10 @@ across sessions.  :class:`SolveCache` memoizes
 *problem fingerprint* — a SHA-256 over the semiring, every constraint's
 scope/domains and materialized table bytes, the ``con`` set and the solve
 method/options — so a warm entry is provably the same problem, not just a
-same-named one.  A stacked solve of a topology group
-(:func:`~repro.solver.stacked.solve_stacked`) is one entry, keyed by
-:func:`group_fingerprint` over every member in order.
+same-named one.  A stacked solve of a topology group is one entry
+too, the scan's own rows, keyed and looked up by the scan itself
+(:func:`~repro.solver.stacked.group_key`, over the lowered factor
+bytes it reads).
 
 Invalidation is structural: any change to a constraint table, domain,
 ``con`` set or solve option changes the fingerprint, so stale entries are
@@ -26,21 +27,14 @@ from __future__ import annotations
 import copy
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..caching import LRUCache
-from ..constraints.digest import canon_value, constraint_digest
+from ..constraints.digest import constraint_digest
 from .problem import SCSP, SolverResult, SolverStats
 
 #: Default number of distinct problems kept warm (satellite spec: bounded).
 DEFAULT_SOLVE_CACHE_SIZE = 2048
-
-# Canonical digest helpers live in repro.constraints.digest (shared with
-# the factored store's incremental digest); these aliases keep the old
-# import paths working.
-_canon = canon_value
-_constraint_digest = constraint_digest
-
 
 def problem_fingerprint(
     problem: SCSP,
@@ -68,30 +62,6 @@ def problem_fingerprint(
     head.update(
         f"options {sorted((options or {}).items())!r};".encode()
     )
-    return head.hexdigest()
-
-
-def group_fingerprint(
-    problems: Sequence[SCSP],
-    method: str,
-    backend: Optional[str] = None,
-    options: Optional[Mapping[str, Any]] = None,
-) -> str:
-    """The digest of one stacked solve call: the semiring, ``con``, the
-    method/backend/options and every member's constraint digests, in
-    member and constraint order (a stacked solve answers per member and
-    folds constraints in the order given)."""
-    head = hashlib.sha256()
-    head.update(f"semiring {problems[0].semiring!r};".encode())
-    head.update(f"con {list(problems[0].con)};".encode())
-    head.update(f"method {method};backend {backend};".encode())
-    head.update(
-        f"options {sorted((options or {}).items())!r};".encode()
-    )
-    for problem in problems:
-        head.update(b"member;")
-        for constraint in problem.constraints:
-            head.update(constraint_digest(constraint).encode())
     return head.hexdigest()
 
 
@@ -135,20 +105,6 @@ class _CacheEntry:
         )
 
 
-def group_entry(results: Sequence[SolverResult]) -> Tuple[_CacheEntry, ...]:
-    """The cache entry of a stacked solve: one payload per member."""
-    return tuple(_CacheEntry.from_result(result) for result in results)
-
-
-def group_results(
-    entry: Tuple[_CacheEntry, ...], problems: Sequence[SCSP]
-) -> List[SolverResult]:
-    """A group entry's results, each rebound to its member problem."""
-    return [
-        member.result_for(problem) for member, problem in zip(entry, problems)
-    ]
-
-
 class SolveCache:
     """Bounded LRU of solve results, keyed by problem fingerprint.
 
@@ -182,7 +138,7 @@ class SolveCache:
 
     def fetch_entry(self, key: str) -> Optional[Any]:
         """The raw problem-independent entry (a :class:`_CacheEntry`, or
-        a tuple of them for a stacked group) — the currency tier stacks
+        a stacked group's rows) — the currency tier stacks
         (:mod:`repro.fleet.cache`) move between levels without
         rebinding or re-deep-copying results."""
         return self._lru.get(key)

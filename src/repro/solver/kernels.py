@@ -55,6 +55,7 @@ switch backends without changing any result.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import threading
 from dataclasses import dataclass
@@ -65,6 +66,7 @@ import numpy as np
 from ..caching import LRUCache, register_stats_provider
 from ..constraints.table import TableConstraint, to_table
 from ..constraints.constraint import SoftConstraint
+from ..constraints.digest import canon_value
 from ..constraints.variables import Variable, scope_names
 from ..semirings.base import Semiring
 from ..semirings.boolean import BooleanSemiring
@@ -431,10 +433,10 @@ class DenseFactor:
     array enumerates ``scope[i].domain`` in domain order.  Factors are
     immutable: every operation returns a new factor and never writes into
     an existing array (which is what makes the per-table conversion memo
-    safe to share).
+    safe to share, and :meth:`digest` safe to keep).
     """
 
-    __slots__ = ("semiring", "lowering", "scope", "array")
+    __slots__ = ("semiring", "lowering", "scope", "array", "_digest")
 
     def __init__(
         self,
@@ -446,6 +448,7 @@ class DenseFactor:
         self.semiring = lowering.semiring
         self.scope: Tuple[Variable, ...] = tuple(scope)
         self.array = array
+        self._digest: Optional[bytes] = None
 
     # ------------------------------------------------------------------
     # Converters
@@ -516,6 +519,27 @@ class DenseFactor:
             default=self.semiring.zero,
             name=name,
         )
+
+    def digest(self) -> bytes:
+        """SHA-256 of the scope names, their domain values and the
+        array's bytes, computed once per factor.
+
+        Two factors with one digest hold the same bytes over the same
+        labelled axes, so every ufunc call reads the same input from
+        either; the semiring (hence the dtype) is not in it.  A stacked
+        scan's cache key (:func:`repro.solver.stacked.group_key`) is
+        built from these digests.
+        """
+        digest = self._digest
+        if digest is None:
+            piece = hashlib.sha256()
+            for var in self.scope:
+                piece.update(
+                    f"{var.name!r}:{canon_value(var.domain)};".encode()
+                )
+            piece.update(self.array.tobytes())
+            digest = self._digest = piece.digest()
+        return digest
 
     @property
     def support(self) -> Tuple[str, ...]:

@@ -24,9 +24,10 @@ optima are all of those leaves, projected onto ``con``.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
-from typing import Any, Dict, List, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -56,6 +57,9 @@ from .problem import (
     SolverStats,
     record_solve_metrics,
 )
+
+if TYPE_CHECKING:
+    from .cache import SolveCache
 
 #: Largest joint table (one member's assignment-space size) a stacked
 #: scan covers; a larger problem is left to branch & bound.  Set from
@@ -105,12 +109,13 @@ class _ScanPlan(NamedTuple):
     the member axis (``-1``); its ``dims`` are one member's grid, and a
     scan prepends the member count.  ``empty`` lists the empty-scope
     slots the base folds; ``con`` holds each ``con`` variable's search
-    depth, name and domain, sorted by name.
+    depth and name, sorted by name.  The plan depends on names and
+    domain sizes only: a scan reads the ``con`` domains off its problem.
     """
 
     step: Step
     empty: Tuple[int, ...]
-    con: Tuple[Tuple[int, str, Tuple[Any, ...]], ...]
+    con: Tuple[Tuple[int, str], ...]
 
 
 def _compile_scan(problem: SCSP, ordering: str | OrderingFn) -> _ScanPlan:
@@ -141,10 +146,7 @@ def _compile_scan(problem: SCSP, ordering: str | OrderingFn) -> _ScanPlan:
             inputs.append(slot)
             views.append((transpose, shape))
     con = sorted(
-        (
-            (depth_of[index[name]], name, variables[index[name]].domain)
-            for name in problem.con
-        ),
+        ((depth_of[index[name]], name) for name in problem.con),
         key=lambda entry: entry[1],
     )
     return _ScanPlan(
@@ -175,47 +177,101 @@ def _scan_plan(problem: SCSP, ordering: str | OrderingFn) -> _ScanPlan:
     return _memoized(key, lambda: _compile_scan(problem, ordering))
 
 
-def _stack(problems: Sequence[SCSP], lowering: Lowering) -> List[np.ndarray]:
-    """Each constraint position of topology-sharing ``problems`` as one
-    array with a leading member axis: length B, or length 1 where every
-    problem holds the very same constraint object."""
-    arrays = []
-    for shared in zip(*(problem.constraints for problem in problems)):
-        first = shared[0]
-        if all(constraint is first for constraint in shared):
-            array = DenseFactor.from_constraint(first, lowering).array
-            arrays.append(array[np.newaxis])
-        else:
-            arrays.append(
-                np.stack(
-                    [
-                        DenseFactor.from_constraint(c, lowering).array
-                        for c in shared
-                    ]
-                )
+#: One member's scan answer: its blevel and its optima, each optimum
+#: the ``(name, value)`` items of its ``con`` assignment, sorted by
+#: name.  A group's solve-cache entry is the tuple of its members' rows.
+Row = Tuple[Any, Tuple[Tuple[Tuple[str, Any], ...], ...]]
+
+
+def _factors(
+    problems: Sequence[SCSP], lowering: Lowering
+) -> List[List[DenseFactor]]:
+    """Every member's constraints as lowered factors, in order; a
+    constraint object the first member holds too is lowered once."""
+    lower = DenseFactor.from_constraint
+    first = problems[0].constraints
+    head = [lower(constraint, lowering) for constraint in first]
+    return [head] + [
+        [
+            factor if constraint is shared else lower(constraint, lowering)
+            for constraint, shared, factor in zip(
+                problem.constraints, first, head
             )
+        ]
+        for problem in problems[1:]
+    ]
+
+
+def group_key(
+    problems: Sequence[SCSP],
+    factors: Sequence[Sequence[DenseFactor]],
+    ordering: str | OrderingFn,
+    backend: str,
+) -> str | None:
+    """The solve-cache key of one stacked scan, or ``None`` for a
+    callable ``ordering`` (not a value, so not keyable).
+
+    One SHA-256 over the semiring, ``con``, ordering, backend and group
+    shape, then member by member and position by position each factor's
+    :meth:`~repro.solver.kernels.DenseFactor.digest`.  The scan reads
+    nothing but those arrays, the plan (a function of the scope names,
+    domain sizes, ``con`` and ordering) and the ``con`` domains, so
+    equal keys run the same ufunc calls on the same bytes and read the
+    same rows.  Groups built from different objects share a key when
+    their factors hold equal bytes.
+    """
+    if callable(ordering):
+        return None
+    head = problems[0]
+    key = hashlib.sha256(
+        f"stacked {head.semiring!r};con {head.con!r};ordering {ordering};"
+        f"backend {backend};{len(problems)}x{len(head.constraints)};".encode()
+    )
+    key.update(b"".join([factor.digest() for row in factors for factor in row]))
+    return key.hexdigest()
+
+
+def _stack(factors: Sequence[Sequence[DenseFactor]]) -> List[np.ndarray]:
+    """Each constraint position of topology-sharing members' factors as
+    one array with a leading member axis: length B, or length 1 where
+    every member holds the very same factor."""
+    arrays = []
+    for shared in zip(*factors):
+        first = shared[0]
+        if all(factor is first for factor in shared):
+            arrays.append(first.array[np.newaxis])
+        else:
+            arrays.append(np.stack([factor.array for factor in shared]))
     return arrays
 
 
 def _base(
-    problems: Sequence[SCSP], empty: Tuple[int, ...], lowering: Lowering
+    factors: Sequence[Sequence[DenseFactor]],
+    empty: Tuple[int, ...],
+    lowering: Lowering,
 ) -> np.ndarray:
     """Each member's ``base_value`` exactly as branch & bound folds it
-    (length 1 when there is no empty-scope constraint)."""
+    (length 1 when there is no empty-scope constraint).  Read off the
+    empty-scope factors: a 0-d array holds the constraint's value as
+    the dtype does, which is what the fold's result is stored as."""
     semiring = lowering.semiring
+    unlift = lowering.unlift
     if not empty:
         values = [semiring.one]
     else:
         values = [
-            semiring.prod(problem.constraints[slot].value({}) for slot in empty)
-            for problem in problems
+            semiring.prod(unlift(member[slot].array[()]) for slot in empty)
+            for member in factors
         ]
     return np.array(values, dtype=lowering.dtype)
 
 
 def _read(
-    flat: np.ndarray, plan: _ScanPlan, lowering: Lowering
-) -> List[Tuple[Any, List[Dict[str, Any]]]]:
+    flat: np.ndarray,
+    plan: _ScanPlan,
+    domains: Sequence[Tuple[Any, ...]],
+    lowering: Lowering,
+) -> List[Row]:
     """Each grid row's blevel and projected optima: the first entry
     raw-equal to the row's best, and every such entry, in C order."""
     semiring = lowering.semiring
@@ -224,38 +280,58 @@ def _read(
     # ``tolist`` yields the very Python values ``unlift`` would.
     blevels = flat[np.arange(len(flat)), first].tolist()
     counts = ties.sum(axis=1).tolist()
-    names = [name for _depth, name, _domain in plan.con]
-    firsts = _project(first, plan)
-    rows: List[Tuple[Any, List[Dict[str, Any]]]] = []
+    firsts = _project(first, plan, domains)
+    rows: List[Row] = []
     for row, blevel in enumerate(blevels):
         if not semiring.gt(blevel, semiring.zero):
-            rows.append((semiring.zero, []))
+            rows.append((semiring.zero, ()))
         elif counts[row] == 1:
-            rows.append((blevel, [dict(zip(names, firsts[row]))]))
+            rows.append((blevel, (firsts[row],)))
         else:
-            seen: set = set()
-            projected: List[Dict[str, Any]] = []
-            for values in _project(np.flatnonzero(ties[row]), plan):
-                if values not in seen:
-                    seen.add(values)
-                    projected.append(dict(zip(names, values)))
-            rows.append((blevel, projected))
+            projected = _project(np.flatnonzero(ties[row]), plan, domains)
+            rows.append((blevel, tuple(dict.fromkeys(projected))))
     return rows
 
 
-def _project(hits: np.ndarray, plan: _ScanPlan) -> List[Tuple[Any, ...]]:
-    """The ``con`` values (sorted by name) of each flat grid index."""
+def _project(
+    hits: np.ndarray, plan: _ScanPlan, domains: Sequence[Tuple[Any, ...]]
+) -> List[Tuple[Tuple[str, Any], ...]]:
+    """The ``con`` items (sorted by name) of each flat grid index."""
     if not plan.con:
         return [()] * len(hits)
     coords = np.unravel_index(hits, plan.step.dims)
     return list(
         zip(
             *(
-                [domain[i] for i in coords[depth].tolist()]
-                for depth, _name, domain in plan.con
+                [(name, domain[i]) for i in coords[depth].tolist()]
+                for (depth, name), domain in zip(plan.con, domains)
             )
         )
     )
+
+
+def _results(
+    problems: Sequence[SCSP], rows: Sequence[Row]
+) -> List[SolverResult]:
+    """One :class:`SolverResult` per member from the scan's rows, with
+    fresh lists and dicts: a cache hit and a miss build the same."""
+    # The scan evaluates every leaf of the search tree, once.
+    size = assignment_space_size(problems[0].variables)
+    return [
+        SolverResult(
+            problem=problem,
+            blevel=blevel,
+            frontier=[blevel],
+            optima=[[dict(items) for items in optima]],
+            method="stacked",
+            stats=SolverStats(
+                nodes_expanded=size,
+                leaves_evaluated=size,
+                largest_intermediate=size,
+            ),
+        )
+        for problem, (blevel, optima) in zip(problems, rows)
+    ]
 
 
 def solve_stacked(
@@ -284,9 +360,12 @@ def _scan(
     ordering: str | OrderingFn = "max-degree",
     lookahead: bool = True,
     backend: str = "auto",
+    cache: "SolveCache | None" = None,
 ) -> List[SolverResult]:
     """:func:`solve_stacked` over problems already known to share one
-    topology."""
+    topology.  With a ``cache``, the rows are looked up under
+    :func:`group_key` first; a hit records no solve metric and opens no
+    ``solver.solve`` span."""
     semiring = problems[0].semiring
     if not semiring.is_total_order():
         raise ProblemError(
@@ -301,42 +380,36 @@ def _scan(
             f"a stacked scan needs a lowerable semiring; "
             f"{semiring.name} has no ufunc pair"
         )
+    factors = _factors(problems, lowering)
+    key = None
+    if cache is not None:
+        key = group_key(problems, factors, ordering, backend)
+        entry = None if key is None else cache.fetch_entry(key)
+        if entry is not None:
+            return _results(problems, entry)
     started = time.perf_counter()
     with get_tracer().span(
         "solver.solve", method="stacked", size=len(problems)
     ):
         plan = _scan_plan(problems[0], ordering)
+        variables = {var.name: var for var in problems[0].variables}
+        domains = [variables[name].domain for _depth, name in plan.con]
         chunk = max(1, GRID_LIMIT // plan.step.size)
-        rows: List[Tuple[Any, List[Dict[str, Any]]]] = []
+        rows: List[Row] = []
         for start in range(0, len(problems), chunk):
-            part = problems[start : start + chunk]
-            arrays = _stack(part, lowering)
+            part = factors[start : start + chunk]
+            arrays = _stack(part)
             arrays.append(_base(part, plan.empty, lowering))
             # One row answers every member when they share every factor.
             lead = max(len(array) for array in arrays)
             step = plan.step._replace(dims=(lead, *plan.step.dims))
             grid = run_step(step, arrays, lowering)
-            read = _read(grid.reshape(len(grid), -1), plan, lowering)
+            read = _read(grid.reshape(len(grid), -1), plan, domains, lowering)
             rows.extend(read * len(part) if len(read) == 1 else read)
     elapsed = (time.perf_counter() - started) / len(problems)
-    size = plan.step.size
-    results: List[SolverResult] = []
-    for problem, (blevel, projected) in zip(problems, rows):
-        # The scan evaluates every leaf of the search tree, once.
-        stats = SolverStats(
-            nodes_expanded=size,
-            leaves_evaluated=size,
-            largest_intermediate=size,
-        )
-        record_solve_metrics("stacked", stats, elapsed, backend="dense")
-        results.append(
-            SolverResult(
-                problem=problem,
-                blevel=blevel,
-                frontier=[blevel],
-                optima=[[dict(assignment) for assignment in projected]],
-                method="stacked",
-                stats=stats,
-            )
-        )
+    if key is not None:
+        cache.store_entry(key, tuple(rows))
+    results = _results(problems, rows)
+    for result in results:
+        record_solve_metrics("stacked", result.stats, elapsed, backend="dense")
     return results

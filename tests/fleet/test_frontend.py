@@ -13,6 +13,7 @@ from repro.fleet import (
 from repro.fleet.frontend import _FleetItem
 from repro.runtime import RetryPolicy, RuntimeConfig, SessionStatus
 from repro.soa import BernoulliCrash, FaultInjector
+from repro.telemetry import telemetry_session
 
 from .conftest import OPERATIONS
 
@@ -409,3 +410,38 @@ class TestCaching:
         assert stats["l2"] is None
         # shards fall back to their private single-tier solve caches
         assert stats["per_shard"]
+
+
+class TestLoopProbe:
+    def lag_counts(self, market, make_request, interval):
+        frontend = FleetFrontend(
+            market,
+            FleetConfig(
+                shards=2,
+                seed=3,
+                runtime=RuntimeConfig(probe_interval_s=interval),
+            ),
+        )
+
+        async def scenario():
+            async with frontend:
+                await frontend.serve(requests_for(make_request, 4))
+                await asyncio.sleep(0.05)
+            assert frontend._probe is None
+
+        with telemetry_session() as session:
+            asyncio.run(scenario())
+            snapshot = session.snapshot()
+        return [
+            sample["count"]
+            for metric in snapshot["metrics"]
+            if metric["name"] == "runtime_loop_lag_seconds"
+            for sample in metric["samples"]
+        ]
+
+    def test_one_probe_per_fleet_records_loop_lag(self, market, make_request):
+        [count] = self.lag_counts(market, make_request, 0.005)
+        assert count > 0
+
+    def test_zero_interval_records_none(self, market, make_request):
+        assert self.lag_counts(market, make_request, 0.0) == []

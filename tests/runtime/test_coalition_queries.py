@@ -111,3 +111,30 @@ class TestCoalitionQueries:
             if s.name == "runtime.coalitions"
         ]
         assert len(spans) == 3
+
+
+class TestQueryRanges:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("restarts", 0), ("max_iterations", -1), ("neighbour_sample", 0)],
+    )
+    def test_out_of_range_search_knobs_raise(self, network, field, value):
+        with pytest.raises(RuntimeError_, match=field):
+            CoalitionQuery(network, **{field: value})
+
+    def test_lowest_values_are_accepted(self, network):
+        query = CoalitionQuery(
+            network, restarts=1, max_iterations=0, neighbour_sample=1
+        )
+        assert (query.restarts, query.max_iterations) == (1, 0)
+
+    def test_cli_defaults_are_the_query_defaults(self):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(["coalitions", "net.json"])
+        defaults = CoalitionQuery(figure9_network())
+        assert (args.restarts, args.max_iterations, args.neighbour_sample) == (
+            defaults.restarts,
+            defaults.max_iterations,
+            defaults.neighbour_sample,
+        )

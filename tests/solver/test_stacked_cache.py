@@ -1,0 +1,218 @@
+"""The stacked scan's solve-cache key (``repro.solver.stacked.group_key``).
+
+A group's entry is keyed on the lowered factor bytes the scan reads, so
+groups built from different objects share an entry when their arrays
+are equal, and any change the scan would see — a table value, a domain
+label, ``con``, the semiring — is a different key.  Every hit must equal
+a cache-less scan bit for bit.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.constraints import (
+    Polynomial,
+    TableConstraint,
+    polynomial_constraint,
+    to_table,
+    variable,
+)
+from repro.semirings import FuzzySemiring, WeightedSemiring
+from repro.soa.broker import Broker
+from repro.solver import SCSP, SolveCache, solve, solve_branch_bound
+from repro.solver import stacked
+
+E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
+
+WEIGHTED = WeightedSemiring()
+X = variable("x", range(5))
+Y = variable("y", range(3))
+
+
+def poly_requirement(semiring=WEIGHTED):
+    return polynomial_constraint(
+        semiring, [X], Polynomial.linear({"x": -0.125}, 0.75)
+    )
+
+
+def offers(semiring=WEIGHTED, y=Y, shift=0.0):
+    return [
+        TableConstraint(
+            semiring,
+            [X, y],
+            {
+                (a, label): ((a * 7 + b * 3 + k) % 5) / 8 + shift
+                for a in X.domain
+                for b, label in enumerate(y.domain)
+            },
+        )
+        for k in range(4)
+    ]
+
+
+def group(requirement, offer_list, con=None):
+    return [SCSP([requirement, offer], con=con) for offer in offer_list]
+
+
+def bits(value):
+    return value.hex() if isinstance(value, float) else repr(value)
+
+
+def exact(result):
+    """Every bit a result carries: float.hex of the blevel and frontier,
+    the optima with their key order, the method and the stats."""
+    return (
+        bits(result.blevel),
+        [bits(value) for value in result.frontier],
+        [[list(assignment.items()) for assignment in optima]
+         for optima in result.optima],
+        result.method,
+        result.stats,
+    )
+
+
+def assert_hits_equal_cacheless_scans(problems):
+    cache = SolveCache()
+    solve(problems, cache=cache)
+    hits = cache.stats()["hits"]
+    hit = solve(problems, cache=cache)
+    assert cache.stats()["hits"] == hits + 1
+    assert [r.problem for r in hit] == problems
+    assert [exact(r) for r in hit] == [
+        exact(r) for r in stacked._scan(problems)
+    ]
+
+
+class TestHits:
+    def test_polynomial_and_its_table_copy_share_an_entry(self):
+        offer_list = offers()
+        cache = SolveCache()
+        first = solve(group(poly_requirement(), offer_list), cache=cache)
+        copy = group(to_table(poly_requirement()), offer_list)
+        again = solve(copy, cache=cache)
+        assert len(cache) == 1 and cache.stats()["hits"] == 1
+        assert [exact(r) for r in again] == [exact(r) for r in first]
+        assert [r.problem for r in again] == copy
+
+    def test_fresh_offer_compile_shares_an_entry(self):
+        sys.path.insert(0, str(E2E))
+        try:
+            import workloads
+        finally:
+            sys.path.remove(str(E2E))
+        inputs = workloads.Inputs(workloads.WORKLOADS["unique-market"], 1, 0)
+        request = inputs.request(0)[1]
+        semiring = request.resolved_semiring()
+        groups = []
+        for broker in (Broker(inputs.registry()), Broker(inputs.registry())):
+            groups.append(
+                [
+                    broker._candidate_problem(description, request, semiring)
+                    for description in broker.registry.find(
+                        operation=request.operation
+                    )
+                ]
+            )
+        first, second = groups
+        assert all(
+            a.constraints[-1] is not b.constraints[-1]
+            for a, b in zip(first, second)
+        )
+        cache = SolveCache()
+        solve(first, cache=cache)
+        hit = solve(second, cache=cache)
+        assert len(cache) == 1 and cache.stats()["hits"] == 1
+        assert [exact(r) for r in hit] == [
+            exact(r) for r in stacked._scan(second)
+        ]
+
+
+class TestMisses:
+    def misses(self, base, changed):
+        cache = SolveCache()
+        solve(base, cache=cache)
+        results = solve(changed, cache=cache)
+        assert cache.stats()["hits"] == 0
+        assert len(cache) == 2
+        for problem, result in zip(changed, results):
+            oracle = solve_branch_bound(problem)
+            assert exact(result)[:3] == exact(oracle)[:3]
+
+    def test_changed_table_value(self):
+        requirement = poly_requirement()
+        self.misses(
+            group(requirement, offers()),
+            group(requirement, offers(shift=0.5)),
+        )
+
+    def test_changed_domain_label_of_equal_size(self):
+        relabelled = variable("y", ("a", "b", "c"))
+        requirement = poly_requirement()
+        self.misses(
+            group(requirement, offers()),
+            group(requirement, offers(y=relabelled)),
+        )
+
+    def test_different_con(self):
+        requirement = poly_requirement()
+        offer_list = offers()
+        self.misses(
+            group(requirement, offer_list),
+            group(requirement, offer_list, con=["y"]),
+        )
+
+    def test_different_semiring(self):
+        fuzzy = FuzzySemiring()
+        self.misses(
+            group(to_table(poly_requirement()), offers()),
+            group(
+                TableConstraint(
+                    fuzzy, [X], dict(to_table(poly_requirement()).table)
+                ),
+                offers(semiring=fuzzy),
+            ),
+        )
+
+
+def random_members(rng, size):
+    values = [0.0, 0.1, 0.2, 0.3, 0.30000000000000004, 1.0, float("inf")]
+    a, b = variable("a", range(3)), variable("b", range(4))
+    shared = TableConstraint(
+        WEIGHTED, [a], {(k,): rng.choice(values) for k in range(3)}
+    )
+    con = rng.choice([None, ["a"], ["b"], []])
+    return [
+        SCSP(
+            [
+                shared,
+                TableConstraint(
+                    WEIGHTED,
+                    [b, a],
+                    {
+                        key: rng.choice(values)
+                        for key in itertools.product(range(4), range(3))
+                    },
+                ),
+            ],
+            con=con,
+        )
+        for _ in range(size)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_hits_equal_cacheless_scans(seed):
+    rng = random.Random(seed)
+    assert_hits_equal_cacheless_scans(random_members(rng, rng.randint(1, 6)))
+
+
+def test_chunked_hits_equal_cacheless_scans(monkeypatch):
+    monkeypatch.setattr(stacked, "GRID_LIMIT", 25)  # two members per chunk
+    for seed in range(5):
+        assert_hits_equal_cacheless_scans(random_members(random.Random(seed), 7))

@@ -35,7 +35,8 @@ from repro.solver import (
     SCSP,
     ProblemError,
     SolveCache,
-    group_fingerprint,
+    group_key,
+    lower_semiring,
     solve,
     solve_branch_bound,
     solve_stacked,
@@ -504,8 +505,9 @@ def test_group_entries_promote_from_l2_across_shards(e2e):
         broker._candidate_problem(description, request, semiring)
         for description in broker.registry.find(operation=request.operation)
     ]
+    factors = stacked._factors(group, lower_semiring(semiring))
     entry = frontend.l2.fetch_entry(
-        group_fingerprint(group, "stacked", "auto", {})
+        group_key(group, factors, "max-degree", "auto")
     )
     assert len(entry) == len(group) == 8
     stats = frontend.cache_stats()
