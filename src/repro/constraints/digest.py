@@ -4,10 +4,9 @@ These digests identify a constraint *extensionally* — scope (names and
 domains), default value, and the full sparse table — so two constraint
 objects with the same meaning hash identically regardless of how they
 were built.  The solve cache fingerprints whole problems with them, and
-the factored store maintains an incremental digest of its factor multiset
-(:func:`digest_to_int` turns each digest into an integer so a store's
-digest is the *sum* of its factors' digests modulo 2**256 — order
-insensitive, multiset-accurate, and O(1) to update on ``tell``).
+the constraint store matches factors by them (re-tell absorption under
+an idempotent ``×``, retract-by-removal) and fingerprints a store version
+for exploration as the sorted tuple of its factors' digests.
 
 Digests are memoized on the constraint object (``_digest_memo``):
 constraints are semantically immutable, so each object pays the
@@ -20,9 +19,6 @@ import hashlib
 from typing import Any
 
 from .table import to_table
-
-#: Modulus for the additive multiset digest (AdHash over SHA-256).
-DIGEST_MODULUS = 1 << 256
 
 
 def canon_value(value: Any) -> str:
@@ -60,8 +56,3 @@ def constraint_digest(constraint: Any) -> str:
     digest = piece.hexdigest()
     constraint._digest_memo = digest
     return digest
-
-
-def digest_to_int(digest: str) -> int:
-    """A digest's 256-bit integer form, for additive multiset hashing."""
-    return int(digest, 16)

@@ -11,13 +11,13 @@ by hand and makes traces trivially replayable.
 so ``tell`` is O(1) and shares its tail with the parent store.  The
 semantics only ever observes σ through ``blevel``/``⊢``/``⇓`` queries,
 and those route through :mod:`repro.solver` — bucket elimination over
-the factors, dense kernels when the semiring lowers.  An incrementally
-maintained SHA-256 *store digest* (the sum of the factors' digests mod
-2²⁵⁶, so it is order-insensitive and O(1) per ``tell``) keys the one
-query memo (``consistency`` and ``project``; ``⊢`` is a projection plus
-a pointwise compare): repeated asks on the same store version are memo
-hits, and two stores that told the same factors in any order share
-entries.  Each ask that misses eliminates the store's factors afresh.
+the factors, dense kernels when the semiring lowers.  Each store version
+keeps its own ``σ ⇓∅``; every projection (``⊢`` is a projection plus a
+pointwise compare) eliminates the factors afresh.  A plain ``tell``
+hashes nothing: factor digests are taken only for re-tell absorption
+under an idempotent ``×``, for retract-by-removal, and for the
+exploration ``fingerprint`` (the sorted multiset of factor digests,
+computed on first ask).
 
 The randomized equivalence suite checks the store bit-for-bit against
 a paper-literal oracle kept with the tests (σ as one eagerly combined
@@ -29,10 +29,9 @@ from __future__ import annotations
 
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
-from ..caching import DEFAULT_CACHE_SIZE, LRUCache, _MISSING
 from ..semirings.base import Semiring
 from .constraint import ConstantConstraint, SoftConstraint
-from .digest import DIGEST_MODULUS, constraint_digest, digest_to_int
+from .digest import constraint_digest
 from .operations import combine, constraint_leq
 from .table import TableConstraint, to_table
 from .variables import Variable, assignment_space_size, merge_scopes, scope_names
@@ -51,24 +50,14 @@ _EXACT_RETRACT_MAX_FACTORS = 8
 #: Sentinel marking a not-yet-computed cached value.
 _UNSET = object()
 
-#: Memo for store ``consistency``/``project`` answers, keyed by
-#: the incremental store digest.  The digest is order-insensitive, so
-#: two stores that told the same factors in different orders share one
-#: entry.  ``σ ⊢ c`` is a projection onto ``scope(c)`` plus a pointwise
-#: compare, so a repeated ask hits the ``"project"`` entry.
-_query_cache = LRUCache(DEFAULT_CACHE_SIZE, name="store-query")
-
-
 def clear_store_caches() -> None:
-    """Drop every store-level memo (the query memo and the compiled
-    elimination plans).
+    """Drop the compiled elimination plans the store's queries reuse.
 
     Benchmarks call this between timed sections so warm-cache runs are a
     deliberate choice, not an accident of test ordering.
     """
     from ..solver.elimination import clear_plan_cache
 
-    _query_cache.clear()
     clear_plan_cache()
 
 
@@ -82,20 +71,6 @@ def _record_tell() -> None:
             "store_factors_total",
             "Factors told into constraint stores.",
         ).inc()
-
-
-def _record_query_hit(query: str) -> None:
-    """``store_query_solver_hits_total{query}`` — a store query answered
-    from a cached solver result instead of a fresh elimination."""
-    from ..telemetry.runtime import get_registry
-
-    registry = get_registry()
-    if registry.enabled:
-        registry.counter(
-            "store_query_solver_hits_total",
-            "Store queries answered from cached solver results.",
-            labelnames=("query",),
-        ).labels(query).inc()
 
 
 class StoreError(Exception):
@@ -125,13 +100,13 @@ def _is_trivial(constraint: SoftConstraint) -> bool:
     )
 
 
-def _factor_digest_int(constraint: SoftConstraint) -> Optional[int]:
-    """The factor's digest as an integer, or ``None`` when computing it
-    would require materializing an over-limit assignment space."""
+def _factor_digest(constraint: SoftConstraint) -> Optional[str]:
+    """The factor's digest, or ``None`` when computing it would require
+    materializing an over-limit assignment space."""
     if getattr(constraint, "_digest_memo", None) is None:
         if assignment_space_size(constraint.scope) > _MATERIALIZE_LIMIT:
             return None
-    return digest_to_int(constraint_digest(constraint))
+    return constraint_digest(constraint)
 
 
 def _factor_exact(semiring: Semiring, constraint: SoftConstraint) -> bool:
@@ -167,23 +142,21 @@ class ConstraintStore:
 
     The chain cells are ``(factor, parent_cell)`` tuples, so a ``tell``
     allocates one cell and shares everything else with the parent store.
-    ``_digest_int`` is the additive multiset digest of the factors (or
-    ``None`` once any factor was too large to tabulate — queries then
-    simply skip the caches); ``_all_exact`` tracks whether every factor
-    value sits in the semiring's exact-retract subset, which gates the
-    retract-by-removal fast path.
+    ``_all_exact`` tracks whether every factor value sits in the
+    semiring's exact-retract subset, which gates the retract-by-removal
+    fast path.
     """
 
     __slots__ = (
         "semiring",
         "_chain",
         "_count",
-        "_digest_int",
         "_all_exact",
         "_factors_memo",
         "_combined_memo",
         "_support_memo",
         "_consistency",
+        "_fingerprint",
     )
 
     def __init__(
@@ -197,17 +170,16 @@ class ConstraintStore:
         self.semiring = semiring
         self._chain = None
         self._count = 0
-        self._digest_int = 0
         self._all_exact = semiring.supports_exact_retract()
         self._factors_memo = None
         self._combined_memo = None
         self._support_memo = None
         self._consistency = _UNSET
+        self._fingerprint = None
         if constraint is not None and not _is_trivial(constraint):
             seeded = self.tell(constraint)
             self._chain = seeded._chain
             self._count = seeded._count
-            self._digest_int = seeded._digest_int
             self._all_exact = seeded._all_exact
 
     @classmethod
@@ -216,19 +188,18 @@ class ConstraintStore:
         semiring: Semiring,
         chain,
         count: int,
-        digest_int: Optional[int],
         all_exact: bool,
     ) -> "ConstraintStore":
         store = object.__new__(cls)
         store.semiring = semiring
         store._chain = chain
         store._count = count
-        store._digest_int = digest_int
         store._all_exact = all_exact
         store._factors_memo = None
         store._combined_memo = None
         store._support_memo = None
         store._consistency = _UNSET
+        store._fingerprint = None
         return store
 
     @classmethod
@@ -236,22 +207,12 @@ class ConstraintStore:
         cls, semiring: Semiring, factors: Sequence[SoftConstraint]
     ) -> "ConstraintStore":
         chain = None
-        digest_int: Optional[int] = 0
         all_exact = semiring.supports_exact_retract()
         for factor in factors:
             chain = (factor, chain)
-            if digest_int is not None:
-                piece = _factor_digest_int(factor)
-                digest_int = (
-                    None
-                    if piece is None
-                    else (digest_int + piece) % DIGEST_MODULUS
-                )
             if all_exact:
                 all_exact = _factor_exact(semiring, factor)
-        return cls._from_chain(
-            semiring, chain, len(factors), digest_int, all_exact
-        )
+        return cls._from_chain(semiring, chain, len(factors), all_exact)
 
     def _check_semiring(self, constraint: SoftConstraint) -> None:
         if constraint.semiring != self.semiring:
@@ -288,13 +249,6 @@ class ConstraintStore:
         return self._count
 
     @property
-    def digest(self) -> Optional[str]:
-        """The incremental store digest (hex), if maintainable."""
-        if self._digest_int is None:
-            return None
-        return f"{self._digest_int:064x}"
-
-    @property
     def constraint(self) -> SoftConstraint:
         """σ as a (lazily combined) single constraint — the view
         consumers of the paper-literal contract read.  Never
@@ -320,21 +274,30 @@ class ConstraintStore:
         )
 
     def fingerprint(self) -> Tuple:
-        """A hashable identity of this store *version*.
+        """A hashable identity of this store *version*, computed on
+        first ask.
 
-        Digest-based (intensional): two stores with the same factor
-        multiset collide, extensionally-equal-but-differently-factored
-        stores do not — which only costs the explorer extra states,
-        never wrong answers.  Falls back to factor identities when a
-        factor was too large to digest.
+        The sorted multiset of factor digests: two stores with the same
+        factor multiset collide, extensionally-equal-but-differently-
+        factored stores do not — which only costs the explorer extra
+        states, never wrong answers.  Falls back to factor identities
+        when a factor was too large to digest.
         """
-        if self._digest_int is not None:
-            return ("factored", repr(self.semiring), self._digest_int)
-        return (
-            "factored-id",
-            repr(self.semiring),
-            tuple(id(factor) for factor in self.factors),
-        )
+        if self._fingerprint is None:
+            digests = [_factor_digest(factor) for factor in self.factors]
+            if None in digests:
+                self._fingerprint = (
+                    "factored-id",
+                    repr(self.semiring),
+                    tuple(id(factor) for factor in self.factors),
+                )
+            else:
+                self._fingerprint = (
+                    "factored",
+                    repr(self.semiring),
+                    tuple(sorted(digests)),
+                )
+        return self._fingerprint
 
     # ------------------------------------------------------------------
     # Store operations (paper rules R1, R7, R8)
@@ -346,33 +309,22 @@ class ConstraintStore:
         For ×-idempotent semirings a re-told factor is absorbed
         (``c ⊗ c = c`` pointwise), keeping the fingerprint stable so
         exhaustive exploration closes finite store lattices instead of
-        growing the chain forever.
+        growing the chain forever.  That digest match is the only hashing
+        a ``tell`` does.
         """
         self._check_semiring(constraint)
         factor = _compact_factor(constraint)
-        if self._digest_int is None:
-            digest_int: Optional[int] = None
-        else:
-            piece = _factor_digest_int(factor)
-            digest_int = (
-                None
-                if piece is None
-                else (self._digest_int + piece) % DIGEST_MODULUS
-            )
-            if piece is not None and self.semiring.is_multiplicative_idempotent():
-                cell = self._chain
-                while cell is not None:
-                    if _factor_digest_int(cell[0]) == piece:
-                        return self
-                    cell = cell[1]
+        if self.semiring.is_multiplicative_idempotent():
+            piece = _factor_digest(factor)
+            cell = self._chain
+            while piece is not None and cell is not None:
+                if _factor_digest(cell[0]) == piece:
+                    return self
+                cell = cell[1]
         all_exact = self._all_exact and _factor_exact(self.semiring, factor)
         _record_tell()
         return ConstraintStore._from_chain(
-            self.semiring,
-            (factor, self._chain),
-            self._count + 1,
-            digest_int,
-            all_exact,
+            self.semiring, (factor, self._chain), self._count + 1, all_exact
         )
 
     def retract(self, constraint: SoftConstraint) -> "ConstraintStore":
@@ -454,28 +406,14 @@ class ConstraintStore:
         table, _stats = eliminate(problem, backend="auto")
         return table
 
-    def _cached_query(self, label: str, extra, compute):
-        if self._digest_int is None:
-            return compute()
-        key = (label, repr(self.semiring), self._digest_int, extra)
-        hit = _query_cache.get(key, _MISSING)
-        if hit is not _MISSING:
-            _record_query_hit(label)
-            return hit
-        answer = compute()
-        _query_cache.put(key, answer)
-        return answer
-
     def consistency(self) -> Any:
-        """``σ ⇓∅ = blevel(⟨factors, ∅⟩)`` — one solver call, answered
-        from the digest memo when this store version was asked before."""
+        """``σ ⇓∅ = blevel(⟨factors, ∅⟩)`` — one solver call per store
+        version, kept on the instance."""
         if self._consistency is _UNSET:
             if self._chain is None:
                 self._consistency = self.semiring.one
             else:
-                self._consistency = self._cached_query(
-                    "consistency", None, self._solve_consistency
-                )
+                self._consistency = self._solve_consistency()
         return self._consistency
 
     def _solve_consistency(self) -> Any:
@@ -496,11 +434,7 @@ class ConstraintStore:
         kept = tuple(var for var in scope if var.name in keep_names)
         if len(kept) == len(scope):
             return self.constraint
-        return self._cached_query(
-            "project",
-            tuple(var.name for var in kept),
-            lambda: self._eliminate_onto_table(self.factors, kept),
-        )
+        return self._eliminate_onto_table(self.factors, kept)
 
     def refines(self, constraint: SoftConstraint) -> bool:
         """``σ ⊒ c`` — the store is at least as *relaxed* as ``c``.
@@ -519,9 +453,7 @@ class ConstraintStore:
         Because ``+`` is the lub and idempotent, ``σ ⊑ c`` iff
         ``(σ ⇓ scope(c)) ⊑ c``: project the store's factors down to the
         asked scope with the solver, then compare pointwise over that
-        (small) scope instead of the full union scope.  The projection
-        rides the query memo, so a repeated ask on one store version
-        re-solves nothing.
+        (small) scope instead of the full union scope.
         """
         self._check_semiring(constraint)
         return constraint_leq(self.project(constraint.support), constraint)

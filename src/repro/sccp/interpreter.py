@@ -207,8 +207,8 @@ def explore(
 ) -> ExplorationResult:
     """Breadth-first search of the full configuration graph.
 
-    Visited-state pruning uses the store fingerprint (the multiset
-    digest of the told factors), so the search terminates whenever the
+    Visited-state pruning uses the store fingerprint (the sorted digests
+    of the told factors), so the search terminates whenever the
     reachable store lattice is finite.  ``truncated`` reports a hit of
     the configuration budget (results are then lower bounds).
     """

@@ -245,8 +245,8 @@ def _step(
 
 
 def store_fingerprint(store: ConstraintStore) -> Tuple:
-    """A hashable summary of σ: the store's incremental multiset digest,
-    which never materializes the union scope.  A digest distinguishes
+    """A hashable summary of σ: the sorted digests of the store's told
+    factors, which never materializes the union scope.  It distinguishes
     differently-factored-but-equal stores — that only costs the explorer
     extra states, never wrong answers.
     """

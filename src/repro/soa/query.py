@@ -252,19 +252,21 @@ class QueryEngine:
     def _offer_level(
         self, service_id: str, attribute: str, semiring: Semiring
     ) -> Optional[Any]:
-        def compute() -> Optional[Any]:
-            description = self.registry.get(service_id)
-            constraints = compile_document(
-                description.qos, attribute, semiring, {}
-            )
-            if not constraints:
-                return None
-            problem = SCSP(constraints, name=service_id)
-            return solve(problem).blevel
-
-        return self._level_cache.get_or_compute(
-            (service_id, attribute), compute
+        # An entry keeps the description its level came from: after an
+        # unpublish and a republish under the same id it is stale.
+        description = self.registry.get(service_id)
+        key = (service_id, attribute)
+        entry = self._level_cache.get(key)
+        if entry is not None and entry[0] is description:
+            return entry[1]
+        constraints = compile_document(description.qos, attribute, semiring, {})
+        level = (
+            solve(SCSP(constraints, name=service_id)).blevel
+            if constraints
+            else None
         )
+        self._level_cache.put(key, (description, level))
+        return level
 
     def _score(
         self,

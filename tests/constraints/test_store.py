@@ -189,3 +189,92 @@ class TestExactRetractMemo:
         )
         assert constraints_equal(relaxed.constraint, monolith.constraint)
         assert relaxed.consistency() == monolith.consistency() == 3.0
+
+
+class TestDigestsOnDemand:
+    """A ``tell`` hashes a factor only for idempotent re-tell absorption;
+    the exploration fingerprint digests the factors on first ask."""
+
+    @staticmethod
+    def _table(semiring, x, y, corner=4.0):
+        from repro.constraints import TableConstraint
+
+        return TableConstraint(
+            semiring,
+            [x, y],
+            {(0, 0): 1.0, (0, 1): 2.0, (1, 0): 3.0, (1, 1): corner},
+        )
+
+    def test_weighted_tell_and_queries_hash_nothing(self, weighted):
+        x, y = integer_variable("x", 2), integer_variable("y", 2)
+        table = self._table(weighted, x, y)
+        store = empty_store(weighted).tell(table)
+        assert store.consistency() == 1.0
+        assert store.entails(table)
+        assert getattr(table, "_digest_memo", None) is None
+
+    def test_fingerprint_is_the_factor_multiset(self, weighted):
+        x, y = integer_variable("x", 2), integer_variable("y", 2)
+        first = self._table(weighted, x, y)
+        second = polynomial_constraint(
+            weighted, [x], Polynomial.linear({"x": 1}, 3)
+        )
+        forward = empty_store(weighted).tell(first).tell(second)
+        backward = empty_store(weighted).tell(second).tell(first)
+        assert forward.fingerprint() == backward.fingerprint()
+        assert forward.fingerprint()[0] == "factored"
+
+        changed = self._table(weighted, x, y, corner=5.0)
+        other = empty_store(weighted).tell(changed).tell(second)
+        assert other.fingerprint() != forward.fingerprint()
+
+    def test_fingerprint_falls_back_to_identities(self, weighted, monkeypatch):
+        from repro.constraints import store as store_module
+
+        monkeypatch.setattr(store_module, "_MATERIALIZE_LIMIT", 1)
+        x, y = integer_variable("x", 2), integer_variable("y", 2)
+        table = self._table(weighted, x, y)
+        fingerprint = empty_store(weighted).tell(table).fingerprint()
+        assert fingerprint[0] == "factored-id"
+        assert fingerprint[2] == (id(table),)
+
+    def test_fuzzy_retell_returns_the_same_store(self, fuzzy):
+        from repro.constraints import TableConstraint
+
+        x, y = integer_variable("x", 2), integer_variable("y", 2)
+
+        def table():
+            return TableConstraint(
+                fuzzy, [x, y], {(0, 0): 0.2, (1, 1): 0.9}, default=0.5
+            )
+
+        told = table()
+        store = empty_store(fuzzy).tell(told).tell(
+            polynomial_constraint(fuzzy, [x], Polynomial.constant(0.6))
+        )
+        assert store.tell(told) is store
+        # An equal table built afresh is the same factor.
+        assert store.tell(table()) is store
+        assert store.factor_count == 2
+
+    def test_idempotent_exploration_state_count(self, fuzzy):
+        # 36 configurations: re-tells are absorbed, and the orderings of
+        # one factor multiset meet in one state.
+        from repro.constraints import FunctionConstraint, variable
+        from repro.sccp import explore, parallel, sequence, tell
+
+        a, b = variable("a", [0, 1]), variable("b", [0, 1])
+        fa = FunctionConstraint(fuzzy, (a,), lambda v: 1.0 if v else 0.4)
+        fb = FunctionConstraint(fuzzy, (b,), lambda v: 0.7 if v else 0.2)
+        fab = FunctionConstraint(
+            fuzzy, (a, b), lambda u, v: 0.5 if u == v else 0.9
+        )
+        agent = parallel(
+            sequence(tell(fa), tell(fb), tell(fa)),
+            sequence(tell(fab), tell(fb)),
+            sequence(tell(fa), tell(fab)),
+        )
+        result = explore(agent, semiring=fuzzy)
+        assert not result.truncated
+        assert result.configurations_visited == 36
+        assert result.success_consistencies() == [0.5]

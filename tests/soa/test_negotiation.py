@@ -133,19 +133,28 @@ class TestTraceLevelsOnDemand:
             empty_store,
         )
 
+        x = integer_variable("x", 6)
+        first = FunctionConstraint(weighted, (x,), lambda v: 2.0 * v + 1.0)
+        second = FunctionConstraint(weighted, (x,), lambda v: 9.0 - v)
+        demand = FunctionConstraint(weighted, (x,), lambda v: float(v % 3))
+        # The stores after each step, oldest first, and their levels,
+        # solved before the counting starts.
+        stores, store = [], empty_store(weighted)
+        for constraint in (first, second, demand):
+            store = store.tell(constraint)
+            stores.append(store)
+        levels = [s.consistency() for s in stores]
+        assert levels == [1.0, 10.0, 10.0]
+
         clear_store_caches()
         solved = []
         solve = ConstraintStore._solve_consistency
 
         def counting(store):
-            solved.append(store.digest)
+            solved.append(store.fingerprint())
             return solve(store)
 
         monkeypatch.setattr(ConstraintStore, "_solve_consistency", counting)
-        x = integer_variable("x", 6)
-        first = FunctionConstraint(weighted, (x,), lambda v: 2.0 * v + 1.0)
-        second = FunctionConstraint(weighted, (x,), lambda v: 9.0 - v)
-        demand = FunctionConstraint(weighted, (x,), lambda v: float(v % 3))
         provider = Party("P", [first, second])
         client = Party(
             "C", [demand], interval(weighted, lower=20.0, upper=0.0)
@@ -157,25 +166,22 @@ class TestTraceLevelsOnDemand:
         )
         assert outcome.success and outcome.agreed_level == 10.0
 
-        # The stores after each step, oldest first.
-        stores, store = [], empty_store(weighted)
-        for constraint in (first, second, demand):
-            store = store.tell(constraint)
-            stores.append(store)
         # The leftmost scheduler tells both offers unchecked, then the
         # demand under its check; the check runs on every step's
         # candidate ``σ ⊗ demand`` and the last one is the agreed store.
         # The two unchecked intermediate stores are never solved.
-        assert stores[-1].digest in solved
-        assert not {stores[0].digest, stores[1].digest} & set(solved)
+        fingerprints = [s.fingerprint() for s in stores]
+        assert fingerprints[-1] in solved
+        assert not set(fingerprints[:2]) & set(solved)
         checked = len(solved)
 
-        assert outcome.trace.consistencies() == [1.0, 10.0, 10.0]
-        assert len(solved) == checked + 2
-        assert outcome.trace.consistencies() == [
-            s.consistency() for s in stores
-        ]
-        assert len(solved) == checked + 2
+        # Reading the trace's levels solves each of its three stores
+        # once (the final one is the replay run's own instance, not the
+        # store the check solved); a second read solves nothing new.
+        assert outcome.trace.consistencies() == levels
+        assert sorted(solved[checked:]) == sorted(fingerprints)
+        assert outcome.trace.consistencies() == levels
+        assert len(solved) == checked + 3
         assert outcome.trace.events[-1].agent_after == "success"
 
         # Events stay immutable: what a set or dict hashed cannot move.

@@ -289,6 +289,18 @@ class TestScoringDetails:
         )
         assert ("compf", "reliability") in engine._level_cache
 
+    def test_republished_service_is_rescored(self):
+        registry = ServiceRegistry()
+        publish(registry, "s1", "op", reliability=0.9)
+        engine = QueryEngine(registry)
+        query = ServiceQuery(attribute="reliability", operation="op")
+        assert engine.query(query).best.level == 0.9
+        registry.unpublish("s1")
+        publish(registry, "s1", "op", reliability=0.5)
+        assert QueryEngine(registry).query(query).best.level == 0.5
+        # The cached level belongs to the unpublished description.
+        assert engine.query(query).best.level == 0.5
+
     def test_candidates_considered_reported(self, photo_registry):
         engine = QueryEngine(photo_registry)
         answer = engine.query(

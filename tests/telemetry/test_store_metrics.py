@@ -1,22 +1,15 @@
 """The constraint store's telemetry instruments.
 
-The refactored store emits two counter families:
-
-* ``store_factors_total`` — one sample per told factor;
-* ``store_query_solver_hits_total{query}`` — a consistency or
-  projection answered from the store's memo instead of the solver
-  (entailment asks a projection, so a repeated ask counts under
-  ``project``).
-
-Both must reach the Prometheus exposition through an enabled session and
-stay silent (null registry, zero overhead) outside one.
+The store emits one counter family, ``store_factors_total`` — one
+sample per told factor.  It must reach the Prometheus exposition through
+an enabled session and stay silent (null registry, zero overhead) outside
+one.
 """
 
 import random
 
 from repro.constraints import (
     TableConstraint,
-    clear_store_caches,
     empty_store,
     variable,
 )
@@ -61,28 +54,6 @@ class TestStoreFactorsTotal:
             empty_store(semiring).tell(c1)
             text = to_prometheus(session.registry)
         assert "store_factors_total 1" in text.splitlines()
-
-
-class TestStoreQueryHitsTotal:
-    def test_repeated_queries_hit_the_store_memo(self):
-        semiring, c1, c2 = _constraints(seed=37)
-        clear_store_caches()
-        with telemetry_session() as session:
-            store = empty_store(semiring).tell(c1).tell(c2)
-            first = store.consistency()
-            # A structurally identical rebuild shares the digest, so the
-            # second solve is answered by the store-level memo.
-            rebuilt = (
-                empty_store(semiring).tell(c1).tell(c2)
-            )
-            assert rebuilt.consistency() == first
-            assert store.entails(c1)
-            assert rebuilt.entails(c1)
-            text = to_prometheus(session.registry)
-        assert 'store_query_solver_hits_total{query="consistency"} 1' in text
-        # The second ask re-uses the first one's projection onto x.
-        assert 'store_query_solver_hits_total{query="project"} 1' in text
-        assert 'query="entails"' not in text
 
     def test_silent_outside_a_session(self):
         semiring, c1, _ = _constraints(seed=41)

@@ -1,7 +1,7 @@
 """The consolidated bounded-LRU utility (`repro.caching`).
 
-One implementation now backs the solve cache, the store's query memo
-and the query engine's offer-level memo; this file
+One implementation now backs the solve cache and the query engine's
+offer-level memo; this file
 pins the shared semantics and the single ``cache_stats()`` interface
 that aggregates every live cache by name.
 """
@@ -16,11 +16,6 @@ class TestSharedImplementation:
         from repro.solver.cache import SolveCache
 
         assert isinstance(SolveCache()._lru, LRUCache)
-
-    def test_store_caches_use_it(self):
-        from repro.constraints import store
-
-        assert isinstance(store._query_cache, LRUCache)
 
     def test_query_engine_uses_it(self):
         from repro.soa.query import QueryEngine
