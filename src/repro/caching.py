@@ -163,15 +163,6 @@ class LRUCache:
                 data.popitem(last=False)
                 self.evictions += 1
 
-    def get_or_compute(
-        self, key: Hashable, compute: Callable[[], Any]
-    ) -> Any:
-        value = self.get(key, _MISSING)
-        if value is _MISSING:
-            value = compute()
-            self.put(key, value)
-        return value
-
     def __contains__(self, key: Hashable) -> bool:
         with self._lock:
             return key in self._data

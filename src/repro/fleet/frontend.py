@@ -352,7 +352,6 @@ class FleetFrontend:
                 seed=self.config.seed,
                 shared_breakers=self.breakers,
                 shared_dlq=self.dlq,
-                owns_health_loop=False,
             )
         server = RuntimeServer(
             broker, runtime, injector=injector, resilience=resilience

@@ -9,9 +9,11 @@ built from a config by :func:`build_resilience`.
 
 One policy serves one :class:`~repro.runtime.server.RuntimeServer`.  A
 fleet builds one policy per shard but passes ``shared_*`` instances for
-the state that must be fleet-global (breakers, health, DLQ: a provider
-that is down is down for every shard), while bulkheads and hedge
-latency tracking stay per-shard (they guard per-shard resources).
+the state that must be fleet-global (breakers and DLQ: a provider that
+is down is down for every shard), while bulkheads and hedge latency
+tracking stay per-shard (they guard per-shard resources).  The fleet
+runs the one health monitor and its probe loop itself, so a shard's
+policy has no ``health``.
 """
 
 from __future__ import annotations
@@ -71,9 +73,6 @@ class ResiliencePolicy:
     health: Optional[HealthMonitor] = None
     hedge: Optional[HedgePolicy] = None
     dlq: Optional[DeadLetterQueue] = None
-    #: Whether the owning server should drive the health probe loop
-    #: (a fleet runs one shared loop itself and sets this False).
-    owns_health_loop: bool = True
     _gated_registry: Optional[ServiceRegistry] = field(
         default=None, repr=False
     )
@@ -124,19 +123,17 @@ def build_resilience(
     clock: Optional[Callable[[], float]] = None,
     tick_source: Optional[Callable[[], int]] = None,
     shared_breakers: Optional[BreakerRegistry] = None,
-    shared_health: Optional[HealthMonitor] = None,
     shared_dlq: Optional[DeadLetterQueue] = None,
-    owns_health_loop: bool = True,
 ) -> ResiliencePolicy:
     """Build (or adopt) the live objects for ``config``.
 
     ``shared_*`` lets a fleet hand every shard the same breaker
-    registry, health monitor and DLQ while each shard still gets its
-    own bulkhead and hedge tracker.  The breaker gate is attached to
+    registry and DLQ while each shard still gets its own bulkhead and
+    hedge tracker.  The breaker gate is attached to
     ``registry`` before this returns.
     """
     config = config or NO_RESILIENCE
-    policy = ResiliencePolicy(config=config, owns_health_loop=owns_health_loop)
+    policy = ResiliencePolicy(config=config)
     # Explicit None checks: shared instances can be *empty* (a fresh
     # DLQ is falsy via __len__) and must still be adopted, not rebuilt.
     if config.breaker is not None:
@@ -148,16 +145,12 @@ def build_resilience(
     if config.bulkhead is not None:
         policy.bulkhead = Bulkhead(config.bulkhead)
     if config.health is not None:
-        policy.health = (
-            shared_health
-            if shared_health is not None
-            else HealthMonitor(
-                registry,
-                injector=injector,
-                config=config.health,
-                seed=seed,
-                tick_source=tick_source,
-            )
+        policy.health = HealthMonitor(
+            registry,
+            injector=injector,
+            config=config.health,
+            seed=seed,
+            tick_source=tick_source,
         )
     if config.hedge is not None:
         policy.hedge = HedgePolicy(config.hedge)

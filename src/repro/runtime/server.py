@@ -343,10 +343,7 @@ class RuntimeServer:
                 probe_loop_lag(self.config.probe_interval_s),
                 name="runtime-loop-probe",
             )
-        if (
-            self.resilience.health is not None
-            and self.resilience.owns_health_loop
-        ):
+        if self.resilience.health is not None:
             self._health_task = asyncio.create_task(
                 self.resilience.health.run(), name="runtime-health"
             )

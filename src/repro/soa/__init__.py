@@ -17,13 +17,10 @@ from .broker import (
     ParetoPoint,
 )
 from .allocation import (
-    DEFAULT_CONGESTION_GAMMA,
+    CONGESTION_GAMMA,
     AllocationError,
     AllocationInfo,
-    AllocationPolicy,
     FairAllocation,
-    GreedyAllocation,
-    resolve_allocation_policy,
     satisfaction_score,
 )
 from .composition import (
@@ -162,11 +159,8 @@ __all__ = [
     "BrokerError",
     "AllocationError",
     "AllocationInfo",
-    "AllocationPolicy",
     "FairAllocation",
-    "GreedyAllocation",
-    "DEFAULT_CONGESTION_GAMMA",
-    "resolve_allocation_policy",
+    "CONGESTION_GAMMA",
     "satisfaction_score",
     "ClientRequest",
     "CandidateEvaluation",

@@ -1,23 +1,21 @@
-"""Allocation policies: the multi-client seam of the negotiation pipeline.
+"""Fair allocation: step 4 for a round of concurrent sessions.
 
 The broker's classic :meth:`~repro.soa.broker.Broker.negotiate` serves
 each session in isolation — every client independently gets the
 semiring-best provider, so under contention they all pile onto the same
 "best" service and the queueing discount makes everyone worse off, the
-last arrivals most of all.  This module factors the *who-gets-whom*
-decision out of the per-session steps into an :class:`AllocationPolicy`
-that sees one coalesced **round** of concurrent sessions at a time:
+last arrivals most of all.  :meth:`~repro.soa.broker.Broker.negotiate_round`
+serves one coalesced **round** of concurrent sessions: the broker runs
+steps 1–3 for each session and step 5 for each winner, and the round's
+step 4 — *who gets whom* — is the broker's ``allocation_policy``:
 
-* :class:`GreedyAllocation` replays the legacy behaviour — each request
-  runs the unchanged five-step negotiation in submission order.  Its
-  agreements are bit-identical to ``Broker.negotiate``; the only
-  addition is the :class:`AllocationInfo` annotation on each result.
+* ``None`` (greedy) keeps the per-session argmax: each request runs
+  ``negotiate`` in submission order, bit-identical agreements, with the
+  round's :class:`AllocationInfo` annotation added.
 
-* :class:`FairAllocation` runs steps 1–3 per session as usual (registry
-  search, per-candidate SCSP evaluation, acceptance filtering) but
-  replaces the per-session argmax of step 4 with **one joint SCSP per
-  round**: a selection variable per client (domain: its accepted
-  candidates) under a single joint constraint valued in the
+* :class:`FairAllocation` replaces the per-session argmax with **one
+  joint SCSP per round**: a selection variable per client (domain: its
+  accepted candidates) under a single joint constraint valued in the
   lexicographic composite ``Lex[Fuzzy, Probabilistic]`` —
   ⟨min per-client satisfaction, total welfare⟩.  Maximizing that order
   first lifts the worst-off client (the egalitarian objective), then
@@ -31,22 +29,23 @@ that sees one coalesced **round** of concurrent sessions at a time:
 
 Contention is modelled by a rank discount: the ``k``-th session a
 provider accepts within a round realizes ``satisfaction · γ^k``
-(``γ = 0.9`` by default) — a queue-position penalty, so spreading load
-across providers is visible to the objective rather than assumed.
+(``γ =`` :data:`CONGESTION_GAMMA` ``= 0.9``) — a queue-position
+penalty, so spreading load across providers is visible to the
+objective rather than assumed.
 
 Satisfaction is the semiring level mapped onto ``[0, 1]`` by
 :func:`satisfaction_score`; for fuzzy/probabilistic levels it *is* the
 level, so the fair objective optimizes the same quantity the SLAs
-record.  Signing (step 5) is unchanged — :class:`FairAllocation` reuses
-the broker's ``_confirm``/``_sign`` so SLAs, bus journal entries,
-events and outcome counters look exactly like the per-session path.
+record.  Signing is the broker's own step 5, so SLAs, bus journal
+entries, events and outcome counters look exactly like the per-session
+path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 import numpy as np
 
@@ -60,12 +59,12 @@ from ..semirings import (
     WeightedSemiring,
 )
 from ..semirings.base import Semiring
-from ..telemetry import get_events, get_registry
-from .broker import Broker, CandidateEvaluation, ClientRequest, NegotiationResult
+from ..telemetry import get_registry
+from .broker import CandidateEvaluation, NegotiationResult, _Member
 
 #: Queue-position discount: the k-th session a provider accepts in one
-#: round realizes ``satisfaction * GAMMA**k``.
-DEFAULT_CONGESTION_GAMMA = 0.9
+#: round realizes ``satisfaction * CONGESTION_GAMMA**k``.
+CONGESTION_GAMMA = 0.9
 
 #: Fair rounds larger than this are allocated cohort-by-cohort (the
 #: joint table is exponential in cohort size: ``candidates**cohort``
@@ -94,7 +93,7 @@ class AllocationError(Exception):
 
 @dataclass
 class AllocationInfo:
-    """Round metadata attached to every result served through a policy.
+    """Round metadata attached to every result served in a round.
 
     Diagnostics only — never consulted when signing.  ``rank`` is the
     session's queue position on its provider within the round (0 =
@@ -149,66 +148,9 @@ def satisfaction_score(semiring: Semiring, level: Any) -> float:
     return 0.5
 
 
-class AllocationPolicy:
-    """How one round of coalesced sessions is matched to providers."""
-
-    name = "policy"
-
-    def allocate(
-        self,
-        broker: Broker,
-        requests: Sequence[ClientRequest],
-        verify: bool = False,
-        round_id: int = 0,
-    ) -> List[NegotiationResult]:
-        """Serve ``requests`` and return results in submission order."""
-        raise NotImplementedError
-
-
-class GreedyAllocation(AllocationPolicy):
-    """Legacy semantics behind the policy seam.
-
-    Each session runs the broker's unchanged five-step negotiation in
-    submission order — agreements are bit-identical to calling
-    :meth:`Broker.negotiate` directly; results additionally carry the
-    round's :class:`AllocationInfo` so greedy and fair markets report
-    the same fairness telemetry.
-    """
-
-    name = "greedy"
-
-    def __init__(self, gamma: float = DEFAULT_CONGESTION_GAMMA) -> None:
-        self.gamma = gamma
-
-    def allocate(
-        self,
-        broker: Broker,
-        requests: Sequence[ClientRequest],
-        verify: bool = False,
-        round_id: int = 0,
-    ) -> List[NegotiationResult]:
-        results = [
-            broker.negotiate(request, verify) for request in requests
-        ]
-        _annotate_round(results, self.name, round_id, self.gamma)
-        _observe_round(self.name, len(results))
-        return results
-
-
-@dataclass
-class _Member:
-    """One surviving session of a fair round, steps 1–3 done."""
-
-    index: int
-    request: ClientRequest
-    semiring: Semiring
-    evaluations: List[CandidateEvaluation]
-    accepted: List[CandidateEvaluation]
-    chosen: Optional[CandidateEvaluation] = None
-
-
-class FairAllocation(AllocationPolicy):
-    """Joint max-min allocation via one lexicographic SCSP per round.
+class FairAllocation:
+    """Step 4 of a round: joint max-min allocation via one
+    lexicographic SCSP per cohort.
 
     Per cohort (at most ``joint_limit`` surviving sessions, joint table
     capped at :data:`MAX_JOINT_ROWS` rows), one selection per client
@@ -226,130 +168,24 @@ class FairAllocation(AllocationPolicy):
 
     name = "fair"
 
-    def __init__(
-        self,
-        gamma: float = DEFAULT_CONGESTION_GAMMA,
-        joint_limit: int = DEFAULT_JOINT_LIMIT,
-    ) -> None:
-        if not 0.0 < gamma <= 1.0:
-            raise AllocationError(
-                f"congestion gamma must be in (0, 1], got {gamma}"
-            )
+    def __init__(self, joint_limit: int = DEFAULT_JOINT_LIMIT) -> None:
         if joint_limit < 1:
             raise AllocationError(
                 f"joint_limit must be at least 1, got {joint_limit}"
             )
-        self.gamma = gamma
         self.joint_limit = joint_limit
 
-    def allocate(
-        self,
-        broker: Broker,
-        requests: Sequence[ClientRequest],
-        verify: bool = False,
-        round_id: int = 0,
-    ) -> List[NegotiationResult]:
-        results: List[Optional[NegotiationResult]] = [None] * len(requests)
-
-        # Steps 1–3 per session, exactly as the legacy path runs them.
-        members: List[_Member] = []
-        for index, request in enumerate(requests):
-            semiring = request.resolved_semiring()
-            broker._post(
-                request.client, "negotiate-request", request.operation
-            )
-            candidates = broker.registry.find(
-                operation=request.operation,
-                requires_attribute=request.attribute,
-            )
-            broker._post(broker.name, "registry-query", len(candidates))
-            if not candidates:
-                results[index] = NegotiationResult(
-                    request,
-                    success=False,
-                    sla=None,
-                    evaluations=[],
-                    detail=f"no provider offers {request.operation!r} "
-                    f"with {request.attribute!r}",
-                )
-                continue
-            evaluations = broker._evaluate_candidates(
-                candidates, request, semiring
-            )
-            accepted = [e for e in evaluations if e.accepted]
-            if not accepted:
-                broker._post(broker.name, "negotiate-reject", request.client)
-                results[index] = NegotiationResult(
-                    request,
-                    success=False,
-                    sla=None,
-                    evaluations=evaluations,
-                    detail="no candidate satisfies the client's "
-                    "acceptance interval",
-                )
-                continue
-            members.append(
-                _Member(index, request, semiring, evaluations, accepted)
-            )
-
-        # Step 4, jointly: cohort-by-cohort max-min assignment with
-        # provider loads carried forward.
+    def choose(self, members: List[_Member]) -> List[CandidateEvaluation]:
+        """Each member's winner, in order: cohort-by-cohort max-min
+        assignment with provider loads carried forward."""
+        chosen: List[CandidateEvaluation] = []
         loads: Dict[str, int] = {}
         for cohort in self._pack_cohorts(members):
-            for member, evaluation in zip(
-                cohort, self._solve_cohort(cohort, loads)
-            ):
-                member.chosen = evaluation
+            for evaluation in self._solve_cohort(cohort, loads):
+                chosen.append(evaluation)
                 provider = evaluation.description.provider
                 loads[provider] = loads.get(provider, 0) + 1
-
-        # Step 5 per session, in submission order — same confirmation,
-        # clock, bus and event traffic as the legacy path.
-        for member in members:
-            evaluation = member.chosen
-            assert evaluation is not None
-            outcome = (
-                broker._confirm(evaluation, member.request, member.semiring)
-                if verify
-                else None
-            )
-            if outcome is not None and not outcome.success:
-                results[member.index] = NegotiationResult(
-                    member.request,
-                    success=False,
-                    sla=None,
-                    evaluations=member.evaluations,
-                    outcome=outcome,
-                    detail="nmsccp confirmation run failed",
-                )
-                continue
-            sla = broker._sign(
-                evaluation, member.request, member.semiring, broker._tick()
-            )
-            broker._post(broker.name, "sla-created", sla.sla_id)
-            get_events().emit(
-                "broker.sla-created",
-                sla_id=sla.sla_id,
-                client=member.request.client,
-                provider=evaluation.description.provider,
-                service_id=evaluation.description.service_id,
-                attribute=member.request.attribute,
-            )
-            results[member.index] = NegotiationResult(
-                member.request,
-                success=True,
-                sla=sla,
-                evaluations=member.evaluations,
-                outcome=outcome,
-                detail=f"bound to {evaluation.description.service_id!r}",
-            )
-
-        final = [result for result in results if result is not None]
-        for result in final:
-            broker._count_request(result)
-        _annotate_round(final, self.name, round_id, self.gamma)
-        _observe_round(self.name, len(final))
-        return final
+        return chosen
 
     def _pack_cohorts(
         self, members: List[_Member]
@@ -450,7 +286,7 @@ class FairAllocation(AllocationPolicy):
                 else 0
             )
             ranks[:, j] = base[providers[:, j]] + prior
-        realized = scores * np.power(self.gamma, ranks)
+        realized = scores * np.power(CONGESTION_GAMMA, ranks)
         worst = realized.min(axis=1)
         welfare = realized.prod(axis=1)
         # Lex argmax, ties by exact float equality (the Lex tie rule).
@@ -462,33 +298,11 @@ class FairAllocation(AllocationPolicy):
         ]
 
 
-def resolve_allocation_policy(policy: Any) -> AllocationPolicy:
-    """Coerce a policy name or instance into an :class:`AllocationPolicy`."""
-    if isinstance(policy, AllocationPolicy):
-        return policy
-    if isinstance(policy, str):
-        key = policy.strip().lower()
-        if key == "greedy":
-            return GreedyAllocation()
-        if key == "fair":
-            return FairAllocation()
-        raise AllocationError(
-            f"unknown allocation policy {policy!r}; known policies: "
-            "greedy, fair"
-        )
-    raise AllocationError(
-        "allocation policy must be a name or an AllocationPolicy, got "
-        f"{type(policy).__name__}"
-    )
-
-
-def _annotate_round(
-    results: Sequence[NegotiationResult],
-    policy: str,
-    round_id: int,
-    gamma: float,
+def record_round(
+    results: Sequence[NegotiationResult], policy: str, round_id: int
 ) -> None:
-    """Attach per-result :class:`AllocationInfo` (rank, discount, load)."""
+    """Attach per-result :class:`AllocationInfo` (rank, discount, load)
+    and count the round."""
     loads: Dict[str, int] = {}
     for result in results:
         info = AllocationInfo(
@@ -505,14 +319,12 @@ def _annotate_round(
         info.satisfaction = satisfaction_score(
             result.sla.semiring, result.sla.agreed_level
         )
-        info.realized_satisfaction = info.satisfaction * gamma**rank
+        info.realized_satisfaction = info.satisfaction * CONGESTION_GAMMA**rank
     for result in results:
         info = result.allocation
         if info is not None and info.provider:
             info.provider_load = loads[info.provider]
 
-
-def _observe_round(policy: str, size: int) -> None:
     registry = get_registry()
     if not registry.enabled:
         return
@@ -525,4 +337,4 @@ def _observe_round(policy: str, size: int) -> None:
         "soa_allocation_round_size",
         "Sessions allocated per round.",
         buckets=ROUND_SIZE_BUCKETS,
-    ).observe(float(size))
+    ).observe(float(len(results)))

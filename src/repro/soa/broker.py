@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..caching import LRUCache
 from ..config import SHARE, BatchConfig, Config, knob, subtree
@@ -124,6 +124,19 @@ class CandidateEvaluation:
 
 
 @dataclass
+class _Member:
+    """A session past steps 1–3 with at least one accepted candidate:
+    what step 4 chooses among.  ``index`` is its position in its
+    allocation round (0 outside one)."""
+
+    request: ClientRequest
+    semiring: Semiring
+    evaluations: List[CandidateEvaluation]
+    accepted: List[CandidateEvaluation]
+    index: int = 0
+
+
+@dataclass
 class NegotiationResult:
     """The broker's answer to a client request."""
 
@@ -208,13 +221,14 @@ class Broker:
     thresholds read the candidate solve's blevel and build no store.
     ``allocation_policy`` (``"greedy"``/``"fair"``) routes
     :meth:`serve_session` through coalesced allocation rounds over the
-    ``rounds`` window —
-    ``greedy`` reproduces this method's per-session agreements exactly,
-    ``fair`` solves one joint SCSP per round over the lexicographic
-    ⟨min client satisfaction, total welfare⟩ objective.  ``None`` (the
-    default) keeps the legacy path with no policy objects touched.  The
-    resolved :class:`~repro.soa.allocation.AllocationPolicy` is the
-    ``allocation_policy`` attribute; assign another instance to swap it.
+    ``rounds`` window (:meth:`negotiate_round`) —
+    ``greedy`` reproduces :meth:`negotiate`'s per-session agreements
+    exactly, ``fair`` solves one joint SCSP per round over the
+    lexicographic ⟨min client satisfaction, total welfare⟩ objective.
+    ``None`` (the default) serves each session on its own.  The
+    ``allocation_policy`` attribute is the round's step 4: a
+    :class:`~repro.soa.allocation.FairAllocation`, or ``None`` for
+    greedy; assign another instance to swap it.
 
     ``slo_penalty`` (default ``None`` = off, matchmaking bit-identical
     to before the SLO analytics existed) turns on error-budget-aware
@@ -249,11 +263,10 @@ class Broker:
         if self.config.allocation_policy is not None:
             # Deferred imports: both modules import this one.
             from ..runtime.batching import RoundScheduler
-            from .allocation import resolve_allocation_policy
+            from .allocation import FairAllocation
 
-            self.allocation_policy = resolve_allocation_policy(
-                self.config.allocation_policy
-            )
+            if self.config.allocation_policy == "fair":
+                self.allocation_policy = FairAllocation()
             self.rounds = RoundScheduler(self.config.rounds)
         #: (qos-doc id, attribute, semiring, pool identities) → the keyed
         #: document and pool variables, the compiled offer constraints and
@@ -313,6 +326,25 @@ class Broker:
         self._offer_memo.put(key, (qos, variables, tuple(constraints), added))
         return constraints
 
+    def _offer_level(
+        self,
+        description: ServiceDescription,
+        attribute: str,
+        semiring: Semiring,
+    ) -> Any:
+        """A service's best achievable level for ``attribute`` (its
+        scalar offer): the compiled offer alone, solved."""
+        constraints = self._compile_offer(
+            description, attribute, semiring, {}
+        )
+        if not constraints:
+            raise BrokerError(
+                f"service {description.service_id!r} offers no "
+                f"{attribute!r} QoS"
+            )
+        problem = SCSP(constraints, name=description.service_id)
+        return self._solve(problem).blevel
+
     # ------------------------------------------------------------------
     # Single-service selection (steps 1–5)
     # ------------------------------------------------------------------
@@ -335,9 +367,21 @@ class Broker:
             operation=request.operation,
             attribute=request.attribute,
         ):
-            result = self._negotiate_steps(
-                request, verify_scheduler_independence, tracer
-            )
+            tick = self._tick()
+            result = self._steps_1_to_3(request, tracer)
+            if isinstance(result, _Member):
+                member = result
+                # Step 4: offered vs required QoS determine the agreed QoS.
+                with tracer.span(
+                    "broker.step4-compare", accepted=len(member.accepted)
+                ):
+                    best = self._select_best(
+                        member.accepted, request, member.semiring
+                    )
+                    outcome = self._confirm(
+                        best, request, member.semiring
+                    ) if verify_scheduler_independence else None
+                result = self._step_5(member, best, outcome, tick, tracer)
         self._count_request(result)
         return result
 
@@ -350,16 +394,15 @@ class Broker:
         request: ClientRequest,
         verify_scheduler_independence: bool = False,
     ) -> NegotiationResult:
-        """Serve one client session through the allocation seam.
+        """Serve one client session, through allocation rounds when the
+        config names a policy.
 
-        Without an ``allocation_policy`` this *is* :meth:`negotiate` —
-        the legacy per-session path, bit-identical agreements.  With a
-        policy, the session joins the broker's :class:`RoundScheduler`:
-        concurrent sessions for the same operation/attribute coalesce
-        into one allocation round and the policy assigns providers
-        jointly (see :mod:`repro.soa.allocation`).
+        Without one this *is* :meth:`negotiate`.  With one, the session
+        joins the broker's :class:`RoundScheduler`: concurrent sessions
+        for the same operation/attribute coalesce into one round served
+        by :meth:`negotiate_round`.
         """
-        if self.allocation_policy is None:
+        if self.rounds is None:
             return self.negotiate(request, verify_scheduler_independence)
         return self.rounds.negotiate(
             self, request, verify=verify_scheduler_independence
@@ -371,40 +414,65 @@ class Broker:
         verify_scheduler_independence: bool = False,
         round_id: int = 0,
     ) -> List[NegotiationResult]:
-        """Allocate one round of coalesced sessions via the policy.
+        """Serve one round of coalesced sessions; results come back in
+        submission order, each annotated with its
+        :class:`~repro.soa.allocation.AllocationInfo`.
 
-        Results come back in submission order.  Called by the
+        Without an ``allocation_policy`` (greedy) each request runs
+        :meth:`negotiate` in submission order.  With one, the round runs
+        steps 1–3 for every request, then the policy's joint step 4
+        over the sessions that kept an accepted candidate, then each
+        winner's confirmation and step 5 in submission order; a round's
+        SLAs take their ticks as they are signed.  Called by the
         :class:`~repro.runtime.batching.RoundScheduler` leader; also
         usable directly for synchronous round-based markets (tests, the
-        fairness bench).  Falls back to greedy (legacy semantics) when
-        no policy is configured.
+        fairness bench).
         """
-        policy = self.allocation_policy
-        if policy is None:
-            from .allocation import GreedyAllocation
+        # Deferred import: the allocation module imports this one.
+        from .allocation import record_round
 
-            policy = GreedyAllocation()
-        with get_tracer().span(
+        policy = self.allocation_policy
+        name = "greedy" if policy is None else policy.name
+        tracer = get_tracer()
+        with tracer.span(
             "broker.allocation-round",
-            policy=policy.name,
+            policy=name,
             sessions=len(requests),
             round_id=round_id,
         ):
-            return policy.allocate(
-                self,
-                list(requests),
-                verify=verify_scheduler_independence,
-                round_id=round_id,
-            )
+            if policy is None:
+                results = [
+                    self.negotiate(request, verify_scheduler_independence)
+                    for request in requests
+                ]
+            else:
+                results = []
+                members: List[_Member] = []
+                for index, request in enumerate(requests):
+                    result = self._steps_1_to_3(request, tracer)
+                    if isinstance(result, _Member):
+                        result.index = index
+                        members.append(result)
+                    results.append(result)
+                for member, best in zip(members, policy.choose(members)):
+                    outcome = self._confirm(
+                        best, member.request, member.semiring
+                    ) if verify_scheduler_independence else None
+                    results[member.index] = self._step_5(
+                        member, best, outcome, None, tracer
+                    )
+                for result in results:
+                    self._count_request(result)
+            record_round(results, name, round_id)
+        return results
 
-    def _negotiate_steps(
-        self,
-        request: ClientRequest,
-        verify_scheduler_independence: bool,
-        tracer: Any,
-    ) -> NegotiationResult:
-        tick = self._tick()
-
+    def _steps_1_to_3(
+        self, request: ClientRequest, tracer: Any
+    ) -> Union[_Member, NegotiationResult]:
+        """Steps 1–3 and the acceptance filter: the session's
+        :class:`_Member` when a candidate is accepted, else its typed
+        rejection (a session with no accepted candidate is rejected
+        under a ``broker.step4-compare`` span of its own)."""
         # Step 1: the client requests a binding, stating the required QoS.
         with tracer.span("broker.step1-request"):
             semiring = request.resolved_semiring()
@@ -437,37 +505,50 @@ class Broker:
                 candidates, request, semiring
             )
 
-        # Step 4: offered vs required QoS determine the agreed QoS.
-        with tracer.span("broker.step4-compare") as span:
-            accepted = [e for e in evaluations if e.accepted]
-            span.set_attribute("accepted", len(accepted))
-            if not accepted:
-                self._post(self.name, "negotiate-reject", request.client)
-                return NegotiationResult(
-                    request,
-                    success=False,
-                    sla=None,
-                    evaluations=evaluations,
-                    detail="no candidate satisfies the client's "
-                    "acceptance interval",
-                )
-            best = self._select_best(accepted, request, semiring)
-            outcome = self._confirm(best, request, semiring) if (
-                verify_scheduler_independence
-            ) else None
+        accepted = [e for e in evaluations if e.accepted]
+        if accepted:
+            return _Member(request, semiring, evaluations, accepted)
+        with tracer.span("broker.step4-compare", accepted=0):
+            self._post(self.name, "negotiate-reject", request.client)
+        return NegotiationResult(
+            request,
+            success=False,
+            sla=None,
+            evaluations=evaluations,
+            detail="no candidate satisfies the client's acceptance "
+            "interval",
+        )
+
+    def _step_5(
+        self,
+        member: _Member,
+        best: CandidateEvaluation,
+        outcome: Optional[NegotiationOutcome],
+        tick: Optional[int],
+        tracer: Any,
+    ) -> NegotiationResult:
+        """The session's result once step 4 chose ``best``: its
+        confirmation failure, or the SLA signed at ``tick`` (``None``
+        takes the next tick as it signs)."""
+        request = member.request
         if outcome is not None and not outcome.success:
             return NegotiationResult(
                 request,
                 success=False,
                 sla=None,
-                evaluations=evaluations,
+                evaluations=member.evaluations,
                 outcome=outcome,
                 detail="nmsccp confirmation run failed",
             )
 
         # Step 5: the SLA binding is created and both parties informed.
         with tracer.span("broker.step5-sla") as span:
-            sla = self._sign(best, request, semiring, tick)
+            sla = self._sign(
+                best,
+                request,
+                member.semiring,
+                self._tick() if tick is None else tick,
+            )
             span.set_attribute("sla_id", sla.sla_id)
             self._post(self.name, "sla-created", sla.sla_id)
         get_events().emit(
@@ -482,7 +563,7 @@ class Broker:
             request,
             success=True,
             sla=sla,
-            evaluations=evaluations,
+            evaluations=member.evaluations,
             outcome=outcome,
             detail=f"bound to {best.description.service_id!r}",
         )
@@ -594,16 +675,6 @@ class Broker:
         return SCSP(
             list(request.requirements) + offer, name=description.service_id
         )
-
-    def _evaluate(
-        self,
-        description: ServiceDescription,
-        request: ClientRequest,
-        semiring: Semiring,
-    ) -> CandidateEvaluation:
-        """Step 3 for one candidate: the one-candidate case of
-        :meth:`_evaluate_candidates`."""
-        return self._evaluate_candidates([description], request, semiring)[0]
 
     def _evaluate_candidates(
         self,
@@ -857,13 +928,9 @@ class Broker:
             slot_candidates.append(candidates)
             for description in candidates:
                 if description.service_id not in offer_level:
-                    constraints = self._compile_offer(
-                        description, attribute, semiring, {}
+                    offer_level[description.service_id] = self._offer_level(
+                        description, attribute, semiring
                     )
-                    problem = SCSP(constraints, name=description.service_id)
-                    offer_level[description.service_id] = self._solve(
-                        problem
-                    ).blevel
 
         # Unachievable-SLO precheck: fold the per-slot best offers (the
         # reachable optimum) before spending a selection solve.
@@ -1011,16 +1078,14 @@ class Broker:
         ``attribute`` (its scalar offer), via the broker's memoized
         offer compiler and solve cache."""
         semiring = resolve_attribute(attribute).semiring()
-        levels: Dict[str, Any] = {}
-        for description in self.registry.find(
-            operation=operation, requires_attribute=attribute
-        ):
-            constraints = self._compile_offer(
-                description, attribute, semiring, {}
+        return {
+            description.service_id: self._offer_level(
+                description, attribute, semiring
             )
-            problem = SCSP(constraints, name=description.service_id)
-            levels[description.service_id] = self._solve(problem).blevel
-        return levels
+            for description in self.registry.find(
+                operation=operation, requires_attribute=attribute
+            )
+        }
 
     def slo_report(
         self,
@@ -1039,19 +1104,12 @@ class Broker:
         from ..slo import analyze
 
         semiring = resolve_attribute(attribute).semiring()
-        published: Dict[str, Any] = {}
-        for service_id in set(plan.services()):
-            description = self.registry.get(service_id)
-            constraints = self._compile_offer(
-                description, attribute, semiring, {}
+        published = {
+            service_id: self._offer_level(
+                self.registry.get(service_id), attribute, semiring
             )
-            if not constraints:
-                raise BrokerError(
-                    f"service {service_id!r} offers no {attribute!r} QoS "
-                    "to analyze"
-                )
-            problem = SCSP(constraints, name=service_id)
-            published[service_id] = self._solve(problem).blevel
+            for service_id in set(plan.services())
+        }
         observations = (
             self.registry.observation_windows() if use_observations else None
         )

@@ -105,11 +105,9 @@ class TestBuild:
             market,
             shared_breakers=breakers,
             shared_dlq=dlq,
-            owns_health_loop=False,
         )
         assert policy.breakers is breakers
         assert policy.dlq is dlq
-        assert not policy.owns_health_loop
 
     def test_snapshot_reports_every_live_pattern(self, market):
         policy = build_resilience(
@@ -141,7 +139,6 @@ class TestFleetSharing:
             assert policy.dlq is frontend.dlq
             # The fleet owns the single probe loop; shards get none.
             assert policy.health is None
-            assert not policy.owns_health_loop
             # Per-shard state stays private.
             assert policy.bulkhead is not None
             assert policy.hedge is not None

@@ -23,7 +23,8 @@ from ..constraints.monolith_oracle import MonolithStore
 
 
 def candidate_constraints(broker, description, request, semiring) -> List[SoftConstraint]:
-    """requirements ⊗ offer, compiled the way ``Broker._evaluate`` does."""
+    """requirements ⊗ offer, compiled the way ``Broker._candidate_problem``
+    does."""
     pool: Dict[str, Variable] = {
         var.name: var
         for constraint in request.requirements

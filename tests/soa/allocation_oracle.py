@@ -19,7 +19,7 @@ from repro.semirings import (
     LexicographicSemiring,
     ProbabilisticSemiring,
 )
-from repro.soa import FairAllocation, satisfaction_score
+from repro.soa import CONGESTION_GAMMA, FairAllocation, satisfaction_score
 from repro.soa.broker import CandidateEvaluation
 from repro.solver import SCSP, solve
 
@@ -53,7 +53,6 @@ class ScspFairAllocation(FairAllocation):
             for e in member.accepted:
                 providers[e.description.service_id] = e.description.provider
 
-        gamma = self.gamma
         base_loads = dict(loads)
 
         def objective(*chosen: str) -> tuple:
@@ -64,7 +63,9 @@ class ScspFairAllocation(FairAllocation):
                 provider = providers[service_id]
                 rank = counts.get(provider, 0)
                 counts[provider] = rank + 1
-                realized = scores[position][service_id] * gamma**rank
+                realized = (
+                    scores[position][service_id] * CONGESTION_GAMMA**rank
+                )
                 if realized < worst:
                     worst = realized
                 welfare *= realized

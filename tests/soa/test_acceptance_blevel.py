@@ -1,7 +1,8 @@
 """Acceptance reads the candidate solve's blevel (paper Fig. 3, case C1).
 
-``Broker._evaluate`` solves each candidate SCSP once and judges level
-thresholds against that solve's blevel, the level the SLA is signed at.
+``Broker._evaluate_candidates`` solves each candidate SCSP once and
+judges level thresholds against that solve's blevel, the level the SLA
+is signed at.
 These tests pin the decision to the old store-backed path
 (:mod:`acceptance_oracle`) wherever both folds are exact, check that
 constraint thresholds (C2–C4) still build and query a store, and show
@@ -157,7 +158,9 @@ def test_level_acceptance_matches_store_oracle(name, store):
         for spec in level_intervals(semiring, levels):
             request = request_for(requirements, spec)
             for description in candidates:
-                new = broker._evaluate(description, request, semiring)
+                (new,) = broker._evaluate_candidates(
+                    [description], request, semiring
+                )
                 old = evaluate_via_store(
                     broker, description, request, semiring, store
                 )
@@ -183,7 +186,10 @@ def test_incomparable_consistency_passes_on_partial_order():
     assert not semiring.leq(lower, (cost, quality))
     assert not semiring.leq((cost, quality), lower)
     request = request_for(requirements, CheckSpec(semiring, lower=lower))
-    assert broker._evaluate(description, request, semiring).accepted
+    (evaluation,) = broker._evaluate_candidates(
+        [description], request, semiring
+    )
+    assert evaluation.accepted
     assert evaluate_via_store(broker, description, request, semiring).accepted
 
 
@@ -236,7 +242,9 @@ def test_constraint_thresholds_still_build_the_store(name, monkeypatch):
             request = request_for(requirements, spec)
             for description in candidates:
                 built.clear()
-                new = broker._evaluate(description, request, semiring)
+                (new,) = broker._evaluate_candidates(
+                    [description], request, semiring
+                )
                 assert len(built) == 1
                 old = evaluate_via_store(
                     broker, description, request, semiring
@@ -295,7 +303,10 @@ def boundary_market(semiring, value):
         broker = Broker(registry)
         probe = request_for(requirements, None)
         for description in registry.find(operation="op"):
-            blevel = broker._evaluate(description, probe, semiring).blevel
+            (evaluation,) = broker._evaluate_candidates(
+                [description], probe, semiring
+            )
+            blevel = evaluation.blevel
             other = store_consistency(broker, description, probe, semiring)
             if blevel != other:
                 return registry, requirements, description, blevel, other

@@ -1,6 +1,6 @@
-"""Allocation policies: greedy bit-identity, fair max-min, round metadata.
+"""Allocation rounds: greedy bit-identity, fair max-min, round metadata.
 
-The policy seam's contract has two halves.  ``greedy`` must be invisible:
+A round's contract has two halves.  ``greedy`` must be invisible:
 agreements served through :meth:`Broker.negotiate_round` are bit-identical
 to sequential :meth:`Broker.negotiate` calls — same providers, same agreed
 levels, same service ids — with only the :class:`AllocationInfo`
@@ -30,14 +30,15 @@ from repro.semirings import (
 from repro.soa import (
     AllocationError,
     AllocationInfo,
-    AllocationPolicy,
     Broker,
     BrokerConfig,
+    ClientRequest,
     FairAllocation,
-    GreedyAllocation,
-    resolve_allocation_policy,
+    MessageBus,
     satisfaction_score,
 )
+from repro.sccp.check import CheckSpec
+from repro.telemetry import telemetry_session
 
 from .allocation_oracle import ScspFairAllocation
 
@@ -114,35 +115,24 @@ class TestSatisfactionScore:
 
 
 class TestPolicyResolution:
-    def test_names_resolve(self):
-        assert isinstance(
-            resolve_allocation_policy("greedy"), GreedyAllocation
+    def test_names_resolve(self, contention_market):
+        # Greedy is the absence of a joint step 4; both names open rounds.
+        greedy = Broker(
+            contention_market, BrokerConfig(allocation_policy="greedy")
         )
-        assert isinstance(resolve_allocation_policy("fair"), FairAllocation)
+        assert greedy.allocation_policy is None
+        assert greedy.rounds is not None
+        fair = Broker(
+            contention_market, BrokerConfig(allocation_policy="fair")
+        )
+        assert isinstance(fair.allocation_policy, FairAllocation)
+        assert fair.rounds is not None
+        plain = Broker(contention_market)
+        assert plain.allocation_policy is None and plain.rounds is None
 
-    def test_instances_pass_through(self):
-        policy = FairAllocation(gamma=0.8)
-        assert resolve_allocation_policy(policy) is policy
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(AllocationError, match="known policies"):
-            resolve_allocation_policy("round-robin")
-
-    def test_wrong_type_rejected(self):
-        with pytest.raises(AllocationError, match="must be a name"):
-            resolve_allocation_policy(42)
-
-    def test_fair_validates_gamma_and_limit(self):
-        with pytest.raises(AllocationError, match="gamma"):
-            FairAllocation(gamma=0.0)
-        with pytest.raises(AllocationError, match="gamma"):
-            FairAllocation(gamma=1.5)
+    def test_fair_validates_joint_limit(self):
         with pytest.raises(AllocationError, match="joint_limit"):
             FairAllocation(joint_limit=0)
-
-    def test_base_policy_is_abstract(self, contention_market):
-        with pytest.raises(NotImplementedError):
-            AllocationPolicy().allocate(Broker(contention_market), [])
 
 
 # ----------------------------------------------------------------------
@@ -322,24 +312,6 @@ class TestFairAllocation:
             0.9
         )
 
-    def test_failure_details_match_legacy_path(self, contention_market):
-        from repro.soa import ClientRequest
-
-        factory = contention_request_factory()
-        missing = ClientRequest(
-            client="c0", operation="teleport", attribute="fuzzy-reliability"
-        )
-        broker = Broker(contention_market, BrokerConfig(
-            allocation_policy="fair",
-        ))
-        legacy = Broker(contention_market, name="legacy")
-        mixed = broker.negotiate_round([missing, factory("c1", 1)])
-        assert len(mixed) == 2
-        assert not mixed[0].success
-        assert mixed[0].detail == legacy.negotiate(missing).detail
-        assert mixed[0].allocation.policy == "fair"
-        assert mixed[1].success
-
     def test_slas_recorded_like_legacy(
         self, contention_market, contention_requests
     ):
@@ -349,6 +321,88 @@ class TestFairAllocation:
         results = broker.negotiate_round(contention_requests[:6])
         recorded = {sla.sla_id for sla in broker.slas.active()}
         assert {r.sla.sla_id for r in results} <= recorded
+
+    def test_failure_details_match_legacy_path(self, contention_market):
+        # A session with no provider and one with no accepted candidate
+        # end a fair round exactly as negotiate ends them on a twin
+        # broker: same detail, evaluations, bus traffic and outcome
+        # counter.
+        factory = contention_request_factory()
+        requests = [
+            ClientRequest(
+                client="lost",
+                operation="teleport",
+                attribute="fuzzy-reliability",
+            ),
+            ClientRequest(
+                client="picky",
+                operation="store",
+                attribute="fuzzy-reliability",
+                acceptance=CheckSpec(FuzzySemiring(), lower=0.95),
+            ),
+            factory("c0", 0),
+        ]
+
+        def serve(config, run):
+            bus = MessageBus()
+            broker = Broker(contention_market, config, bus=bus)
+            with telemetry_session() as session:
+                results = run(broker)
+            counter = session.registry.get("broker_requests_total")
+            outcomes = {
+                sample["labels"]["outcome"]: sample["value"]
+                for sample in counter.samples()
+            }
+            return results, bus.journal_kinds(), outcomes
+
+        fair, fair_kinds, fair_outcomes = serve(
+            BrokerConfig(allocation_policy="fair"),
+            lambda broker: broker.negotiate_round(requests),
+        )
+        twin, twin_kinds, twin_outcomes = serve(
+            BrokerConfig(),
+            lambda broker: [broker.negotiate(r) for r in requests],
+        )
+        assert len(fair) == 3
+        for got, expected in zip(fair[:2], twin[:2]):
+            assert not got.success
+            assert got.detail == expected.detail
+            assert got.evaluations == expected.evaluations
+            assert got.allocation.policy == "fair"
+        assert fair[1].evaluations  # the rejection did evaluate
+        assert fair[2].success
+        assert fair_kinds == twin_kinds
+        assert "negotiate-reject" in fair_kinds
+        assert fair_outcomes == twin_outcomes == {
+            "no-provider": 1.0,
+            "rejected": 1.0,
+            "success": 1.0,
+        }
+
+    def test_members_open_the_broker_step_spans(
+        self, contention_market, contention_requests
+    ):
+        broker = Broker(contention_market, BrokerConfig(
+            allocation_policy="fair",
+        ))
+        with telemetry_session() as session:
+            results = broker.negotiate_round(contention_requests[:4])
+        (root,) = session.tracer.finished
+        assert root.name == "broker.allocation-round"
+        names = [child.name for child in root.children]
+        for step in (
+            "broker.step1-request",
+            "broker.step2-registry-search",
+            "broker.step3-negotiation",
+            "broker.step5-sla",
+        ):
+            assert names.count(step) == len(results)
+        signed = [
+            child.attributes["sla_id"]
+            for child in root.children
+            if child.name == "broker.step5-sla"
+        ]
+        assert signed == [result.sla.sla_id for result in results]
 
 
 # ----------------------------------------------------------------------

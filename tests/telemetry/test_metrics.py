@@ -214,18 +214,6 @@ class TestLRUCache:
             "evictions": 1,
         }
 
-    def test_get_or_compute_computes_once(self):
-        cache = LRUCache(maxsize=4, name="t")
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return 42
-
-        assert cache.get_or_compute("k", compute) == 42
-        assert cache.get_or_compute("k", compute) == 42
-        assert len(calls) == 1
-
     def test_default_capacity_matches_spec(self):
         assert LRUCache().maxsize == DEFAULT_CACHE_SIZE == 4096
 

@@ -63,18 +63,6 @@ class TestSemantics:
         cache.put("c", 3)
         assert "a" in cache and "c" in cache and "b" not in cache
 
-    def test_get_or_compute_memoizes(self):
-        cache = LRUCache(maxsize=4, name="compute-probe")
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return 42
-
-        assert cache.get_or_compute("k", compute) == 42
-        assert cache.get_or_compute("k", compute) == 42
-        assert len(calls) == 1
-
     def test_threadsafe_mode_under_contention(self):
         cache = LRUCache(maxsize=64, name="mt-probe", threadsafe=True)
 
