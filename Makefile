@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-report bench-e2e bench-compare bench-solver examples all clean
+.PHONY: install test bench bench-report bench-e2e bench-compare bench-solver bench-window-loop examples all clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -43,6 +43,20 @@ PASSES ?= 100
 
 bench-solver:
 	python3 benchmarks/solver_bench.py --workload $(W) --method $(METHOD) --passes $(PASSES)
+
+# make bench-window-loop W=unique-market N=30 — a hang sentinel: N timed
+# end-to-end windows of one workload, one after another, each killed with
+# SIGABRT after 98 s so that a hung window prints every thread's stack
+# (faulthandler) and the loop stops with a failure.
+N ?= 30
+
+bench-window-loop:
+	@for i in $$(seq 1 $(N)); do \
+		echo "== $(W) window $$i/$(N)"; \
+		timeout -s ABRT 98 python3 -X faulthandler benchmarks/e2e/window.py \
+			--workload $(W) --seed 1 --window 1 --seconds 8 > /dev/null \
+			|| exit 1; \
+	done
 
 examples:
 	@for script in examples/*.py; do \

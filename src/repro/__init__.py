@@ -23,8 +23,8 @@ Subpackages
     Services, registry, message bus, broker, SLAs, composition patterns,
     execution with fault injection, SLA monitoring.
 ``repro.runtime``
-    Concurrent serving layer: bounded admission, worker pool with
-    executor-offloaded solves, deadlines, retry/backoff, graceful
+    Concurrent serving layer: bounded admission, worker pool running
+    sessions on the event loop, deadlines, retry/backoff, graceful
     degradation, and an open/closed-loop load generator.
 ``repro.dependability``
     Attribute taxonomy, integrity-as-refinement (Defs. 1–2), quantitative

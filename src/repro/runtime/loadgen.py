@@ -199,11 +199,17 @@ class LoadGenerator:
         return f"c{index % self.profile.clients}"
 
     async def _open_loop(self) -> List[SessionResult]:
+        """Submit each arrival at its absolute due time.  A loop stall
+        (a session running, a slow submit) builds a backlog that is
+        then submitted back to back, instead of lowering the rate."""
+        clock = time.perf_counter
         futures = []
+        due = clock()
         for index in range(self.profile.total_requests):
             request = self.request_factory(self._client_name(index), index)
             futures.append(self.server.submit(request))
-            delay = self._rng.expovariate(self.profile.rate)
+            due += self._rng.expovariate(self.profile.rate)
+            delay = due - clock()
             if delay > 0:
                 await asyncio.sleep(delay)
         return list(await asyncio.gather(*futures))

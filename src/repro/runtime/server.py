@@ -10,11 +10,17 @@ module adds the serving layer around it:
   admission queue.  When the queue is full, a session is rejected
   immediately with a typed :class:`Overloaded` result — explicit
   backpressure instead of unbounded buffering.
-* A pool of async workers drains the queue; the CPU-bound SCSP solves
-  inside ``Broker.negotiate`` are offloaded to a thread-pool executor
-  via ``run_in_executor`` so the event loop never blocks on a solve.
-* Each session carries a deadline; sessions that exceed it are
-  cancelled and reported as ``DEADLINE_EXCEEDED``.
+* A pool of async workers drains the queue and runs each session's
+  ``Broker.negotiate`` on the event loop itself: the interpreter lock
+  serializes the broker's CPU work whatever thread runs it, and a
+  thread-pool hop cost about as much as the negotiation.  ``workers``
+  bounds how many sessions the server drives at once; they overlap in
+  fault delays, backoff sleeps and allocation-round windows.
+* Each session carries a deadline bounding its queue wait, fault
+  delays, backoff sleeps and round window; a session past it at one of
+  those waits is cancelled and reported as ``DEADLINE_EXCEEDED``.  A
+  negotiation, once started, runs to completion, so its agreement is
+  always the one the session reports.
 * Failed attempts (injected provider faults) are re-driven under a
   :class:`~repro.runtime.retry.RetryPolicy` with exponential backoff and
   seeded jitter; when retries are exhausted, the server degrades
@@ -44,11 +50,9 @@ attempt (which is what makes retries worth taking).
 from __future__ import annotations
 
 import asyncio
-import contextvars
 import hashlib
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable, List, Optional
@@ -214,8 +218,8 @@ class RuntimeConfig(Config):
 class CoalitionQuery(Config):
     """One offloadable Sec. 6 coalition-formation request.
 
-    The runtime treats these like negotiation sessions: the CPU-bound
-    search runs on the worker executor, never on the event loop, and a
+    A search runs far longer than a negotiation session, so it runs on
+    a thread (``asyncio.to_thread``), off the event loop, and a
     seedless query draws its seed from the server's master RNG — so a
     single ``RuntimeConfig.seed`` reproduces a whole mixed workload of
     negotiations and coalition queries.  The search knobs are declared
@@ -251,12 +255,13 @@ COALITION_OUTCOMES = ("stable", "unstable")
 
 async def probe_loop_lag(interval: float) -> None:
     """Measure event-loop scheduling lag every ``interval`` seconds,
-    until cancelled: if a solver ever ran on the loop, this histogram's
-    tail would show it.  A server and a fleet each run one."""
+    until cancelled.  Sessions run on the loop, so this histogram shows
+    how long timers wait behind the negotiations in progress.  A server
+    and a fleet each run one."""
     histogram = get_registry().histogram(
         "runtime_loop_lag_seconds",
         "Extra delay of a timed sleep on the event loop — "
-        "spikes mean something blocked the loop.",
+        "how long timers wait behind the sessions running on it.",
         buckets=LATENCY_BUCKETS,
     )
     while True:
@@ -299,10 +304,10 @@ class RuntimeServer:
         self.results: List[SessionResult] = []
         self._rng = random.Random(self.config.seed)
         self._queue: Optional["asyncio.Queue[_Session]"] = None
-        self._executor: Optional[ThreadPoolExecutor] = None
         self._workers: List["asyncio.Task[None]"] = []
         self._probe: Optional["asyncio.Task[None]"] = None
         self._health_task: Optional["asyncio.Task[None]"] = None
+        self._coalition_slots: Optional[asyncio.Semaphore] = None
         self._sessions_submitted = 0
         # The resilience layer: a prebuilt policy (the fleet shares
         # breakers/health/DLQ across shards) or a config to build from.
@@ -330,10 +335,7 @@ class RuntimeServer:
         if self.started:
             return
         self._queue = asyncio.Queue(maxsize=self.config.max_queue_depth)
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.config.workers,
-            thread_name_prefix="repro-runtime",
-        )
+        self._coalition_slots = asyncio.Semaphore(self.config.workers)
         self._workers = [
             asyncio.create_task(self._worker(), name=f"runtime-worker-{i}")
             for i in range(self.config.workers)
@@ -349,7 +351,7 @@ class RuntimeServer:
             )
 
     async def stop(self, drain: bool = False) -> None:
-        """Cancel workers and release the executor.
+        """Cancel workers and the server's background tasks.
 
         By default pending sessions in the queue are abandoned
         (``serve`` awaits every submitted future before stopping);
@@ -376,9 +378,7 @@ class RuntimeServer:
         self._workers = []
         self._probe = None
         self._health_task = None
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        self._coalition_slots = None
         self._queue = None
 
     async def __aenter__(self) -> "RuntimeServer":
@@ -561,6 +561,11 @@ class RuntimeServer:
             budget: Optional[float] = None
             if session.deadline_s is not None:
                 budget = session.deadline_s - queue_wait
+            # Every session yields once before it runs: a worker whose
+            # queue holds sessions gets them without a yield, so without
+            # this it would run them back to back while timers, the
+            # probe and the other workers wait.
+            await asyncio.sleep(0)
             if budget is not None and budget <= 0:
                 result = SessionResult(
                     request=request,
@@ -705,7 +710,7 @@ class RuntimeServer:
         while attempt < policy.max_attempts:
             attempt += 1
             try:
-                negotiation = await self._negotiate_offloaded(request)
+                negotiation = await self._negotiate(request)
             except BrokerError as exc:
                 return SessionResult(
                     request=request,
@@ -763,29 +768,19 @@ class RuntimeServer:
             )
         return self._degrade(session, attempt, last_error)
 
-    async def _negotiate_offloaded(
-        self, request: ClientRequest
-    ) -> NegotiationResult:
-        """One broker lifecycle on the executor, never on the loop.
+    async def _negotiate(self, request: ClientRequest) -> NegotiationResult:
+        """One broker lifecycle, on the event loop.
 
-        The context is copied so broker spans opened in the worker
-        thread nest under this session's ``runtime.session`` span.
-        Routed through ``Broker.serve_session``: without an allocation
-        policy that *is* ``negotiate``; with one, concurrent executor
-        threads coalesce into allocation rounds (the policy's round
-        window blocks the worker thread, not the event loop).
+        Without an allocation policy this is ``Broker.negotiate``, which
+        runs to completion without yielding.  With one, the session
+        joins the broker's :class:`~repro.runtime.batching.RoundScheduler`
+        and awaits its allocation round.
         """
-        assert self._executor is not None
-        loop = asyncio.get_running_loop()
-        ctx = contextvars.copy_context()
-        return await loop.run_in_executor(
-            self._executor,
-            lambda: ctx.run(
-                self.broker.serve_session,
-                request,
-                self.config.verify_independence,
-            ),
-        )
+        verify = self.config.verify_independence
+        rounds = self.broker.rounds
+        if rounds is None:
+            return self.broker.negotiate(request, verify)
+        return await rounds.negotiate(self.broker, request, verify)
 
     # ------------------------------------------------------------------
     # Coalition queries
@@ -794,24 +789,24 @@ class RuntimeServer:
     async def solve_coalitions(
         self, query: CoalitionQuery
     ) -> CoalitionSolution:
-        """Serve one coalition query on the worker executor.
+        """Serve one coalition query on a thread, off the event loop.
 
         The seed is drawn (for seedless queries) synchronously before
         the offload, so issuing queries in a fixed order reproduces
-        their results regardless of how the executor interleaves them.
-        The engine itself runs single-threaded here — the runtime's
-        parallelism budget is the worker pool, and one portfolio per
-        worker keeps mixed negotiation/coalition workloads fair.
+        their results regardless of how the threads interleave them.
+        The engine itself runs single-threaded here, on the loop's
+        default thread pool; at most ``workers`` queries run at once.
+        ``stop()`` does not wait for a search in progress: its caller
+        awaits it (``run_coalitions`` awaits every query before it
+        stops the server).
         """
-        if not self.started or self._executor is None:
+        if not self.started:
             raise RuntimeError_("solve_coalitions() before start()")
         seed = (
             query.seed
             if query.seed is not None
             else self._rng.getrandbits(64)
         )
-        loop = asyncio.get_running_loop()
-        ctx = contextvars.copy_context()
 
         def run() -> CoalitionSolution:
             with get_tracer().span(
@@ -830,9 +825,9 @@ class RuntimeServer:
                     workers=1,
                 )
 
-        solution = await loop.run_in_executor(
-            self._executor, lambda: ctx.run(run)
-        )
+        assert self._coalition_slots is not None
+        async with self._coalition_slots:
+            solution = await asyncio.to_thread(run)
         get_registry().counter(
             "runtime_coalition_queries_total",
             "Coalition queries served by the runtime, by outcome.",

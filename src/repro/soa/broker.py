@@ -219,9 +219,9 @@ class Broker:
     a constraint threshold (cases C2–C4) tell the candidate's factors
     into a :class:`~repro.constraints.store.ConstraintStore`; level
     thresholds read the candidate solve's blevel and build no store.
-    ``allocation_policy`` (``"greedy"``/``"fair"``) routes
-    :meth:`serve_session` through coalesced allocation rounds over the
-    ``rounds`` window (:meth:`negotiate_round`) —
+    ``allocation_policy`` (``"greedy"``/``"fair"``) gives the broker a
+    ``rounds`` scheduler that a serving layer awaits to coalesce
+    concurrent sessions into allocation rounds (:meth:`negotiate_round`) —
     ``greedy`` reproduces :meth:`negotiate`'s per-session agreements
     exactly, ``fair`` solves one joint SCSP per round over the
     lexicographic ⟨min client satisfaction, total welfare⟩ objective.
@@ -388,25 +388,6 @@ class Broker:
     # ------------------------------------------------------------------
     # Allocation rounds (multi-client serving seam)
     # ------------------------------------------------------------------
-
-    def serve_session(
-        self,
-        request: ClientRequest,
-        verify_scheduler_independence: bool = False,
-    ) -> NegotiationResult:
-        """Serve one client session, through allocation rounds when the
-        config names a policy.
-
-        Without one this *is* :meth:`negotiate`.  With one, the session
-        joins the broker's :class:`RoundScheduler`: concurrent sessions
-        for the same operation/attribute coalesce into one round served
-        by :meth:`negotiate_round`.
-        """
-        if self.rounds is None:
-            return self.negotiate(request, verify_scheduler_independence)
-        return self.rounds.negotiate(
-            self, request, verify=verify_scheduler_independence
-        )
 
     def negotiate_round(
         self,

@@ -7,10 +7,10 @@ composes into a tree without any explicit plumbing.  Finished root spans
 accumulate on ``tracer.finished`` for export.
 
 The open-span stack lives in a :class:`~contextvars.ContextVar`, so
-concurrent asyncio tasks (one per runtime session) and executor threads
-each see their own lineage: a worker that copies its context before
-offloading a solve gets the session span as parent, while sibling
-sessions never nest under one another.
+concurrent asyncio tasks (one per runtime session) and worker threads
+each see their own lineage: work handed to a thread with a copied
+context (``asyncio.to_thread`` copies it) gets the caller's span as
+parent, while sibling sessions never nest under one another.
 
 The disabled path is :class:`NullTracer`, whose ``span`` returns a
 shared no-op context manager.

@@ -4,13 +4,14 @@
 one level up the stack — it coalesces *sessions* (by operation,
 attribute, verify flag) instead of solves, so a window of concurrent
 clients reaches the broker's allocation policy as one round.  These tests
-drive it with real threads, check the cap/window/degenerate shapes, the
-fan-back and error contracts, and close with the end-to-end run: a
+drive it with concurrent coroutines on one event loop, check the
+cap/window/degenerate shapes, the fan-back and error contracts, and
+close with the end-to-end run: a
 closed-loop load generation against a fair-policy runtime server must
 report a near-1 Jain index on the contention market.
 """
 
-import threading
+import asyncio
 
 import pytest
 
@@ -36,26 +37,27 @@ def contention_market():
 
 
 def serve_concurrently(broker, requests):
-    """Every session from its own thread, as the worker pool would."""
-    results = [None] * len(requests)
-    errors = [None] * len(requests)
-    barrier = threading.Barrier(len(requests))
+    """Every session as its own coroutine, as the server's workers would
+    await the broker's scheduler."""
 
-    def work(index):
-        barrier.wait()
-        try:
-            results[index] = broker.serve_session(requests[index])
-        except BaseException as exc:  # noqa: BLE001 - re-raised by caller
-            errors[index] = exc
+    async def serve():
+        return await asyncio.gather(
+            *(
+                broker.rounds.negotiate(broker, request)
+                for request in requests
+            ),
+            return_exceptions=True,
+        )
 
-    threads = [
-        threading.Thread(target=work, args=(i,))
-        for i in range(len(requests))
+    outcomes = asyncio.run(serve())
+    results = [
+        None if isinstance(outcome, BaseException) else outcome
+        for outcome in outcomes
     ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    errors = [
+        outcome if isinstance(outcome, BaseException) else None
+        for outcome in outcomes
+    ]
     return results, errors
 
 
@@ -127,7 +129,8 @@ class TestCoalescing:
                 rounds=BatchConfig(window_ms=1.0, max_batch=12),
             ),
         )
-        result = broker.serve_session(requests_for(1)[0])
+        (result,), errors = serve_concurrently(broker, requests_for(1))
+        assert errors == [None]
         assert result.success
         assert broker.rounds.stats()["rounds_dispatched"] == 1
 
@@ -150,7 +153,9 @@ class TestErrorContracts:
     def test_shortfall_raises_instead_of_hanging(self):
         scheduler = RoundScheduler(BatchConfig(max_batch=1))
         with pytest.raises(BatchingError, match="fewer results"):
-            scheduler.negotiate(_ShortfallBroker(), requests_for(1)[0])
+            asyncio.run(
+                scheduler.negotiate(_ShortfallBroker(), requests_for(1)[0])
+            )
 
     def test_round_errors_propagate_to_every_caller(self, contention_market):
         broker = Broker(

@@ -1,10 +1,13 @@
 """Coalition queries as an offloadable runtime request kind."""
 
 import asyncio
+import threading
+import time
 
 import pytest
 
 from repro.coalitions import figure9_network, solve_engine
+import repro.runtime.server as server_module
 from repro.runtime import CoalitionQuery, RuntimeConfig, RuntimeServer
 from repro.runtime.server import RuntimeError_
 from repro.telemetry import telemetry_session
@@ -86,6 +89,27 @@ class TestCoalitionQueries:
         session, solution = asyncio.run(drive())
         assert session.ok
         assert solution.found
+
+    def test_at_most_workers_queries_run_at_once(
+        self, broker, network, monkeypatch
+    ):
+        lock = threading.Lock()
+        running, peak = [0], [0]
+
+        def engine(*args, **kwargs):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            time.sleep(0.02)
+            with lock:
+                running[0] -= 1
+            return solve_engine(*args, **kwargs)
+
+        monkeypatch.setattr(server_module, "solve_engine", engine)
+        server = RuntimeServer(broker, RuntimeConfig(workers=2, seed=1))
+        solutions = server.run_coalitions(make_queries(network, 6))
+        assert len(solutions) == 6
+        assert peak[0] == 2
 
     def test_requires_started_server(self, broker, network):
         server = RuntimeServer(broker, RuntimeConfig(seed=1))

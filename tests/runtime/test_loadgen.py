@@ -1,5 +1,9 @@
 """Load generation: percentiles, profiles, open/closed loops."""
 
+import asyncio
+import random
+import time
+
 import pytest
 
 from repro.runtime import (
@@ -8,6 +12,7 @@ from repro.runtime import (
     LoadProfile,
     RuntimeConfig,
     RuntimeServer,
+    SessionResult,
     SessionStatus,
     percentile,
     summarize,
@@ -105,6 +110,48 @@ class TestOpenLoop:
             ]
 
         assert one_run() == one_run()
+
+    def test_a_stall_builds_a_backlog_not_a_slower_rate(self):
+        """Arrivals keep their absolute due times: after the loop stalls,
+        the overdue ones go out back to back, so the run ends within
+        about one stall of its schedule instead of drifting later with
+        every sleep."""
+        stall_s, rate, requests, seed = 0.002, 10_000.0, 100, 7
+
+        class StallingServer:
+            """Resolves every session at once; its first submit holds
+            the loop for one stall."""
+
+            started = True
+
+            def __init__(self):
+                self.submitted = 0
+
+            def submit(self, request):
+                if self.submitted == 0:
+                    until = time.perf_counter() + stall_s
+                    while time.perf_counter() < until:
+                        pass
+                self.submitted += 1
+                future = asyncio.get_running_loop().create_future()
+                future.set_result(
+                    SessionResult(
+                        request=request, status=SessionStatus.COMPLETED
+                    )
+                )
+                return future
+
+        profile = LoadProfile(
+            clients=4, requests=requests, mode="open", rate=rate, seed=seed
+        )
+        report = LoadGenerator(StallingServer(), profile).run_sync()
+        draws = random.Random(seed)
+        schedule_s = sum(draws.expovariate(rate) for _ in range(requests))
+        assert report.completed == requests
+        # The slack covers timer granularity and a scheduler or GC pause
+        # of the test process, not one late sleep per arrival (the drift
+        # reads ~100 ms here).
+        assert report.duration_s < schedule_s + stall_s + 0.040
 
 
 class TestClosedLoop:

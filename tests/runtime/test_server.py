@@ -1,6 +1,8 @@
 """RuntimeServer: admission, workers, deadlines, retries, seeds."""
 
 import asyncio
+import threading
+import time
 
 import pytest
 
@@ -12,7 +14,7 @@ from repro.runtime import (
     SessionStatus,
 )
 from repro.runtime.server import RuntimeError_
-from repro.soa import BernoulliCrash, ClientRequest, FaultInjector
+from repro.soa import BernoulliCrash, Broker, ClientRequest, FaultInjector
 from repro.telemetry import telemetry_session
 
 
@@ -123,6 +125,30 @@ class TestDeadlines:
         (result,) = server.run([make_request()])
         assert result.status is SessionStatus.COMPLETED
 
+    def test_overrun_keeps_its_agreement(self, market, make_request):
+        """A negotiation outlasting the deadline runs to completion, and
+        its session reports the SLA it signed: the broker holds no
+        agreement that no result carries."""
+
+        class SlowBroker(Broker):
+            def negotiate(self, request, verify_scheduler_independence=False):
+                time.sleep(0.05)
+                return super().negotiate(
+                    request, verify_scheduler_independence
+                )
+
+        broker = SlowBroker(market)
+        server = RuntimeServer(
+            broker, RuntimeConfig(workers=1, seed=1, deadline_s=0.01)
+        )
+        (result,) = server.run([make_request()])
+        assert result.sla is not None
+        assert result.latency_s > 0.01
+        held = {sla.sla_id for sla in broker.slas}
+        assert held and held <= {
+            r.sla.sla_id for r in server.results if r.sla is not None
+        }
+
 
 class TestRetries:
     def test_transient_faults_are_retried(self, broker, make_request):
@@ -200,34 +226,81 @@ class TestReproducibility:
         assert len(runs) > 1  # the seed actually steers fault decisions
 
 
-class TestOffloading:
-    def test_solves_never_block_the_event_loop(self, broker, make_request):
-        """While the workers grind CPU-bound solves, a loop-side task
-        must keep ticking — solves run on executor threads."""
+def record_negotiations(broker, markers):
+    """Wrap ``broker.negotiate`` to append a marker (and the calling
+    thread's id) each time a session reaches the broker."""
+    negotiate = broker.negotiate
+
+    def marked(request, verify_scheduler_independence=False):
+        markers.append(("session", threading.get_ident()))
+        return negotiate(request, verify_scheduler_independence)
+
+    broker.negotiate = marked
+
+
+class TestLoopScheduling:
+    @staticmethod
+    def serve_with_ticker(broker, make_request, config, count):
+        """Serve ``count`` sessions while a ``sleep(0)`` ticker marks every
+        turn of the loop; returns the markers and the number of threads
+        alive while the server ran."""
+        markers = []
+        record_negotiations(broker, markers)
 
         async def scenario():
-            ticks = 0
-
             async def ticker():
-                nonlocal ticks
                 while True:
-                    await asyncio.sleep(0.001)
-                    ticks += 1
+                    markers.append(("tick", threading.get_ident()))
+                    await asyncio.sleep(0)
 
-            config = RuntimeConfig(workers=2, seed=1)
+            probe = asyncio.create_task(ticker())
             async with RuntimeServer(broker, config) as server:
-                probe = asyncio.create_task(ticker())
                 futures = [
                     server.submit(make_request(client=f"c{i}"))
-                    for i in range(10)
+                    for i in range(count)
                 ]
                 results = await asyncio.gather(*futures)
-                probe.cancel()
-                return results, ticks
+                threads = threading.active_count()
+            probe.cancel()
+            return results, threads
 
-        results, ticks = asyncio.run(scenario())
+        results, threads = asyncio.run(scenario())
         assert all(r.status is SessionStatus.COMPLETED for r in results)
-        assert ticks > 0
+        return markers, threads
+
+    def test_sessions_yield_between_each_other(self, market, make_request):
+        """Sessions run on the loop, and each yields to it first: the
+        loop turns between any two sessions of one worker, timed or
+        not."""
+        for deadline_s in (30.0, None):
+            config = RuntimeConfig(workers=1, seed=1, deadline_s=deadline_s)
+            markers, _ = self.serve_with_ticker(
+                Broker(market), make_request, config, 10
+            )
+            kinds = [kind for kind, _ in markers]
+            sessions = [i for i, kind in enumerate(kinds) if kind == "session"]
+            assert len(sessions) == 10
+            for first, second in zip(sessions, sessions[1:]):
+                assert "tick" in kinds[first:second]
+
+    def test_negotiate_runs_on_the_loop_thread(
+        self, broker, make_request
+    ):
+        """No thread hop: the broker runs on the thread that runs the
+        loop, and a server that serves no coalition query starts no
+        thread."""
+        before = threading.active_count()
+        config = RuntimeConfig(workers=3, seed=1)
+        markers, during = self.serve_with_ticker(
+            broker, make_request, config, 6
+        )
+        threads = {kind: set() for kind in ("tick", "session")}
+        for kind, thread in markers:
+            threads[kind].add(thread)
+        assert threads["session"] == threads["tick"] == {
+            threading.get_ident()
+        }
+        assert during == before
 
     def test_broker_spans_nest_under_session_spans(
         self, broker, make_request

@@ -406,7 +406,7 @@ class TestFairAllocation:
 
 
 # ----------------------------------------------------------------------
-# serve_session routing
+# Serving one session: plain negotiate, or the broker's round scheduler
 # ----------------------------------------------------------------------
 
 
@@ -415,13 +415,16 @@ class TestServeSession:
         self, contention_market, contention_requests
     ):
         broker = Broker(contention_market)
-        result = broker.serve_session(contention_requests[0])
+        assert broker.rounds is None
+        result = broker.negotiate(contention_requests[0])
         assert result.success
         assert result.allocation is None
 
     def test_policy_routes_through_rounds(
         self, contention_market, contention_requests
     ):
+        import asyncio
+
         from repro.runtime import BatchConfig
 
         broker = Broker(
@@ -431,7 +434,9 @@ class TestServeSession:
                 rounds=BatchConfig(window_ms=1.0, max_batch=1),
             ),
         )
-        result = broker.serve_session(contention_requests[0])
+        result = asyncio.run(
+            broker.rounds.negotiate(broker, contention_requests[0])
+        )
         assert result.success
         assert result.allocation is not None
         assert result.allocation.policy == "fair"
