@@ -274,7 +274,8 @@ def _serving(args: argparse.Namespace, registry: ServiceRegistry) -> Any:
             resilience=resilience,
         )
     # The serving flags keep their meaning fleet-wide: --workers per
-    # shard, --queue at the fleet edge, --seed as the master seed.
+    # shard, --queue as the bound on sessions outstanding across every
+    # shard, --seed as the master seed.
     config = from_args(
         FleetConfig,
         args,

@@ -3,9 +3,10 @@
 Scales the serving path horizontally (ROADMAP item 1): a seeded
 consistent-hash ring partitions the session space (and optionally the
 registry, by operation) across N :class:`~repro.runtime.RuntimeServer`
-broker shards; a front-end load balancer does queue-based load leveling
-with typed ``Overloaded`` backpressure and shard-aware redirect when a
-reshard moves a key mid-flight; and every shard's solve cache becomes
+broker shards; a front-end load balancer hands each session straight
+to its owning shard's server under one fleet-wide admission bound
+(typed ``Overloaded`` backpressure), with shard-aware redirect when a
+reshard moves a queued session's key; and every shard's solve cache becomes
 the L1 of a two-tier stack over one fleet-wide L2 keyed by the SHA-256
 problem fingerprint.  Determinism: per-session RNG streams derive from
 ``(master seed, session key)``, so a fleet run's agreements are

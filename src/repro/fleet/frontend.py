@@ -1,31 +1,31 @@
-"""The fleet front-end: queue-based load leveling over broker shards.
+"""The fleet front-end: consistent-hash routing over broker shards.
 
 One :class:`FleetFrontend` stands in front of N
 :class:`~repro.runtime.server.RuntimeServer` shards and scales the
-serving path horizontally (the load-balancer + queue-based-load-leveling
-patterns of the scalability catalogue):
+serving path horizontally (the load-balancer pattern of the scalability
+catalogue).  :meth:`FleetFrontend.submit` makes two calls — a
+:class:`~repro.fleet.ring.HashRing` lookup of the session's owner, then
+that shard server's own ``submit`` — and returns the shard's future, so
+the shard's bounded queue, workers and drain are the only plumbing a
+session passes through:
 
-* **one bounded ingress queue** — admission control happens at the
-  fleet edge: a full ingress resolves the session immediately with a
-  typed :class:`~repro.runtime.server.Overloaded` result, exactly like
-  a single server's admission queue, so callers see one backpressure
-  surface whatever the fleet size;
-* **per-shard dispatch queues** — a dispatcher routes each session by
-  its key through the :class:`~repro.fleet.ring.HashRing` and levels
-  bursts into the owning shard's bounded queue (a saturated shard
-  throttles intake instead of growing an unbounded backlog);
-* **bounded in-flight slots per shard** — each shard pump forwards
-  work only while the shard has capacity, so a shard's own admission
-  queue can never overflow from fleet traffic;
+* **one fleet-wide admission bound** — at most ``ingress_depth``
+  sessions are admitted and unfinished at once; past it a session
+  resolves immediately with a typed
+  :class:`~repro.runtime.server.Overloaded` result, exactly like a
+  single server's full admission queue, so callers see one
+  backpressure surface whatever the fleet size.  Every shard's queue
+  holds ``ingress_depth`` sessions, so a shard never bounces fleet
+  traffic;
 * **shard-aware retry-on-redirect** — a reshard
   (:meth:`FleetFrontend.add_shard` / :meth:`remove_shard`) can move a
-  key while its session sits in a dispatch queue; the pump re-checks
-  ownership at the last moment and forwards moved sessions to their new
-  owner (``fleet_redirects_total``) instead of serving them on the
-  wrong shard.
+  key while its session waits in a shard's queue; the fleet re-checks
+  ownership as a shard worker picks the session up and re-admits a
+  moved session on its new owner (``fleet_redirects_total``) instead of
+  serving it on the wrong shard.
 
 Determinism: the front-end stamps every session with a *session key*
-(its global ingress sequence number plus client/operation) and a global
+(its global admission sequence number plus client/operation) and a global
 fault tick, and each shard derives the session RNG from ``(master
 seed, session key)`` (:func:`~repro.runtime.server.derive_session_seed`)
 — so fault draws, backoff jitter and therefore agreements are identical
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from ..config import POSITIVE_INT, Config, knob, subtree
@@ -56,6 +57,7 @@ from ..runtime.server import (
     RuntimeServer,
     SessionResult,
     SessionStatus,
+    _Session,
     probe_loop_lag,
 )
 from ..soa.broker import Broker, BrokerConfig, ClientRequest
@@ -84,7 +86,7 @@ class FleetConfig(Config):
 
     Each shard's :class:`RuntimeConfig` is derived (:meth:`shard_runtime`):
     ``workers_per_shard`` workers, the fleet ``seed``, a queue sized to
-    the shard's dispatch slots, and ``runtime``'s per-session deadline
+    the fleet's admission bound, and ``runtime``'s per-session deadline
     and retry policy.  ``runtime`` leaves its other fields at their
     defaults.
     """
@@ -101,16 +103,9 @@ class FleetConfig(Config):
         help="virtual nodes per shard on the consistent-hash ring",
     )
     workers_per_shard: int = knob(2, range=POSITIVE_INT)
-    #: Fleet-edge admission bound (full ⇒ typed ``Overloaded``).
+    #: Fleet-edge admission bound: sessions admitted and unfinished
+    #: across every shard (full ⇒ typed ``Overloaded``).
     ingress_depth: int = knob(1024, range=POSITIVE_INT)
-    #: Per-shard dispatch queue bound (full ⇒ dispatcher backpressure).
-    dispatch_depth: int = knob(
-        64,
-        range=POSITIVE_INT,
-        flag="--dispatch-depth",
-        metavar="DEPTH",
-        help="per-shard dispatch queue bound",
-    )
     seed: Optional[int] = None
     l2_cache: bool = knob(
         True,
@@ -168,9 +163,9 @@ class FleetConfig(Config):
         """The runtime config of every shard server."""
         return RuntimeConfig(
             workers=self.workers_per_shard,
-            # Sized to the slot bound: fleet dispatch can never see a
-            # shard-level Overloaded.
-            max_queue_depth=self.dispatch_depth + self.workers_per_shard,
+            # Sized to the fleet-wide bound: fleet traffic can never see
+            # a shard-level Overloaded.
+            max_queue_depth=self.ingress_depth,
             deadline_s=self.runtime.deadline_s,
             retry=self.runtime.retry,
             # Every shard carries the *fleet* master seed: keyed sessions
@@ -211,31 +206,12 @@ def partition_registry(
 
 
 @dataclass
-class _FleetItem:
-    """One admitted session travelling ingress → dispatch → shard."""
-
-    seq: int
-    key: str
-    route_key: str
-    request: ClientRequest
-    future: "asyncio.Future[SessionResult]"
-    deadline_s: Optional[float]
-    redirects: int = 0
-
-
-@dataclass
 class _Shard:
-    """One broker shard plus its fleet-side plumbing."""
+    """One broker shard: its broker and the server driving it."""
 
     shard_id: str
     broker: Broker
     server: RuntimeServer
-    queue: Optional["asyncio.Queue[_FleetItem]"] = None
-    pump: Optional["asyncio.Task[None]"] = None
-    #: Bounds sessions admitted-but-unfinished on this shard so the
-    #: shard's own admission queue can never overflow from the fleet.
-    slots: Optional[asyncio.Semaphore] = None
-    capacity: int = 0
 
 
 class FleetFrontend:
@@ -291,7 +267,7 @@ class FleetFrontend:
             self.shards[shard_id] = self._build_shard(shard_id)
         if res is not None and res.health is not None:
             # One probe loop for the whole fleet, ticking in the global
-            # ingress sequence so probes and sessions share the fault
+            # admission sequence so probes and sessions share the fault
             # coordinate system.  Injected faults are identical across
             # shards, so any shard's injector stands in for the market.
             probe_injector = next(
@@ -313,10 +289,10 @@ class FleetFrontend:
         self.results_by_shard: Dict[str, List[SessionResult]] = {
             shard_id: [] for shard_id in self.shards
         }
-        self.assignments: Dict[str, str] = {}  # session key → shard id
+        self.assignments: Dict[str, str] = {}  # session key → its shard
         self.redirects = 0
-        self._ingress: Optional["asyncio.Queue[_FleetItem]"] = None
-        self._dispatcher: Optional["asyncio.Task[None]"] = None
+        self._started = False
+        #: Admitted, unfinished sessions: the fleet-edge bound's count.
         self._pending: "set[asyncio.Future[SessionResult]]" = set()
         self._submitted = 0
 
@@ -356,12 +332,8 @@ class FleetFrontend:
         server = RuntimeServer(
             broker, runtime, injector=injector, resilience=resilience
         )
-        return _Shard(
-            shard_id=shard_id,
-            broker=broker,
-            server=server,
-            capacity=runtime.max_queue_depth,
-        )
+        server.redirect = partial(self._redirect, shard_id)
+        return _Shard(shard_id=shard_id, broker=broker, server=server)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -369,17 +341,14 @@ class FleetFrontend:
 
     @property
     def started(self) -> bool:
-        return self._dispatcher is not None
+        return self._started
 
     async def start(self) -> None:
         if self.started:
             return
-        self._ingress = asyncio.Queue(maxsize=self.config.ingress_depth)
         for shard in self.shards.values():
             await self._start_shard(shard)
-        self._dispatcher = asyncio.create_task(
-            self._dispatch(), name="fleet-dispatcher"
-        )
+        self._started = True
         if self.health is not None:
             self._health_task = asyncio.create_task(
                 self.health.run(), name="fleet-health"
@@ -400,14 +369,7 @@ class FleetFrontend:
         with get_tracer().span(
             "fleet.shard-start", shard=shard.shard_id
         ):
-            shard.queue = asyncio.Queue(
-                maxsize=self.config.dispatch_depth
-            )
-            shard.slots = asyncio.Semaphore(shard.capacity)
             await shard.server.start()
-            shard.pump = asyncio.create_task(
-                self._pump(shard), name=f"fleet-pump-{shard.shard_id}"
-            )
         get_registry().gauge(
             "fleet_shards",
             "Broker shards currently serving the fleet.",
@@ -415,18 +377,12 @@ class FleetFrontend:
 
     async def stop(self, drain: bool = True) -> None:
         """Stop the fleet; by default *drain* first — every admitted
-        session finishes before the shards shut down."""
+        session finishes before the shards shut down.  Without draining,
+        the shards cancel the futures of the sessions they abandon."""
         if not self.started:
             return
-        if drain:
-            await self._drain()
-        assert self._dispatcher is not None
-        self._dispatcher.cancel()
-        try:
-            await self._dispatcher
-        except asyncio.CancelledError:
-            pass
-        self._dispatcher = None
+        if drain and self._pending:
+            await asyncio.wait(self._pending)
         for task in (self._health_task, self._probe):
             if task is not None:
                 task.cancel()
@@ -437,33 +393,14 @@ class FleetFrontend:
         self._health_task = self._probe = None
         for shard in self.shards.values():
             await self._stop_shard(shard, drain=drain)
-        self._ingress = None
+        self._started = False
         get_events().emit("fleet.stopped", shards=len(self.shards))
-
-    async def _drain(self) -> None:
-        assert self._ingress is not None
-        await self._ingress.join()
-        for shard in self.shards.values():
-            if shard.queue is not None:
-                await shard.queue.join()
-        pending = [f for f in self._pending if not f.done()]
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
 
     async def _stop_shard(self, shard: _Shard, drain: bool) -> None:
         with get_tracer().span(
             "fleet.shard-stop", shard=shard.shard_id
         ):
-            if shard.pump is not None:
-                shard.pump.cancel()
-                try:
-                    await shard.pump
-                except asyncio.CancelledError:
-                    pass
-                shard.pump = None
             await shard.server.stop(drain=drain)
-            shard.queue = None
-            shard.slots = None
 
     async def __aenter__(self) -> "FleetFrontend":
         await self.start()
@@ -477,7 +414,8 @@ class FleetFrontend:
     # ------------------------------------------------------------------
 
     async def add_shard(self, shard_id: Optional[str] = None) -> str:
-        """Join a new shard; keys it now owns redirect on dispatch.
+        """Join a new shard; queued sessions whose keys it now owns
+        redirect to it as a worker picks them up.
 
         Only session-routed fleets reshard (an operation-partitioned
         registry would need provider migration, out of scope here).
@@ -496,15 +434,16 @@ class FleetFrontend:
         self.results_by_shard.setdefault(shard_id, [])
         if self.started:
             await self._start_shard(shard)
-        # Ring change last: pumps only redirect to shards that exist.
+        # Ring change last: redirects only go to shards that serve.
         self.ring.add_shard(shard_id)
         get_events().emit("fleet.reshard", joined=shard_id)
         return shard_id
 
     async def remove_shard(self, shard_id: str) -> None:
-        """Decommission a shard gracefully: re-route its keys, drain
-        its queue (queued sessions redirect to their new owners), and
-        stop its server once in-flight sessions finished."""
+        """Decommission a shard gracefully: re-route its keys, then
+        drain its server — its queued sessions redirect to their new
+        owners as its workers pick them up, and it stops once its
+        in-flight sessions finished."""
         if shard_id not in self.shards:
             raise FleetError(f"unknown shard {shard_id!r}")
         if len(self.shards) == 1:
@@ -512,13 +451,7 @@ class FleetFrontend:
         shard = self.shards[shard_id]
         self.ring.remove_shard(shard_id)
         get_events().emit("fleet.reshard", left=shard_id)
-        if self.started and shard.queue is not None:
-            # The shard's own pump notices every queued key now hashes
-            # elsewhere and forwards it (counted as redirects).
-            await shard.queue.join()
-            assert shard.slots is not None
-            for _ in range(shard.capacity):  # wait out in-flight work
-                await shard.slots.acquire()
+        if self.started:
             await self._stop_shard(shard, drain=True)
         del self.shards[shard_id]
 
@@ -544,16 +477,14 @@ class FleetFrontend:
         deadline_s: Optional[float] = None,
         session_key: Optional[str] = None,
     ) -> "asyncio.Future[SessionResult]":
-        """Admit one session at the fleet edge.
+        """Admit one session on the shard owning its key.
 
-        Synchronous admission control like the single server: a full
-        ingress queue resolves the future immediately with a typed
-        :class:`Overloaded` result.
+        Synchronous admission control like the single server: with
+        ``ingress_depth`` sessions outstanding fleet-wide, the future
+        resolves immediately with a typed :class:`Overloaded` result.
         """
-        if not self.started or self._ingress is None:
+        if not self.started:
             raise FleetError("submit() before start()")
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future[SessionResult]" = loop.create_future()
         seq = self._submitted
         self._submitted += 1
         key = (
@@ -561,39 +492,31 @@ class FleetFrontend:
             if session_key is not None
             else self.session_key(request, seq)
         )
-        item = _FleetItem(
-            seq=seq,
-            key=key,
-            route_key=self.route_key(request, key),
-            request=request,
-            future=future,
-            deadline_s=(
-                deadline_s
-                if deadline_s is not None
-                else self.config.runtime.deadline_s
-            ),
-        )
-        try:
-            self._ingress.put_nowait(item)
-        except asyncio.QueueFull:
+        if len(self._pending) >= self.config.ingress_depth:
             result = Overloaded(
                 request=request,
                 status=SessionStatus.OVERLOADED,
                 detail=(
-                    f"fleet ingress queue full "
-                    f"({self.config.ingress_depth} waiting)"
+                    f"fleet ingress full "
+                    f"({self.config.ingress_depth} sessions outstanding)"
                 ),
                 session_key=key,
             )
             self._account(None, result)
+            future: "asyncio.Future[SessionResult]" = (
+                asyncio.get_running_loop().create_future()
+            )
             future.set_result(result)
             return future
+        future = self._admit(
+            self.ring.assign(self.route_key(request, key)),
+            request,
+            deadline_s,
+            key,
+            seq,
+        )
         self._pending.add(future)
-        future.add_done_callback(self._pending.discard)
-        get_registry().gauge(
-            "fleet_ingress_depth",
-            "Sessions waiting at the fleet edge for dispatch.",
-        ).set(self._ingress.qsize())
+        future.add_done_callback(self._complete)
         return future
 
     async def serve(
@@ -615,92 +538,48 @@ class FleetFrontend:
         """Synchronous convenience wrapper around :meth:`serve`."""
         return asyncio.run(self.serve(requests))
 
-    async def _dispatch(self) -> None:
-        """Route ingress sessions to their owning shard's queue.
-
-        ``await put`` on a full shard queue is the load-leveling point:
-        a saturated shard throttles global intake (bounded by the
-        ingress queue) instead of accumulating unbounded backlog.
-        """
-        assert self._ingress is not None
-        registry = get_registry()
-        ingress_depth = registry.gauge(
-            "fleet_ingress_depth",
-            "Sessions waiting at the fleet edge for dispatch.",
-        )
-        while True:
-            item = await self._ingress.get()
-            ingress_depth.set(self._ingress.qsize())
-            try:
-                shard = self.shards[self.ring.assign(item.route_key)]
-                assert shard.queue is not None
-                await shard.queue.put(item)
-                registry.gauge(
-                    "fleet_dispatch_depth",
-                    "Sessions levelled into shard dispatch queues.",
-                    labelnames=("shard",),
-                ).labels(shard.shard_id).set(shard.queue.qsize())
-            finally:
-                self._ingress.task_done()
-
-    async def _pump(self, shard: _Shard) -> None:
-        """Forward one shard's dispatch queue into its server, with
-        last-moment ownership re-checks (retry-on-redirect)."""
-        registry = get_registry()
-        while True:
-            assert shard.queue is not None
-            item = await shard.queue.get()
-            try:
-                owner = self.ring.assign(item.route_key)
-                if owner != shard.shard_id:
-                    # A reshard moved the key mid-flight: forward it.
-                    self.redirects += 1
-                    registry.counter(
-                        "fleet_redirects_total",
-                        "Sessions re-routed after a reshard moved "
-                        "their key mid-flight.",
-                    ).inc()
-                    item.redirects += 1
-                    target = self.shards[owner]
-                    assert target.queue is not None
-                    await target.queue.put(item)
-                    continue
-                assert shard.slots is not None
-                await shard.slots.acquire()
-                future = shard.server.submit(
-                    item.request,
-                    deadline_s=item.deadline_s,
-                    session_key=item.key,
-                    tick=item.seq,
-                )
-                future.add_done_callback(
-                    lambda f, item=item, shard=shard: self._complete(
-                        shard, item, f
-                    )
-                )
-            finally:
-                shard.queue.task_done()
-
-    def _complete(
+    def _admit(
         self,
-        shard: _Shard,
-        item: _FleetItem,
-        future: "asyncio.Future[SessionResult]",
-    ) -> None:
-        if shard.slots is not None:
-            shard.slots.release()
-        try:
-            result = future.result()
-        except Exception as exc:  # defensive: surface, don't hang
-            result = SessionResult(
-                request=item.request,
-                status=SessionStatus.FAILED,
-                detail=f"shard {shard.shard_id} error: {exc}",
-                session_key=item.key,
-            )
-        self._account(shard.shard_id, result)
-        if not item.future.done():
-            item.future.set_result(result)
+        shard_id: str,
+        request: ClientRequest,
+        deadline_s: Optional[float],
+        key: str,
+        tick: Optional[int],
+    ) -> "asyncio.Future[SessionResult]":
+        self.assignments[key] = shard_id
+        return self.shards[shard_id].server.submit(
+            request, deadline_s=deadline_s, session_key=key, tick=tick
+        )
+
+    def _redirect(self, shard_id: str, session: _Session) -> bool:
+        """A shard worker's pickup check (retry-on-redirect): a session
+        whose key a reshard moved is re-admitted on its new owner, with
+        the same key, tick and deadline, and its future resolves from
+        there."""
+        assert session.key is not None
+        owner = self.ring.assign(self.route_key(session.request, session.key))
+        if owner == shard_id:
+            return False
+        self.redirects += 1
+        get_registry().counter(
+            "fleet_redirects_total",
+            "Sessions re-routed after a reshard moved their key "
+            "mid-flight.",
+        ).inc()
+        moved = self._admit(
+            owner, session.request, session.deadline_s, session.key,
+            session.tick,
+        )
+        moved.add_done_callback(partial(_settle, session.future))
+        return True
+
+    def _complete(self, future: "asyncio.Future[SessionResult]") -> None:
+        self._pending.discard(future)
+        if future.cancelled():  # abandoned by stop(drain=False)
+            return
+        result = future.result()
+        assert result.session_key is not None
+        self._account(self.assignments[result.session_key], result)
 
     def _account(
         self, shard_id: Optional[str], result: SessionResult
@@ -708,8 +587,6 @@ class FleetFrontend:
         self.results.append(result)
         if shard_id is not None:
             self.results_by_shard[shard_id].append(result)
-            if result.session_key is not None:
-                self.assignments[result.session_key] = shard_id
         get_registry().counter(
             "fleet_sessions_total",
             "Fleet sessions served, by shard and outcome.",
@@ -780,3 +657,17 @@ class FleetFrontend:
         if rounds:
             stats["allocation_rounds"] = rounds
         return stats
+
+
+def _settle(
+    future: "asyncio.Future[SessionResult]",
+    source: "asyncio.Future[SessionResult]",
+) -> None:
+    """Resolve ``future`` as ``source`` resolved (a redirected session's
+    caller-facing future follows its new owner's)."""
+    if future.done():
+        return
+    if source.cancelled():
+        future.cancel()
+    else:
+        future.set_result(source.result())

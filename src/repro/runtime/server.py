@@ -55,7 +55,7 @@ import random
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, List, Optional
+from typing import Any, Callable, Iterable, List, Optional
 
 from ..coalitions.engine import solve_engine
 from ..coalitions.exact import CoalitionSolution
@@ -283,7 +283,7 @@ class _Session:
     #: Fleet routing/reproducibility key (None for plain sessions).
     key: Optional[str] = None
     #: Fault-injection tick override; defaults to the admission index.
-    #: The fleet passes its global ingress sequence number, so outage
+    #: The fleet passes its global admission sequence number, so outage
     #: windows span fleet-wide admission order, not per-shard order.
     tick: Optional[int] = None
 
@@ -309,6 +309,10 @@ class RuntimeServer:
         self._health_task: Optional["asyncio.Task[None]"] = None
         self._coalition_slots: Optional[asyncio.Semaphore] = None
         self._sessions_submitted = 0
+        #: Called as a worker picks a session up; returning True means
+        #: another server took the session over and resolves its future.
+        #: A fleet installs it to redirect keys a reshard moved.
+        self.redirect: Optional[Callable[[_Session], bool]] = None
         # The resilience layer: a prebuilt policy (the fleet shares
         # breakers/health/DLQ across shards) or a config to build from.
         if isinstance(resilience, ResiliencePolicy):
@@ -353,11 +357,13 @@ class RuntimeServer:
     async def stop(self, drain: bool = False) -> None:
         """Cancel workers and the server's background tasks.
 
-        By default pending sessions in the queue are abandoned
-        (``serve`` awaits every submitted future before stopping);
-        ``drain=True`` first waits for the admission queue to empty and
-        every picked-up session to finish — the graceful shutdown the
-        fleet uses when decommissioning a shard.
+        By default admitted sessions are abandoned: the future of every
+        session still queued or in flight is cancelled, so a caller
+        awaiting one gets :class:`asyncio.CancelledError` instead of
+        waiting forever (``serve`` awaits every submitted future before
+        stopping).  ``drain=True`` first waits for the admission queue
+        to empty and every picked-up session to finish — the graceful
+        shutdown the fleet uses when decommissioning a shard.
         """
         if drain and self._queue is not None:
             await self._queue.join()
@@ -375,6 +381,10 @@ class RuntimeServer:
                 await task
             except asyncio.CancelledError:
                 pass
+        while self._queue is not None and not self._queue.empty():
+            session = self._queue.get_nowait()
+            session.future.cancel()
+            self._release(session)
         self._workers = []
         self._probe = None
         self._health_task = None
@@ -517,9 +527,16 @@ class RuntimeServer:
         while True:
             session = await self._queue.get()
             queue_depth.set(self._queue.qsize())
+            if self.redirect is not None and self.redirect(session):
+                self._release(session)
+                continue
             inflight.inc()
             try:
                 result = await self._run_session(session)
+            except asyncio.CancelledError:
+                # stop() abandoned the session mid-flight.
+                session.future.cancel()
+                raise
             except Exception as exc:  # defensive: never kill the worker
                 result = SessionResult(
                     request=session.request,
@@ -529,16 +546,20 @@ class RuntimeServer:
                 result.latency_s = time.perf_counter() - session.submitted_at
             finally:
                 inflight.dec()
-                self._queue.task_done()
-                if self.resilience.bulkhead is not None:
-                    self.resilience.bulkhead.release(
-                        session.request.operation
-                    )
+                self._release(session)
             result.index = session.index
             result.session_key = session.key
             self._finish(result, tick=session.tick)
             if not session.future.done():
                 session.future.set_result(result)
+
+    def _release(self, session: _Session) -> None:
+        """Mark a dequeued session done: its queue slot and bulkhead
+        compartment free up."""
+        assert self._queue is not None
+        self._queue.task_done()
+        if self.resilience.bulkhead is not None:
+            self.resilience.bulkhead.release(session.request.operation)
 
     async def _run_session(self, session: _Session) -> SessionResult:
         registry = get_registry()

@@ -336,7 +336,9 @@ def negotiate(
         )
 
     certificate: Optional[bool] = None
-    with get_tracer().span("sccp.certify", method="grid") as span:
+    with get_tracer().span(
+        "sccp.certify", method="grid", parties=names
+    ) as span:
         grid = TellGrid(chains, store)
         cell, moves = grid.walk()
         success = cell == grid.goal

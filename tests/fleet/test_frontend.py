@@ -10,7 +10,6 @@ from repro.fleet import (
     FleetFrontend,
     partition_registry,
 )
-from repro.fleet.frontend import _FleetItem
 from repro.runtime import RetryPolicy, RuntimeConfig, SessionStatus
 from repro.soa import BernoulliCrash, FaultInjector
 from repro.telemetry import telemetry_session
@@ -132,13 +131,38 @@ class TestBackpressure:
     @staticmethod
     async def _flood(frontend, make_request):
         async with frontend:
-            # submit() is synchronous: no yield between calls, so the
-            # dispatcher cannot drain the 1-deep ingress in between.
+            # submit() is synchronous: no session finishes between the
+            # calls, so the 1-session bound holds for all of them.
             futures = [
                 frontend.submit(make_request(client=f"c{i}"))
                 for i in range(6)
             ]
             return await asyncio.gather(*futures)
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_bound_is_fleet_wide(self, market, make_request, shards):
+        frontend = FleetFrontend(
+            market,
+            FleetConfig(
+                shards=shards,
+                ingress_depth=4,
+                runtime=RuntimeConfig(deadline_s=None),
+            ),
+        )
+
+        async def flood():
+            async with frontend:
+                return await asyncio.gather(
+                    *[
+                        frontend.submit(r)
+                        for r in requests_for(make_request, 10)
+                    ]
+                )
+
+        results = asyncio.run(flood())
+        statuses = [r.status for r in results]
+        assert statuses.count(SessionStatus.COMPLETED) == 4
+        assert statuses.count(SessionStatus.OVERLOADED) == 6
 
 
 class TestResharding:
@@ -154,28 +178,25 @@ class TestResharding:
                 runtime=RuntimeConfig(deadline_s=None),
             )
         )
+        requests = requests_for(make_request, 12)
         async with frontend:
-            # A key owned by shard-1, planted on shard-0's queue —
-            # exactly what a reshard racing the dispatcher produces.
-            key = next(
-                f"k{i}"
-                for i in range(1000)
-                if frontend.ring.assign(f"k{i}") == "shard-1"
-            )
-            loop = asyncio.get_running_loop()
-            item = _FleetItem(
-                seq=0,
-                key=key,
-                route_key=key,
-                request=make_request(),
-                future=loop.create_future(),
-                deadline_s=None,
-            )
-            await frontend.shards["shard-0"].queue.put(item)
-            result = await item.future
-        assert result.status is SessionStatus.COMPLETED
-        assert frontend.redirects == 1
-        assert frontend.assignments[key] == "shard-1"
+            futures = [frontend.submit(r) for r in requests]
+            moving = [
+                i
+                for i, r in enumerate(requests)
+                if frontend.ring.assign(frontend.session_key(r, i))
+                == "shard-1"
+            ]
+            # No worker ran yet, and remove_shard takes shard-1 off the
+            # ring before its first await: every session queued there
+            # must move to shard-0 as it is picked up.
+            await frontend.remove_shard("shard-1")
+            results = await asyncio.gather(*futures)
+        assert moving
+        assert frontend.redirects == len(moving)
+        assert all(r.status is SessionStatus.COMPLETED for r in results)
+        assert len(frontend.assignments) == len(requests)
+        assert "shard-1" not in frontend.assignments.values()
 
     def test_add_shard_mid_run(self, market, make_request):
         asyncio.run(self._grow(market, make_request))
@@ -278,6 +299,66 @@ class TestDrainingShutdown:
         ]
         await frontend.stop()  # drains: no future left behind
         return futures
+
+
+    def test_stop_without_drain_resolves_every_future(
+        self, market, make_request
+    ):
+        futures, errors = asyncio.run(self._abandon(market, make_request))
+        assert all(f.done() for f in futures)
+        assert errors == []
+
+    @staticmethod
+    async def _abandon(market, make_request):
+        errors = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: errors.append(context)
+        )
+        frontend = FleetFrontend(
+            market, FleetConfig(
+                shards=2,
+                seed=4,
+                runtime=RuntimeConfig(deadline_s=None),
+            )
+        )
+        await frontend.start()
+        futures = [
+            frontend.submit(r) for r in requests_for(make_request, 12)
+        ]
+        await asyncio.sleep(0)  # workers pick their first sessions up
+        await frontend.stop(drain=False)
+        await asyncio.sleep(0)  # done-callbacks run
+        return futures, errors
+
+
+class TestOwnedTasks:
+    def test_only_shard_workers_and_the_probe_run(
+        self, market, make_request
+    ):
+        asyncio.run(self._tasks(market, make_request))
+
+    @staticmethod
+    async def _tasks(market, make_request):
+        frontend = FleetFrontend(
+            market,
+            FleetConfig(
+                shards=3,
+                workers_per_shard=2,
+                runtime=RuntimeConfig(probe_interval_s=0.01),
+            ),
+        )
+        own = asyncio.current_task()
+        await frontend.start()
+        names = sorted(
+            task.get_name() for task in asyncio.all_tasks() - {own}
+        )
+        assert names == sorted(
+            ["fleet-loop-probe"]
+            + [f"runtime-worker-{i}" for _ in range(3) for i in range(2)]
+        )
+        await frontend.serve(requests_for(make_request, 6))
+        await frontend.stop()
+        assert asyncio.all_tasks() == {own}
 
 
 class TestShardCountIndependence:

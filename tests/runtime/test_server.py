@@ -150,6 +150,29 @@ class TestDeadlines:
         }
 
 
+class TestShutdown:
+    def test_stop_without_drain_cancels_abandoned_sessions(
+        self, broker, make_request
+    ):
+        server = RuntimeServer(broker, RuntimeConfig(workers=1, seed=1))
+
+        async def abandon():
+            await server.start()
+            futures = [
+                server.submit(r)
+                for r in sessions_for(broker, make_request, 6)
+            ]
+            await asyncio.sleep(0)  # the worker picks one session up
+            await server.stop(drain=False)
+            return futures
+
+        futures = asyncio.run(abandon())
+        # Queued and in-flight sessions alike: an awaiting caller gets
+        # CancelledError instead of a future that never resolves.
+        assert all(f.done() for f in futures)
+        assert all(f.cancelled() for f in futures)
+
+
 class TestRetries:
     def test_transient_faults_are_retried(self, broker, make_request):
         injector = FaultInjector(seed=5)

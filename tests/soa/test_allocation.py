@@ -12,6 +12,7 @@ and the worst-off client's realized satisfaction both beat greedy.
 
 import pytest
 
+from repro.constraints import TableConstraint, integer_variable
 from repro.runtime import (
     contention_request_factory,
     jain_index,
@@ -403,6 +404,41 @@ class TestFairAllocation:
             if child.name == "broker.step5-sla"
         ]
         assert signed == [result.sla.sla_id for result in results]
+
+    def test_verified_round_certify_spans_name_their_member(
+        self, contention_market
+    ):
+        # A requirement makes each client a telling party, so its
+        # confirmation is certified on the told-prefix grid.
+        x = integer_variable("x", 2)
+        requests = [
+            ClientRequest(
+                client=f"c{i}",
+                operation="store",
+                attribute="fuzzy-reliability",
+                requirements=[
+                    TableConstraint(
+                        FuzzySemiring(), [x], {(0,): 1.0, (1,): 0.5}
+                    )
+                ],
+            )
+            for i in range(4)
+        ]
+        broker = Broker(contention_market, BrokerConfig(
+            allocation_policy="fair",
+        ))
+        with telemetry_session() as session:
+            results = broker.negotiate_round(requests, True)
+            dump = session.tracer.to_dicts()
+        certified = sorted(
+            tuple(record["attributes"]["parties"])
+            for record in dump
+            if record["name"] == "sccp.certify"
+        )
+        assert all(result.success for result in results)
+        assert certified == sorted(
+            (*result.sla.providers, result.sla.client) for result in results
+        )
 
 
 # ----------------------------------------------------------------------

@@ -833,7 +833,6 @@ class TestExitContract:
             ("loadgen", "--think-time", "-1"),
             ("loadgen", "--contention-providers", "1"),
             ("loadgen", "--batch-max", "x"),
-            ("fleet", "--dispatch-depth", "0"),
             ("fleet", "--rate", "inf"),
             ("coalitions", "--restarts", "-1"),
             ("coalitions", "--restarts", "0"),
