@@ -1,34 +1,37 @@
-"""Per-solve solver time on one workload's candidate SCSPs.
+"""Per-solve solver time on one workload's candidate problems.
 
-Serves a few sessions of an end-to-end workload (``benchmarks/e2e/
-workloads.py``, imported read-only) through a plain :class:`Broker`,
-captures every candidate SCSP the broker builds, then times one solver
-over the captured problems:
+Builds a plain :class:`Broker` over an end-to-end workload's market
+(``benchmarks/e2e/workloads.py``, imported read-only), takes the
+candidate problems its step 3 solves for a few sessions —
+``requirements ⊗ offer`` for each admitted offer of the broker's market
+plan, one entry per plan group — then times one solver over them:
 
 * ``--method branch-bound`` (the default): ``solve_branch_bound`` on
   each problem, one candidate at a time;
-* ``--method stacked``: ``solve_stacked`` once per topology group of
-  each session's candidates, as the broker's step 3 solves a group
-  whose joint table is within ``STACK_LIMIT`` (here every group is
-  stacked, whatever its size, so the figure shows what stacking costs
-  beyond the bound too).  It also prints the time per group through
-  ``solve(group, cache=…)``, the broker's own call: on a miss, with
-  each pass rebuilding its sessions' requirements as fresh objects so
-  every pass pays their tables, lowering and factor digests as serving
-  does; and on a warm hit;
+* ``--method stacked``: ``solve_stacked`` once per plan group, the
+  stacked scan step 3 runs on a group whose joint table is within
+  ``STACK_LIMIT`` (here every group is stacked, whatever its size, so
+  the figure shows what stacking costs beyond the bound too).  It also
+  prints the time of a whole session's step 3
+  (``Broker._evaluate_candidates``, the scan through ``solve(scan,
+  cache=…)`` included): on a miss, each pass with fresh requirement
+  objects and an empty solve cache, so every pass pays the
+  requirements' tables, lowering and digests as serving does; and on a
+  warm hit;
 * ``--method elimination``: ``solve_elimination`` on each problem's
   constraints with ``con=()`` — the store-consistency query ``σ ⇓∅``
   that ``verified-market``'s nmsccp confirmation asks.
 
 The figure printed is the minimum, over ``--passes`` passes (default
-100), of the mean time per candidate: end-to-end runs swing with host
-speed, and the minimum of many short passes is the solver layer's cost
-with that noise stripped.
+100), of the mean time per candidate (per session for step 3): end-to-end
+runs swing with host speed, and the minimum of many short passes is the
+solver layer's cost with that noise stripped.
 
 Constraint memos (tables and their search rows) are warm across passes.
 In ``unique-market`` traffic each session's requirement is new, so its
 rows are built once per session; the traced end-to-end row
-``solver.solve_ms_per_session`` carries that cost, this figure does not.
+``solver.solve_ms_per_session`` carries that cost, the per-candidate
+figures do not (the step-3 miss figure does).
 
     python3 benchmarks/solver_bench.py --workload unique-market
     python3 benchmarks/solver_bench.py --workload unique-market \
@@ -56,15 +59,13 @@ sys.path.insert(0, str(HERE.parent / "src"))
 
 from workloads import WORKLOADS, Inputs  # noqa: E402
 
-from repro.soa.broker import Broker  # noqa: E402
+from repro.soa.broker import Broker, ClientRequest  # noqa: E402
 from repro.solver import (  # noqa: E402
     SCSP,
     SolveCache,
-    solve,
     solve_branch_bound,
     solve_elimination,
     solve_stacked,
-    topology_groups,
 )
 
 SEED = 1
@@ -73,89 +74,80 @@ PASSES = 100
 
 
 class Group(NamedTuple):
-    """One topology group of one session's candidates."""
+    """One plan group's admitted candidates for one session."""
 
     session: int
-    #: How many leading constraints of each member are the session's
-    #: requirements (the rest is the candidate's compiled offer).
-    requirements: int
     problems: List[SCSP]
 
 
-def capture(inputs: Inputs) -> List[Group]:
-    """Every candidate SCSP a plain broker builds over ``SESSIONS``
-    sessions of ``inputs``' request stream, one topology group per
-    entry (the groups the broker's step 3 forms)."""
+def capture(inputs: Inputs) -> Tuple[Broker, List[Group]]:
+    """A plain broker over ``inputs``' market, and the candidate
+    problems its step 3 solves over ``SESSIONS`` sessions of the request
+    stream: each plan group's admitted offers, each combined with the
+    session's requirements."""
     broker = Broker(inputs.registry())
-    session: List[SCSP] = []
-    build = broker._candidate_problem
-
-    def capturing(*args):
-        problem = build(*args)
-        if problem is not None:
-            session.append(problem)
-        return problem
-
-    broker._candidate_problem = capturing
     groups: List[Group] = []
     for index in range(SESSIONS):
-        _spec, request = inputs.request(index)
-        session.clear()
-        broker.negotiate(request)
-        groups.extend(
-            Group(
-                index,
-                len(request.requirements),
-                [session[member] for member in group],
-            )
-            for group in topology_groups(session)
+        request = inputs.request(index)[1]
+        plan = broker._market(
+            request.operation, request.attribute, request.resolved_semiring()
         )
-    return groups
-
-
-def fresh_groups(inputs: Inputs, groups: List[Group]) -> List[List[SCSP]]:
-    """``groups`` rebuilt over fresh requirement objects (no table,
-    lowering or digest memoized yet), sharing the captured offers."""
-    fresh = {
-        index: inputs._build(inputs.request(index)[0])[1].requirements
-        for index in {group.session for group in groups}
-    }
-    return [
-        [
-            SCSP(
-                list(fresh[group.session])
-                + list(problem.constraints[group.requirements :]),
-                name=problem.name,
+        for _group, picks in plan.select(
+            candidates(broker, request), request.requirements
+        ):
+            groups.append(
+                Group(
+                    index,
+                    [
+                        SCSP(
+                            list(request.requirements) + list(offer.constraints),
+                            name=offer.description.service_id,
+                        )
+                        for _, offer in picks
+                    ],
+                )
             )
-            for problem in group.problems
-        ]
-        for group in groups
-    ]
+    return broker, groups
 
 
-def cached_group_times(
-    inputs: Inputs, groups: List[Group], passes: int
+def candidates(broker: Broker, request: ClientRequest) -> list:
+    """Step 2: the registry's admitted candidates for ``request``."""
+    return broker.registry.find(
+        operation=request.operation, requires_attribute=request.attribute
+    )
+
+
+def step3_times(
+    inputs: Inputs, broker: Broker, passes: int
 ) -> Tuple[List[float], List[float]]:
-    """Mean seconds per group through ``solve(group, cache=…)``, one
-    entry per pass: on a miss (fresh requirements, empty caches) and on
-    a warm hit."""
+    """Mean seconds per session of the broker's step 3, one entry per
+    pass over ``SESSIONS`` sessions: on a miss (fresh requirement
+    objects, an empty solve cache) and on a warm hit."""
+
+    def requests() -> List[ClientRequest]:
+        return [
+            inputs._build(inputs.request(index)[0])[1]
+            for index in range(SESSIONS)
+        ]
+
+    def step3(batch: List[ClientRequest]) -> float:
+        work = [
+            (candidates(broker, request), request, request.resolved_semiring())
+            for request in batch
+        ]
+        started = time.perf_counter()
+        for found, request, semiring in work:
+            broker._evaluate_candidates(found, request, semiring)
+        return (time.perf_counter() - started) / len(batch)
+
     misses = []
     for _ in range(passes):
-        batch = fresh_groups(inputs, groups)
-        caches = [SolveCache() for _ in batch]
-        started = time.perf_counter()
-        for problems, cache in zip(batch, caches):
-            solve(problems, cache=cache)
-        misses.append((time.perf_counter() - started) / len(batch))
-    cache = SolveCache()
-    for group in groups:
-        solve(group.problems, cache=cache)
-    hits = []
-    for _ in range(passes):
-        started = time.perf_counter()
-        for group in groups:
-            solve(group.problems, cache=cache)
-        hits.append((time.perf_counter() - started) / len(groups))
+        batch = requests()
+        broker.solve_cache = SolveCache()
+        misses.append(step3(batch))
+    batch = requests()
+    step3(batch)
+    hits = [step3(batch) for _ in range(passes)]
     return misses, hits
 
 
@@ -196,7 +188,7 @@ def main(argv=None) -> int:
         parser.error("--passes must be at least 1")
 
     inputs = Inputs(WORKLOADS[args.workload], SEED, window=0)
-    groups = capture(inputs)
+    broker, groups = capture(inputs)
     problems = sum(len(group.problems) for group in groups)
     times = pass_times(groups, args.method, args.passes)
     row = {
@@ -215,16 +207,16 @@ def main(argv=None) -> int:
         "passes"
     )
     if args.method == "stacked":
-        misses, hits = cached_group_times(inputs, groups, args.passes)
+        misses, hits = step3_times(inputs, broker, args.passes)
         for outcome, figures in (("miss", misses), ("hit", hits)):
-            row[f"cached_{outcome}_us_min"] = round(min(figures) * 1e6, 2)
-            row[f"cached_{outcome}_us_median"] = round(
+            row[f"step3_{outcome}_us_min"] = round(min(figures) * 1e6, 2)
+            row[f"step3_{outcome}_us_median"] = round(
                 statistics.median(figures) * 1e6, 2
             )
             print(
-                f"{args.workload} solve(group, cache=…) {outcome}: min "
-                f"{row[f'cached_{outcome}_us_min']} µs / median "
-                f"{row[f'cached_{outcome}_us_median']} µs per group"
+                f"{args.workload} step 3 {outcome}: min "
+                f"{row[f'step3_{outcome}_us_min']} µs / median "
+                f"{row[f'step3_{outcome}_us_median']} µs per session"
             )
     print(json.dumps(row))
     return 0

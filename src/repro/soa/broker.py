@@ -9,9 +9,10 @@ solver, and carries out the five computation steps of the paper:
 4. offered vs required QoS are compared to determine an agreed QoS;
 5. on success, an SLA binding is created and both parties informed.
 
-Selection builds one SCSP per candidate (client requirement ⊗ provider
-offer), solves each topology group of them at once, and keeps the
-semiring-best; composition introduces one selection
+Selection solves client requirement ⊗ provider offer per candidate
+against the market plan (:mod:`repro.soa.market`: the published offers,
+compiled once per registry version), one stacked scan per topology
+group, and keeps the semiring-best; composition introduces one selection
 variable per pipeline slot and solves for the best provider tuple under
 the per-attribute aggregation rules.
 """
@@ -32,7 +33,7 @@ from ..constraints.store import empty_store
 from ..constraints.variables import Variable
 from ..semirings.base import Semiring
 from ..sccp.check import CheckSpec
-from ..solver import SCSP, SolveCache, solve, stackable, topology_groups
+from ..solver import SCSP, Requirement, SolveCache, solve
 from .composition import (
     AGGREGATION_RULES,
     AggregationRule,
@@ -42,6 +43,7 @@ from .composition import (
     Plan,
     Split,
 )
+from .market import MarketPlan
 from .messages import MessageBus
 from .negotiation import NegotiationOutcome, Party, negotiate
 from .qos import compile_document, resolve_attribute
@@ -49,8 +51,8 @@ from .registry import ServiceRegistry
 from .service import ServiceDescription
 from .sla import SLA, SLARepository
 
-#: Compiled offers kept warm per broker (document × attribute × pool).
-_OFFER_MEMO_SIZE = 1024
+#: Market plans kept per broker (operation × attribute × semiring).
+_PLAN_MEMO_SIZE = 64
 
 
 class BrokerError(Exception):
@@ -202,16 +204,18 @@ class MulticriteriaResult:
 class Broker:
     """The negotiation orchestrator with an embedded SCSP solver.
 
-    Step 3 builds one SCSP per candidate (:meth:`_evaluate_candidates`).
-    Candidates whose joint table is small
-    (:func:`~repro.solver.stacked.stackable`) are grouped by constraint
-    topology, and each group is solved by one stacked dense scan,
-    bit-identical to per-candidate branch & bound; any other candidate
-    is solved on its own.
+    Step 3 (:meth:`_evaluate_candidates`) reads the market plan of the
+    request's operation (:class:`~repro.soa.market.MarketPlan`): every
+    published offer compiled, grouped by constraint topology and, where
+    small enough, stacked, once per registry version.  The session's
+    requirements are lowered once and scanned against each stacked
+    group's admitted members, bit-identical to per-candidate branch &
+    bound; a candidate whose joint table exceeds
+    :data:`~repro.solver.stacked.STACK_LIMIT` is solved on its own.
 
     The broker's knobs are its :class:`BrokerConfig`.  ``solve_cache``
-    (on by default) memoizes candidate-SCSP solves, one
-    entry per stacked group or per candidate, under a canonical
+    (on by default) memoizes candidate solves, one
+    entry per stacked scan or per candidate, under a canonical
     fingerprint, so a market's repeated negotiations hit warm entries
     instead of re-running the solver.  Solves take the solver's
     automatic factor representation (dense kernels whenever the semiring
@@ -268,11 +272,10 @@ class Broker:
             if self.config.allocation_policy == "fair":
                 self.allocation_policy = FairAllocation()
             self.rounds = RoundScheduler(self.config.rounds)
-        #: (qos-doc id, attribute, semiring, pool identities) → the keyed
-        #: document and pool variables, the compiled offer constraints and
-        #: the variables compiling added to the pool.
-        self._offer_memo = LRUCache(
-            _OFFER_MEMO_SIZE, name="offers", threadsafe=True
+        #: (operation, attribute, semiring) → the market plan of the
+        #: registry version it was compiled at.
+        self._plans = LRUCache(
+            _PLAN_MEMO_SIZE, name="market-plans", threadsafe=True
         )
         #: SLA timestamps: every session takes one tick, atomically, and
         #: signs with it (``next`` on a count is atomic under the GIL).
@@ -288,43 +291,18 @@ class Broker:
         """One SCSP solve through the broker's cache."""
         return solve(problem, cache=self.solve_cache, **options)
 
-    def _compile_offer(
-        self,
-        description: ServiceDescription,
-        attribute: str,
-        semiring: Semiring,
-        pool: Dict[str, Variable],
-    ) -> List[SoftConstraint]:
-        """``compile_document``, memoized per document/attribute/pool.
-
-        Repeated negotiations over the same registry re-present the same
-        QoS documents and (via shared requirement objects) the same pool
-        variables, so the compiled constraint *objects* are reused — and
-        with them their materialized-table, dense-factor and fingerprint
-        memos: the warm path never re-materializes anything.  The key
-        holds object identities, and each entry holds the very objects
-        it was keyed on: an id is reused only once its object is
-        collected, which an entry that references it prevents, so a hit
-        always belongs to these objects.  (A racing duplicate compile is
-        benign: both threads build equal constraints and one memo entry
-        wins.)
-        """
-        qos = description.qos
-        names = tuple(sorted(pool))
-        variables = tuple([pool[name] for name in names])
-        key = (id(qos), attribute, semiring, names, tuple(map(id, variables)))
-        hit = self._offer_memo.get(key)
-        if hit is not None:
-            _, _, constraints, added = hit
-            pool.update(added)
-            return list(constraints)
-        before = set(pool)
-        constraints = compile_document(qos, attribute, semiring, pool)
-        added = {
-            name: var for name, var in pool.items() if name not in before
-        }
-        self._offer_memo.put(key, (qos, variables, tuple(constraints), added))
-        return constraints
+    def _market(
+        self, operation: str, attribute: str, semiring: Semiring
+    ) -> MarketPlan:
+        """The market plan of ``operation`` at the registry's current
+        version, compiled afresh after any publish, unpublish or lease
+        expiry."""
+        key = (operation, attribute, semiring)
+        plan = self._plans.get(key)
+        if plan is None or plan.version != self.registry.version:
+            plan = MarketPlan(self.registry, operation, attribute, semiring)
+            self._plans.put(key, plan)
+        return plan
 
     def _offer_level(
         self,
@@ -334,9 +312,9 @@ class Broker:
     ) -> Any:
         """A service's best achievable level for ``attribute`` (its
         scalar offer): the compiled offer alone, solved."""
-        constraints = self._compile_offer(
-            description, attribute, semiring, {}
-        )
+        constraints = self._market(
+            description.interface.operation, attribute, semiring
+        ).offer(description)
         if not constraints:
             raise BrokerError(
                 f"service {description.service_id!r} offers no "
@@ -479,8 +457,8 @@ class Broker:
                 f"{request.attribute!r}",
             )
 
-        # Step 3: QoS negotiation — one SCSP per candidate, solved one
-        # topology group at a time.
+        # Step 3: QoS negotiation — requirements ⊗ offer per candidate,
+        # solved one market-plan group at a time.
         with tracer.span("broker.step3-negotiation"):
             evaluations = self._evaluate_candidates(
                 candidates, request, semiring
@@ -635,28 +613,6 @@ class Broker:
             "Per-candidate SCSP evaluations performed.",
         ).inc(len(result.evaluations))
 
-    def _candidate_problem(
-        self,
-        description: ServiceDescription,
-        request: ClientRequest,
-        semiring: Semiring,
-    ) -> Optional[SCSP]:
-        """``requirements ⊗ offer`` as one SCSP, or ``None`` when the
-        provider offers nothing for the attribute."""
-        pool: Dict[str, Variable] = {
-            var.name: var
-            for constraint in request.requirements
-            for var in constraint.scope
-        }
-        offer = self._compile_offer(
-            description, request.attribute, semiring, pool
-        )
-        if not offer:
-            return None
-        return SCSP(
-            list(request.requirements) + offer, name=description.service_id
-        )
-
     def _evaluate_candidates(
         self,
         candidates: Sequence[ServiceDescription],
@@ -665,92 +621,98 @@ class Broker:
     ) -> List[CandidateEvaluation]:
         """Step 3 for every candidate, in order.
 
-        Every candidate SCSP shares the request's requirements.  The
-        :func:`~repro.solver.stacked.stackable` ones are grouped by
-        constraint topology, and each group is solved by one stacked
-        scan (one ``solve`` call and one solve-cache entry) whose
-        answers equal per-candidate branch & bound bit for bit.  Any
-        other candidate is solved on its own through :meth:`_solve`.
+        The candidates are the members of the market plan that the
+        registry admitted; each plan group is solved for its admitted
+        members at once.  A stacked group broadcasts the session's
+        requirements, lowered once, against the group's stacked offers
+        and reads every member's row from one scan (one ``solve`` call
+        and one solve-cache entry, keyed on the group's digest, the
+        requirements' digests and the mask); its answers equal
+        per-candidate branch & bound bit for bit.  A member whose joint
+        table is over the size bound gets its own ``requirements ⊗
+        offer`` SCSP through :meth:`_solve`.
         """
-        problems = [
-            self._candidate_problem(description, request, semiring)
-            for description in candidates
-        ]
-        results: List[Any] = [None] * len(problems)
-        stacked: List[int] = []
-        for index, problem in enumerate(problems):
-            if problem is None:
-                continue
-            if stackable(problem):
-                stacked.append(index)
-            else:
-                (results[index],) = self._solve_candidates(
-                    [problem], stacked=False
+        plan = self._market(request.operation, request.attribute, semiring)
+        requirements = tuple(request.requirements)
+        # Per candidate: (offer, blevel, best assignment) once solved.
+        solved: List[Any] = [None] * len(candidates)
+        requirement = None
+        for group, picks in plan.select(candidates, requirements):
+            scan = None
+            if group.stack is not None:
+                if requirement is None:
+                    requirement = Requirement(requirements, plan.lowering)
+                scan = group.stack.scan(
+                    requirement, [offer.member for _, offer in picks]
                 )
-        for group in topology_groups([problems[i] for i in stacked]):
-            members = [stacked[i] for i in group]
-            solved = self._solve_candidates(
-                [problems[i] for i in members], stacked=True
-            )
-            for index, result in zip(members, solved):
-                results[index] = result
+            if scan is not None:
+                rows = self._solve_candidates(picks, scan)
+                for (index, offer), (blevel, optima) in zip(picks, rows):
+                    best = dict(optima[0]) if optima else None
+                    solved[index] = (offer.constraints, blevel, best)
+                continue
+            for index, offer in picks:
+                problem = SCSP(
+                    requirements + offer.constraints,
+                    name=offer.description.service_id,
+                )
+                result = self._solve_candidates([(index, offer)], problem)
+                solved[index] = (
+                    offer.constraints, result.blevel, result.best_assignment
+                )
         return [
             CandidateEvaluation(description, semiring.zero, False, None)
-            if problem is None
-            else self._judge(description, request, semiring, problem, result)
-            for description, problem, result in zip(
-                candidates, problems, results
-            )
+            if result is None
+            else self._judge(description, request, semiring, *result)
+            for description, result in zip(candidates, solved)
         ]
 
-    def _solve_candidates(
-        self, problems: List[SCSP], stacked: bool
-    ) -> List[Any]:
-        """One ``broker.candidate-solve`` span: a stacked solve of a
-        topology group, or one candidate's :meth:`_solve`.  The
+    def _solve_candidates(self, picks: List[Tuple[int, Any]], work: Any) -> Any:
+        """One ``broker.candidate-solve`` span around ``solve(work)``: a
+        stacked group's scan, or one candidate's SCSP.  The
         per-candidate histogram gets the span's time amortized over its
         candidates."""
         started = time.perf_counter()
         with get_tracer().span(
             "broker.candidate-solve",
-            candidates=len(problems),
-            service_id=",".join(problem.name for problem in problems),
+            candidates=len(picks),
+            service_id=",".join(
+                [offer.description.service_id for _, offer in picks]
+            ),
         ):
-            if stacked:
-                results = solve(problems, cache=self.solve_cache)
-            else:
-                results = [self._solve(problem) for problem in problems]
+            result = solve(work, cache=self.solve_cache)
         histogram = get_registry().histogram(
             "broker_candidate_solve_seconds",
             "Per-candidate SCSP solve wall time.",
         )
-        share = (time.perf_counter() - started) / len(problems)
-        for _ in problems:
+        share = (time.perf_counter() - started) / len(picks)
+        for _ in picks:
             histogram.observe(share)
-        return results
+        return result
 
     def _judge(
         self,
         description: ServiceDescription,
         request: ClientRequest,
         semiring: Semiring,
-        problem: SCSP,
-        result: Any,
+        offer: Tuple[SoftConstraint, ...],
+        blevel: Any,
+        best_assignment: Optional[Dict[str, Any]],
     ) -> CandidateEvaluation:
         """Step 4's acceptance check for one solved candidate.
 
         It reads the candidate solve: ``blevel(P) = Sol(P)⇓∅`` is the
         consistency of the store ``requirements ⊗ offer``, so level
         thresholds (case C1, and the level side of C2/C3) are judged
-        against ``result.blevel`` — the very level the SLA is signed at
-        — instead of solving the same store again.  Accepted candidates
+        against ``blevel`` — the very level the SLA is signed at —
+        instead of solving the same store again.  Accepted candidates
         therefore always sign an ``agreed_level`` inside the client's
         interval.  A store is built only when a threshold is a
         constraint, whose ``refines``/``entails`` need it.
         """
         acceptance = request.acceptance
         if acceptance is None:
-            accepted = result.is_consistent
+            accepted = semiring.gt(blevel, semiring.zero)
         else:
             store = None
             if acceptance.case != "C1":
@@ -758,12 +720,10 @@ class Broker:
                 # and refines/entails route through the solver instead
                 # of materializing the union.
                 store = empty_store(semiring)
-                for constraint in problem.constraints:
+                for constraint in (*request.requirements, *offer):
                     store = store.tell(constraint)
-            accepted = acceptance.holds(store, consistency=result.blevel)
-        return CandidateEvaluation(
-            description, result.blevel, accepted, result.best_assignment
-        )
+            accepted = acceptance.holds(store, consistency=blevel)
+        return CandidateEvaluation(description, blevel, accepted, best_assignment)
 
     def _confirm(
         self,
@@ -773,16 +733,11 @@ class Broker:
     ) -> NegotiationOutcome:
         """Step 3 made explicit: rerun the winner as nmsccp agents and
         certify scheduler independence."""
-        pool: Dict[str, Variable] = {
-            var.name: var
-            for constraint in request.requirements
-            for var in constraint.scope
-        }
-        offer = self._compile_offer(
-            evaluation.description, request.attribute, semiring, pool
-        )
+        offer = self._market(
+            request.operation, request.attribute, semiring
+        ).offer(evaluation.description)
         provider = Party(
-            evaluation.description.provider, offer, acceptance=None
+            evaluation.description.provider, list(offer), acceptance=None
         )
         client = Party(
             request.client, list(request.requirements), request.acceptance

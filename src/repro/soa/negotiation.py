@@ -379,15 +379,17 @@ def _explored(
     verify: bool,
     max_steps: int,
 ) -> NegotiationOutcome:
-    """A scheduled run, certified by exhaustive exploration."""
-    result = run(agents, store=store, max_steps=max_steps)
+    """A scheduled run, certified by exhaustive exploration, under a
+    ``sccp.certify`` span naming the parties, as the grid's is."""
     certificate: Optional[bool] = None
-    if verify:
-        exploration = explore(agents, store=store)
-        if result.status is Status.SUCCESS:
-            certificate = exploration.always_succeeds
-        else:
-            certificate = exploration.never_succeeds
+    with get_tracer().span("sccp.certify", method="explore", parties=names):
+        result = run(agents, store=store, max_steps=max_steps)
+        if verify:
+            exploration = explore(agents, store=store)
+            if result.status is Status.SUCCESS:
+                certificate = exploration.always_succeeds
+            else:
+                certificate = exploration.never_succeeds
     return NegotiationOutcome(
         success=result.status is Status.SUCCESS,
         store=result.store,

@@ -24,6 +24,11 @@ layer):
 All three act on *discovery only*: ``get`` still resolves a quarantined
 or gated service by id (an existing SLA keeps working), and
 ``find(include_unavailable=True)`` sees everything that has not expired.
+
+:attr:`ServiceRegistry.version` counts changes to the publications
+themselves (publish, unpublish, lease expiry), so a consumer that
+compiles the published offers (the broker's market plan) knows when to
+compile them again; quarantine and gates leave it alone.
 """
 
 from __future__ import annotations
@@ -67,6 +72,8 @@ class ServiceRegistry:
         #: unpublication on purpose — a provider's history is about the
         #: provider, not the publication.
         self._observations: Dict[str, List[int]] = {}
+        #: Bumped by every publish, unpublish and lease expiry.
+        self.version = 0
 
     # ------------------------------------------------------------------
     # Publication
@@ -100,6 +107,7 @@ class ServiceRegistry:
             self._by_tag.setdefault(tag, set()).add(service_id)
         if lease_s is not None:
             self._lease_deadline[service_id] = self._clock() + lease_s
+        self.version += 1
 
     def unpublish(self, service_id: str) -> ServiceDescription:
         """Remove a description, returning it."""
@@ -116,6 +124,7 @@ class ServiceRegistry:
         for tag in description.tags:
             self._by_tag.get(tag, set()).discard(service_id)
         self._lease_deadline.pop(service_id, None)
+        self.version += 1
         return description
 
     # ------------------------------------------------------------------

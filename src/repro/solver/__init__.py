@@ -54,11 +54,15 @@ from .heuristics import (
 from .problem import SCSP, ProblemError, SolverResult, SolverStats
 from .stacked import (
     STACK_LIMIT,
+    GroupScan,
+    OfferGroup,
+    Requirement,
+    Row,
     _scan,
     group_key,
+    scan_group,
     solve_stacked,
     stackable,
-    topology_groups,
 )
 
 _METHODS = {
@@ -73,12 +77,12 @@ _BACKEND_AWARE = ("branch-bound", "elimination")
 
 
 def solve(
-    problem: "SCSP | Sequence[SCSP]",
+    problem: "SCSP | Sequence[SCSP] | GroupScan",
     method: str = "auto",
     backend: str = "auto",
     cache: "SolveCache | None" = None,
     **options,
-) -> "SolverResult | List[SolverResult]":
+) -> "SolverResult | List[SolverResult] | List[Row]":
     """Solve an SCSP, or a list of topology-sharing SCSPs, with the
     requested backend.
 
@@ -96,7 +100,20 @@ def solve(
     :func:`~repro.solver.stacked.group_key`; its answers equal
     branch & bound's bit for bit.  Any other list is solved problem by
     problem.
+
+    Given a :class:`~repro.solver.stacked.GroupScan` (a session's
+    requirements against a stacked group of the broker's market plan),
+    ``solve`` returns its :func:`~repro.solver.stacked.scan_group` rows,
+    cached as one entry under
+    :func:`~repro.solver.stacked.group_key`; a scan is always dense, so
+    ``method`` must be ``"auto"``.
     """
+    if isinstance(problem, GroupScan):
+        if method != "auto":
+            raise ProblemError(
+                f"a stacked group scan has no method {method!r}"
+            )
+        return scan_group(problem, backend=backend, cache=cache, **options)
     if not isinstance(problem, SCSP):
         return _solve_group(list(problem), method, backend, cache, options)
     if method == "auto":
@@ -156,6 +173,10 @@ __all__ = [
     "DEFAULT_SOLVE_CACHE_SIZE",
     "problem_fingerprint",
     "group_key",
+    "GroupScan",
+    "OfferGroup",
+    "Requirement",
+    "scan_group",
     "DenseFactor",
     "KernelError",
     "Lowering",
@@ -167,7 +188,6 @@ __all__ = [
     "solve_branch_bound",
     "solve_stacked",
     "stackable",
-    "topology_groups",
     "STACK_LIMIT",
     "solve_elimination",
     "eliminate",

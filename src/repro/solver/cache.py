@@ -11,7 +11,7 @@ method/options — so a warm entry is provably the same problem, not just a
 same-named one.  A stacked solve of a topology group is one entry
 too, the scan's own rows, keyed and looked up by the scan itself
 (:func:`~repro.solver.stacked.group_key`, over the lowered factor
-bytes it reads).
+bytes it reads and its member mask).
 
 Invalidation is structural: any change to a constraint table, domain,
 ``con`` set or solve option changes the fingerprint, so stale entries are

@@ -41,6 +41,7 @@ from typing import (
 import numpy as np
 
 from ..caching import LRUCache
+from ..constraints.constraint import SoftConstraint
 from ..constraints.operations import combine
 from ..constraints.table import TableConstraint, to_table
 from ..constraints.variables import Variable, assignment_space_size
@@ -277,12 +278,12 @@ def _compile_elimination(
     )
 
 
-def _topology(problem: SCSP) -> tuple:
+def _topology(constraints: Sequence[SoftConstraint]) -> tuple:
     """Every constraint's scope as ``(name, size)`` pairs, in order."""
     return tuple(
         [
             tuple([(var.name, len(var.domain)) for var in constraint.scope])
-            for constraint in problem.constraints
+            for constraint in constraints
         ]
     )
 
@@ -333,7 +334,7 @@ def elimination_plan(
 
     key = None if callable(ordering) else (
         "elimination",
-        _topology(problem),
+        _topology(problem.constraints),
         problem.con,
         ordering,
     )
@@ -457,7 +458,7 @@ def search_plan(
     buckets whose combined table exceeds ``limit`` entries are skipped."""
     key = None if callable(ordering) else (
         "search",
-        _topology(problem),
+        _topology(problem.constraints),
         ordering,
         limit,
     )

@@ -1,12 +1,21 @@
 """Stacked dense scans: one solve for a group of candidate SCSPs.
 
-The broker's step 3 builds one SCSP per candidate, ``requirements ⊗
+The broker's step 3 solves one problem per candidate, ``requirements ⊗
 offer``.  A session's candidates share the requirements, and a market
 of uniform offers gives them one constraint topology.  When one such
 problem's joint table is small, scanning it densely is cheaper than
 branch & bound's search.  Scanning the whole group at once, with the
 candidate as a leading member axis, pays the Python overhead once per
 group instead of once per candidate.
+
+The offers change only when the registry does, so they are lowered and
+stacked once (:class:`OfferGroup`, built by the broker's market plan);
+a session lowers its requirements once (:class:`Requirement`) and
+broadcasts them as a length-1 member against each group.  A mask of
+member indices selects the candidates the registry admits
+(:class:`GroupScan`, solved by :func:`scan_group` through
+:func:`repro.solver.solve`).  :func:`solve_stacked` scans a list of
+topology-sharing problems the same way, each problem a member.
 
 The scan reproduces :func:`~repro.solver.branch_bound.solve_branch_bound`
 bit for bit.  Branch & bound values a leaf as a left fold of ``×``.  The
@@ -27,13 +36,19 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
+from ..constraints.constraint import SoftConstraint
 from ..constraints.store import _MATERIALIZE_LIMIT
-from ..constraints.variables import assignment_space_size
-from ..telemetry import get_tracer
+from ..constraints.variables import (
+    Variable,
+    assignment_space_size,
+    merge_scopes,
+    scope_names,
+)
+from ..telemetry import get_registry, get_tracer
 from .elimination import (
     Step,
     _memoized,
@@ -83,21 +98,6 @@ def stackable(problem: SCSP, backend: str = "auto") -> bool:
         and assignment_space_size(problem.variables) <= STACK_LIMIT
         and lower_semiring(semiring) is not None
     )
-
-
-def topology_groups(problems: Sequence[SCSP]) -> List[List[int]]:
-    """Indices of ``problems`` grouped by topology: one semiring, equal
-    constraint scopes position by position and equal ``con``.  Groups
-    come in order of first appearance, members in input order."""
-    groups: Dict[tuple, List[int]] = {}
-    for index, problem in enumerate(problems):
-        key = (
-            problem.semiring,
-            problem.con,
-            tuple([constraint.scope for constraint in problem.constraints]),
-        )
-        groups.setdefault(key, []).append(index)
-    return list(groups.values())
 
 
 class _ScanPlan(NamedTuple):
@@ -167,102 +167,199 @@ def _compile_scan(problem: SCSP, ordering: str | OrderingFn) -> _ScanPlan:
     )
 
 
-def _scan_plan(problem: SCSP, ordering: str | OrderingFn) -> _ScanPlan:
-    key = None if callable(ordering) else (
-        "stacked",
-        _topology(problem),
-        problem.con,
-        ordering,
-    )
-    return _memoized(key, lambda: _compile_scan(problem, ordering))
 
 
 #: One member's scan answer: its blevel and its optima, each optimum
 #: the ``(name, value)`` items of its ``con`` assignment, sorted by
-#: name.  A group's solve-cache entry is the tuple of its members' rows.
+#: name.  A scan's solve-cache entry is the tuple of its members' rows.
 Row = Tuple[Any, Tuple[Tuple[Tuple[str, Any], ...], ...]]
 
 
-def _factors(
-    problems: Sequence[SCSP], lowering: Lowering
-) -> List[List[DenseFactor]]:
-    """Every member's constraints as lowered factors, in order; a
-    constraint object the first member holds too is lowered once."""
-    lower = DenseFactor.from_constraint
-    first = problems[0].constraints
-    head = [lower(constraint, lowering) for constraint in first]
-    return [head] + [
-        [
-            factor if constraint is shared else lower(constraint, lowering)
-            for constraint, shared, factor in zip(
-                problem.constraints, first, head
-            )
+class OfferGroup:
+    """Topology-sharing members lowered once and stacked on the member
+    axis: one array per constraint position, of length ``size``.
+
+    The broker's market plan builds one per topology group of published
+    offers, once per registry version; :meth:`scan` pairs it with a
+    session's :class:`Requirement`.  ``digest`` covers every member's
+    factor bytes, so two groups built from different objects share it
+    when their arrays are equal.
+    """
+
+    def __init__(
+        self,
+        members: Sequence[Sequence[SoftConstraint]],
+        lowering: Lowering,
+    ) -> None:
+        lower = DenseFactor.from_constraint
+        factors = [
+            [lower(constraint, lowering) for constraint in member]
+            for member in members
         ]
-        for problem in problems[1:]
-    ]
+        #: The first member's constraints: a scan plan is compiled from
+        #: them (plans depend on names and domain sizes only).
+        self.head: Tuple[SoftConstraint, ...] = tuple(members[0])
+        self.lowering = lowering
+        self.size = len(members)
+        #: The full mask.
+        self.everyone = tuple(range(self.size))
+        self.topology = _topology(self.head)
+        self.variables = merge_scopes(*[c.scope for c in self.head])
+        self.arrays = tuple(
+            [
+                np.stack([row[position].array for row in factors])
+                for position in range(len(self.head))
+            ]
+        )
+        empty = [p for p, constraint in enumerate(self.head) if not constraint.scope]
+        unlift = lowering.unlift
+        #: Each member's empty-scope values, unlifted, in position order.
+        self.empties = tuple(
+            [tuple([unlift(row[p].array[()]) for p in empty]) for row in factors]
+        )
+        digest = hashlib.sha256(f"{self.size}x{len(self.head)};".encode())
+        digest.update(b"".join([f.digest() for row in factors for f in row]))
+        self.digest = digest.digest()
+
+    def scan(
+        self, requirement: "Requirement", members: Sequence[int]
+    ) -> "GroupScan | None":
+        """``requirement`` against the ``members`` (ascending indices),
+        or ``None`` when their joint table exceeds :data:`STACK_LIMIT`
+        (branch & bound's case)."""
+        variables = merge_scopes(requirement.variables, self.variables)
+        if assignment_space_size(variables) > STACK_LIMIT:
+            return None
+        return GroupScan(
+            self, requirement, tuple(members), variables, scope_names(variables)
+        )
+
+
+class Requirement:
+    """A session's requirements, broadcast against every offer group as
+    a length-1 member: the delta a session adds to the market.  They are
+    lowered once, by the first scan that reads them (:meth:`lowered`)."""
+
+    __slots__ = ("constraints", "lowering", "variables", "topology", "_lowered")
+
+    def __init__(
+        self, constraints: Sequence[SoftConstraint], lowering: Lowering
+    ) -> None:
+        self.constraints: Tuple[SoftConstraint, ...] = tuple(constraints)
+        foreign = {c.semiring for c in self.constraints} - {lowering.semiring}
+        if foreign:
+            names = sorted(s.name for s in foreign | {lowering.semiring})
+            raise ProblemError(
+                f"all constraints must share one semiring, got {names}"
+            )
+        self.lowering = lowering
+        self.variables = merge_scopes(*[c.scope for c in self.constraints])
+        self.topology = _topology(self.constraints)
+        self._lowered: "_Lowered | None" = None
+
+    def lowered(self) -> "_Lowered":
+        lowered = self._lowered
+        if lowered is None:
+            lowering = self.lowering
+            factors = [
+                DenseFactor.from_constraint(constraint, lowering)
+                for constraint in self.constraints
+            ]
+            lowered = self._lowered = _Lowered(
+                [factor.array[np.newaxis] for factor in factors],
+                tuple(
+                    [
+                        lowering.unlift(factor.array[()])
+                        for factor, constraint in zip(factors, self.constraints)
+                        if not constraint.scope
+                    ]
+                ),
+                b"".join([factor.digest() for factor in factors]),
+            )
+        return lowered
+
+
+class _Lowered(NamedTuple):
+    """A :class:`Requirement` lowered: each factor's array with a
+    length-1 member axis, the empty-scope values unlifted, and the
+    factor digests."""
+
+    arrays: List[np.ndarray]
+    empties: Tuple[Any, ...]
+    digest: bytes
+
+
+class GroupScan(NamedTuple):
+    """One stacked scan: ``requirement ⊗ offer`` for each selected
+    member of ``group``, over ``variables`` (the requirement's first),
+    projected onto ``con``.  ``members`` is the mask: ascending member
+    indices."""
+
+    group: OfferGroup
+    requirement: Requirement
+    members: Tuple[int, ...]
+    variables: Tuple[Variable, ...]
+    con: Tuple[str, ...]
 
 
 def group_key(
-    problems: Sequence[SCSP],
-    factors: Sequence[Sequence[DenseFactor]],
-    ordering: str | OrderingFn,
-    backend: str,
+    scan: GroupScan, ordering: str | OrderingFn, backend: str
 ) -> str | None:
     """The solve-cache key of one stacked scan, or ``None`` for a
     callable ``ordering`` (not a value, so not keyable).
 
-    One SHA-256 over the semiring, ``con``, ordering, backend and group
-    shape, then member by member and position by position each factor's
-    :meth:`~repro.solver.kernels.DenseFactor.digest`.  The scan reads
-    nothing but those arrays, the plan (a function of the scope names,
-    domain sizes, ``con`` and ordering) and the ``con`` domains, so
-    equal keys run the same ufunc calls on the same bytes and read the
-    same rows.  Groups built from different objects share a key when
-    their factors hold equal bytes.
+    One SHA-256 over the semiring, ``con``, ordering, backend and shape,
+    the requirement's factor digests
+    (:meth:`~repro.solver.kernels.DenseFactor.digest`), the group's
+    digest and the mask.  The scan reads nothing but those arrays, the
+    plan (a function of the scope names, domain sizes, ``con`` and
+    ordering) and the ``con`` domains, so equal keys run the same ufunc
+    calls on the same bytes and read the same rows.  Scans built from
+    different objects, or by different brokers, share a key when their
+    factors hold equal bytes.
     """
     if callable(ordering):
         return None
-    head = problems[0]
+    group, requirement = scan.group, scan.requirement
     key = hashlib.sha256(
-        f"stacked {head.semiring!r};con {head.con!r};ordering {ordering};"
-        f"backend {backend};{len(problems)}x{len(head.constraints)};".encode()
+        f"stacked {group.lowering.semiring!r};con {scan.con!r};"
+        f"ordering {ordering};backend {backend};"
+        f"{len(requirement.constraints)}+{len(group.head)};".encode()
     )
-    key.update(b"".join([factor.digest() for row in factors for factor in row]))
+    key.update(requirement.lowered().digest)
+    key.update(group.digest)
+    key.update(f"mask {scan.members!r}".encode())
     return key.hexdigest()
 
 
-def _stack(factors: Sequence[Sequence[DenseFactor]]) -> List[np.ndarray]:
-    """Each constraint position of topology-sharing members' factors as
-    one array with a leading member axis: length B, or length 1 where
-    every member holds the very same factor."""
-    arrays = []
-    for shared in zip(*factors):
-        first = shared[0]
-        if all(factor is first for factor in shared):
-            arrays.append(first.array[np.newaxis])
-        else:
-            arrays.append(np.stack([factor.array for factor in shared]))
-    return arrays
+def _scan_plan(scan: GroupScan, ordering: str | OrderingFn) -> _ScanPlan:
+    key = None if callable(ordering) else (
+        "stacked",
+        scan.requirement.topology + scan.group.topology,
+        scan.con,
+        ordering,
+    )
+    return _memoized(
+        key,
+        lambda: _compile_scan(
+            SCSP(scan.requirement.constraints + scan.group.head, con=scan.con),
+            ordering,
+        ),
+    )
 
 
-def _base(
-    factors: Sequence[Sequence[DenseFactor]],
-    empty: Tuple[int, ...],
-    lowering: Lowering,
-) -> np.ndarray:
+def _base(scan: GroupScan, empty: Tuple[int, ...]) -> np.ndarray:
     """Each member's ``base_value`` exactly as branch & bound folds it
     (length 1 when there is no empty-scope constraint).  Read off the
     empty-scope factors: a 0-d array holds the constraint's value as
     the dtype does, which is what the fold's result is stored as."""
+    lowering = scan.group.lowering
     semiring = lowering.semiring
-    unlift = lowering.unlift
     if not empty:
         values = [semiring.one]
     else:
-        values = [
-            semiring.prod(unlift(member[slot].array[()]) for slot in empty)
-            for member in factors
-        ]
+        head, empties = scan.requirement.lowered().empties, scan.group.empties
+        values = [semiring.prod(head + empties[m]) for m in scan.members]
     return np.array(values, dtype=lowering.dtype)
 
 
@@ -310,12 +407,73 @@ def _project(
     )
 
 
+def scan_group(
+    scan: GroupScan,
+    ordering: str | OrderingFn = "max-degree",
+    lookahead: bool = True,
+    backend: str = "auto",
+    cache: "SolveCache | None" = None,
+) -> List[Row]:
+    """One stacked scan's rows, one per selected member, in mask order.
+
+    Each row's blevel and optima equal ``solve_branch_bound`` on the
+    member's ``requirement ⊗ offer`` SCSP bit for bit (see the module
+    docstring); ``lookahead`` only shapes that search, so it is accepted
+    and ignored.  With a ``cache``, the rows are looked up under
+    :func:`group_key` first; a hit records no solve metric and opens no
+    ``solver.solve`` span.  Wall time is reported to telemetry amortized
+    over the members, so ``solver_solve_seconds`` keeps meaning
+    per-solve cost.
+    """
+    key = None
+    if cache is not None:
+        key = group_key(scan, ordering, backend)
+        entry = None if key is None else cache.fetch_entry(key)
+        if entry is not None:
+            return list(entry)
+    group, members = scan.group, scan.members
+    lowering = group.lowering
+    started = time.perf_counter()
+    with get_tracer().span("solver.solve", method="stacked", size=len(members)):
+        plan = _scan_plan(scan, ordering)
+        variables = {var.name: var for var in scan.variables}
+        domains = [variables[name].domain for _depth, name in plan.con]
+        offers = group.arrays
+        if members != group.everyone:
+            offers = [array[list(members)] for array in offers]
+        base = _base(scan, plan.empty)
+        heads = scan.requirement.lowered().arrays
+        chunk = max(1, GRID_LIMIT // plan.step.size)
+        rows: List[Row] = []
+        for start in range(0, len(members), chunk):
+            stop = min(start + chunk, len(members))
+            arrays = [*heads, *[array[start:stop] for array in offers]]
+            arrays.append(base if len(base) == 1 else base[start:stop])
+            # One row answers every member when they share every factor.
+            lead = max(len(array) for array in arrays)
+            step = plan.step._replace(dims=(lead, *plan.step.dims))
+            grid = run_step(step, arrays, lowering)
+            read = _read(grid.reshape(len(grid), -1), plan, domains, lowering)
+            rows.extend(read * (stop - start) if len(read) == 1 else read)
+    elapsed = (time.perf_counter() - started) / len(members)
+    if key is not None:
+        cache.store_entry(key, tuple(rows))
+    if get_registry().enabled:
+        # The scan evaluates every leaf of the search tree, once.
+        size = plan.step.size
+        stats = SolverStats(
+            nodes_expanded=size, leaves_evaluated=size, largest_intermediate=size
+        )
+        for _ in members:
+            record_solve_metrics("stacked", stats, elapsed, backend="dense")
+    return rows
+
+
 def _results(
     problems: Sequence[SCSP], rows: Sequence[Row]
 ) -> List[SolverResult]:
     """One :class:`SolverResult` per member from the scan's rows, with
     fresh lists and dicts: a cache hit and a miss build the same."""
-    # The scan evaluates every leaf of the search tree, once.
     size = assignment_space_size(problems[0].variables)
     return [
         SolverResult(
@@ -345,10 +503,7 @@ def solve_stacked(
     Returns one :class:`SolverResult` per problem, in order, whose
     blevel, frontier and optima equal
     ``solve_branch_bound(problem, ordering)``'s bit for bit (see the
-    module docstring).  ``lookahead`` only shapes branch & bound's
-    search, never its answer, so it is accepted and ignored.  Wall time
-    is reported to telemetry amortized over the members, so
-    ``solver_solve_seconds`` keeps meaning per-solve cost.
+    module docstring).
     """
     problems = list(problems)
     check_shared_topology(problems)
@@ -363,9 +518,8 @@ def _scan(
     cache: "SolveCache | None" = None,
 ) -> List[SolverResult]:
     """:func:`solve_stacked` over problems already known to share one
-    topology.  With a ``cache``, the rows are looked up under
-    :func:`group_key` first; a hit records no solve metric and opens no
-    ``solver.solve`` span."""
+    topology: one :func:`scan_group` of the problems as the members of
+    one group, with an empty requirement."""
     semiring = problems[0].semiring
     if not semiring.is_total_order():
         raise ProblemError(
@@ -380,36 +534,13 @@ def _scan(
             f"a stacked scan needs a lowerable semiring; "
             f"{semiring.name} has no ufunc pair"
         )
-    factors = _factors(problems, lowering)
-    key = None
-    if cache is not None:
-        key = group_key(problems, factors, ordering, backend)
-        entry = None if key is None else cache.fetch_entry(key)
-        if entry is not None:
-            return _results(problems, entry)
-    started = time.perf_counter()
-    with get_tracer().span(
-        "solver.solve", method="stacked", size=len(problems)
-    ):
-        plan = _scan_plan(problems[0], ordering)
-        variables = {var.name: var for var in problems[0].variables}
-        domains = [variables[name].domain for _depth, name in plan.con]
-        chunk = max(1, GRID_LIMIT // plan.step.size)
-        rows: List[Row] = []
-        for start in range(0, len(problems), chunk):
-            part = factors[start : start + chunk]
-            arrays = _stack(part)
-            arrays.append(_base(part, plan.empty, lowering))
-            # One row answers every member when they share every factor.
-            lead = max(len(array) for array in arrays)
-            step = plan.step._replace(dims=(lead, *plan.step.dims))
-            grid = run_step(step, arrays, lowering)
-            read = _read(grid.reshape(len(grid), -1), plan, domains, lowering)
-            rows.extend(read * len(part) if len(read) == 1 else read)
-    elapsed = (time.perf_counter() - started) / len(problems)
-    if key is not None:
-        cache.store_entry(key, tuple(rows))
-    results = _results(problems, rows)
-    for result in results:
-        record_solve_metrics("stacked", result.stats, elapsed, backend="dense")
-    return results
+    head = problems[0]
+    group = OfferGroup([problem.constraints for problem in problems], lowering)
+    scan = GroupScan(
+        group,
+        Requirement((), lowering),
+        group.everyone,
+        head.variables,
+        head.con,
+    )
+    return _results(problems, scan_group(scan, ordering, lookahead, backend, cache))

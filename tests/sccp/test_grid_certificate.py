@@ -438,7 +438,13 @@ class TestShapesLeftToExplore:
             )
         assert outcome.success and outcome.scheduler_independent is True
         names = session.tracer.span_names()
-        assert "sccp.explore" in names and "sccp.certify" not in names
+        assert "sccp.explore" in names
+        # Certified by exploration, under a certify span naming the parties.
+        assert [
+            (span["attributes"]["method"], span["attributes"]["parties"])
+            for span in session.tracer.to_dicts()
+            if span["name"] == "sccp.certify"
+        ] == [("explore", ("idle", "P"))]
 
     @pytest.mark.parametrize("action", ["ask", "retract", "update"])
     def test_other_actions_leave_the_fragment(self, weighted, fig7, action):

@@ -17,21 +17,22 @@ from typing import Any, Dict, List
 from repro.constraints import SoftConstraint, Variable
 from repro.constraints.store import empty_store
 from repro.soa.broker import CandidateEvaluation
+from repro.soa.qos import compile_document
 from repro.solver import SCSP
 
 from ..constraints.monolith_oracle import MonolithStore
 
 
 def candidate_constraints(broker, description, request, semiring) -> List[SoftConstraint]:
-    """requirements ⊗ offer, compiled the way ``Broker._candidate_problem``
-    does."""
+    """requirements ⊗ offer, the offer compiled over the requirements'
+    variables (the candidate problem step 3 solves)."""
     pool: Dict[str, Variable] = {
         var.name: var
         for constraint in request.requirements
         for var in constraint.scope
     }
-    offer = broker._compile_offer(
-        description, request.attribute, semiring, pool
+    offer = compile_document(
+        description.qos, request.attribute, semiring, pool
     )
     if not offer:
         return []

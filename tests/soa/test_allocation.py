@@ -440,6 +440,29 @@ class TestFairAllocation:
             (*result.sla.providers, result.sla.client) for result in results
         )
 
+    def test_explored_confirmations_name_their_member(self):
+        # Bare contention requests carry no requirement: the client party
+        # has no tell, so each confirmation runs and explores.
+        factory = contention_request_factory()
+        requests = [factory(f"c{i}", i) for i in range(10)]
+        broker = Broker(
+            synthesize_contention_market(),
+            BrokerConfig(allocation_policy="fair"),
+        )
+        with telemetry_session() as session:
+            results = broker.negotiate_round(requests, True)
+            dump = session.tracer.to_dicts()
+        certify = [r for r in dump if r["name"] == "sccp.certify"]
+        assert [r["attributes"]["method"] for r in certify] == ["explore"] * 10
+        assert sorted(tuple(r["attributes"]["parties"]) for r in certify) == sorted(
+            (*result.sla.providers, result.sla.client)
+            for result in results
+            if result.success
+        )
+        explored = [r for r in dump if r["name"] in ("sccp.run", "sccp.explore")]
+        assert len(explored) == 20
+        assert {r["parent"] for r in explored} == {"sccp.certify"}
+
 
 # ----------------------------------------------------------------------
 # Serving one session: plain negotiate, or the broker's round scheduler

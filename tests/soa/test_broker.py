@@ -4,11 +4,18 @@ import gc
 
 import pytest
 
-from repro.constraints import Polynomial, integer_variable, polynomial_constraint
+from repro.constraints import (
+    Polynomial,
+    TableConstraint,
+    integer_variable,
+    polynomial_constraint,
+)
 from repro.sccp import interval
-from repro.semirings import WeightedSemiring
+from repro.semirings import FuzzySemiring, ProbabilisticSemiring, WeightedSemiring
+from repro.solver import SCSP, ProblemError, solve_branch_bound
 from repro.soa import (
     Broker,
+    QoSError,
     BrokerError,
     ClientRequest,
     MessageBus,
@@ -178,7 +185,30 @@ class TestSingleServiceNegotiation:
         assert isinstance(request.resolved_semiring(), WeightedSemiring)
 
 
-class TestCompiledOfferMemo:
+def agreement(result):
+    """What a session decided, without its tick."""
+    sla = result.sla
+    return (
+        result.success,
+        [
+            (e.description.service_id, repr(e.blevel), e.accepted,
+             e.best_assignment)
+            for e in result.evaluations
+        ],
+        None if sla is None else (
+            sla.service_ids, repr(sla.agreed_level), sla.resource_assignment
+        ),
+    )
+
+
+class TestMarketPlan:
+    """Step 3 reads a plan compiled once per registry version; after any
+    change to the market a session agrees exactly as a fresh broker's."""
+
+    def assert_fresh(self, broker, request):
+        fresh = Broker(broker.registry).negotiate(request)
+        assert agreement(broker.negotiate(request)) == agreement(fresh)
+
     def test_republished_document_gets_its_own_constraints(self, weighted):
         # Once a document is unpublished and collected, a new one can be
         # allocated at its address; the broker must still compile it.
@@ -202,6 +232,153 @@ class TestCompiledOfferMemo:
             registry.unpublish("filter-s1")
             gc.collect()
         assert stale == []
+
+    def test_unpublish(self, cost_market, client_request):
+        broker = Broker(cost_market)
+        assert broker.negotiate(client_request).chosen.provider == "P2"
+        cost_market.unpublish("filter-P2")
+        result = broker.negotiate(client_request)
+        assert [e.provider for e in result.evaluations] == ["P1", "P3"]
+        assert result.chosen.provider == "P1"
+        self.assert_fresh(broker, client_request)
+
+    def test_lease_expiry(self, client_request):
+        now = [0.0]
+        registry = ServiceRegistry(clock=lambda: now[0])
+        publish_cost_provider(registry, "P1", base=5.0)
+        description = registry.unpublish("filter-P1")
+        registry.publish(description, lease_s=10.0)
+        publish_cost_provider(registry, "P3", base=8.0)
+        broker = Broker(registry)
+        assert broker.negotiate(client_request).chosen.provider == "P1"
+        now[0] = 11.0
+        result = broker.negotiate(client_request)
+        assert [e.provider for e in result.evaluations] == ["P3"]
+        self.assert_fresh(broker, client_request)
+
+    def test_new_provider_mid_stream(self, cost_market, client_request):
+        broker = Broker(cost_market)
+        assert broker.negotiate(client_request).chosen.provider == "P2"
+        publish_cost_provider(cost_market, "P0", base=1.0)
+        result = broker.negotiate(client_request)
+        assert len(result.evaluations) == 4
+        assert result.chosen.provider == "P0"
+        self.assert_fresh(broker, client_request)
+
+    def test_quarantine_and_gates_change_only_the_mask(
+        self, cost_market, client_request
+    ):
+        broker = Broker(cost_market)
+        broker.negotiate(client_request)
+        version = cost_market.version
+        plan = broker._market("filter", "cost", WeightedSemiring())
+        cost_market.quarantine("P2")
+        result = broker.negotiate(client_request)
+        assert [e.provider for e in result.evaluations] == ["P1", "P3"]
+        self.assert_fresh(broker, client_request)
+
+        def gate(description):
+            return description.provider != "P1"
+
+        cost_market.add_gate(gate)
+        result = broker.negotiate(client_request)
+        assert [e.provider for e in result.evaluations] == ["P3"]
+        self.assert_fresh(broker, client_request)
+        cost_market.remove_gate(gate)
+        cost_market.reinstate("P2")
+        assert broker.negotiate(client_request).chosen.provider == "P2"
+        assert cost_market.version == version
+        assert broker._market("filter", "cost", WeightedSemiring()) is plan
+
+    def test_requirement_domain_clash_raises(self, cost_market, weighted):
+        narrow = integer_variable("x", 5)
+        request = ClientRequest(
+            client="C",
+            operation="filter",
+            attribute="cost",
+            requirements=[
+                polynomial_constraint(
+                    weighted, [narrow], Polynomial.linear({"x": 1})
+                )
+            ],
+        )
+        with pytest.raises(QoSError, match="'x' declared with two domains"):
+            Broker(cost_market).negotiate(request)
+        # A clash with a quarantined provider only is no clash.
+        registry = ServiceRegistry()
+        publish_cost_provider(registry, "P1", base=5.0)
+        registry.quarantine("P1")
+        assert not Broker(registry).negotiate(request).evaluations
+
+    def test_malformed_offer_fails_only_sessions_admitting_it(
+        self, cost_market, client_request
+    ):
+        document = QoSDocument(
+            service_name="filter",
+            provider="P9",
+            policies=[
+                QoSPolicy("cost", variables={"x": range(0, 11)}, constant=1.0),
+                QoSPolicy("cost", variables={"x": range(0, 3)}, constant=1.0),
+            ],
+        )
+        cost_market.publish(
+            ServiceDescription(
+                service_id="filter-P9",
+                name="filter",
+                provider="P9",
+                interface=ServiceInterface(operation="filter"),
+                qos=document,
+            )
+        )
+        broker = Broker(cost_market)
+        for _ in range(2):
+            with pytest.raises(QoSError, match="two domains"):
+                broker.negotiate(client_request)
+        cost_market.quarantine("P9")
+        assert broker.negotiate(client_request).chosen.provider == "P2"
+
+    def test_requirements_in_another_semiring_raise(self):
+        registry = ServiceRegistry()
+        publish_reliability_provider(registry, "A", 0.9, "red")
+        x = integer_variable("x", 2)
+        request = ClientRequest(
+            client="C",
+            operation="red",
+            attribute="reliability",
+            requirements=[
+                TableConstraint(ProbabilisticSemiring(), [x], {(0,): 0.5})
+            ],
+            semiring=FuzzySemiring(),
+        )
+        with pytest.raises(ProblemError, match="share one semiring"):
+            Broker(registry).negotiate(request)
+
+    def test_requirement_over_a_variable_no_offer_names(
+        self, cost_market, weighted
+    ):
+        y = integer_variable("y", 3)
+        request = ClientRequest(
+            client="C",
+            operation="filter",
+            attribute="cost",
+            requirements=[
+                polynomial_constraint(
+                    weighted, [y], Polynomial.linear({"y": -1}, 4.0)
+                )
+            ],
+        )
+        broker = Broker(cost_market)
+        result = broker.negotiate(request)
+        for evaluation in result.evaluations:
+            offer = broker._market("filter", "cost", weighted).offer(
+                evaluation.description
+            )
+            oracle = solve_branch_bound(SCSP(request.requirements + list(offer)))
+            assert repr(evaluation.blevel) == repr(oracle.blevel)
+            assert evaluation.best_assignment == oracle.best_assignment
+        assert result.chosen.provider == "P2"
+        assert result.sla.resource_assignment == {"x": 0, "y": 3}
+        self.assert_fresh(broker, request)
 
 
 class TestCompositionNegotiation:

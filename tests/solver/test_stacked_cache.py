@@ -1,10 +1,12 @@
 """The stacked scan's solve-cache key (``repro.solver.stacked.group_key``).
 
-A group's entry is keyed on the lowered factor bytes the scan reads, so
-groups built from different objects share an entry when their arrays
-are equal, and any change the scan would see — a table value, a domain
-label, ``con``, the semiring — is a different key.  Every hit must equal
-a cache-less scan bit for bit.
+A scan's entry is keyed on the lowered factor bytes it reads (the
+requirements' digests and the offer group's digest) and on its member
+mask, so scans built from different objects — or by different brokers,
+as the fleet's shared L2 needs — share an entry when their arrays are
+equal, and any change the scan would see — a table value, a domain
+label, ``con``, the semiring, the mask, a republished offer — is a
+different key.  Every hit must equal a cache-less scan bit for bit.
 """
 
 from __future__ import annotations
@@ -24,8 +26,16 @@ from repro.constraints import (
     variable,
 )
 from repro.semirings import FuzzySemiring, WeightedSemiring
+from repro.soa import QoSDocument, QoSPolicy, ServiceDescription, ServiceInterface
 from repro.soa.broker import Broker
-from repro.solver import SCSP, SolveCache, solve, solve_branch_bound
+from repro.solver import (
+    SCSP,
+    Requirement,
+    SolveCache,
+    scan_group,
+    solve,
+    solve_branch_bound,
+)
 from repro.solver import stacked
 
 E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
@@ -101,35 +111,98 @@ class TestHits:
         assert [r.problem for r in again] == copy
 
     def test_fresh_offer_compile_shares_an_entry(self):
-        sys.path.insert(0, str(E2E))
-        try:
-            import workloads
-        finally:
-            sys.path.remove(str(E2E))
-        inputs = workloads.Inputs(workloads.WORKLOADS["unique-market"], 1, 0)
-        request = inputs.request(0)[1]
+        # Two brokers over two registries compile their own plans; a
+        # scan of one hits the entry the other stored.
+        inputs, request = unique_market()
         semiring = request.resolved_semiring()
-        groups = []
-        for broker in (Broker(inputs.registry()), Broker(inputs.registry())):
-            groups.append(
-                [
-                    broker._candidate_problem(description, request, semiring)
-                    for description in broker.registry.find(
-                        operation=request.operation
-                    )
-                ]
-            )
-        first, second = groups
-        assert all(
-            a.constraints[-1] is not b.constraints[-1]
-            for a, b in zip(first, second)
-        )
+        first, second = [
+            market_scan(Broker(inputs.registry()), request, semiring)
+            for _ in range(2)
+        ]
+        assert first.group.head[0] is not second.group.head[0]
         cache = SolveCache()
         solve(first, cache=cache)
         hit = solve(second, cache=cache)
         assert len(cache) == 1 and cache.stats()["hits"] == 1
-        assert [exact(r) for r in hit] == [
-            exact(r) for r in stacked._scan(second)
+        assert [exact_row(row) for row in hit] == [
+            exact_row(row) for row in scan_group(second)
+        ]
+
+
+def unique_market():
+    sys.path.insert(0, str(E2E))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(E2E))
+    inputs = workloads.Inputs(workloads.WORKLOADS["unique-market"], 1, 0)
+    return inputs, inputs.request(0)[1]
+
+
+def market_scan(broker, request, semiring, members=None):
+    """The broker's scan of ``request`` against its one stacked group."""
+    plan = broker._market(request.operation, request.attribute, semiring)
+    (group,) = plan.groups
+    stack = group.stack
+    return stack.scan(
+        Requirement(request.requirements, plan.lowering),
+        stack.everyone if members is None else members,
+    )
+
+
+def exact_row(row):
+    blevel, optima = row
+    return bits(blevel), [list(items) for items in optima]
+
+
+class TestPlanMisses:
+    def test_changed_mask(self):
+        inputs, request = unique_market()
+        semiring = request.resolved_semiring()
+        broker = Broker(inputs.registry())
+        cache = SolveCache()
+        solve(market_scan(broker, request, semiring), cache=cache)
+        narrow = market_scan(broker, request, semiring, members=(0, 2, 5))
+        rows = solve(narrow, cache=cache)
+        assert cache.stats()["hits"] == 0 and len(cache) == 2
+        full = scan_group(market_scan(broker, request, semiring))
+        assert [exact_row(r) for r in rows] == [
+            exact_row(full[m]) for m in (0, 2, 5)
+        ]
+
+    def test_republished_offer_bytes(self):
+        inputs, request = unique_market()
+        semiring = request.resolved_semiring()
+        registry = inputs.registry()
+        broker = Broker(registry)
+        cache = SolveCache()
+        before = solve(market_scan(broker, request, semiring), cache=cache)
+        old = registry.unpublish("render-P3")
+        (policy,) = old.qos.policies
+        registry.publish(
+            ServiceDescription(
+                service_id=old.service_id,
+                name=old.name,
+                provider=old.provider,
+                interface=ServiceInterface(operation=old.interface.operation),
+                qos=QoSDocument(
+                    old.qos.service_name,
+                    old.provider,
+                    [
+                        QoSPolicy(
+                            "cost",
+                            variables=policy.variables,
+                            polynomial=policy.polynomial + 0.5,
+                        )
+                    ],
+                ),
+            )
+        )
+        after = solve(market_scan(broker, request, semiring), cache=cache)
+        assert cache.stats()["hits"] == 0 and len(cache) == 2
+        assert before[3][0] + 0.5 == after[3][0]
+        assert [exact_row(r) for i, r in enumerate(after) if i != 3] == [
+            exact_row(r) for i, r in enumerate(before) if i != 3
         ]
 
 

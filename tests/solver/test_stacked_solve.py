@@ -1,7 +1,9 @@
 """Stacked candidate solves equal per-candidate branch & bound, bit for bit.
 
 ``solve_stacked`` scans a group of topology-sharing problems in one
-dense fold (``repro.solver.stacked``); ``solve_branch_bound`` stays the
+dense fold (``repro.solver.stacked``), and the broker's market plan
+scans a session's requirements against a stacked group of offers under
+a member mask (``OfferGroup.scan``); ``solve_branch_bound`` stays the
 oracle.  Equality is checked on ``repr`` (exact for floats, and it tells
 ``-0.0`` from ``0.0`` and ``1`` from ``1.0``) and on the optima's key
 order.  The broker-level half runs seeded ``benchmarks/e2e`` inputs
@@ -30,18 +32,28 @@ from repro.semirings import (
     ProductSemiring,
     WeightedSemiring,
 )
+from repro.soa import (
+    QoSDocument,
+    QoSPolicy,
+    ServiceDescription,
+    ServiceInterface,
+    ServiceRegistry,
+)
 from repro.soa.broker import Broker
+from repro.soa.market import MarketPlan
 from repro.solver import (
     SCSP,
+    OfferGroup,
     ProblemError,
+    Requirement,
     SolveCache,
     group_key,
     lower_semiring,
+    scan_group,
     solve,
     solve_branch_bound,
     solve_stacked,
     stackable,
-    topology_groups,
 )
 from repro.solver import stacked
 
@@ -138,6 +150,52 @@ def test_random_groups_match_branch_bound(name):
     for seed in range(120):
         rng = random.Random(f"{name}:{seed}")
         assert_matches_branch_bound(random_group(rng, semiring, value))
+
+
+def plan_rows_match_branch_bound(rng, group, semiring, masks=3):
+    """``group``'s first ``k`` constraints (of member 0) as a session's
+    requirements, every member's rest as its offer: the plan scan's rows,
+    for the full mask and random sub-masks, equal branch & bound on each
+    selected member's ``requirements ⊗ offer``."""
+    lowering = lower_semiring(semiring)
+    width = len(group[0].constraints)
+    k = rng.randrange(width)
+    requirements = group[0].constraints[:k]
+    offers = [problem.constraints[k:] for problem in group]
+    stack = OfferGroup(offers, lowering)
+    requirement = Requirement(requirements, lowering)
+    everyone = list(range(len(offers)))
+    selections = [everyone] + [
+        sorted(rng.sample(everyone, rng.randint(1, len(everyone))))
+        for _ in range(masks)
+    ]
+    for members in selections:
+        scan = stack.scan(requirement, members)
+        for member, (blevel, optima) in zip(members, scan_group(scan)):
+            oracle = solve_branch_bound(SCSP(requirements + offers[member]))
+            assert repr(blevel) == repr(oracle.blevel)
+            assert repr([blevel]) == repr(oracle.frontier)
+            assert [[list(items) for items in optima]] == [
+                [list(assignment.items()) for assignment in found]
+                for found in oracle.optima
+            ]
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_plan_rows_match_branch_bound_under_masks(name):
+    semiring, value = VALUES[name]
+    for seed in range(60):
+        rng = random.Random(f"plan:{name}:{seed}")
+        group = random_group(rng, semiring, value)
+        plan_rows_match_branch_bound(rng, group, semiring)
+
+
+def test_chunked_plan_rows_match_branch_bound(monkeypatch):
+    monkeypatch.setattr(stacked, "GRID_LIMIT", 4)
+    semiring, value = VALUES["weighted"]
+    for seed in range(30):
+        rng = random.Random(f"chunked:{seed}")
+        plan_rows_match_branch_bound(rng, random_group(rng, semiring, value), semiring)
 
 
 @pytest.mark.parametrize("ordering", ["max-degree", "min-degree", "given"])
@@ -267,16 +325,39 @@ class TestGrouping:
         weighted = WeightedSemiring()
         x, y = variable("x", range(2)), variable("y", range(3))
         unary = TableConstraint(weighted, [x], {(0,): 1.0, (1,): 0.0})
-        problems = [
-            SCSP([unary, TableConstraint(weighted, [x, y], {(0, 0): 1.0})]),
-            SCSP([unary, TableConstraint(weighted, [x], {(0,): 2.0})]),
-            SCSP([unary, TableConstraint(weighted, [x, y], {(1, 2): 1.0})]),
-            SCSP([unary, TableConstraint(weighted, [x], {(1,): 2.0})]),
+        tables = [
+            ({"x": x.domain, "y": y.domain}, {(0, 0): 1.0}),
+            ({"x": x.domain}, {(0,): 2.0}),
+            ({"x": x.domain, "y": y.domain}, {(1, 2): 1.0}),
+            ({"x": x.domain}, {(1,): 2.0}),
         ]
-        assert topology_groups(problems) == [[0, 2], [1, 3]]
+        registry = ServiceRegistry()
+        for index, (variables, table) in enumerate(tables):
+            registry.publish(
+                ServiceDescription(
+                    service_id=f"s{index}",
+                    name="op",
+                    provider=f"P{index}",
+                    interface=ServiceInterface(operation="op"),
+                    qos=QoSDocument(
+                        "op",
+                        f"P{index}",
+                        [QoSPolicy("cost", variables=variables, table=table)],
+                    ),
+                )
+            )
+        plan = MarketPlan(registry, "op", "cost", weighted)
+        assert [
+            [offer.description.service_id for offer in group.offers]
+            for group in plan.groups
+        ] == [["s0", "s2"], ["s1", "s3"]]
+        problems = [
+            SCSP([unary, *plan.offers[f"s{index}"].constraints])
+            for index in range(4)
+        ]
         with pytest.raises(ProblemError, match="stacked topology"):
             solve_stacked(problems)
-        for group in topology_groups(problems):
+        for group in ([0, 2], [1, 3]):
             assert_matches_branch_bound([problems[i] for i in group])
 
     def test_list_solve_answers_per_problem_and_caches_one_entry(self):
@@ -429,14 +510,14 @@ def negotiate_all(inputs, sessions):
 def test_broker_agreements_equal_per_candidate_solves(e2e, workload, monkeypatch):
     inputs = e2e.Inputs(e2e.WORKLOADS[workload], 3, 0)
     calls = []
-    original = stacked._scan
+    original = stacked.scan_group
 
-    def counting(problems, *args, **kwargs):
-        calls.append(len(problems))
-        return original(problems, *args, **kwargs)
+    def counting(scan, *args, **kwargs):
+        calls.append(len(scan.members))
+        return original(scan, *args, **kwargs)
 
-    monkeypatch.setattr(stacked, "_scan", counting)
-    monkeypatch.setattr("repro.solver._scan", counting)
+    monkeypatch.setattr(stacked, "scan_group", counting)
+    monkeypatch.setattr("repro.solver.scan_group", counting)
     stacked_run = negotiate_all(inputs, 40)
     assert calls and all(size > 1 for size in calls)
     monkeypatch.setattr(stacked, "STACK_LIMIT", 0)
@@ -501,15 +582,14 @@ def test_group_entries_promote_from_l2_across_shards(e2e):
     assert len(frontend.l2) == 1
     broker = Broker(inputs.registry())
     semiring = request.resolved_semiring()
-    group = [
-        broker._candidate_problem(description, request, semiring)
-        for description in broker.registry.find(operation=request.operation)
-    ]
-    factors = stacked._factors(group, lower_semiring(semiring))
-    entry = frontend.l2.fetch_entry(
-        group_key(group, factors, "max-degree", "auto")
+    plan = broker._market(request.operation, request.attribute, semiring)
+    (group,) = plan.groups
+    scan = group.stack.scan(
+        Requirement(request.requirements, plan.lowering),
+        group.stack.everyone,
     )
-    assert len(entry) == len(group) == 8
+    entry = frontend.l2.fetch_entry(group_key(scan, "max-degree", "auto"))
+    assert len(entry) == group.stack.size == 8
     stats = frontend.cache_stats()
     busy = sum(1 for done in frontend.results_by_shard.values() if done)
     promotions = sum(shard["promotions"] for shard in stats["per_shard"].values())

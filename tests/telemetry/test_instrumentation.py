@@ -240,7 +240,11 @@ class TestBrokerRequestTelemetry:
         names = session.tracer.span_names()
         assert names.count("sccp.run") == 2
         assert names.count("sccp.explore") == 2
-        assert "sccp.certify" not in names
+        assert [
+            span["attributes"]["method"]
+            for span in session.tracer.to_dicts()
+            if span["name"] == "sccp.certify"
+        ] == ["explore", "explore"]
 
 
 class TestTelemetryDisabled:
