@@ -15,11 +15,22 @@ same market, the same faults, the same seed:
   lands in the window burns its retries against the dead provider and
   degrades to a stale SLA, so availability measurably drops.
 
-Quick mode (default, CI-sized) serves 48 sessions over 2 shards; set
-``REPRO_BENCH_FULL=1`` for the E14-sized trace (640 sessions, 4
-shards).  Results land in ``benchmarks/.out/BENCH_PR7.json``.
+A second trace gates bulkheads with a one-operation flood: ``filter``
+is offered at five times what the fleet can serve (every attempt at a
+``filter`` provider is delayed), next to a light, healthy ``lookup``
+operation, against a fleet-edge admission bound.  Without bulkheads
+the flood fills the bound, and ``lookup`` sessions are turned away or
+queue behind it.  With ``--bulkhead-limit`` the flood holds at most its
+compartment per shard, and ``lookup`` must keep availability ≥ 0.99
+and a p99 latency under half of the unbulkheaded run's.
+
+Quick mode (default, CI-sized) serves 48 sessions over 2 shards, and a
+one-second flood; set ``REPRO_BENCH_FULL=1`` for the E14-sized trace
+(640 sessions, 4 shards) and a three-second flood.  Results land in
+``benchmarks/.out/BENCH_PR7.json``.
 """
 
+import asyncio
 import os
 
 from conftest import BENCH_OUT, record_bench_artifact, report
@@ -32,6 +43,7 @@ from repro.constraints import (
 from repro.fleet import FleetConfig, FleetFrontend
 from repro.resilience import (
     BreakerConfig,
+    BulkheadConfig,
     DLQConfig,
     HealthConfig,
     ResilienceConfig,
@@ -44,6 +56,7 @@ from repro.soa import (
     FaultInjector,
     QoSDocument,
     QoSPolicy,
+    RandomDelay,
     ServiceDescription,
     ServiceInterface,
     ServiceRegistry,
@@ -52,8 +65,12 @@ from repro.soa import (
 FULL = bool(os.environ.get("REPRO_BENCH_FULL"))
 
 SCALE = {
-    "quick": {"sessions": 48, "shards": 2, "outage": (8, 16)},
-    "full": {"sessions": 640, "shards": 4, "outage": (64, 256)},
+    "quick": {
+        "sessions": 48, "shards": 2, "outage": (8, 16), "flood_s": 1.0,
+    },
+    "full": {
+        "sessions": 640, "shards": 4, "outage": (64, 256), "flood_s": 3.0,
+    },
 }[("full" if FULL else "quick")]
 
 #: Cheapest first: every healthy negotiation binds provider P0, so the
@@ -76,46 +93,51 @@ RESILIENCE = ResilienceConfig(
 )
 
 
-def build_market():
+def build_market(operations=("filter",)):
     registry = ServiceRegistry()
-    for provider, base in PROVIDERS.items():
-        registry.publish(
-            ServiceDescription(
-                service_id=f"filter-{provider}",
-                name="filter",
-                provider=provider,
-                interface=ServiceInterface(operation="filter"),
-                qos=QoSDocument(
-                    service_name="filter",
-                    provider=provider,
-                    policies=[
-                        QoSPolicy(
-                            attribute="cost",
-                            variables={"x": range(0, 11)},
-                            polynomial=Polynomial.linear({"x": 1.0}, base),
-                        )
-                    ],
-                ),
-            )
-        )
+    for operation in operations:
+        for provider, base in PROVIDERS.items():
+            publish(registry, operation, provider, base)
     return registry
 
 
-def make_requests(count):
-    weighted = WeightedSemiring()
+def publish(registry, operation, provider, base):
+    registry.publish(
+        ServiceDescription(
+            service_id=f"{operation}-{provider}",
+            name=operation,
+            provider=provider,
+            interface=ServiceInterface(operation=operation),
+            qos=QoSDocument(
+                service_name=operation,
+                provider=provider,
+                policies=[
+                    QoSPolicy(
+                        attribute="cost",
+                        variables={"x": range(0, 11)},
+                        polynomial=Polynomial.linear({"x": 1.0}, base),
+                    )
+                ],
+            ),
+        )
+    )
+
+
+def make_request(client, operation="filter"):
     x = integer_variable("x", 10)
     requirement = polynomial_constraint(
-        weighted, [x], Polynomial.linear({"x": 2})
+        WeightedSemiring(), [x], Polynomial.linear({"x": 2})
     )
-    return [
-        ClientRequest(
-            client=f"client-{i}",
-            operation="filter",
-            attribute="cost",
-            requirements=[requirement],
-        )
-        for i in range(count)
-    ]
+    return ClientRequest(
+        client=client,
+        operation=operation,
+        attribute="cost",
+        requirements=[requirement],
+    )
+
+
+def make_requests(count):
+    return [make_request(f"client-{i}") for i in range(count)]
 
 
 def run_trace(resilience):
@@ -222,6 +244,139 @@ def test_chaos_outage_availability(benchmark):
             "health_transitions": snapshot.get("health_transitions", []),
             "quarantined_at_end": snapshot.get("quarantined", []),
             "dlq": snapshot["dlq"],
+        },
+        path=ARTIFACT,
+    )
+
+
+# ----------------------------------------------------------------------
+# Bulkheads under a one-operation flood
+# ----------------------------------------------------------------------
+
+#: ``filter`` sessions per second offered, and ``lookup`` sessions per
+#: second beside them.  Every ``filter`` attempt is delayed by
+#: ``FLOOD_DELAY_MS``, so 2 shards × 2 workers serve about 80 per second.
+FLOOD_RATE = 400.0
+HEALTHY_RATE = 40.0
+FLOOD_DELAY_MS = 50.0
+#: The fleet-edge admission bound the flood fills without bulkheads.
+FLOOD_INGRESS = 64
+#: Per-shard compartment per operation (``--bulkhead-limit``).
+BULKHEAD_LIMIT = 4
+
+
+async def _flood(bulkhead):
+    def injector_factory(shard_id):
+        injector = FaultInjector(seed=3)
+        for provider in PROVIDERS:
+            injector.attach(
+                f"filter-{provider}", RandomDelay(1.0, FLOOD_DELAY_MS)
+            )
+        return injector
+
+    frontend = FleetFrontend(
+        build_market(("filter", "lookup")),
+        FleetConfig(
+            shards=2,
+            workers_per_shard=2,
+            ingress_depth=FLOOD_INGRESS,
+            seed=17,
+            runtime=RuntimeConfig(deadline_s=None),
+            resilience=(
+                ResilienceConfig(
+                    bulkhead=BulkheadConfig(default_limit=BULKHEAD_LIMIT)
+                )
+                if bulkhead
+                else None
+            ),
+        ),
+        injector_factory=injector_factory,
+    )
+    seconds = SCALE["flood_s"]
+    arrivals = sorted(
+        [(i / FLOOD_RATE, "filter", i) for i in range(int(FLOOD_RATE * seconds))]
+        + [
+            # A hair late, so a lookup never ties with a flood arrival.
+            (i / HEALTHY_RATE + 1e-4, "lookup", i)
+            for i in range(int(HEALTHY_RATE * seconds))
+        ]
+    )
+    loop = asyncio.get_running_loop()
+    healthy = []
+    async with frontend:
+        started = loop.time()
+        for due, operation, i in arrivals:
+            wait = started + due - loop.time()
+            if wait > 0:
+                await asyncio.sleep(wait)
+            future = frontend.submit(make_request(f"{operation}-{i}", operation))
+            if operation == "lookup":
+                healthy.append(future)
+        results = await asyncio.gather(*healthy)
+    return results
+
+
+def healthy_stats(results):
+    """(p99 latency in ms of the completed sessions, availability)."""
+    completed = sorted(
+        r.latency_s for r in results if r.status.value == "completed"
+    )
+    rank = max(1, round(0.99 * len(completed)))
+    p99 = completed[rank - 1] * 1000 if completed else float("inf")
+    return p99, len(completed) / len(results)
+
+
+def test_flood_bulkhead_isolation(benchmark):
+    runs = {}
+
+    def both_floods():
+        runs["on"] = healthy_stats(asyncio.run(_flood(True)))
+        runs["off"] = healthy_stats(asyncio.run(_flood(False)))
+        return runs
+
+    benchmark.pedantic(both_floods, rounds=1, iterations=1)
+    (p99_on, avail_on), (p99_off, avail_off) = runs["on"], runs["off"]
+
+    # With bulkheads the healthy operation does not notice the flood...
+    assert avail_on >= AVAILABILITY_GATE, (
+        f"lookup availability {avail_on:.4f} beside the flood, with "
+        f"bulkheads, below the {AVAILABILITY_GATE} gate"
+    )
+    # ...and without them it does, in availability and in its tail.
+    assert avail_off <= avail_on - 0.05, (
+        f"bulkheads should keep ≥5% more lookups available "
+        f"(on {avail_on:.4f}, off {avail_off:.4f})"
+    )
+    assert p99_on <= p99_off / 2, (
+        f"bulkheads should halve the lookup p99 (on {p99_on:.1f} ms, "
+        f"off {p99_off:.1f} ms)"
+    )
+
+    report(
+        f"E15 flood gate — {'full' if FULL else 'quick'} "
+        f"(filter {FLOOD_RATE:g}/s delayed {FLOOD_DELAY_MS:g} ms, lookup "
+        f"{HEALTHY_RATE:g}/s, {SCALE['flood_s']:g} s, ingress "
+        f"{FLOOD_INGRESS})",
+        [
+            (f"limit {BULKHEAD_LIMIT}", f"{avail_on:.4f}", f"{p99_on:.1f}"),
+            ("off", f"{avail_off:.4f}", f"{p99_off:.1f}"),
+        ],
+        headers=("bulkhead", "lookup availability", "lookup p99 ms"),
+    )
+    record_bench_artifact(
+        "resilience_flood",
+        {
+            "mode": "full" if FULL else "quick",
+            "flood_rate": FLOOD_RATE,
+            "healthy_rate": HEALTHY_RATE,
+            "flood_delay_ms": FLOOD_DELAY_MS,
+            "flood_s": SCALE["flood_s"],
+            "ingress_depth": FLOOD_INGRESS,
+            "bulkhead_limit": BULKHEAD_LIMIT,
+            "healthy_availability_on": round(avail_on, 4),
+            "healthy_availability_off": round(avail_off, 4),
+            "healthy_p99_ms_on": round(p99_on, 1),
+            "healthy_p99_ms_off": round(p99_off, 1),
         },
         path=ARTIFACT,
     )

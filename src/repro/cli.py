@@ -623,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--resilience",
         action="store_true",
         help="enable every resilience pattern at its defaults "
-        "(breakers, bulkheads, health checks, hedging, DLQ)",
+        "(breakers, bulkheads, health checks, DLQ)",
     )
     add_flags(resilience, ResilienceConfig)
     resilience.add_argument(

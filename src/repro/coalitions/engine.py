@@ -8,9 +8,6 @@ lookups per candidate.  This engine keeps the *identical* search
 trajectory (same neighbourhood, same acceptance order, same per-restart
 RNG streams) but scores incrementally:
 
-* **Trust memo** — ``T(C)`` is a pure function of the frozenset ``C``
-  once the network and ``◦`` are fixed, so it is memoized per coalition
-  in a shared :class:`repro.caching.LRUCache`.
 * **Delta stability** — a move/merge/split perturbs at most a handful of
   coalitions; an ordered pair ``(Cu, Cv)`` whose two coalitions both
   survived the step cannot change its blocking verdict (Def. 4 reads
@@ -25,9 +22,8 @@ RNG streams) but scores incrementally:
   order: execution interleaving cannot change the answer, and a single
   worker reproduces the sequential baseline bit for bit.
 
-Telemetry: ``coalition_candidates_total{method="engine"}``,
-``coalition_trust_cache_hits_total``, and one ``coalitions.restart``
-span per portfolio member.
+Telemetry: ``coalition_candidates_total{method="engine"}`` and one
+``coalitions.restart`` span per portfolio member.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Tuple
 
-from ..caching import LRUCache
 from ..telemetry import get_registry, get_tracer
 from .coalition import (
     Coalition,
@@ -55,14 +50,9 @@ from .local_search import (
 )
 from .trust import CompositionOp, TrustNetwork, resolve_op
 
-#: Default capacities: a coalition entry is a frozenset key + float, a
-#: pair entry two frozensets + bool — both tiny, so the caches are sized
-#: to hold every coalition a long search at n ≈ 50 actually visits.
-TRUST_CACHE_SIZE = 1 << 16
+#: Default capacity: a pair entry is two frozensets + bool — tiny, so
+#: the memo is sized to hold every pair a long search at n ≈ 50 visits.
 PAIR_CACHE_SIZE = 1 << 17
-
-#: Cache-miss sentinel (``None`` is a legitimate cached value).
-_MISS = object()
 
 
 class IncrementalScorer:
@@ -70,7 +60,7 @@ class IncrementalScorer:
 
     Agreement with the naive scorer on *every* partition is the load-
     bearing property (the climb trajectory branches on scores); the
-    randomized equivalence suite pins it down.  Thread-safe: the caches
+    randomized equivalence suite pins it down.  Thread-safe: the memos
     are shared by all portfolio workers — a pair proven clean in one
     restart is a hit in every other — while the delta anchor lives in
     thread-local state so concurrent restarts never cross-talk.
@@ -81,22 +71,11 @@ class IncrementalScorer:
         network: TrustNetwork,
         op: str | CompositionOp = "min",
         aggregate: str | CompositionOp = "min",
-        trust_cache_size: int = TRUST_CACHE_SIZE,
         pair_cache_size: int = PAIR_CACHE_SIZE,
     ) -> None:
         self.network = network
         self.op = op
         self._fold = resolve_op(aggregate)
-        # telemetry=False: the scorer does hundreds of lookups per
-        # candidate, so even null-registry counter resolution would
-        # dominate; totals surface once per solve through the explicit
-        # coalition_trust_cache_hits_total counter instead.
-        self.trust_cache = LRUCache(
-            trust_cache_size,
-            name="coalition_trust",
-            threadsafe=True,
-            telemetry=False,
-        )
         # Pair verdicts and member views live in flat dicts, not
         # LRUCaches: at ~100 lookups per candidate the LRU bookkeeping
         # (lock + recency move) was itself the scorer's bottleneck.
@@ -113,12 +92,10 @@ class IncrementalScorer:
     # -- memoized Def. 3 / Def. 4 primitives ---------------------------
 
     def trust_of(self, group: Coalition) -> float:
-        """Memoized Def. 3 ``T(C)``."""
-        value = self.trust_cache.get(group, _MISS)
-        if value is _MISS:
-            value = coalition_trust(group, self.network, self.op)
-            self.trust_cache.put(group, value)
-        return value
+        """Def. 3 ``T(C)``, recomputed on each call: for the small
+        coalitions a search visits it costs about what a memo lookup
+        would."""
+        return coalition_trust(group, self.network, self.op)
 
     def view_of(self, agent: str, group: Coalition) -> float:
         """Memoized ``◦``-composed rating of ``group`` by ``agent``."""
@@ -280,12 +257,11 @@ def solve_engine(
     per-restart RNG streams are derived up front and the merge walks the
     outcomes in restart order, keeping the first of any score tie — the
     same rule the sequential baseline applies.  Pass a pre-warmed
-    ``scorer`` to share trust/pair memos across successive solves over
+    ``scorer`` to share its pair and view memos across successive solves over
     one network.
     """
     if scorer is None:
         scorer = IncrementalScorer(network, op, aggregate)
-    hits_before = scorer.trust_cache.hits
     seeds = derive_restart_seeds(seed, restarts)
     tracer = get_tracer()
 
@@ -334,16 +310,11 @@ def solve_engine(
             best_partition, best_score = partition, score
 
     assert best_partition is not None and best_score is not None
-    registry = get_registry()
-    registry.counter(
+    get_registry().counter(
         "coalition_candidates_total",
         "Coalition structures scored during search, by method.",
         labelnames=("method",),
     ).labels("engine").inc(examined)
-    registry.counter(
-        "coalition_trust_cache_hits_total",
-        "Coalition-trust lookups answered from the frozenset memo.",
-    ).inc(scorer.trust_cache.hits - hits_before)
     return CoalitionSolution(
         partition=best_partition,
         trust=best_score[1],

@@ -128,10 +128,10 @@ class FleetConfig(Config):
     broker: BrokerConfig = subtree(BrokerConfig)
     #: The shards' per-session deadline and retry policy.
     runtime: RuntimeConfig = subtree(RuntimeConfig)
-    #: Resilience layer (breakers/bulkheads/health/hedge/DLQ); ``None``
+    #: Resilience layer (breakers/bulkheads/health/DLQ); ``None``
     #: serves exactly like the pre-resilience fleet.  Breakers, health
     #: state and the DLQ are fleet-global (a down provider is down for
-    #: every shard); bulkheads and hedge latency tracking are per-shard.
+    #: every shard); bulkheads are per-shard.
     resilience: Optional[ResilienceConfig] = subtree(
         ResilienceConfig, optional=True
     )
@@ -318,9 +318,9 @@ class FleetFrontend:
         resilience = None
         if self.config.resilience is not None:
             # Per-shard policy over fleet-global breakers and DLQ; the
-            # bulkhead and hedge tracker guard per-shard resources and
-            # stay private.  Health is stripped here: the fleet itself
-            # owns the single monitor and probe loop (``self.health``).
+            # bulkhead guards per-shard resources and stays private.
+            # Health is stripped here: the fleet itself owns the single
+            # monitor and probe loop (``self.health``).
             resilience = build_resilience(
                 replace(self.config.resilience, health=None),
                 shard_registry,
@@ -609,7 +609,7 @@ class FleetFrontend:
 
     def resilience_snapshot(self) -> Dict[str, Any]:
         """Fleet-wide resilience state: the shared breaker/health/DLQ
-        view plus each shard's private bulkhead and hedge counters."""
+        view plus each shard's private bulkhead counters."""
         out: Dict[str, Any] = {
             "enabled": self.config.resilience is not None
         }
@@ -631,7 +631,7 @@ class FleetFrontend:
                 key: value
                 for key, value in policy.snapshot().items()
                 # Shared state is reported once, fleet-level.
-                if key.startswith(("bulkhead", "hedge"))
+                if key.startswith("bulkhead")
             }
             if private:
                 per_shard[shard_id] = private

@@ -10,14 +10,13 @@ mechanisms that keep the broker *available* while providers misbehave:
   compartments so one bad operation cannot starve the worker pool;
 * :mod:`~repro.resilience.health` — heartbeat probes that quarantine
   sick providers in the registry before negotiation sees them;
-* :mod:`~repro.resilience.hedge` — shadow solves for deadline-bound
-  sessions stuck in the latency tail;
 * :mod:`~repro.resilience.dlq` — a dead-letter queue of terminal
   failures, serialized for offline inspection and deterministic replay.
 
 Everything is seed-deterministic and observationally silent while idle:
 with a fixed master seed, a run with resilience enabled is bit-identical
-to one with it disabled as long as no breaker trips and no hedge wins.
+to one with it disabled as long as no breaker trips, no probe
+quarantines a provider and no bulkhead turns a session away.
 """
 
 from .breaker import (
@@ -36,13 +35,6 @@ from .dlq import (
     replay_letter,
 )
 from .health import HealthConfig, HealthError, HealthMonitor
-from .hedge import (
-    HedgeConfig,
-    HedgeError,
-    HedgePolicy,
-    LatencyTracker,
-    hedge_attempt_key,
-)
 from .policy import (
     NO_RESILIENCE,
     ResilienceConfig,
@@ -66,14 +58,9 @@ __all__ = [
     "HealthConfig",
     "HealthError",
     "HealthMonitor",
-    "HedgeConfig",
-    "HedgeError",
-    "HedgePolicy",
-    "LatencyTracker",
     "NO_RESILIENCE",
     "ResilienceConfig",
     "ResiliencePolicy",
     "build_resilience",
-    "hedge_attempt_key",
     "replay_letter",
 ]

@@ -18,8 +18,8 @@ queue itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from ..config import POSITIVE_INT, Config, knob
 from ..telemetry import get_registry
@@ -31,11 +31,7 @@ class BulkheadError(Exception):
 
 @dataclass(frozen=True)
 class BulkheadConfig(Config):
-    """Compartment sizing.
-
-    ``default_limit`` caps every class not named in ``limits``; a class
-    mapped to ``None`` in ``limits`` is uncapped.
-    """
+    """Compartment sizing: ``default_limit`` caps every class alike."""
 
     error = BulkheadError
 
@@ -47,19 +43,6 @@ class BulkheadConfig(Config):
         help="in-flight sessions allowed per service class "
         "(enables bulkheads)",
     )
-    limits: Mapping[str, Optional[int]] = field(default_factory=dict)
-
-    def _check(self) -> None:
-        for cls, limit in self.limits.items():
-            if limit is not None and not POSITIVE_INT.contains(limit):
-                raise BulkheadError(
-                    f"limit for class {cls!r} must be at least 1 (or None)"
-                )
-
-    def limit_for(self, cls: str) -> Optional[int]:
-        if cls in self.limits:
-            return self.limits[cls]
-        return self.default_limit
 
 
 class Bulkhead:
@@ -76,9 +59,8 @@ class Bulkhead:
 
     def try_acquire(self, cls: str) -> bool:
         """Take one slot of ``cls``; ``False`` = compartment full."""
-        limit = self.config.limit_for(cls)
         held = self._inflight.get(cls, 0)
-        if limit is not None and held >= limit:
+        if held >= self.config.default_limit:
             self.rejections[cls] = self.rejections.get(cls, 0) + 1
             registry = get_registry()
             if registry.enabled:

@@ -4,14 +4,14 @@
 optional per-pattern configs, where ``None`` disables that pattern —
 the all-``None`` default is byte-for-byte the pre-resilience serving
 path.  :class:`ResiliencePolicy` is the runtime half: the live breaker
-registry, bulkhead, health monitor, hedge policy and dead-letter queue
-built from a config by :func:`build_resilience`.
+registry, bulkhead, health monitor and dead-letter queue built from a
+config by :func:`build_resilience`.
 
 One policy serves one :class:`~repro.runtime.server.RuntimeServer`.  A
 fleet builds one policy per shard but passes ``shared_*`` instances for
 the state that must be fleet-global (breakers and DLQ: a provider that
-is down is down for every shard), while bulkheads and hedge latency
-tracking stay per-shard (they guard per-shard resources).  The fleet
+is down is down for every shard), while bulkheads stay per-shard (they
+guard per-shard resources).  The fleet
 runs the one health monitor and its probe loop itself, so a shard's
 policy has no ``health``.
 """
@@ -28,7 +28,6 @@ from .breaker import BreakerConfig, BreakerRegistry
 from .bulkhead import Bulkhead, BulkheadConfig
 from .dlq import DeadLetterQueue, DLQConfig
 from .health import HealthConfig, HealthMonitor
-from .hedge import HedgeConfig, HedgePolicy
 
 
 @dataclass(frozen=True)
@@ -44,13 +43,12 @@ class ResilienceConfig(Config):
         BulkheadConfig, optional=True
     )
     health: Optional[HealthConfig] = subtree(HealthConfig, optional=True)
-    hedge: Optional[HedgeConfig] = subtree(HedgeConfig, optional=True)
     dlq: Optional[DLQConfig] = subtree(DLQConfig, optional=True)
 
     @property
     def any_enabled(self) -> bool:
         return any(
-            (self.breaker, self.bulkhead, self.health, self.hedge, self.dlq)
+            (self.breaker, self.bulkhead, self.health, self.dlq)
         )
 
     @classmethod
@@ -71,7 +69,6 @@ class ResiliencePolicy:
     breakers: Optional[BreakerRegistry] = None
     bulkhead: Optional[Bulkhead] = None
     health: Optional[HealthMonitor] = None
-    hedge: Optional[HedgePolicy] = None
     dlq: Optional[DeadLetterQueue] = None
     _gated_registry: Optional[ServiceRegistry] = field(
         default=None, repr=False
@@ -107,9 +104,6 @@ class ResiliencePolicy:
                 {"sweep": sweep, "provider": provider, "to": to}
                 for sweep, provider, to in self.health.transitions
             ]
-        if self.hedge is not None:
-            out["hedges_launched"] = self.hedge.launched
-            out["hedges_won"] = self.hedge.won
         if self.dlq is not None:
             out["dlq"] = self.dlq.stats()
         return out
@@ -128,9 +122,8 @@ def build_resilience(
     """Build (or adopt) the live objects for ``config``.
 
     ``shared_*`` lets a fleet hand every shard the same breaker
-    registry and DLQ while each shard still gets its own bulkhead and
-    hedge tracker.  The breaker gate is attached to
-    ``registry`` before this returns.
+    registry and DLQ while each shard still gets its own bulkhead.  The
+    breaker gate is attached to ``registry`` before this returns.
     """
     config = config or NO_RESILIENCE
     policy = ResiliencePolicy(config=config)
@@ -152,8 +145,6 @@ def build_resilience(
             seed=seed,
             tick_source=tick_source,
         )
-    if config.hedge is not None:
-        policy.hedge = HedgePolicy(config.hedge)
     if config.dlq is not None:
         policy.dlq = (
             shared_dlq if shared_dlq is not None else DeadLetterQueue(config.dlq)

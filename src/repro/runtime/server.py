@@ -69,7 +69,6 @@ from ..config import (
     knob,
     subtree,
 )
-from ..resilience.hedge import hedge_attempt_key
 from ..resilience.policy import (
     ResilienceConfig,
     ResiliencePolicy,
@@ -597,7 +596,7 @@ class RuntimeServer:
             else:
                 try:
                     result = await asyncio.wait_for(
-                        self._attempts_maybe_hedged(session), timeout=budget
+                        self._attempts(session), timeout=budget
                     )
                 except asyncio.TimeoutError:
                     result = SessionResult(
@@ -611,8 +610,6 @@ class RuntimeServer:
                     )
             result.queue_wait_s = queue_wait
             result.latency_s = time.perf_counter() - session.submitted_at
-            if self.resilience.hedge is not None:
-                self.resilience.hedge.observe_latency(result.latency_s)
             span.set_attribute("outcome", result.status.value)
             span.set_attribute("attempts", result.attempts)
         registry.histogram(
@@ -621,104 +618,6 @@ class RuntimeServer:
             buckets=LATENCY_BUCKETS,
         ).observe(result.latency_s)
         return result
-
-    async def _attempts_maybe_hedged(self, session: _Session) -> SessionResult:
-        """Dispatch to the hedged race when the policy applies."""
-        hedge = self.resilience.hedge
-        if hedge is None or not hedge.applies(session.deadline_s):
-            return await self._attempts(session)
-        return await self._hedged(session)
-
-    def _shadow_session(self, session: _Session, attempt: int) -> _Session:
-        """A copy of ``session`` with a keyed, independent RNG stream.
-
-        The shadow must never draw from the primary's stream (fault and
-        backoff decisions would then depend on scheduling), so its seed
-        derives from ``(master seed, session key, attempt)``.  Unkeyed
-        sessions fall back to their admission index, which is just as
-        stable for a single server.
-        """
-        base = session.key if session.key is not None else f"#{session.index}"
-        return _Session(
-            index=session.index,
-            request=session.request,
-            future=session.future,
-            rng=random.Random(
-                derive_session_seed(
-                    self.config.seed, hedge_attempt_key(base, attempt)
-                )
-            ),
-            submitted_at=session.submitted_at,
-            deadline_s=session.deadline_s,
-            key=session.key,
-            tick=session.tick,
-        )
-
-    async def _hedged(self, session: _Session) -> SessionResult:
-        """Race the primary attempt chain against late shadow attempts.
-
-        The primary runs alone until the hedge policy's launch delay (a
-        latency percentile once warmed up) elapses; finishing inside it
-        is the common case and is bit-identical to hedging disabled.
-        Past the delay, shadows launch and the first *usable* result
-        (``result.ok``) wins; with no usable result the primary's answer
-        stands, so failure reporting is unchanged too.
-        """
-        hedge = self.resilience.hedge
-        assert hedge is not None
-        primary = asyncio.ensure_future(self._attempts(session))
-        tasks: List["asyncio.Task[SessionResult]"] = [primary]
-        try:
-            done, _ = await asyncio.wait(
-                {primary}, timeout=hedge.launch_delay()
-            )
-            if primary in done:
-                return primary.result()
-            for attempt in range(1, hedge.config.max_hedges + 1):
-                hedge.record_launched()
-                tasks.append(
-                    asyncio.ensure_future(
-                        self._attempts(self._shadow_session(session, attempt))
-                    )
-                )
-            get_events().emit(
-                "runtime.hedge",
-                client=session.request.client,
-                operation=session.request.operation,
-                session=session.index,
-                shadows=hedge.config.max_hedges,
-            )
-            pending = set(tasks)
-            while pending:
-                done, pending = await asyncio.wait(
-                    pending, return_when=asyncio.FIRST_COMPLETED
-                )
-                # Deterministic preference order: primary, then shadows
-                # by launch order — not set-iteration order.
-                for task in tasks:
-                    if task not in done:
-                        continue
-                    if task.exception() is not None:
-                        continue
-                    result = task.result()
-                    if result.ok:
-                        if task is not primary:
-                            hedge.record_won()
-                        return result
-            # Nothing usable anywhere: the primary's verdict stands.
-            if primary.exception() is not None:
-                raise primary.exception()
-            return primary.result()
-        finally:
-            for task in tasks:
-                if not task.done():
-                    task.cancel()
-            for task in tasks:
-                if not task.done():
-                    try:
-                        await task
-                    except (asyncio.CancelledError, Exception):
-                        pass
 
     async def _attempts(self, session: _Session) -> SessionResult:
         """Drive the five-step lifecycle with retries and degradation."""

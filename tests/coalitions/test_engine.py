@@ -44,11 +44,13 @@ class TestIncrementalScorer:
             cold = IncrementalScorer(network, op="avg", aggregate="avg")
             assert warm(partition) == cold(partition)
 
-    def test_trust_cache_fills(self, network):
+    def test_pair_memo_fills(self, network):
         scorer = IncrementalScorer(network, op="avg", aggregate="min")
         scorer(singletons(network))
+        filled = len(scorer._pair_memo)
+        assert filled > 0
         scorer(singletons(network))
-        assert scorer.trust_cache.hits > 0
+        assert len(scorer._pair_memo) == filled
 
 
 class TestSolveEngine:
@@ -92,13 +94,14 @@ class TestSolveEngine:
         first = solve_engine(
             network, op="avg", aggregate="avg", seed=5, scorer=scorer
         )
-        hits_after_first = scorer.trust_cache.hits
+        pairs_after_first = len(scorer._pair_memo)
         second = solve_engine(
             network, op="avg", aggregate="avg", seed=5, scorer=scorer
         )
         assert second.partition == first.partition
-        # The repeated solve is answered largely from the shared memo.
-        assert scorer.trust_cache.hits > hits_after_first
+        # The repeated solve is answered from the shared pair memo: it
+        # visits no pair the first solve did not.
+        assert len(scorer._pair_memo) == pairs_after_first
 
     def test_emits_telemetry(self, network):
         with telemetry_session() as session:
@@ -109,8 +112,6 @@ class TestSolveEngine:
             candidates.labels("engine").value
             == solution.partitions_examined
         )
-        hits = session.registry.get("coalition_trust_cache_hits_total")
-        assert hits is not None and hits.value > 0
         spans = [
             s
             for s in session.tracer.finished

@@ -9,7 +9,6 @@ from repro.resilience import (
     DeadLetterQueue,
     DLQConfig,
     HealthConfig,
-    HedgeConfig,
     ResilienceConfig,
     build_resilience,
 )
@@ -25,14 +24,13 @@ from repro.soa import (
 from .conftest import agreement_fingerprint, publish_cost_provider
 
 #: Everything enabled, nothing ever triggering: breaker thresholds and
-#: health flap counts out of reach, hedge launch delay beyond any solve,
-#: bulkheads effectively uncapped.  The layer is live but must be
-#: *observationally idle* — the determinism acceptance criterion.
+#: health flap counts out of reach, bulkheads effectively uncapped.  The
+#: layer is live but must be *observationally idle* — the determinism
+#: acceptance criterion.
 IDLE_EVERYTHING = ResilienceConfig(
     breaker=BreakerConfig(failure_threshold=10**9),
     bulkhead=BulkheadConfig(default_limit=10**6),
     health=HealthConfig(interval_s=60.0, unhealthy_after=10**6),
-    hedge=HedgeConfig(delay_s=30.0, min_samples=10**6),
     dlq=DLQConfig(),
 )
 
@@ -65,7 +63,6 @@ class TestConfig:
             config.breaker,
             config.bulkhead,
             config.health,
-            config.hedge,
             config.dlq,
         )
 
@@ -76,7 +73,6 @@ class TestBuild:
         assert policy.breakers is None
         assert policy.bulkhead is None
         assert policy.health is None
-        assert policy.hedge is None
         assert policy.dlq is None
         assert market._gates == []
         assert policy.snapshot() == {}
@@ -117,7 +113,6 @@ class TestBuild:
         assert snapshot["breakers"] == {}
         assert snapshot["bulkhead_rejections"] == {}
         assert snapshot["health_sweeps"] == 0
-        assert snapshot["hedges_launched"] == 0
         assert snapshot["dlq"]["depth"] == 0
 
 
@@ -141,7 +136,6 @@ class TestFleetSharing:
             assert policy.health is None
             # Per-shard state stays private.
             assert policy.bulkhead is not None
-            assert policy.hedge is not None
         assert frontend.health is not None
         # One shared breaker registry ⇒ exactly one gate, not three.
         assert len(market._gates) == 1
@@ -159,9 +153,9 @@ class TestWholeLayerDeterminism:
     ):
         """Acceptance criterion: a fixed master seed yields bit-identical
         agreements with the resilience layer enabled and disabled, as
-        long as no breaker trips and no hedge wins — here enforced by
-        unreachable thresholds while faults keep every session's RNG
-        busy."""
+        long as no breaker trips and no bulkhead turns a session away —
+        here enforced by unreachable thresholds while faults keep every
+        session's RNG busy."""
         requests = [make_request(f"C{i}") for i in range(10)]
 
         def run(resilience):

@@ -361,16 +361,20 @@ class TestLoadgen:
         assert out["outcomes"]["completed"] == 6
 
     @pytest.mark.parametrize(
-        "flag,key",
-        [("--hedge-delay", "hedges_launched"), ("--breaker-recovery", "breakers")],
+        "command,flag,key",
+        [
+            ("loadgen", "--breaker-recovery", "breakers"),
+            ("fleet", "--breaker-recovery", "breakers"),
+        ],
+        ids=["--breaker-recovery-breakers", "fleet--breaker-recovery-breakers"],
     )
     def test_zero_valued_pattern_flag_enables_its_pattern(
-        self, capsys, flag, key
+        self, capsys, command, flag, key
     ):
         # A pattern turns on when one of its flags is given, whatever
-        # the value: 0 is a valid delay, not "flag absent".
+        # the value: 0 is a valid recovery time, not "flag absent".
         exit_code = main(
-            ["loadgen", "--clients", "2", "--requests", "4", "--seed", "1",
+            [command, "--clients", "2", "--requests", "4", "--seed", "1",
              flag, "0"]
         )
         out = json.loads(capsys.readouterr().out)
@@ -825,9 +829,9 @@ class TestExitContract:
             ("runtime", "--bulkhead-limit", "0"),
             ("runtime", "--health-interval", "0"),
             ("runtime", "--health-unhealthy-after", "0"),
-            ("runtime", "--hedge-delay", "-1"),
-            ("runtime", "--hedge-percentile", "0"),
-            ("runtime", "--hedge-percentile", "101"),
+            ("runtime", "--fault-crash", "1.5"),
+            ("fleet", "--breaker-recovery", "-1"),
+            ("loadgen", "--health-interval", "0"),
             ("loadgen", "--requests", "0"),
             ("loadgen", "--rate", "0"),
             ("loadgen", "--think-time", "-1"),

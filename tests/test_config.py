@@ -8,12 +8,7 @@ import pytest
 
 from repro.config import POSITIVE, Config, Range, add_flags, from_args
 from repro.fleet import FleetConfig, FleetError
-from repro.resilience import (
-    BreakerConfig,
-    HedgeConfig,
-    HedgeError,
-    ResilienceConfig,
-)
+from repro.resilience import BreakerConfig, BreakerError, ResilienceConfig
 from repro.runtime import LoadProfile, RetryPolicy, RuntimeConfig
 from repro.soa import BrokerConfig, BrokerError
 
@@ -76,8 +71,8 @@ class TestValidation:
                 assert flag_ok == config_ok, (owner.__name__, spec.name, value)
 
     def test_errors_name_the_field_and_raise_the_class_error(self):
-        with pytest.raises(HedgeError, match=r"percentile must be .*\(0, 100\]"):
-            HedgeConfig(percentile=0.0)
+        with pytest.raises(BreakerError, match=r"probe_jitter must be .*\[0, 1\]"):
+            BreakerConfig(probe_jitter=1.5)
         with pytest.raises(BrokerError, match="allocation_policy"):
             BrokerConfig(allocation_policy="lottery")
 
@@ -118,10 +113,11 @@ class TestFlags:
         off = from_args(ResilienceConfig, self.parse(ResilienceConfig))
         assert not off.any_enabled
         on = from_args(
-            ResilienceConfig, self.parse(ResilienceConfig, "--hedge-delay", "0")
+            ResilienceConfig,
+            self.parse(ResilienceConfig, "--breaker-recovery", "0"),
         )
-        assert on.hedge == HedgeConfig(delay_s=0.0)
-        assert on.breaker is None
+        assert on.breaker == BreakerConfig(recovery_s=0.0)
+        assert on.dlq is None
         everything = from_args(
             ResilienceConfig,
             self.parse(ResilienceConfig, "--breaker-recovery", "0"),
