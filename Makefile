@@ -34,9 +34,11 @@ bench-compare:
 
 # make bench-solver W=chain-market — per-candidate solve time on the
 # candidate SCSPs one workload's broker builds (minimum of PASSES
-# passes): METHOD=branch-bound solves them one by one, METHOD=stacked
-# solves each session's topology groups in one stacked scan each,
-# METHOD=elimination asks each one's store-consistency query (con=()).
+# passes): METHOD=branch-bound solves them one by one and as one group
+# search per topology group, METHOD=stacked solves each session's
+# topology groups in one stacked scan each, METHOD=elimination asks each
+# one's store-consistency query (con=()); every method also times a
+# session's whole step 3 on a miss and on a warm hit.
 W ?= unique-market
 METHOD ?= branch-bound
 PASSES ?= 100

@@ -7,20 +7,25 @@ candidate problems its step 3 solves for a few sessions —
 plan, one entry per plan group — then times one solver over them:
 
 * ``--method branch-bound`` (the default): ``solve_branch_bound`` on
-  each problem, one candidate at a time;
+  each problem, one candidate at a time.  It also times the group
+  search (``search_group``) once per plan group, the session's
+  requirements against the group's stacked offers under its mask: what
+  step 3 runs on a group whose joint table exceeds ``STACK_LIMIT``
+  (here every group is searched, whatever its size);
 * ``--method stacked``: ``solve_stacked`` once per plan group, the
   stacked scan step 3 runs on a group whose joint table is within
   ``STACK_LIMIT`` (here every group is stacked, whatever its size, so
-  the figure shows what stacking costs beyond the bound too).  It also
-  prints the time of a whole session's step 3
-  (``Broker._evaluate_candidates``, the scan through ``solve(scan,
-  cache=…)`` included): on a miss, each pass with fresh requirement
-  objects and an empty solve cache, so every pass pays the
-  requirements' tables, lowering and digests as serving does; and on a
-  warm hit;
+  the figure shows what stacking costs beyond the bound too);
 * ``--method elimination``: ``solve_elimination`` on each problem's
   constraints with ``con=()`` — the store-consistency query ``σ ⇓∅``
   that ``verified-market``'s nmsccp confirmation asks.
+
+Every method also prints the time of a whole session's step 3
+(``Broker._evaluate_candidates``, each group's ``solve(…, cache=…)``
+included, whichever of the scan, the group search or per-candidate
+solves the broker picks): on a miss, each pass with fresh requirement
+objects and an empty solve cache, so every pass pays the requirements'
+tables, lowering and digests as serving does; and on a warm hit.
 
 The figure printed is the minimum, over ``--passes`` passes (default
 100), of the mean time per candidate (per session for step 3): end-to-end
@@ -51,7 +56,7 @@ import statistics
 import sys
 import time
 from pathlib import Path
-from typing import List, NamedTuple, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE / "e2e"))
@@ -62,7 +67,10 @@ from workloads import WORKLOADS, Inputs  # noqa: E402
 from repro.soa.broker import Broker, ClientRequest  # noqa: E402
 from repro.solver import (  # noqa: E402
     SCSP,
+    GroupSearch,
+    Requirement,
     SolveCache,
+    search_group,
     solve_branch_bound,
     solve_elimination,
     solve_stacked,
@@ -74,10 +82,12 @@ PASSES = 100
 
 
 class Group(NamedTuple):
-    """One plan group's admitted candidates for one session."""
+    """One plan group's admitted candidates for one session, and the
+    group search of them (``None`` when the group is not stacked)."""
 
     session: int
     problems: List[SCSP]
+    search: Optional[GroupSearch]
 
 
 def capture(inputs: Inputs) -> Tuple[Broker, List[Group]]:
@@ -92,9 +102,15 @@ def capture(inputs: Inputs) -> Tuple[Broker, List[Group]]:
         plan = broker._market(
             request.operation, request.attribute, request.resolved_semiring()
         )
-        for _group, picks in plan.select(
+        requirement = Requirement(request.requirements, plan.lowering)
+        for group, picks in plan.select(
             candidates(broker, request), request.requirements
         ):
+            search = None
+            if group.stack is not None:
+                search = GroupSearch.of(
+                    group.stack, requirement, [offer.member for _, offer in picks]
+                )
             groups.append(
                 Group(
                     index,
@@ -105,6 +121,7 @@ def capture(inputs: Inputs) -> Tuple[Broker, List[Group]]:
                         )
                         for _, offer in picks
                     ],
+                    search,
                 )
             )
     return broker, groups
@@ -156,6 +173,8 @@ def pass_times(groups: List[Group], method: str, passes: int) -> List[float]:
     problems = [problem for group in groups for problem in group.problems]
     if method == "stacked":
         calls = [(solve_stacked, group.problems) for group in groups]
+    elif method == "group-search":
+        calls = [(search_group, group.search) for group in groups]
     elif method == "elimination":
         calls = [
             (solve_elimination, SCSP(p.constraints, con=()))
@@ -206,18 +225,27 @@ def main(argv=None) -> int:
         f"{row['solve_us_median']} µs per candidate over {args.passes} "
         "passes"
     )
-    if args.method == "stacked":
-        misses, hits = step3_times(inputs, broker, args.passes)
-        for outcome, figures in (("miss", misses), ("hit", hits)):
-            row[f"step3_{outcome}_us_min"] = round(min(figures) * 1e6, 2)
-            row[f"step3_{outcome}_us_median"] = round(
-                statistics.median(figures) * 1e6, 2
-            )
-            print(
-                f"{args.workload} step 3 {outcome}: min "
-                f"{row[f'step3_{outcome}_us_min']} µs / median "
-                f"{row[f'step3_{outcome}_us_median']} µs per session"
-            )
+    if args.method == "branch-bound" and all(group.search for group in groups):
+        searched = pass_times(groups, "group-search", args.passes)
+        row["group_search_us_min"] = round(min(searched) * 1e6, 2)
+        row["group_search_us_median"] = round(
+            statistics.median(searched) * 1e6, 2
+        )
+        print(
+            f"{args.workload} group search: min {row['group_search_us_min']} "
+            f"µs / median {row['group_search_us_median']} µs per candidate"
+        )
+    misses, hits = step3_times(inputs, broker, args.passes)
+    for outcome, figures in (("miss", misses), ("hit", hits)):
+        row[f"step3_{outcome}_us_min"] = round(min(figures) * 1e6, 2)
+        row[f"step3_{outcome}_us_median"] = round(
+            statistics.median(figures) * 1e6, 2
+        )
+        print(
+            f"{args.workload} step 3 {outcome}: min "
+            f"{row[f'step3_{outcome}_us_min']} µs / median "
+            f"{row[f'step3_{outcome}_us_median']} µs per session"
+        )
     print(json.dumps(row))
     return 0
 

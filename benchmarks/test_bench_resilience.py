@@ -12,8 +12,10 @@ same market, the same faults, the same seed:
   availability — *fresh* agreements, ``completed / offered`` — must
   stay ≥ 0.99 with zero manual rebinding.
 * **disabled** — the pre-resilience serving path.  Every session that
-  lands in the window burns its retries against the dead provider and
-  degrades to a stale SLA, so availability measurably drops.
+  lands in the window burns its retries against the dead provider; its
+  client is a first-time one with no earlier agreement to degrade to,
+  so it fails (a faulted attempt leaves no SLA behind), and
+  availability measurably drops.
 
 A second trace gates bulkheads with a one-operation flood: ``filter``
 is offered at five times what the fleet can serve (every attempt at a
@@ -193,10 +195,19 @@ def test_chaos_outage_availability(benchmark):
     on = availability(enabled_results)
     off = availability(disabled_results)
 
-    # No session may be dropped outright in either configuration.
+    # No session may be dropped outright in either configuration: with
+    # the layer on every client gets an agreement; with it off, a
+    # session ends without one only once its retries are exhausted.
     for results in (enabled_results, disabled_results):
         assert len(results) == SCALE["sessions"]
-        assert all(result.ok for result in results)
+    assert all(result.ok for result in enabled_results)
+    failed = [result for result in disabled_results if not result.ok]
+    assert all(
+        result.status.value == "failed"
+        and result.attempts == 3
+        and "no known SLA" in result.detail
+        for result in failed
+    )
 
     # The chaos gate: breakers + health + DLQ keep fresh-agreement
     # availability at ≥ 0.99 through the outage, no operator involved.
@@ -221,11 +232,13 @@ def test_chaos_outage_availability(benchmark):
         f"outage ticks {SCALE['outage'][0]}–"
         f"{SCALE['outage'][0] + SCALE['outage'][1]})",
         [
-            ("enabled", f"{on:.4f}", snapshot["breakers"].get("P0", "-"),
+            ("enabled", f"{on:.4f}", 0, snapshot["breakers"].get("P0", "-"),
              snapshot["dlq"]["depth"]),
-            ("disabled", f"{off:.4f}", "-", "-"),
+            ("disabled", f"{off:.4f}", len(failed), "-", "-"),
         ],
-        headers=("resilience", "availability", "P0 breaker", "dlq depth"),
+        headers=(
+            "resilience", "availability", "failed", "P0 breaker", "dlq depth"
+        ),
     )
     record_bench_artifact(
         "resilience_chaos",
@@ -236,6 +249,7 @@ def test_chaos_outage_availability(benchmark):
             "outage_ticks": list(SCALE["outage"]),
             "availability_enabled": round(on, 4),
             "availability_disabled": round(off, 4),
+            "failed_disabled": len(failed),
             "availability_gate": AVAILABILITY_GATE,
             "gate_passed": on >= AVAILABILITY_GATE,
             "manual_rebinds": 0,

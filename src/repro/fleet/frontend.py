@@ -63,6 +63,7 @@ from ..runtime.server import (
 from ..soa.broker import Broker, BrokerConfig, ClientRequest
 from ..soa.faults import FaultInjector
 from ..soa.registry import ServiceRegistry
+from ..soa.sla import SLARepository
 from ..telemetry import get_events, get_registry, get_tracer
 from ..solver.cache import SolveCache
 from .cache import DEFAULT_L2_CACHE_SIZE, TieredSolveCache
@@ -259,6 +260,11 @@ class FleetFrontend:
             if res is not None and res.dlq is not None
             else None
         )
+        #: Every agreement the fleet signs, shared by the shard brokers:
+        #: a client's last-known SLA, which a session degrades to, is
+        #: the fleet's, whatever shard signed it (a per-shard history
+        #: would make degrading depend on the shard count).
+        self.slas = SLARepository()
         self.health: Optional[HealthMonitor] = None
         self._health_task: Optional["asyncio.Task[None]"] = None
         self._probe: Optional["asyncio.Task[None]"] = None
@@ -307,6 +313,7 @@ class FleetFrontend:
             else self.registry
         )
         broker = Broker(shard_registry, self.config.broker, name=shard_id)
+        broker.slas = self.slas
         if self.l2 is not None:
             broker.solve_cache = TieredSolveCache(self.l2)
         runtime = self.config.shard_runtime()
@@ -545,17 +552,22 @@ class FleetFrontend:
         deadline_s: Optional[float],
         key: str,
         tick: Optional[int],
+        known: Optional[int] = None,
     ) -> "asyncio.Future[SessionResult]":
         self.assignments[key] = shard_id
         return self.shards[shard_id].server.submit(
-            request, deadline_s=deadline_s, session_key=key, tick=tick
+            request,
+            deadline_s=deadline_s,
+            session_key=key,
+            tick=tick,
+            known=known,
         )
 
     def _redirect(self, shard_id: str, session: _Session) -> bool:
         """A shard worker's pickup check (retry-on-redirect): a session
         whose key a reshard moved is re-admitted on its new owner, with
-        the same key, tick and deadline, and its future resolves from
-        there."""
+        the same key, tick, deadline and known agreements, and its
+        future resolves from there."""
         assert session.key is not None
         owner = self.ring.assign(self.route_key(session.request, session.key))
         if owner == shard_id:
@@ -568,7 +580,7 @@ class FleetFrontend:
         ).inc()
         moved = self._admit(
             owner, session.request, session.deadline_s, session.key,
-            session.tick,
+            session.tick, session.known,
         )
         moved.add_done_callback(partial(_settle, session.future))
         return True

@@ -24,9 +24,14 @@ module adds the serving layer around it:
 * Failed attempts (injected provider faults) are re-driven under a
   :class:`~repro.runtime.retry.RetryPolicy` with exponential backoff and
   seeded jitter; when retries are exhausted, the server degrades
-  gracefully to the client's last-known SLA from the broker's
-  :class:`~repro.soa.sla.SLARepository` (``DEGRADED``) before giving up
-  (``FAILED``).
+  gracefully to the client's last-known SLA for the operation from the
+  broker's :class:`~repro.soa.sla.SLARepository` (``DEGRADED``) before
+  giving up (``FAILED``).  "Last-known" means served to an earlier
+  session before this one was admitted, still active, and of those the
+  one served to the latest-admitted session: a faulted attempt
+  terminates the SLA it signed, and a session reads no agreement served
+  while it waits or runs, so the sessions of one batch degrade alike
+  however they interleave.
 
 Reproducibility: the server owns one master :class:`random.Random`
 (``config.seed``) and derives an independent child RNG per session *in
@@ -55,7 +60,7 @@ import random
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from ..coalitions.engine import solve_engine
 from ..coalitions.exact import CoalitionSolution
@@ -285,6 +290,15 @@ class _Session:
     #: The fleet passes its global admission sequence number, so outage
     #: windows span fleet-wide admission order, not per-shard order.
     tick: Optional[int] = None
+    #: Agreements served before admission (the broker repository's
+    #: ``servings``): the only ones the session may degrade to.
+    known: int = 0
+
+    @property
+    def admitted(self) -> Tuple[int, int]:
+        """The session's admission order, across runs on one broker:
+        agreements served before it, then its fault tick."""
+        return (self.known, self.index if self.tick is None else self.tick)
 
 
 class RuntimeServer:
@@ -407,6 +421,7 @@ class RuntimeServer:
         deadline_s: Optional[float] = None,
         session_key: Optional[str] = None,
         tick: Optional[int] = None,
+        known: Optional[int] = None,
     ) -> "asyncio.Future[SessionResult]":
         """Admit one request; resolves to its :class:`SessionResult`.
 
@@ -419,7 +434,10 @@ class RuntimeServer:
         its RNG derives from ``(config.seed, session_key)`` instead of
         the master stream in admission order, so a fleet run is
         shard-count-independent.  ``tick`` overrides the fault-injection
-        tick (default: the per-server admission index).
+        tick (default: the per-server admission index), and ``known``
+        the number of served agreements the session may degrade to
+        (default: those served so far; a fleet passes a redirected
+        session's original count).
         """
         if not self.started or self._queue is None:
             raise RuntimeError_("submit() before start()")
@@ -464,6 +482,7 @@ class RuntimeServer:
             ),
             key=session_key,
             tick=tick,
+            known=self.broker.slas.servings if known is None else known,
         )
         try:
             self._queue.put_nowait(session)
@@ -677,6 +696,8 @@ class RuntimeServer:
                 )
                 await asyncio.sleep(backoff)
                 continue
+            if negotiation.sla is not None:
+                self.broker.slas.serve(negotiation.sla, session.admitted)
             return SessionResult(
                 request=request,
                 status=SessionStatus.COMPLETED,
@@ -784,7 +805,8 @@ class RuntimeServer:
         self, session: _Session, negotiation: NegotiationResult
     ) -> None:
         """Consult the injector for the chosen provider; a ``fail``
-        fault sinks this attempt, a delay fault slows it down.
+        fault sinks this attempt and terminates the SLA it signed (no
+        session may degrade to it), a delay fault slows it down.
 
         Doubles as the circuit breakers' feedback path: the provider
         whose service faulted records a failure, and a clean pass
@@ -809,6 +831,7 @@ class RuntimeServer:
                     breakers.record_failure(
                         provider_of.get(service_id, service_id)
                     )
+                sla.terminate()
                 raise TransientFault(
                     f"injected {fault.kind} on {service_id!r}"
                 )
@@ -819,14 +842,17 @@ class RuntimeServer:
     def _degrade(
         self, session: _Session, attempts: int, last_error: str
     ) -> SessionResult:
-        """Retries exhausted: serve the last-known SLA when one exists."""
+        """Retries exhausted: serve the client's last-known SLA for the
+        operation and attribute, when one exists
+        (:meth:`~repro.soa.sla.SLARepository.last_known`)."""
         request = session.request
-        known = [
-            sla
-            for sla in self.broker.slas.for_client(request.client)
-            if sla.attribute == request.attribute and sla.active
-        ]
-        if not known:
+        sla = self.broker.slas.last_known(
+            request.client,
+            request.operation,
+            request.attribute,
+            session.known,
+        )
+        if sla is None:
             return SessionResult(
                 request=request,
                 status=SessionStatus.FAILED,
@@ -834,7 +860,6 @@ class RuntimeServer:
                 retries=attempts - 1,
                 detail=f"retries exhausted ({last_error}); no known SLA",
             )
-        sla = known[-1]
         get_registry().counter(
             "runtime_degraded_total",
             "Sessions degraded to the last-known SLA after retries.",

@@ -207,16 +207,18 @@ class Broker:
     Step 3 (:meth:`_evaluate_candidates`) reads the market plan of the
     request's operation (:class:`~repro.soa.market.MarketPlan`): every
     published offer compiled, grouped by constraint topology and, where
-    small enough, stacked, once per registry version.  The session's
-    requirements are lowered once and scanned against each stacked
-    group's admitted members, bit-identical to per-candidate branch &
-    bound; a candidate whose joint table exceeds
-    :data:`~repro.solver.stacked.STACK_LIMIT` is solved on its own.
+    the semiring lowers, stacked, once per registry version.  The
+    session's requirements are solved against each stacked group's
+    admitted members in one call (a stacked scan, or a group search
+    when the joint table exceeds
+    :data:`~repro.solver.stacked.STACK_LIMIT`), bit-identical to
+    per-candidate branch & bound; a candidate of an unstacked group is
+    solved on its own.
 
     The broker's knobs are its :class:`BrokerConfig`.  ``solve_cache``
-    (on by default) memoizes candidate solves, one
-    entry per stacked scan or per candidate, under a canonical
-    fingerprint, so a market's repeated negotiations hit warm entries
+    (on by default) memoizes candidate solves, one entry per stacked
+    group or per candidate, under a canonical key over the bytes the
+    solve reads, so a market's repeated negotiations hit warm entries
     instead of re-running the solver.  Solves take the solver's
     automatic factor representation (dense kernels whenever the semiring
     lowers, see :mod:`repro.solver.kernels`).  Acceptance intervals with
@@ -623,14 +625,17 @@ class Broker:
 
         The candidates are the members of the market plan that the
         registry admitted; each plan group is solved for its admitted
-        members at once.  A stacked group broadcasts the session's
-        requirements, lowered once, against the group's stacked offers
-        and reads every member's row from one scan (one ``solve`` call
-        and one solve-cache entry, keyed on the group's digest, the
-        requirements' digests and the mask); its answers equal
-        per-candidate branch & bound bit for bit.  A member whose joint
-        table is over the size bound gets its own ``requirements ⊗
-        offer`` SCSP through :meth:`_solve`.
+        members at once.  A stacked group pairs the session's
+        requirements with the group's stacked offers in one ``solve``
+        call and one solve-cache entry, keyed on the group's digest,
+        the requirements' digests and the mask: a scan when their joint
+        table is within the size bound, a group search (one bucket pass
+        for every member) when it is over.  Its answers equal
+        per-candidate branch & bound bit for bit.  A member of an
+        unstacked group (a partial order or a semiring that does not
+        lower), or of a group holding a factor over the store's
+        materialization limit, gets its own ``requirements ⊗ offer``
+        SCSP.
         """
         plan = self._market(request.operation, request.attribute, semiring)
         requirements = tuple(request.requirements)
@@ -638,15 +643,14 @@ class Broker:
         solved: List[Any] = [None] * len(candidates)
         requirement = None
         for group, picks in plan.select(candidates, requirements):
-            scan = None
+            work = None
             if group.stack is not None:
                 if requirement is None:
                     requirement = Requirement(requirements, plan.lowering)
-                scan = group.stack.scan(
-                    requirement, [offer.member for _, offer in picks]
-                )
-            if scan is not None:
-                rows = self._solve_candidates(picks, scan)
+                mask = [offer.member for _, offer in picks]
+                work = group.stack.work(requirement, mask)
+            if work is not None:
+                rows = self._solve_candidates(picks, work)
                 for (index, offer), (blevel, optima) in zip(picks, rows):
                     best = dict(optima[0]) if optima else None
                     solved[index] = (offer.constraints, blevel, best)
@@ -669,7 +673,7 @@ class Broker:
 
     def _solve_candidates(self, picks: List[Tuple[int, Any]], work: Any) -> Any:
         """One ``broker.candidate-solve`` span around ``solve(work)``: a
-        stacked group's scan, or one candidate's SCSP.  The
+        stacked group's scan or search, or one candidate's SCSP.  The
         per-candidate histogram gets the span's time amortized over its
         candidates."""
         started = time.perf_counter()
@@ -776,6 +780,7 @@ class Broker:
             agreed_level=evaluation.blevel,
             resource_assignment=dict(evaluation.best_assignment or {}),
             service_ids=(evaluation.description.service_id,),
+            operation=request.operation,
             created_at=tick,
         )
         self.slas.add(sla)

@@ -4,12 +4,15 @@ per registry version (paper Sec. 3–4).
 Providers publish QoS documents to the registry once; each client
 request is a delta against them.  A :class:`MarketPlan` holds, for one
 (operation, attribute, semiring), every publication's compiled offer,
-grouped by constraint topology.  Where the semiring lowers and a
-group's own joint table is small, the group is also lowered and stacked
-on the member axis (:class:`~repro.solver.stacked.OfferGroup`), so a
-session's step 3 only lowers its requirements and scans them against
-each group.  Discovery filters (quarantine, gates, SLO filters) act per
-session, as a mask over the plan's members.
+grouped by constraint topology.  Where the semiring is totally
+ordered and lowers, each group is also stacked on the member axis
+(:class:`~repro.solver.stacked.OfferGroup`, each position lowered once,
+when a solve first reads it), so a session's step 3 solves each group
+in one call: a stacked scan when the group's joint table with the
+session's requirements is small, one group search (one bucket pass for
+every member, then branch & bound per member) when it is not.
+Discovery filters (quarantine, gates, SLO filters) act per session, as
+a mask over the plan's members.
 
 The plan is tagged with the registry's :attr:`version`; publish,
 unpublish and lease expiry bump it, and the broker compiles a new plan
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..constraints.constraint import SoftConstraint
-from ..constraints.variables import Variable, assignment_space_size, merge_scopes
+from ..constraints.variables import Variable, merge_scopes
 from ..semirings.base import Semiring
 from ..solver import stacked
 from ..solver.kernels import lower_semiring
@@ -47,9 +50,8 @@ class PlanOffer:
 @dataclass(eq=False)
 class PlanGroup:
     """Offers with one constraint topology (equal scopes, position by
-    position), in service-id order.  ``stack`` is their lowered, stacked
-    form, or ``None`` when the semiring does not lower or the offers'
-    own joint table exceeds :data:`~repro.solver.stacked.STACK_LIMIT`."""
+    position), in service-id order.  ``stack`` is their stacked form, or
+    ``None`` when the semiring is partially ordered or does not lower."""
 
     offers: List[PlanOffer] = field(default_factory=list)
     variables: Tuple[Variable, ...] = ()
@@ -101,11 +103,7 @@ class MarketPlan:
         for group in self.groups:
             head = group.offers[0].constraints
             group.variables = merge_scopes(*[c.scope for c in head])
-            if (
-                self.lowering is not None
-                and assignment_space_size(group.variables)
-                <= stacked.STACK_LIMIT
-            ):
+            if self.lowering is not None:
                 group.stack = stacked.OfferGroup(
                     [offer.constraints for offer in group.offers],
                     self.lowering,

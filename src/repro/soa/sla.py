@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..constraints.constraint import SoftConstraint
 from ..constraints.store import ConstraintStore, empty_store
@@ -35,6 +35,8 @@ class SLA:
     agreed_level: Any
     resource_assignment: Dict[str, Any] = field(default_factory=dict)
     service_ids: Tuple[str, ...] = ()
+    #: The operation negotiated ("" for a composition's agreement).
+    operation: str = ""
     sla_id: int = field(default_factory=lambda: next(_sla_ids))
     created_at: int = 0
     active: bool = True
@@ -100,6 +102,11 @@ class SLARepository:
 
     def __init__(self) -> None:
         self._slas: List[SLA] = []
+        #: Per client, the agreements runtime sessions were served:
+        #: ``(serving number, the session's admission order, sla)``.
+        self._served: Dict[str, List[Tuple[int, Tuple[int, int], SLA]]] = {}
+        #: How many agreements have been served so far.
+        self.servings = 0
 
     def add(self, sla: SLA) -> None:
         self._slas.append(sla)
@@ -109,6 +116,33 @@ class SLARepository:
 
     def for_client(self, client: str) -> List[SLA]:
         return [sla for sla in self._slas if sla.client == client]
+
+    def serve(self, sla: SLA, admitted: Tuple[int, int]) -> None:
+        """Record that a session admitted at ``admitted`` (agreements
+        served before its admission, then its admission tick) was
+        served ``sla``."""
+        self._served.setdefault(sla.client, []).append(
+            (self.servings, admitted, sla)
+        )
+        self.servings += 1
+
+    def last_known(
+        self, client: str, operation: str, attribute: str, before: int
+    ) -> Optional[SLA]:
+        """Of the first ``before`` agreements served, the still-active
+        one of ``client`` for ``operation`` on ``attribute`` served to
+        the latest-admitted session, or ``None``.  Admission order, not
+        serving order, picks it, so concurrent sessions completing in
+        either order leave the same answer."""
+        known = [
+            (admitted, sla)
+            for served, admitted, sla in self._served.get(client, ())
+            if served < before
+            and sla.active
+            and sla.operation == operation
+            and sla.attribute == attribute
+        ]
+        return max(known, key=lambda item: item[0])[1] if known else None
 
     def for_provider(self, provider: str) -> List[SLA]:
         return [sla for sla in self._slas if provider in sla.providers]

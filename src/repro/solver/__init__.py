@@ -2,9 +2,10 @@
 
 Backends: exhaustive enumeration (reference, any semiring), bucket
 elimination (exact, any semiring, avoids the full joint table), branch &
-bound (totally ordered semirings), stacked dense scans (a group of small
-topology-sharing problems at once), plus soft arc consistency and
-α-cuts.  ``solve`` picks a backend automatically.
+bound (totally ordered semirings), stacked group solves (a dense scan
+of a group of small topology-sharing problems, or one bucket pass and a
+branch & bound per member for a larger group), plus soft arc
+consistency and α-cuts.  ``solve`` picks a backend automatically.
 """
 
 from __future__ import annotations
@@ -55,12 +56,17 @@ from .problem import SCSP, ProblemError, SolverResult, SolverStats
 from .stacked import (
     STACK_LIMIT,
     GroupScan,
+    GroupSearch,
     OfferGroup,
     Requirement,
     Row,
+    _groupable,
     _scan,
+    _search,
+    _tabulable,
     group_key,
     scan_group,
+    search_group,
     solve_stacked,
     stackable,
 )
@@ -94,26 +100,32 @@ def solve(
     and answered from a warm entry when one exists.
 
     Given a list, ``solve`` returns one result per problem, in order.
-    Under ``method="auto"`` a :func:`~repro.solver.stacked.stackable`
-    group is answered by one :func:`~repro.solver.stacked.solve_stacked`
-    scan, cached as one entry of the scan's rows under
-    :func:`~repro.solver.stacked.group_key`; its answers equal
-    branch & bound's bit for bit.  Any other list is solved problem by
-    problem.
+    Under ``method="auto"``, problems sharing one topology over a totally
+    ordered semiring that lowers are solved as one group, cached as one
+    entry under :func:`~repro.solver.stacked.group_key`: a
+    :func:`~repro.solver.stacked.stackable` group by one stacked scan
+    (``method="stacked"``), a larger one by one
+    :func:`~repro.solver.stacked.search_group` (``method="branch-bound"``,
+    each result with its own search statistics).  Either way the answers
+    equal branch & bound's bit for bit.  A group holding a factor over
+    the store's materialization limit, and any other list, is solved
+    problem by problem.
 
-    Given a :class:`~repro.solver.stacked.GroupScan` (a session's
-    requirements against a stacked group of the broker's market plan),
-    ``solve`` returns its :func:`~repro.solver.stacked.scan_group` rows,
-    cached as one entry under
-    :func:`~repro.solver.stacked.group_key`; a scan is always dense, so
+    Given a :class:`~repro.solver.stacked.GroupScan` or
+    :class:`~repro.solver.stacked.GroupSearch` (a session's requirements
+    against a stacked group of the broker's market plan), ``solve``
+    returns its :func:`~repro.solver.stacked.scan_group` or
+    :func:`~repro.solver.stacked.search_group` rows, cached as one entry
+    under :func:`~repro.solver.stacked.group_key`; both are dense, so
     ``method`` must be ``"auto"``.
     """
     if isinstance(problem, GroupScan):
         if method != "auto":
             raise ProblemError(
-                f"a stacked group scan has no method {method!r}"
+                f"a stacked group solve has no method {method!r}"
             )
-        return scan_group(problem, backend=backend, cache=cache, **options)
+        run = search_group if isinstance(problem, GroupSearch) else scan_group
+        return run(problem, backend=backend, cache=cache, **options)
     if not isinstance(problem, SCSP):
         return _solve_group(list(problem), method, backend, cache, options)
     if method == "auto":
@@ -150,10 +162,12 @@ def _solve_group(
     cache: "SolveCache | None",
     options: Dict[str, Any],
 ) -> List[SolverResult]:
-    """``solve`` over a list: one stacked scan, or one solve each."""
+    """``solve`` over a list: one stacked scan, one group search, or
+    one solve each."""
     if not problems:
         raise ProblemError("solve needs at least one problem")
-    if method != "auto" or not stackable(problems[0], backend):
+    head = problems[0]
+    if method != "auto" or not _groupable(head, backend):
         return [
             solve(problem, method, backend, cache, **options)
             for problem in problems
@@ -161,7 +175,13 @@ def _solve_group(
     # Checked before the cache is asked: a group key names only the
     # first member's semiring and ``con``.
     check_shared_topology(problems)
-    return _scan(problems, backend=backend, cache=cache, **options)
+    if stackable(head, backend):
+        return _scan(problems, backend=backend, cache=cache, **options)
+    if _tabulable(head.constraints):
+        return _search(problems, backend=backend, cache=cache, **options)
+    return [
+        solve(problem, method, backend, cache, **options) for problem in problems
+    ]
 
 
 __all__ = [
@@ -174,9 +194,11 @@ __all__ = [
     "problem_fingerprint",
     "group_key",
     "GroupScan",
+    "GroupSearch",
     "OfferGroup",
     "Requirement",
     "scan_group",
+    "search_group",
     "DenseFactor",
     "KernelError",
     "Lowering",

@@ -17,7 +17,9 @@ each message and each constraint that already has a table becomes a
 nested list whose axes follow the search order, so a node reads its
 children's values as one row instead of evaluating constraints on an
 assignment.  Any other constraint is evaluated one row per prefix the
-search reaches.
+search reaches.  The search itself (:func:`search_tree`) takes those
+readers as arguments, so a group search (:mod:`repro.solver.stacked`)
+runs it per member over messages computed once for the whole group.
 
 Only valid when ``≤S`` is total (Boolean, Fuzzy, Probabilistic, Weighted,
 Lexicographic); for partial orders (Set-based, products) use exhaustive
@@ -74,8 +76,8 @@ def solve_branch_bound(
     search's own left fold, in domain order.
 
     A constraint that already has a table (a table, a memoized
-    ``to_table`` such as the broker's solve-cache fingerprint leaves, or
-    one the bucket pass built) is read through that table's rows.  The
+    ``to_table`` such as a solve-cache key leaves, or one the bucket
+    pass built) is read through that table's rows.  The
     search never tabulates a constraint itself: any other constraint,
     and any beyond the store's materialization limit, is evaluated by
     ``value()`` once per row the search reaches.  So an intensional
@@ -95,33 +97,87 @@ def solve_branch_bound(
 
     plan = search_plan(problem, ordering, _MATERIALIZE_LIMIT)
     order = [problem.variables[var] for var in plan.order]
-    stats = SolverStats()
-
-    # For each prefix depth, which constraints become fully assigned when
-    # the variable at that depth gets a value (and were not before).
     position = {var.name: depth for depth, var in enumerate(order)}
-    activation: List[List[SoftConstraint]] = [
-        [problem.constraints[slot] for slot in slots]
-        for slots in plan.activation
-    ]
-
-    empty_scope = [c for c in problem.constraints if not c.scope]
-    base_value = semiring.prod(c.value({}) for c in empty_scope) if (
-        empty_scope
-    ) else semiring.one
 
     covering: List[List[Reader]] = [[] for _ in order]
     exact = False
     if lookahead and semiring.times_monotone and len(order) > 1:
         covering = _bucket_messages(problem, plan, position, lowering)
         exact = plan.exact
-    # ``values[d]`` reads ``activation[d]``, in the same order; built
-    # after the bucket pass, whose tables it then reads.
-    values: List[List[Reader]] = [
-        [_constraint_reader(c, order, position) for c in constraints]
-        for constraints in activation
+    # Built after the bucket pass, whose tables they then read.
+    values = activated_readers(problem.constraints, plan, order, position)
+
+    with get_tracer().span(
+        "solver.solve", method="branch-bound", problem=problem.name
+    ):
+        blevel, optima, stats = search_tree(
+            semiring,
+            order,
+            values,
+            covering,
+            exact,
+            base_value(problem.constraints, semiring),
+            problem.con,
+        )
+    record_solve_metrics(
+        "branch-bound",
+        stats,
+        time.perf_counter() - started,
+        backend="dict" if lowering is None else "dense",
+    )
+    return SolverResult(
+        problem=problem,
+        blevel=blevel,
+        frontier=[blevel],
+        optima=[[dict(items) for items in optima]],
+        method="branch-bound",
+        stats=stats,
+    )
+
+
+def activated_readers(
+    constraints: Sequence[SoftConstraint],
+    plan: SearchPlan,
+    order: Sequence[Variable],
+    position: Dict[str, int],
+) -> List[List[Reader]]:
+    """``values[d]``: a reader of each constraint fully assigned once
+    depth ``d`` is, in activation order."""
+    return [
+        [_constraint_reader(constraints[slot], order, position) for slot in slots]
+        for slots in plan.activation
     ]
 
+
+def base_value(constraints: Sequence[SoftConstraint], semiring: Any) -> Any:
+    """The ``×`` of the empty-scope constraints' values (``1`` if none):
+    the value every leaf's fold starts from."""
+    empty = [c for c in constraints if not c.scope]
+    if not empty:
+        return semiring.one
+    return semiring.prod(c.value({}) for c in empty)
+
+
+def search_tree(
+    semiring: Any,
+    order: Sequence[Variable],
+    values: List[List[Reader]],
+    covering: List[List[Reader]],
+    exact: bool,
+    base: Any,
+    con: Sequence[str],
+) -> Tuple[Any, List[Tuple[Tuple[str, Any], ...]], SolverStats]:
+    """Depth-first branch & bound over ``order``.
+
+    ``values[d]`` reads the constraints activated at depth ``d`` and
+    ``covering[d]`` the bucket messages bounding it; ``exact`` seeds the
+    prune threshold with the root bounds' ``⊕``.  Every leaf's value is
+    the left fold of ``×`` from ``base`` through ``values`` by depth.
+    Returns the blevel, the optima (each the ``(name, value)`` items of
+    its ``con`` assignment, sorted by name, first-found order, without
+    repeats) and the search's statistics.
+    """
+    stats = SolverStats()
     times, lt = semiring.times, semiring.lt
     sizes = [var.size for var in order]
     prefix = [0] * len(order)
@@ -198,7 +254,7 @@ def solve_branch_bound(
     root_nodes: List[Any] = []
     root_bounds: List[Any] = []
     if order:
-        root_nodes = node_values(0, base_value)
+        root_nodes = node_values(0, base)
         messages = [read(reader, 0) for reader in covering[0]]
         for index, node in enumerate(root_nodes):
             for row in messages:
@@ -207,41 +263,21 @@ def solve_branch_bound(
     if exact:
         cutoff = semiring.sum(root_bounds)
 
-    with get_tracer().span(
-        "solver.solve", method="branch-bound", problem=problem.name
-    ):
-        descend(0, base_value)
-    record_solve_metrics(
-        "branch-bound",
-        stats,
-        time.perf_counter() - started,
-        backend="dict" if lowering is None else "dense",
-    )
+    descend(0, base)
 
-    blevel = incumbent
-    # Optima are keyed by sorted variable name, as assignment dicts.
+    # Optima are keyed by sorted variable name.
     con_depths = sorted(
-        (depth for depth, var in enumerate(order) if var.name in problem.con),
+        (depth for depth, var in enumerate(order) if var.name in con),
         key=lambda depth: order[depth].name,
     )
-    seen: set = set()
-    projected: List[Dict[str, Any]] = []
-    for witness in witnesses:
-        key = tuple(
+    optima = dict.fromkeys(
+        tuple(
             (order[depth].name, order[depth].domain[witness[depth]])
             for depth in con_depths
         )
-        if key not in seen:
-            seen.add(key)
-            projected.append(dict(key))
-    return SolverResult(
-        problem=problem,
-        blevel=blevel,
-        frontier=[blevel],
-        optima=[projected],
-        method="branch-bound",
-        stats=stats,
+        for witness in witnesses
     )
+    return incumbent, list(optima), stats
 
 
 def _depth_axes(

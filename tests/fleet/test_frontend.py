@@ -397,6 +397,69 @@ class TestShardCountIndependence:
         # the faults actually fired: some session needed a retry
         assert any(attempts > 1 for _, attempts, _ in single.values())
 
+    def run_batches(self, market, make_request, shards, probability, seed):
+        """Two batches on one fleet, every session's outcome keyed: the
+        second batch's clients hold the first batch's agreements."""
+        frontend = FleetFrontend(
+            market,
+            FleetConfig(
+                shards=shards,
+                seed=seed,  # session streams, and so every fault draw
+                runtime=RuntimeConfig(
+                    deadline_s=None,
+                    retry=RetryPolicy(max_attempts=3, base_backoff_s=0.0),
+                ),
+            ),
+            injector_factory=crashy_injector_factory(market, probability),
+        )
+
+        async def batches():
+            await frontend.start()
+            try:
+                for _ in range(2):
+                    await frontend.serve(requests_for(make_request, 24))
+            finally:
+                await frontend.stop()
+
+        asyncio.run(batches())
+        results = frontend.results_by_key()
+        # an agreement is named by the session that signed it
+        signer = {
+            id(result.sla): key
+            for key, result in results.items()
+            if result.status is SessionStatus.COMPLETED
+        }
+        return {
+            key: (
+                result.status,
+                result.attempts,
+                None if result.sla is None else signer[id(result.sla)],
+            )
+            for key, result in results.items()
+        }
+
+    @pytest.mark.parametrize("probability", [0.4, 0.7])
+    @pytest.mark.parametrize("seed", [7, 11, 12])
+    def test_degraded_and_failed_sessions_identical_at_1_2_and_4_shards(
+        self, market, make_request, probability, seed
+    ):
+        single = self.run_batches(market, make_request, 1, probability, seed)
+        assert len(single) == 48
+        for shards in (2, 4):
+            assert self.run_batches(
+                market, make_request, shards, probability, seed
+            ) == single
+        statuses = [status for status, _, _ in single.values()]
+        # every session whose attempts all failed degraded to an earlier
+        # agreement of its client and operation, or failed without one
+        assert SessionStatus.FAILED in statuses
+        for key, (status, _, signed_by) in single.items():
+            if status is SessionStatus.DEGRADED:
+                assert signed_by.split("/", 1)[1] == key.split("/", 1)[1]
+                assert int(signed_by[1:].split("/")[0]) < 24 <= int(
+                    key[1:].split("/")[0]
+                )
+
 
 class TestOperationRouting:
     def test_partition_covers_every_service_once(self, market):

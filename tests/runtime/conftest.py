@@ -21,15 +21,17 @@ from repro.soa import (
 )
 
 
-def publish_cost_provider(registry, provider, base, slope=1.0):
+def publish_cost_provider(
+    registry, provider, base, slope=1.0, operation="filter"
+):
     registry.publish(
         ServiceDescription(
-            service_id=f"filter-{provider}",
-            name="filter",
+            service_id=f"{operation}-{provider}",
+            name=operation,
             provider=provider,
-            interface=ServiceInterface(operation="filter"),
+            interface=ServiceInterface(operation=operation),
             qos=QoSDocument(
-                service_name="filter",
+                service_name=operation,
                 provider=provider,
                 policies=[
                     QoSPolicy(

@@ -185,8 +185,12 @@ class TestRetries:
                 max_attempts=5, base_backoff_s=0.001, jitter=0.5
             ),
         )
+        # Every client first holds a clean SLA, which a session whose
+        # every attempt fails degrades to.
+        requests = sessions_for(broker, make_request, 12)
+        RuntimeServer(broker, RuntimeConfig(seed=5)).run(requests)
         server = RuntimeServer(broker, config, injector=injector)
-        results = server.run(sessions_for(broker, make_request, 12))
+        results = server.run(requests)
         assert sum(r.retries for r in results) > 0
         assert all(r.ok for r in results)  # retried or degraded, never lost
 

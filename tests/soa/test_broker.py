@@ -1,6 +1,8 @@
 """The broker-orchestrator: selection, acceptance, composition, SLAs."""
 
 import gc
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +14,9 @@ from repro.constraints import (
 )
 from repro.sccp import interval
 from repro.semirings import FuzzySemiring, ProbabilisticSemiring, WeightedSemiring
+from repro.soa import broker as broker_module
 from repro.solver import SCSP, ProblemError, solve_branch_bound
+from repro.solver import stacked
 from repro.soa import (
     Broker,
     QoSError,
@@ -25,6 +29,8 @@ from repro.soa import (
     ServiceInterface,
     ServiceRegistry,
 )
+
+E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
 
 
 def publish_cost_provider(registry, provider, base, slope=1.0, operation="filter"):
@@ -379,6 +385,39 @@ class TestMarketPlan:
         assert result.chosen.provider == "P2"
         assert result.sla.resource_assignment == {"x": 0, "y": 3}
         self.assert_fresh(broker, request)
+
+    def test_over_bound_group_is_one_solve_per_session(self, monkeypatch):
+        # chain-market: four offers over six variables, 6**6 joint
+        # entries, over the stacked scan's bound: one group search.
+        sys.path.insert(0, str(E2E))
+        try:
+            import workloads
+        finally:
+            sys.path.remove(str(E2E))
+        inputs = workloads.Inputs(workloads.WORKLOADS["chain-market"], 1, 0)
+        requests = [inputs.request(index)[1] for index in range(24)]
+        calls = []
+        original = broker_module.solve
+
+        def counting(work, *args, **kwargs):
+            calls.append(type(work).__name__)
+            return original(work, *args, **kwargs)
+
+        monkeypatch.setattr(broker_module, "solve", counting)
+        broker = Broker(inputs.registry())
+        searched = []
+        for request in requests:
+            calls.clear()
+            result = broker.negotiate(request)
+            assert calls == ["GroupSearch"]
+            assert len(result.evaluations) == 4
+            searched.append(agreement(result))
+        monkeypatch.setattr(stacked.OfferGroup, "work", lambda *args: None)
+        broker = Broker(inputs.registry())
+        for request, expected in zip(requests, searched):
+            calls.clear()
+            assert agreement(broker.negotiate(request)) == expected
+            assert calls == ["SCSP"] * 4
 
 
 class TestCompositionNegotiation:

@@ -9,7 +9,13 @@ from repro.soa import SLA, SLAError, SLARepository, SLAViolation
 from ..constraints.monolith_oracle import MonolithStore
 
 
-def make_sla(client="C", providers=("P",), level=0.9, attribute="reliability"):
+def make_sla(
+    client="C",
+    providers=("P",),
+    level=0.9,
+    attribute="reliability",
+    operation="",
+):
     semiring = ProbabilisticSemiring()
     return SLA(
         client=client,
@@ -18,6 +24,7 @@ def make_sla(client="C", providers=("P",), level=0.9, attribute="reliability"):
         semiring=semiring,
         agreed_constraint=ConstantConstraint(semiring, level),
         agreed_level=level,
+        operation=operation,
     )
 
 
@@ -110,6 +117,32 @@ class TestRepository:
         repo.add(b)
         a.terminate()
         assert repo.active() == [b]
+
+    def test_last_known_is_served_before_admission_latest_admitted(self):
+        repo = SLARepository()
+        render = make_sla(operation="render")
+        store = make_sla(operation="store")
+        other = make_sla(client="D", operation="render")
+        later = make_sla(operation="render")
+        unserved = make_sla(operation="render")
+        for sla in (render, store, other, later, unserved):
+            repo.add(sla)
+        # ``later`` was served first but to a later-admitted session
+        repo.serve(later, (0, 5))
+        repo.serve(render, (0, 2))
+        repo.serve(store, (0, 3))
+        repo.serve(other, (0, 4))
+        assert repo.servings == 4
+        assert repo.last_known("C", "render", "reliability", 4) is later
+        # only the first ``before`` servings count
+        assert repo.last_known("C", "render", "reliability", 1) is later
+        assert repo.last_known("C", "store", "reliability", 2) is None
+        assert repo.last_known("C", "store", "reliability", 3) is store
+        assert repo.last_known("C", "render", "cost", 4) is None
+        assert repo.last_known("E", "render", "reliability", 4) is None
+        later.terminate()
+        assert repo.last_known("C", "render", "reliability", 4) is render
+        assert repo.last_known("C", "render", "reliability", 1) is None
 
 
 class TestViolation:

@@ -33,6 +33,7 @@ from repro.solver import (
     Requirement,
     SolveCache,
     scan_group,
+    search_group,
     solve,
     solve_branch_bound,
 )
@@ -129,22 +130,23 @@ class TestHits:
         ]
 
 
-def unique_market():
+def unique_market(workload="unique-market"):
     sys.path.insert(0, str(E2E))
     try:
         import workloads
     finally:
         sys.path.remove(str(E2E))
-    inputs = workloads.Inputs(workloads.WORKLOADS["unique-market"], 1, 0)
+    inputs = workloads.Inputs(workloads.WORKLOADS[workload], 1, 0)
     return inputs, inputs.request(0)[1]
 
 
 def market_scan(broker, request, semiring, members=None):
-    """The broker's scan of ``request`` against its one stacked group."""
+    """The broker's scan of ``request`` against its one stacked group
+    (a search when the joint table is over ``STACK_LIMIT``)."""
     plan = broker._market(request.operation, request.attribute, semiring)
     (group,) = plan.groups
     stack = group.stack
-    return stack.scan(
+    return stack.work(
         Requirement(request.requirements, plan.lowering),
         stack.everyone if members is None else members,
     )
@@ -289,3 +291,81 @@ def test_chunked_hits_equal_cacheless_scans(monkeypatch):
     monkeypatch.setattr(stacked, "GRID_LIMIT", 25)  # two members per chunk
     for seed in range(5):
         assert_hits_equal_cacheless_scans(random_members(random.Random(seed), 7))
+
+
+class TestGroupSearch:
+    """Over the size bound a group is one search, one entry: keyed like
+    a scan, plus ``lookahead``, on which its statistics depend."""
+
+    @pytest.fixture(autouse=True)
+    def over_the_bound(self, monkeypatch):
+        monkeypatch.setattr(stacked, "STACK_LIMIT", 0)
+
+    def test_equal_requirement_bytes_hit_one_entry(self):
+        offer_list = offers()
+        cache = SolveCache()
+        first = solve(group(poly_requirement(), offer_list), cache=cache)
+        copy = group(to_table(poly_requirement()), offer_list)
+        again = solve(copy, cache=cache)
+        assert len(cache) == 1 and cache.stats()["hits"] == 1
+        assert [exact(r) for r in again] == [exact(r) for r in first]
+        assert {r.method for r in again} == {"branch-bound"}
+        assert [r.problem for r in again] == copy
+        assert [exact(r) for r in again] == [
+            exact(solve_branch_bound(problem)) for problem in copy
+        ]
+
+    def test_fresh_requests_on_chain_market_hit_one_entry(self):
+        inputs, request = unique_market("chain-market")
+        semiring = request.resolved_semiring()
+        first = market_scan(Broker(inputs.registry()), request, semiring)
+        fresh = inputs.request(0)[1]
+        assert fresh.requirements[0] is not request.requirements[0]
+        second = market_scan(Broker(inputs.registry()), fresh, semiring)
+        cache = SolveCache()
+        solve(first, cache=cache)
+        hit = solve(second, cache=cache)
+        assert len(cache) == 1 and cache.stats()["hits"] == 1
+        assert [exact_row(row) for row in hit] == [
+            exact_row(row) for row in search_group(second)
+        ]
+
+    def test_changed_mask_misses(self):
+        inputs, request = unique_market("chain-market")
+        semiring = request.resolved_semiring()
+        broker = Broker(inputs.registry())
+        cache = SolveCache()
+        full = solve(market_scan(broker, request, semiring), cache=cache)
+        narrow = market_scan(broker, request, semiring, (0, 2))
+        rows = solve(narrow, cache=cache)
+        assert cache.stats()["hits"] == 0 and len(cache) == 2
+        assert [exact_row(r) for r in rows] == [exact_row(full[m]) for m in (0, 2)]
+
+    def misses(self, base, changed, **options):
+        cache = SolveCache()
+        solve(base, cache=cache)
+        results = solve(changed, cache=cache, **options)
+        assert cache.stats()["hits"] == 0
+        assert len(cache) == 2
+        assert [exact(r) for r in results] == [
+            exact(solve_branch_bound(problem, **options)) for problem in changed
+        ]
+
+    def test_changed_table_value(self):
+        requirement = poly_requirement()
+        self.misses(
+            group(requirement, offers()),
+            group(requirement, offers(shift=0.5)),
+        )
+
+    def test_different_con(self):
+        requirement = poly_requirement()
+        offer_list = offers()
+        self.misses(
+            group(requirement, offer_list),
+            group(requirement, offer_list, con=["y"]),
+        )
+
+    def test_lookahead_off(self):
+        problems = group(poly_requirement(), offers())
+        self.misses(problems, problems, lookahead=False)

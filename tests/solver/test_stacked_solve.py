@@ -3,12 +3,18 @@
 ``solve_stacked`` scans a group of topology-sharing problems in one
 dense fold (``repro.solver.stacked``), and the broker's market plan
 scans a session's requirements against a stacked group of offers under
-a member mask (``OfferGroup.scan``); ``solve_branch_bound`` stays the
+a member mask (``OfferGroup.work``); ``solve_branch_bound`` stays the
 oracle.  Equality is checked on ``repr`` (exact for floats, and it tells
 ``-0.0`` from ``0.0`` and ``1`` from ``1.0``) and on the optima's key
 order.  The broker-level half runs seeded ``benchmarks/e2e`` inputs
-with stacking on and with the size bound monkeypatched to 0 (every group
-solved candidate by candidate), and through fleets of 1, 2 and 4 shards.
+with stacking on, with the size bound monkeypatched to 0 (every group
+searched as one), with group solves patched out (every candidate solved
+on its own), and through fleets of 1, 2 and 4 shards.  Over the size
+bound, ``OfferGroup.work`` gives a ``GroupSearch``: ``search_group``
+runs one bucket pass for every member and branch & bound per member;
+their rows, and a list
+solve's results with their statistics, equal per-candidate branch &
+bound too, with ``lookahead`` on and off.
 """
 
 from __future__ import annotations
@@ -20,7 +26,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.constraints import ConstantConstraint, TableConstraint, variable
+from repro.constraints import (
+    ConstantConstraint,
+    Polynomial,
+    TableConstraint,
+    polynomial_constraint,
+    variable,
+)
+from repro.constraints.table import memoized_table
 from repro.fleet import FleetConfig, FleetFrontend
 from repro.runtime import RuntimeConfig, SessionStatus
 from repro.semirings import (
@@ -43,6 +56,8 @@ from repro.soa.broker import Broker
 from repro.soa.market import MarketPlan
 from repro.solver import (
     SCSP,
+    GroupScan,
+    GroupSearch,
     OfferGroup,
     ProblemError,
     Requirement,
@@ -50,6 +65,7 @@ from repro.solver import (
     group_key,
     lower_semiring,
     scan_group,
+    search_group,
     solve,
     solve_branch_bound,
     solve_stacked,
@@ -170,7 +186,8 @@ def plan_rows_match_branch_bound(rng, group, semiring, masks=3):
         for _ in range(masks)
     ]
     for members in selections:
-        scan = stack.scan(requirement, members)
+        scan = stack.work(requirement, members)
+        assert type(scan) is GroupScan
         for member, (blevel, optima) in zip(members, scan_group(scan)):
             oracle = solve_branch_bound(SCSP(requirements + offers[member]))
             assert repr(blevel) == repr(oracle.blevel)
@@ -204,6 +221,153 @@ def test_orderings_match_branch_bound(ordering):
     for seed in range(40):
         group = random_group(random.Random(seed), semiring, value)
         assert_matches_branch_bound(group, ordering=ordering)
+
+
+# ----------------------------------------------------------------------
+# Group search: over-bound groups, one bucket pass for every member
+# ----------------------------------------------------------------------
+
+
+ORDERINGS = ["max-degree", "min-degree", "given"]
+
+
+def search_rows_match_branch_bound(rng, group, semiring, options, masks=3):
+    """As :func:`plan_rows_match_branch_bound`, through the group
+    search (the caller patches the size bound so every group is over
+    it)."""
+    lowering = lower_semiring(semiring)
+    width = len(group[0].constraints)
+    k = rng.randrange(width)
+    requirements = group[0].constraints[:k]
+    offers = [problem.constraints[k:] for problem in group]
+    stack = OfferGroup(offers, lowering)
+    requirement = Requirement(requirements, lowering)
+    everyone = list(range(len(offers)))
+    selections = [everyone] + [
+        sorted(rng.sample(everyone, rng.randint(1, len(everyone))))
+        for _ in range(masks)
+    ]
+    for members in selections:
+        work = stack.work(requirement, members)
+        assert type(work) is GroupSearch
+        rows = search_group(work, **options)
+        assert len(rows) == len(members)
+        for member, (blevel, optima) in zip(members, rows):
+            oracle = solve_branch_bound(
+                SCSP(requirements + offers[member]), **options
+            )
+            assert repr(blevel) == repr(oracle.blevel)
+            assert repr([blevel]) == repr(oracle.frontier)
+            assert [[list(items) for items in optima]] == [
+                [list(assignment.items()) for assignment in found]
+                for found in oracle.optima
+            ]
+
+
+def exact_result(result):
+    """:func:`fingerprint` plus the method and the search statistics."""
+    return fingerprint(result) + (result.method, result.stats)
+
+
+@pytest.mark.parametrize("lookahead", [True, False])
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_search_rows_match_branch_bound_under_masks(name, lookahead, monkeypatch):
+    monkeypatch.setattr(stacked, "STACK_LIMIT", 0)
+    semiring, value = VALUES[name]
+    for seed in range(40):
+        rng = random.Random(f"search:{name}:{lookahead}:{seed}")
+        group = random_group(rng, semiring, value)
+        options = {"lookahead": lookahead, "ordering": rng.choice(ORDERINGS)}
+        search_rows_match_branch_bound(rng, group, semiring, options)
+
+
+@pytest.mark.parametrize("ordering", ORDERINGS)
+@pytest.mark.parametrize("lookahead", [True, False])
+def test_search_rows_follow_every_ordering(ordering, lookahead, monkeypatch):
+    monkeypatch.setattr(stacked, "STACK_LIMIT", 0)
+    options = {"lookahead": lookahead, "ordering": ordering}
+    for name in ("weighted", "probabilistic"):
+        semiring, value = VALUES[name]
+        for seed in range(20):
+            rng = random.Random(f"ordering:{name}:{ordering}:{seed}")
+            group = random_group(rng, semiring, value)
+            search_rows_match_branch_bound(rng, group, semiring, options)
+
+
+@pytest.mark.parametrize("lookahead", [True, False])
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_list_search_equals_branch_bound_with_stats(name, lookahead, monkeypatch):
+    monkeypatch.setattr(stacked, "STACK_LIMIT", 0)
+    semiring, value = VALUES[name]
+    calls = []
+    original = stacked._searched
+    monkeypatch.setattr(
+        stacked,
+        "_searched",
+        lambda work, *args: calls.append(len(work.members)) or original(work, *args),
+    )
+    for seed in range(40):
+        rng = random.Random(f"list-search:{name}:{seed}")
+        group = random_group(rng, semiring, value)
+        ordering = rng.choice(ORDERINGS)
+        results = solve(group, ordering=ordering, lookahead=lookahead)
+        assert [exact_result(r) for r in results] == [
+            exact_result(
+                solve_branch_bound(p, ordering=ordering, lookahead=lookahead)
+            )
+            for p in group
+        ]
+        assert [r.problem for r in results] == group
+    assert len(calls) == 40
+
+
+@pytest.mark.parametrize("lookahead", [True, False])
+def test_search_tabulates_what_branch_bound_does(lookahead, monkeypatch):
+    # Intensional offers: branch & bound tabulates only what its bucket
+    # pass lowers (nothing without lookahead), and so must the search.
+    monkeypatch.setattr(stacked, "STACK_LIMIT", 0)
+    weighted = WeightedSemiring()
+    x, y, z = variable("x", range(3)), variable("y", range(4)), variable("z", range(2))
+
+    def group():
+        return [
+            SCSP(
+                [
+                    polynomial_constraint(
+                        weighted, [x], Polynomial.linear({"x": 1.0}, 0.5)
+                    ),
+                    polynomial_constraint(
+                        weighted, [x, y], Polynomial.linear({"x": 0.5, "y": k}, 1.0)
+                    ),
+                    polynomial_constraint(
+                        weighted, [y, z], Polynomial.linear({"z": 2.0, "y": 0.25}, k)
+                    ),
+                ]
+            )
+            for k in (1.0, 2.0, 3.0)
+        ]
+
+    def tabulated(problems):
+        return [
+            [memoized_table(c) is not None for c in p.constraints] for p in problems
+        ]
+
+    searched, oracle = group(), group()
+    results = solve(searched, lookahead=lookahead)
+    expected = [solve_branch_bound(p, lookahead=lookahead) for p in oracle]
+    assert [exact_result(r) for r in results] == [exact_result(r) for r in expected]
+    assert tabulated(searched) == tabulated(oracle)
+    assert any(map(any, tabulated(oracle))) is lookahead
+
+
+def test_chunked_search_rows_match_branch_bound(monkeypatch):
+    monkeypatch.setattr(stacked, "STACK_LIMIT", 0)
+    monkeypatch.setattr(stacked, "GRID_LIMIT", 4)
+    semiring, value = VALUES["weighted"]
+    for seed in range(30):
+        rng = random.Random(f"chunked-search:{seed}")
+        group = random_group(rng, semiring, value)
+        search_rows_match_branch_bound(rng, group, semiring, {})
 
 
 class TestTies:
@@ -426,7 +590,21 @@ class TestSizeBound:
 
 
 class TestUnstackable:
-    """Semirings the scan cannot match keep per-candidate solves."""
+    """Semirings the scan cannot match keep per-candidate solves within
+    the size bound (:class:`TestUnstackableOverBound` runs the same
+    cases over it)."""
+
+    limit = stacked.STACK_LIMIT
+
+    @pytest.fixture(autouse=True)
+    def no_group_solves(self, monkeypatch):
+        monkeypatch.setattr(stacked, "STACK_LIMIT", self.limit)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved as a group")
+
+        monkeypatch.setattr(stacked, "_searched", refuse)
+        monkeypatch.setattr(stacked, "scan_group", refuse)
 
     def test_bounded_weighted_does_not_lower(self):
         bounded = BoundedWeightedSemiring(5.0)
@@ -453,6 +631,38 @@ class TestUnstackable:
         group = random_group(random.Random(2), semiring, value)
         assert not stackable(group[0], backend="dict")
         assert {r.method for r in solve(group, backend="dict")} == {"branch-bound"}
+
+
+class TestUnstackableOverBound(TestUnstackable):
+    """Over the size bound the same problems get no group search either."""
+
+    limit = 0
+
+    def test_factor_over_the_materialization_limit(self, monkeypatch):
+        # Branch & bound reads such a factor through ``value()``; a group
+        # solve would tabulate it.
+        monkeypatch.setattr(stacked, "_MATERIALIZE_LIMIT", 2)
+        semiring, value = VALUES["weighted"]
+        x, y = variable("x", range(2)), variable("y", range(2))
+        rng = random.Random(4)
+        group = [
+            SCSP(
+                [
+                    TableConstraint(
+                        semiring,
+                        [x, y],
+                        {k: value(rng) for k in itertools.product(range(2), repeat=2)},
+                    )
+                ]
+            )
+            for _ in range(3)
+        ]
+        cache = SolveCache()
+        results = solve(group, cache=cache)
+        assert len(cache) == 3
+        assert [fingerprint(r) for r in results] == [
+            fingerprint(solve_branch_bound(p)) for p in group
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -520,10 +730,14 @@ def test_broker_agreements_equal_per_candidate_solves(e2e, workload, monkeypatch
     monkeypatch.setattr("repro.solver.scan_group", counting)
     stacked_run = negotiate_all(inputs, 40)
     assert calls and all(size > 1 for size in calls)
+    # Over the size bound: every group is one group search.
     monkeypatch.setattr(stacked, "STACK_LIMIT", 0)
     calls.clear()
     assert negotiate_all(inputs, 40) == stacked_run
     assert calls == []
+    # No stacked work at all: every candidate solved on its own.
+    monkeypatch.setattr(stacked.OfferGroup, "work", lambda *args: None)
+    assert negotiate_all(inputs, 40) == stacked_run
 
 
 def fleet_agreements(e2e, shards):
@@ -584,7 +798,7 @@ def test_group_entries_promote_from_l2_across_shards(e2e):
     semiring = request.resolved_semiring()
     plan = broker._market(request.operation, request.attribute, semiring)
     (group,) = plan.groups
-    scan = group.stack.scan(
+    scan = group.stack.work(
         Requirement(request.requirements, plan.lowering),
         group.stack.everyone,
     )

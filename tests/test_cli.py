@@ -252,9 +252,11 @@ class TestRuntime:
         assert len(out["sessions"]) == 4
         assert all(s["sla_id"] is not None for s in out["sessions"])
 
-    def test_outage_faults_trigger_retries_and_degradation(
+    def test_outage_faults_trigger_retries_and_failures(
         self, market_file, capsys
     ):
+        # Each request is its own client, so a session whose every
+        # attempt falls in the outage has no last-known SLA: it fails.
         exit_code = main(
             [
                 "runtime",
@@ -270,15 +272,14 @@ class TestRuntime:
             ]
         )
         out = json.loads(capsys.readouterr().out)
-        assert exit_code == 0
+        assert exit_code == 1
         assert out["retries_total"] > 0
-        assert out["outcomes"].get("degraded", 0) >= 1
-        degraded = [
-            s for s in out["sessions"] if s["status"] == "degraded"
-        ]
-        assert all(s["attempts"] > 1 for s in degraded)
+        assert out["outcomes"].get("degraded", 0) == 0
+        failed = [s for s in out["sessions"] if s["status"] == "failed"]
+        assert len(failed) == 2
+        assert all(s["attempts"] > 1 for s in failed)
 
-    def test_fault_run_logs_retries_and_degradation_events(
+    def test_fault_run_logs_retry_and_fault_events(
         self, market_file, capsys, tmp_path
     ):
         trace = tmp_path / "trace.jsonl"
@@ -305,7 +306,8 @@ class TestRuntime:
         ]
         assert "runtime.retry" in kinds
         assert "fault.injected" in kinds
-        assert "runtime.degraded" in kinds
+        # first-time clients: nothing to degrade to
+        assert "runtime.degraded" not in kinds
 
     def test_bad_fault_flag_rejected(self, market_file):
         with pytest.raises(SystemExit):
@@ -906,7 +908,7 @@ class TestExitContract:
                 "--seed",
                 "1",
                 "--fault-outage",
-                "0:1",
+                "2:1",
                 "--fault-delay",
                 "0.5:0",
                 "--base-backoff",
